@@ -79,7 +79,8 @@ void BM_SemanticJoin(benchmark::State& state) {
     SemanticJoinOptions options;
     options.threshold = 0.9f;
     options.strategy = strategy;
-    auto matches = SemanticStringJoin(left, right, *shared.model, options);
+    auto matches =
+        SemanticStringJoin(left, right, *shared.model, options).ValueOrDie();
     benchmark::DoNotOptimize(matches.size());
   }
   state.SetLabel(SemanticJoinStrategyName(strategy));
@@ -88,7 +89,6 @@ void BM_SemanticJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_SemanticJoin)
     ->ArgsProduct({{static_cast<long>(SemanticJoinStrategy::kBruteForce),
-                    static_cast<long>(SemanticJoinStrategy::kLsh),
                     static_cast<long>(SemanticJoinStrategy::kIvf)},
                    {512, 2048}});
 

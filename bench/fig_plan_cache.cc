@@ -4,10 +4,11 @@
 // Three sections:
 //   planning    - per-query planning wall on the cached engine, split by
 //                 path: optimizer wall per miss vs lookup+rebind wall per
-//                 hit, and the resulting overhead share (the number the
-//                 CI gate asserts on). Clients send the same plan shapes
-//                 with per-query literals, so every hit exercises the
-//                 rebind path, not just pointer sharing.
+//                 hit, and the resulting overhead share (the CI gate
+//                 measures the same share on its own, see below). Clients
+//                 send the same plan shapes with per-query literals, so
+//                 every hit exercises the rebind path, not just pointer
+//                 sharing.
 //   cached /    - QPS and p50/p99 for 1/2/4/8 concurrent clients over a
 //   uncached      parameterized relational mix, cache-enabled engine vs
 //                 cache-disabled engine on identical tables.
@@ -21,11 +22,13 @@
 //
 // CI hooks:
 //   --json <path>                      machine-readable report;
-//   --assert-cached-overhead-pct <x>   exit nonzero when the per-hit
-//                                      lookup+rebind wall exceeds x% of
-//                                      the per-miss optimizer wall — the
-//                                      gate for "a cache hit effectively
-//                                      skips the optimizer".
+//   --assert-cached-overhead-pct <x>   exit nonzero when the median
+//                                      per-hit lookup+rebind wall exceeds
+//                                      x% of the median per-miss optimizer
+//                                      wall, measured by one client over
+//                                      fresh engines — the gate for "a
+//                                      cache hit effectively skips the
+//                                      optimizer".
 
 #include <algorithm>
 #include <chrono>
@@ -309,20 +312,64 @@ int main(int argc, char** argv) {
   json.SetEngineMetrics(cached->metrics()->Snapshot().ToJson());
 
   // --- CI gate ---------------------------------------------------------
+  // The serving runs above plan each shape once, so their per-miss wall
+  // rests on three samples and their per-hit wall on lookups contending
+  // with up to eight clients. The gate measures both paths on their own:
+  // one client, a fresh cached engine per round whose first query of each
+  // shape misses and whose next queries hit with new literals, each
+  // query's planning wall read from the cache's stats. Medians over the
+  // rounds hold the share to about a point on a shared runner, where the
+  // serving-run ratio swings several-fold.
   const std::string gate =
       StringFlag(argc, argv, "--assert-cached-overhead-pct");
   if (!gate.empty()) {
     const double budget_pct = std::strtod(gate.c_str(), nullptr);
-    std::printf("\ncached planning overhead %.2f%% (budget %.2f%%)\n",
-                overhead_pct, budget_pct);
-    if (stats.hits == 0 || stats.misses == 0 ||
-        overhead_pct > budget_pct) {
+    constexpr int kRounds = 20;
+    constexpr std::size_t kHitsPerShape = 10;
+    std::vector<double> miss_ms, hit_ms;
+    for (int round = 0; round < kRounds; ++round) {
+      auto engine = make_engine(true);
+      for (std::size_t query = 0; query <= kHitsPerShape; ++query) {
+        for (std::size_t shape = 0; shape < 3; ++shape) {
+          // MixPlan picks the shape from client + query.
+          const std::size_t client = (shape + 3 - query % 3) % 3;
+          const PlanCache::Stats before = engine->plan_cache()->stats();
+          engine->Execute(MixPlan(client, query)).status().Check();
+          const PlanCache::Stats after = engine->plan_cache()->stats();
+          if (after.misses > before.misses) {
+            miss_ms.push_back(
+                (after.planning_seconds - before.planning_seconds) * 1e3);
+          } else if (after.hits > before.hits) {
+            hit_ms.push_back(
+                (after.lookup_seconds - before.lookup_seconds) * 1e3);
+          }
+        }
+      }
+    }
+    auto median = [](std::vector<double> v) {
+      if (v.empty()) return 0.0;
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    const double gate_miss_ms = median(miss_ms);
+    const double gate_hit_ms = median(hit_ms);
+    const double gate_pct =
+        gate_miss_ms > 0 ? gate_hit_ms / gate_miss_ms * 100.0 : 0.0;
+    std::printf(
+        "\ncached planning overhead: median %.4f ms per hit over %zu hits vs "
+        "%.4f ms per miss over %zu misses -> %.2f%% (budget %.2f%%)\n",
+        gate_hit_ms, hit_ms.size(), gate_miss_ms, miss_ms.size(), gate_pct,
+        budget_pct);
+    json.Add("gate", {{"hits", static_cast<double>(hit_ms.size())},
+                      {"misses", static_cast<double>(miss_ms.size())},
+                      {"per_miss_ms", gate_miss_ms},
+                      {"per_hit_ms", gate_hit_ms},
+                      {"overhead_pct", gate_pct}});
+    if (hit_ms.empty() || miss_ms.empty() || gate_pct > budget_pct) {
       std::fprintf(stderr,
                    "FAIL: cached planning overhead %.2f%% exceeds budget "
-                   "%.2f%% (hits=%llu misses=%llu)\n",
-                   overhead_pct, budget_pct,
-                   static_cast<unsigned long long>(stats.hits),
-                   static_cast<unsigned long long>(stats.misses));
+                   "%.2f%% (hits=%zu misses=%zu)\n",
+                   gate_pct, budget_pct, hit_ms.size(), miss_ms.size());
       json.Write();
       return 1;
     }

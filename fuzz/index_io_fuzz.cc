@@ -26,23 +26,20 @@
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
 #include "vecsim/ivfpq_index.h"
-#include "vecsim/lsh_index.h"
 #include "vecsim/vector_index.h"
 
 namespace {
 
 std::unique_ptr<cre::VectorIndex> MakeFamily(std::uint8_t selector) {
-  switch (selector % 5) {
+  switch (selector % 4) {
     case 0:
       return std::make_unique<cre::FlatIndex>();
     case 1:
       return std::make_unique<cre::HnswIndex>();
     case 2:
       return std::make_unique<cre::IvfIndex>();
-    case 3:
-      return std::make_unique<cre::IvfPqIndex>();
     default:
-      return std::make_unique<cre::LshIndex>();
+      return std::make_unique<cre::IvfPqIndex>();
   }
 }
 

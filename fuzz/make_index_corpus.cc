@@ -18,7 +18,6 @@
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
 #include "vecsim/ivfpq_index.h"
-#include "vecsim/lsh_index.h"
 #include "vecsim/vector_index.h"
 
 namespace {
@@ -51,12 +50,11 @@ int main(int argc, char** argv) {
   std::vector<float> data(n * dim);
   for (float& v : data) v = rng.NextFloat() * 2.0f - 1.0f;
 
-  Family families[5];
+  Family families[4];
   families[0] = {0, "flat", std::make_unique<cre::FlatIndex>()};
   families[1] = {1, "hnsw", std::make_unique<cre::HnswIndex>()};
   families[2] = {2, "ivf", std::make_unique<cre::IvfIndex>()};
   families[3] = {3, "ivfpq", std::make_unique<cre::IvfPqIndex>()};
-  families[4] = {4, "lsh", std::make_unique<cre::LshIndex>()};
 
   for (auto& family : families) {
     family.index->Build(data.data(), n, dim).Check();

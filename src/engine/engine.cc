@@ -289,7 +289,8 @@ Optimizer Engine::MakeOptimizer() const {
     };
   }
   return Optimizer(&catalog_, &models_, &detectors_, options,
-                   std::move(executor), std::move(residency));
+                   std::move(executor), std::move(residency),
+                   options_.index.ivfpq.pq_m);
 }
 
 Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
@@ -313,7 +314,8 @@ Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
   // against the query's pinned snapshot, so planning and execution see
   // the same tables even under concurrent catalog writes.
   return Optimizer(&ctx->snapshot(), &models_, &detectors_, options,
-                   std::move(executor), std::move(residency));
+                   std::move(executor), std::move(residency),
+                   options_.index.ivfpq.pq_m);
 }
 
 std::string Engine::KnobSignature() const {
@@ -538,6 +540,12 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
       options.top_k = node.top_k;
       options.variant = options_.kernel_variant;
       options.pool = ctx->runner();
+      // Local builds use the engine's family options, as managed builds
+      // and the optimizer's strategy rules do.
+      options.ivf = options_.index.ivf;
+      options.hnsw = options_.index.hnsw;
+      options.hnsw.build_pool = nullptr;
+      options.ivfpq = options_.index.ivfpq;
       // Cancellation reaches the operator's probe loops and local index
       // builds, not just the driver's morsel/segment polls.
       options.cancel = ctx->cancel_flag();

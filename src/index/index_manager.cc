@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -17,7 +18,6 @@
 #include "vecsim/hnsw_index.h"
 #include "vecsim/index_io.h"
 #include "vecsim/ivf_index.h"
-#include "vecsim/lsh_index.h"
 
 namespace cre {
 
@@ -33,27 +33,17 @@ std::uint64_t ColumnContentHash(const std::vector<std::string>& words) {
   return h;
 }
 
-/// Constructs an unbuilt index of the requested managed family. `serial`
-/// strips the HNSW build pool (see IndexManager::BuildIndex).
-std::unique_ptr<VectorIndex> MakeInnerIndex(SemanticJoinStrategy kind,
-                                            const IndexManagerOptions& options,
-                                            bool serial) {
-  switch (kind) {
-    case SemanticJoinStrategy::kBruteForce:
-      return nullptr;
-    case SemanticJoinStrategy::kLsh:
-      return std::make_unique<LshIndex>(options.lsh);
-    case SemanticJoinStrategy::kIvf:
-      return std::make_unique<IvfIndex>(options.ivf);
-    case SemanticJoinStrategy::kHnsw: {
-      HnswOptions hnsw = options.hnsw;
-      if (serial) hnsw.build_pool = nullptr;
-      return std::make_unique<HnswIndex>(hnsw);
-    }
-    case SemanticJoinStrategy::kIvfPq:
-      return std::make_unique<IvfPqIndex>(options.ivfpq);
-  }
-  return nullptr;
+/// An unbuilt index of a managed family. options.hnsw.build_pool is the
+/// manager's build pool for every family, so only `pool` decides whether
+/// this index uses it (nullptr builds serially). Managed indexes outlive
+/// any one query, so no query's cancel flag reaches them.
+std::unique_ptr<VectorIndex> MakeManagedIndex(
+    SemanticJoinStrategy kind, const IndexManagerOptions& options,
+    TaskRunner* pool) {
+  HnswOptions hnsw = options.hnsw;
+  hnsw.build_pool = nullptr;
+  return MakeVectorIndex(kind, options.ivf, hnsw, options.ivfpq, pool,
+                         /*cancel=*/nullptr);
 }
 
 /// Serves hits in base-table row ids from an index built over the
@@ -252,6 +242,8 @@ class DistinctExpandedIndex : public VectorIndex {
 constexpr std::uint32_t kImageMagic = 0x43524D47;  // "CRMG"
 constexpr std::uint32_t kImageVersion = 1;
 
+}  // namespace
+
 Status WriteImageHeader(std::ostream& out, const IndexKey& key,
                         std::uint64_t catalog_stamp,
                         std::uint64_t content_hash, std::uint64_t rows) {
@@ -276,16 +268,21 @@ Status ReadImageHeader(std::istream& in, IndexKey* key,
   CRE_RETURN_NOT_OK(vecio::ReadString(in, &key->model));
   std::uint32_t kind = 0;
   CRE_RETURN_NOT_OK(vecio::ReadPod(in, &kind));
-  if (kind > static_cast<std::uint32_t>(SemanticJoinStrategy::kIvfPq)) {
+  // Rejects unknown tags and tag 1, the retired LSH family, whose images
+  // no build can read any more.
+  const auto known = std::find_if(
+      std::begin(kSemanticJoinStrategies), std::end(kSemanticJoinStrategies),
+      [kind](SemanticJoinStrategy s) {
+        return static_cast<std::uint32_t>(s) == kind;
+      });
+  if (known == std::end(kSemanticJoinStrategies)) {
     return Status::InvalidArgument("index image: unknown family");
   }
-  key->kind = static_cast<SemanticJoinStrategy>(kind);
+  key->kind = *known;
   CRE_RETURN_NOT_OK(vecio::ReadPod(in, catalog_stamp));
   CRE_RETURN_NOT_OK(vecio::ReadPod(in, content_hash));
   return vecio::ReadPod(in, rows);
 }
-
-}  // namespace
 
 std::string IndexKey::ToString() const {
   return table + "." + column + " @" + model + " [" +
@@ -369,8 +366,8 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
   // Background builds execute on a pool worker; fanning construction out
   // over the pool from there would make a worker block in Wait (deadlock
   // on small pools), so they build serially inside their one task.
-  std::unique_ptr<VectorIndex> index = MakeInnerIndex(key.kind, options_,
-                                                      serial);
+  std::unique_ptr<VectorIndex> index = MakeManagedIndex(
+      key.kind, options_, serial ? nullptr : options_.hnsw.build_pool);
   if (index == nullptr) {
     return Status::InvalidArgument(
         "brute force is not an index kind (nothing to cache)");
@@ -687,7 +684,7 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::LoadFromDisk(
         "persisted image stale: table content changed since save");
   }
   std::unique_ptr<VectorIndex> inner =
-      MakeInnerIndex(key.kind, options_, /*serial=*/true);
+      MakeManagedIndex(key.kind, options_, /*pool=*/nullptr);
   if (inner == nullptr) {
     return Status::InvalidArgument("persisted image of non-index family");
   }

@@ -2,6 +2,7 @@
 #define CRE_INDEX_INDEX_MANAGER_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -39,6 +40,17 @@ struct IndexKey {
 struct IndexKeyHash {
   std::size_t operator()(const IndexKey& k) const;
 };
+
+/// Header of a persisted index image: a magic/version tag, the key's
+/// identity, the catalog stamp at save time, the indexed column's content
+/// hash and its row count. ReadImageHeader rejects a malformed header, and
+/// a family tag not in kSemanticJoinStrategies, with InvalidArgument.
+Status WriteImageHeader(std::ostream& out, const IndexKey& key,
+                        std::uint64_t catalog_stamp,
+                        std::uint64_t content_hash, std::uint64_t rows);
+Status ReadImageHeader(std::istream& in, IndexKey* key,
+                       std::uint64_t* catalog_stamp,
+                       std::uint64_t* content_hash, std::uint64_t* rows);
 
 struct IndexManagerOptions {
   /// Master switch: when false the engine never consults the manager and
@@ -104,7 +116,8 @@ struct IndexManagerOptions {
   int persist_retry_attempts = 3;
   double persist_retry_backoff_ms = 1.0;
   /// Build parameters for the index families the manager constructs.
-  LshOptions lsh;
+  /// hnsw.build_pool is the pool foreground builds of every family fan out
+  /// over (IVF and HNSW use it); background builds run serially.
   IvfOptions ivf;
   HnswOptions hnsw;
   IvfPqOptions ivfpq;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "vecsim/ivf_index.h"
+#include "vecsim/ivfpq_index.h"
+
 namespace cre {
 
 double CostModel::ParallelCost(double cost) const {
@@ -18,18 +21,34 @@ double CostModel::EmbedCost(const std::string& model_name) const {
   return params_.embed;
 }
 
+bool CostModel::StrategyAcceptsModel(SemanticJoinStrategy strategy,
+                                     const std::string& model_name) const {
+  if (strategy != SemanticJoinStrategy::kIvfPq || models_ == nullptr ||
+      !models_->Contains(model_name)) {
+    return true;
+  }
+  return IvfPqIndex::AcceptsDim(
+      models_->Get(model_name).ValueOrDie()->dim(),
+      static_cast<std::size_t>(params_.ivfpq_m));
+}
+
 double CostModel::SemanticIndexBuildCost(SemanticJoinStrategy strategy,
                                          double base_rows) const {
   const double dot = params_.vector_dim * params_.dot_per_dim;
   switch (strategy) {
     case SemanticJoinStrategy::kBruteForce:
       return 0;
-    case SemanticJoinStrategy::kLsh:
-      // Hash every base vector into every table.
-      return base_rows * params_.lsh_tables * params_.lsh_bits * dot;
-    case SemanticJoinStrategy::kIvf:
-      return base_rows * params_.ivf_centroids * dot *
-             params_.ivf_kmeans_iters;
+    case SemanticJoinStrategy::kIvf: {
+      // k-means over at most kTrainPointsPerCentroid rows per centroid,
+      // then one assignment pass over the rest of a larger base.
+      const double trained =
+          std::min(base_rows, params_.ivf_centroids *
+                                  static_cast<double>(
+                                      IvfIndex::kTrainPointsPerCentroid));
+      const double assigned = base_rows > trained ? base_rows : 0.0;
+      return (trained * params_.ivf_kmeans_iters + assigned) *
+             params_.ivf_centroids * dot;
+    }
     case SemanticJoinStrategy::kHnsw:
       // Each insert runs an ef_construction beam search per layer;
       // expected layer count per node is a small constant. The
@@ -58,13 +77,6 @@ double CostModel::SemanticIndexProbeCost(SemanticJoinStrategy strategy,
   switch (strategy) {
     case SemanticJoinStrategy::kBruteForce:
       return probe_rows * base_rows * dot;
-    case SemanticJoinStrategy::kLsh: {
-      // Signature computation + exact verification of the candidate set.
-      const double sig = params_.lsh_tables * params_.lsh_bits * dot;
-      return probe_rows *
-             (sig + base_rows * params_.lsh_candidate_fraction *
-                        params_.lsh_candidate_cost_multiplier * dot);
-    }
     case SemanticJoinStrategy::kIvf: {
       const double scanned_fraction =
           std::min(1.0, params_.ivf_nprobe / params_.ivf_centroids);
@@ -130,12 +142,25 @@ double CostModel::SemanticSelectStrategyCost(double base_rows,
     // Incremental renewal: insert only the appended slice.
     c += base_rows * params_.index_refresh_per_row;
   } else if (residency == IndexResidency::kAbsent) {
-    c += (base_rows * EmbedCost(model_name) +
-          SemanticIndexBuildCost(strategy, base_rows)) *
-         params_.background_build_discount /
-         std::max(1.0, params_.index_reuse_horizon);
+    c += AmortizedSelectBuildCost(strategy, base_rows, model_name);
   }
   return c;
+}
+
+double CostModel::AmortizedSelectBuildCost(
+    SemanticJoinStrategy strategy, double base_rows,
+    const std::string& model_name) const {
+  // A foreground build fans IVF and HNSW construction out over the pool,
+  // like the scan it competes with; a background one (discount < 1) runs
+  // serially inside its one task and is charged only the discount.
+  double build = SemanticIndexBuildCost(strategy, base_rows);
+  if (strategy != SemanticJoinStrategy::kIvfPq &&
+      params_.background_build_discount >= 1.0) {
+    build = ParallelCost(build);
+  }
+  return (base_rows * EmbedCost(model_name) + build) *
+         params_.background_build_discount /
+         std::max(1.0, params_.index_reuse_horizon);
 }
 
 double CostModel::AmortizedStrategyCost(SemanticJoinStrategy strategy,
@@ -217,9 +242,8 @@ double CostModel::SelfCost(const PlanNode& node) const {
         } else if (node.index_residency == IndexResidency::kRefreshable) {
           c += in_rows * params_.index_refresh_per_row;
         } else if (!warm) {
-          c += (in_rows * EmbedCost(node.model_name) +
-                SemanticIndexBuildCost(node.strategy, in_rows)) /
-               std::max(1.0, params_.index_reuse_horizon);
+          c += AmortizedSelectBuildCost(node.strategy, in_rows,
+                                        node.model_name);
         }
         return c + out_rows * params_.materialize;
       }

@@ -25,16 +25,7 @@ struct CostParams {
   /// ObjectDetector::Options::cost_per_image_us = 30us).
   double detect_per_image = 30000.0;
   double avg_objects_per_image = 3.0;
-  // Index strategy parameters (mirror LshOptions/IvfOptions defaults).
-  double lsh_tables = 8.0;
-  double lsh_bits = 12.0;
-  /// Calibrated on Zipfian corpora: duplicate strings collapse into hot
-  /// buckets, so multiprobe candidate lists are a large fraction of the
-  /// base set...
-  double lsh_candidate_fraction = 0.35;
-  /// ...and each candidate costs more than one dot (bucket lookup, dedup
-  /// sort, verification).
-  double lsh_candidate_cost_multiplier = 2.5;
+  // Index strategy parameters (mirror IvfOptions defaults).
   double ivf_centroids = 64.0;
   double ivf_nprobe = 8.0;
   double ivf_kmeans_iters = 10.0;
@@ -185,6 +176,14 @@ class CostModel {
   /// when registered, params().embed otherwise).
   double EmbedCost(const std::string& model_name) const;
 
+  /// False when an index of family `strategy` would reject the vectors of
+  /// `model_name` at Build: IVF-PQ needs the model's dim divisible by
+  /// ivfpq_m (the engine's optimizer sets it from its index options). The
+  /// strategy rules never pick such a family. Unregistered models are
+  /// assumed buildable.
+  bool StrategyAcceptsModel(SemanticJoinStrategy strategy,
+                            const std::string& model_name) const;
+
   /// Grouped-aggregation cost: the cheaper of the two physical forms the
   /// parallel driver can run. The crossover (radix wins once the serial
   /// whole-map merge tail outweighs the per-row routing overhead) is what
@@ -203,6 +202,12 @@ class CostModel {
   double SelfCost(const PlanNode& node) const;
   /// Amdahl discount for work the parallel driver spreads over cores.
   double ParallelCost(double cost) const;
+  /// Per-query share of a cold managed build for a semantic select:
+  /// embedding `base_rows` plus constructing the index, over the reuse
+  /// horizon.
+  double AmortizedSelectBuildCost(SemanticJoinStrategy strategy,
+                                  double base_rows,
+                                  const std::string& model_name) const;
 
   const ModelRegistry* models_;
   CostParams params_;

@@ -7,6 +7,7 @@
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/rules.h"
+#include "vecsim/ivfpq_index.h"
 
 namespace cre {
 
@@ -18,8 +19,9 @@ struct OptimizerOptions {
   bool enable_data_induced_predicates = true;
   bool enable_index_selection = true;
   bool enable_column_pruning = true;
-  /// LSH/IVF similarity strategies can (rarely) miss borderline matches.
-  /// When false, index selection only ever picks exact strategies.
+  /// The index strategies (IVF, HNSW, IVF-PQ) can miss borderline
+  /// matches. When false, index selection only ever picks exact
+  /// strategies.
   bool allow_approximate_similarity = true;
   std::size_t dip_max_inducing_rows = 64;
   /// Worker threads the executor will run this plan with; the cost model
@@ -53,15 +55,19 @@ struct OptimizerOptions {
 /// selection -> pruning -> final annotation.
 class Optimizer {
  public:
+  /// `ivfpq_pq_m` is the subspace count of the IVF-PQ indexes the plans
+  /// will build (the engine passes its index options' pq_m); the strategy
+  /// rules skip IVF-PQ for models whose dim it does not divide.
   Optimizer(const Catalog* catalog, const ModelRegistry* models,
             const DetectorRegistry* detectors, OptimizerOptions options = {},
             SubplanExecutor subplan_executor = nullptr,
-            IndexResidencyProbe index_residency = nullptr)
+            IndexResidencyProbe index_residency = nullptr,
+            std::size_t ivfpq_pq_m = IvfPqOptions{}.pq_m)
       : catalog_(catalog),
         models_(models),
         options_(options),
         estimator_(catalog, models, detectors),
-        cost_(models, ParamsFor(options)),
+        cost_(models, ParamsFor(options, ivfpq_pq_m)),
         subplan_executor_(std::move(subplan_executor)),
         index_residency_(std::move(index_residency)) {}
 
@@ -79,8 +85,10 @@ class Optimizer {
   const OptimizerOptions& options() const { return options_; }
 
  private:
-  static CostParams ParamsFor(const OptimizerOptions& options) {
+  static CostParams ParamsFor(const OptimizerOptions& options,
+                              std::size_t ivfpq_pq_m) {
     CostParams params;
+    params.ivfpq_m = static_cast<double>(ivfpq_pq_m);
     params.parallelism = static_cast<double>(
         std::max<std::size_t>(1, options.degree_of_parallelism));
     params.index_reuse_horizon = std::max(1.0, options.index_reuse_horizon);

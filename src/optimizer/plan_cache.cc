@@ -1,7 +1,9 @@
 #include "optimizer/plan_cache.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <unordered_set>
 
 namespace cre {
@@ -21,16 +23,20 @@ bool SameValue(const Value& a, const Value& b) {
 }
 
 /// Exact-representation map key for a literal: type-tagged (so Date(5),
-/// Int(5) and "5" never unify) and never rounded (%.17g round-trips every
-/// double).
+/// Int(5) and "5" never unify) and never rounded. A double keys on its
+/// raw bits (short enough to stay inline in the string, and no printf on
+/// a cache hit); NaNs collapse to one key per sign.
 std::string ValueKey(const Value& v) {
   char buf[64];
   if (v.is_null()) return "n";
   if (v.is_date()) return "d" + std::to_string(v.AsInt64());
   if (v.is_int64()) return "i" + std::to_string(v.AsInt64());
   if (v.is_float64()) {
-    std::snprintf(buf, sizeof(buf), "f%.17g", v.AsFloat64());
-    return buf;
+    const double d = v.AsFloat64();
+    if (std::isnan(d)) return std::signbit(d) ? "f-nan" : "fnan";
+    std::string key(1 + sizeof(d), 'f');
+    std::memcpy(&key[1], &d, sizeof(d));
+    return key;
   }
   if (v.is_bool()) return v.AsBool() ? "b1" : "b0";
   if (v.is_string()) return "s" + v.AsString();
@@ -293,10 +299,8 @@ void CollectFreshness(
           ->insert(scan->table_name + "\x1f" + key_column + "\x1f" +
                    n.model_name)
           .second) {
-    static constexpr SemanticJoinStrategy kFamilies[] = {
-        SemanticJoinStrategy::kLsh, SemanticJoinStrategy::kIvf,
-        SemanticJoinStrategy::kHnsw, SemanticJoinStrategy::kIvfPq};
-    for (SemanticJoinStrategy family : kFamilies) {
+    for (SemanticJoinStrategy family : kSemanticJoinStrategies) {
+      if (family == SemanticJoinStrategy::kBruteForce) continue;
       PlanCache::IndexCandidate cand{scan->table_name, key_column,
                                      n.model_name, family};
       const bool is_absent = absent(cand);

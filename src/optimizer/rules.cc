@@ -246,15 +246,6 @@ Result<PlanPtr> RuleDataInducedPredicates(PlanPtr plan,
   return DeriveDip(plan, executor, max_inducing_rows);
 }
 
-namespace {
-
-constexpr SemanticJoinStrategy kAllStrategies[] = {
-    SemanticJoinStrategy::kBruteForce, SemanticJoinStrategy::kLsh,
-    SemanticJoinStrategy::kIvf, SemanticJoinStrategy::kHnsw,
-    SemanticJoinStrategy::kIvfPq};
-
-}  // namespace
-
 PlanPtr RulePickSemanticJoinStrategy(PlanPtr plan, const CostModel& cost,
                                      const IndexResidencyProbe& residency) {
   for (auto& c : plan->children) {
@@ -266,7 +257,8 @@ PlanPtr RulePickSemanticJoinStrategy(PlanPtr plan, const CostModel& cost,
     const PlanNode* scan = plan->IndexableBuildScan();
     double best = -1;
     IndexResidency best_residency = IndexResidency::kAbsent;
-    for (const auto s : kAllStrategies) {
+    for (const auto s : kSemanticJoinStrategies) {
+      if (!cost.StrategyAcceptsModel(s, plan->model_name)) continue;
       const IndexResidency res =
           (scan != nullptr && residency != nullptr &&
            s != SemanticJoinStrategy::kBruteForce)
@@ -311,7 +303,8 @@ PlanPtr RulePickSemanticSelectStrategy(PlanPtr plan, const CostModel& cost,
   }
   const double base = std::max(0.0, plan->children[0]->est_rows);
   double best = -1;
-  for (const auto s : kAllStrategies) {
+  for (const auto s : kSemanticJoinStrategies) {
+    if (!cost.StrategyAcceptsModel(s, plan->model_name)) continue;
     const IndexResidency res =
         s != SemanticJoinStrategy::kBruteForce
             ? residency(plan->children[0]->table_name, plan->column,

@@ -50,11 +50,13 @@ using IndexResidencyProbe = std::function<IndexResidency(
     const std::string& model, SemanticJoinStrategy kind)>;
 
 /// Rule 4 — cost-based physical strategy selection for semantic joins
-/// (brute force vs LSH vs IVF vs HNSW), the similarity analogue of index
-/// selection (Sec. V). Distinguishes three amortization states per
+/// (brute force vs IVF vs HNSW vs IVF-PQ), the similarity analogue of
+/// index selection (Sec. V). Distinguishes three amortization states per
 /// strategy: resident in the IndexManager (probe cost only), reusable
 /// (bare-scan build side — cold build amortized over the expected reuse
 /// horizon), and one-shot (full build cost, the pre-manager behavior).
+/// Families whose Build would reject the model's dim are never picked
+/// (CostModel::StrategyAcceptsModel); the select rule below skips them too.
 /// Requires cardinality annotations; skips nodes with strategy_pinned.
 PlanPtr RulePickSemanticJoinStrategy(
     PlanPtr plan, const CostModel& cost,

@@ -26,8 +26,6 @@ const char* SemanticJoinStrategyName(SemanticJoinStrategy s) {
   switch (s) {
     case SemanticJoinStrategy::kBruteForce:
       return "brute";
-    case SemanticJoinStrategy::kLsh:
-      return "lsh";
     case SemanticJoinStrategy::kIvf:
       return "ivf";
     case SemanticJoinStrategy::kHnsw:
@@ -36,6 +34,35 @@ const char* SemanticJoinStrategyName(SemanticJoinStrategy s) {
       return "ivfpq";
   }
   return "?";
+}
+
+std::unique_ptr<VectorIndex> MakeVectorIndex(SemanticJoinStrategy kind,
+                                             const IvfOptions& ivf,
+                                             const HnswOptions& hnsw,
+                                             const IvfPqOptions& ivfpq,
+                                             TaskRunner* pool,
+                                             const CancelFlag* cancel) {
+  switch (kind) {
+    case SemanticJoinStrategy::kBruteForce:
+      return nullptr;
+    case SemanticJoinStrategy::kIvf: {
+      IvfOptions o = ivf;
+      if (cancel != nullptr) o.cancel = cancel;
+      return std::make_unique<IvfIndex>(o, pool);
+    }
+    case SemanticJoinStrategy::kHnsw: {
+      HnswOptions o = hnsw;
+      if (pool != nullptr) o.build_pool = pool;
+      if (cancel != nullptr) o.cancel = cancel;
+      return std::make_unique<HnswIndex>(o);
+    }
+    case SemanticJoinStrategy::kIvfPq: {
+      IvfPqOptions o = ivfpq;
+      if (cancel != nullptr) o.cancel = cancel;
+      return std::make_unique<IvfPqIndex>(o);
+    }
+  }
+  return nullptr;
 }
 
 const char* IndexResidencyName(IndexResidency r) {
@@ -118,43 +145,15 @@ Status SemanticJoinOperator::BuildRightSide() {
   right_matrix_.resize(words.size() * dim);
   model_->EmbedBatch(words, right_matrix_.data());
 
-  std::unique_ptr<VectorIndex> owned;
-  switch (options_.strategy) {
-    case SemanticJoinStrategy::kBruteForce:
-      index_.reset();
-      return Status::OK();
-    case SemanticJoinStrategy::kLsh: {
-      // Thread the query's cancel flag into the index's scan loops: a
-      // cancelled query stops mid-probe (candidate verification /
-      // posting-list scan), not at the next batch boundary.
-      LshOptions lsh = options_.lsh;
-      if (lsh.cancel == nullptr) lsh.cancel = options_.cancel;
-      owned = std::make_unique<LshIndex>(lsh);
-      break;
-    }
-    case SemanticJoinStrategy::kIvf: {
-      IvfOptions ivf = options_.ivf;
-      if (ivf.cancel == nullptr) ivf.cancel = options_.cancel;
-      owned = std::make_unique<IvfIndex>(ivf);
-      break;
-    }
-    case SemanticJoinStrategy::kIvfPq: {
-      IvfPqOptions ivfpq = options_.ivfpq;
-      if (ivfpq.cancel == nullptr) ivfpq.cancel = options_.cancel;
-      owned = std::make_unique<IvfPqIndex>(ivfpq);
-      break;
-    }
-    case SemanticJoinStrategy::kHnsw: {
-      // Local (per-execution) builds borrow the operator's probe pool;
-      // the canonical batched construction keeps the graph identical to
-      // a serial build. The query's cancel flag reaches the construction
-      // batch loops, so cancellation lands mid-build, not after it.
-      HnswOptions hnsw = options_.hnsw;
-      if (hnsw.build_pool == nullptr) hnsw.build_pool = options_.pool;
-      if (hnsw.cancel == nullptr) hnsw.cancel = options_.cancel;
-      owned = std::make_unique<HnswIndex>(hnsw);
-      break;
-    }
+  // Local (per-execution) builds borrow the operator's probe pool and
+  // poll the query's cancel flag, so cancellation lands mid-build and
+  // mid-probe, not at the next batch boundary.
+  std::unique_ptr<VectorIndex> owned =
+      MakeVectorIndex(options_.strategy, options_.ivf, options_.hnsw,
+                      options_.ivfpq, options_.pool, options_.cancel);
+  if (owned == nullptr) {
+    index_.reset();
+    return Status::OK();
   }
   CRE_RETURN_NOT_OK(owned->Build(right_matrix_.data(), words.size(), dim));
   index_ = std::move(owned);
@@ -254,7 +253,7 @@ Result<TablePtr> SemanticJoinOperator::Next() {
   }
 }
 
-std::vector<MatchPair> SemanticStringJoin(
+Result<std::vector<MatchPair>> SemanticStringJoin(
     const std::vector<std::string>& left,
     const std::vector<std::string>& right, const EmbeddingModel& model,
     const SemanticJoinOptions& options) {
@@ -263,26 +262,17 @@ std::vector<MatchPair> SemanticStringJoin(
   model.EmbedBatch(left, lm.data());
   model.EmbedBatch(right, rm.data());
 
-  if (options.strategy == SemanticJoinStrategy::kBruteForce) {
+  std::unique_ptr<VectorIndex> index =
+      MakeVectorIndex(options.strategy, options.ivf, options.hnsw,
+                      options.ivfpq, options.pool, options.cancel);
+  if (index == nullptr) {
     BruteForceOptions bf;
     bf.variant = options.variant;
     bf.pool = options.pool;
     return SimilarityJoinBrute(lm.data(), left.size(), rm.data(),
                                right.size(), dim, options.threshold, bf);
   }
-  std::unique_ptr<VectorIndex> index;
-  if (options.strategy == SemanticJoinStrategy::kLsh) {
-    index = std::make_unique<LshIndex>(options.lsh);
-  } else if (options.strategy == SemanticJoinStrategy::kHnsw) {
-    HnswOptions hnsw = options.hnsw;
-    if (hnsw.build_pool == nullptr) hnsw.build_pool = options.pool;
-    index = std::make_unique<HnswIndex>(hnsw);
-  } else if (options.strategy == SemanticJoinStrategy::kIvfPq) {
-    index = std::make_unique<IvfPqIndex>(options.ivfpq);
-  } else {
-    index = std::make_unique<IvfIndex>(options.ivf);
-  }
-  index->Build(rm.data(), right.size(), dim).Check();
+  CRE_RETURN_NOT_OK(index->Build(rm.data(), right.size(), dim));
   std::vector<MatchPair> matches;
   for (std::size_t i = 0; i < left.size(); ++i) {
     std::vector<ScoredId> hits;

@@ -14,7 +14,6 @@
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
 #include "vecsim/ivfpq_index.h"
-#include "vecsim/lsh_index.h"
 #include "vecsim/vector_index.h"
 
 namespace cre {
@@ -23,18 +22,38 @@ namespace cre {
 /// of choosing between a nested-loop scan and an index join (Sec. V, E6).
 /// Shared between the semantic join and the index-backed semantic select;
 /// every non-brute strategy names a VectorIndex family the IndexManager
-/// can build, cache, and reuse across queries.
+/// can build, cache, and reuse across queries. The ordinals are persisted
+/// (index image headers, IndexKeyHash), so they stay explicit; 1 belonged
+/// to a retired family and must not be reused.
 enum class SemanticJoinStrategy {
   kBruteForce = 0,  ///< exact all-pairs scan (SIMD + parallel capable)
-  kLsh,             ///< random-hyperplane LSH candidates + exact verify
-  kIvf,             ///< IVF-flat probes + exact verify
-  kHnsw,            ///< hierarchical proximity graph + exact verify
-  kIvfPq,           ///< product-quantized IVF: ADC scans + reconstruction
+  kIvf = 2,         ///< IVF-flat probes + exact verify
+  kHnsw = 3,        ///< hierarchical proximity graph + exact verify
+  kIvfPq = 4,       ///< product-quantized IVF: ADC scans + reconstruction
                     ///< re-rank; ~an order of magnitude smaller resident
                     ///< footprint than ivf/hnsw at approximate recall
 };
 
+/// Every strategy, brute force first: the candidate set of the optimizer's
+/// strategy rules and the only list of families in the engine.
+inline constexpr SemanticJoinStrategy kSemanticJoinStrategies[] = {
+    SemanticJoinStrategy::kBruteForce, SemanticJoinStrategy::kIvf,
+    SemanticJoinStrategy::kHnsw, SemanticJoinStrategy::kIvfPq};
+
 const char* SemanticJoinStrategyName(SemanticJoinStrategy s);
+
+/// Constructs an unbuilt index of family `kind` (nullptr for kBruteForce):
+/// the one place a strategy becomes an index class. `pool` fans IVF and
+/// HNSW construction out and `cancel` is polled by the index's build and
+/// scan loops. A non-null argument overrides the family options' own
+/// build_pool/cancel; a null one keeps them (IVF has no pool option, so a
+/// null `pool` builds it serially).
+std::unique_ptr<VectorIndex> MakeVectorIndex(SemanticJoinStrategy kind,
+                                             const IvfOptions& ivf,
+                                             const HnswOptions& hnsw,
+                                             const IvfPqOptions& ivfpq,
+                                             TaskRunner* pool,
+                                             const CancelFlag* cancel);
 
 /// Amortization state of one managed index, as seen by the optimizer's
 /// residency probe (defined here next to SemanticJoinStrategy because it
@@ -69,13 +88,15 @@ struct SemanticJoinOptions {
   float threshold = 0.9f;
   SemanticJoinStrategy strategy = SemanticJoinStrategy::kBruteForce;
   KernelVariant variant = BestKernelVariant();
-  TaskRunner* pool = nullptr;  ///< enables parallel probing when set
+  /// Enables parallel probing and parallel local IVF/HNSW builds when set.
+  TaskRunner* pool = nullptr;
   /// Cooperative cancellation, polled inside the per-batch probe loops
   /// (and threaded into local index builds) so cancelling a heavy
   /// semantic join takes effect within a few hundred probes instead of
   /// at the next batch boundary. The engine wires the query's flag here.
   const CancelFlag* cancel = nullptr;
-  LshOptions lsh;
+  /// Local index build parameters. When set, `pool` and `cancel` above
+  /// override the nested build_pool/cancel (see MakeVectorIndex).
   IvfOptions ivf;
   HnswOptions hnsw;
   IvfPqOptions ivfpq;
@@ -137,9 +158,10 @@ class SemanticJoinOperator : public PhysicalOperator {
 };
 
 /// Standalone similarity join over two string arrays: embeds both sides
-/// with `model` and returns matching pairs. This is the primitive that
-/// Figure 4 measures under different optimization rungs.
-std::vector<MatchPair> SemanticStringJoin(
+/// with `model` and returns matching pairs, or the index build's error.
+/// This is the primitive that Figure 4 measures under different
+/// optimization rungs.
+Result<std::vector<MatchPair>> SemanticStringJoin(
     const std::vector<std::string>& left,
     const std::vector<std::string>& right, const EmbeddingModel& model,
     const SemanticJoinOptions& options);

@@ -218,8 +218,8 @@ Status SemanticIndexSelectOperator::Open() {
     // Re-score candidates exactly: gather their strings, embed each
     // distinct one, and apply the same dot >= threshold test the
     // scanning operator uses. Approximate index scores (quantized ADC
-    // distances, LSH collisions) then only prefilter; they can't keep a
-    // row the fallback would drop.
+    // distances, graph walks) then only prefilter; they can't keep a row
+    // the fallback would drop.
     const std::size_t dim = model_->dim();
     std::vector<std::string> words;
     words.reserve(matches_.size());

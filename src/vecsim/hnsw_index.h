@@ -16,7 +16,7 @@ namespace cre {
 /// HNSW graph index (Malkov & Yashunin): a layered proximity graph where
 /// upper layers are exponentially sparser "express lanes" and layer 0
 /// holds every vector. Queries greedily descend the hierarchy and run a
-/// best-first beam search at layer 0. Unlike IVF/LSH this needs no global
+/// best-first beam search at layer 0. Unlike IVF this needs no global
 /// training pass, degrades gracefully on unclustered data, and gives a
 /// tunable recall/latency knob (`ef_search`) at query time — the index
 /// family the IndexManager prefers for cross-query reuse, where build cost

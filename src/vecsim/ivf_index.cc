@@ -35,6 +35,10 @@ Status IvfIndex::Build(const float* data, std::size_t n, std::size_t dim) {
   }
 
   // k-means++ style seeding simplified: random distinct starting points.
+  // The same partial shuffle continues past the seeds to draw the training
+  // sample when the base is larger than the training budget.
+  const std::size_t train_n =
+      std::min(n, centroid_count_ * kTrainPointsPerCentroid);
   Rng rng(options_.seed);
   centroids_.resize(centroid_count_ * dim);
   std::vector<std::size_t> perm(n);
@@ -44,8 +48,49 @@ Status IvfIndex::Build(const float* data, std::size_t n, std::size_t dim) {
     std::copy(data + perm[i] * dim, data + (perm[i] + 1) * dim,
               centroids_.begin() + i * dim);
   }
+  std::vector<float> sample;
+  const float* train = data;
+  if (train_n < n) {
+    for (std::size_t i = centroid_count_; i < train_n; ++i) {
+      std::swap(perm[i], perm[i + rng.Uniform(n - i)]);
+    }
+    std::sort(perm.begin(),
+              perm.begin() + static_cast<std::ptrdiff_t>(train_n));
+    sample.resize(train_n * dim);
+    for (std::size_t i = 0; i < train_n; ++i) {
+      std::copy(data + perm[i] * dim, data + (perm[i] + 1) * dim,
+                sample.begin() + static_cast<std::ptrdiff_t>(i * dim));
+    }
+    train = sample.data();
+  }
 
-  std::vector<std::uint32_t> assign(n, 0);
+  // Assign step (L2 on unit vectors == ordering by dot). Rows are
+  // independent, so the pool splits them without changing the result.
+  auto assign_rows = [&](const float* rows, std::size_t count,
+                         std::vector<std::uint32_t>* out) {
+    auto range = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const float* v = rows + i * dim;
+        float best = -std::numeric_limits<float>::max();
+        std::uint32_t best_c = 0;
+        for (std::size_t c = 0; c < centroid_count_; ++c) {
+          const float s = DotUnrolled(v, centroids_.data() + c * dim, dim);
+          if (s > best) {
+            best = s;
+            best_c = static_cast<std::uint32_t>(c);
+          }
+        }
+        (*out)[i] = best_c;
+      }
+    };
+    if (build_pool_ != nullptr && build_pool_->num_threads() > 1) {
+      build_pool_->ParallelFor(count, range, /*min_chunk=*/256);
+    } else {
+      range(0, count);
+    }
+  };
+
+  std::vector<std::uint32_t> assign(train_n, 0);
   std::vector<float> sums(centroid_count_ * dim);
   std::vector<std::size_t> counts(centroid_count_);
   for (std::size_t iter = 0; iter < options_.kmeans_iters; ++iter) {
@@ -54,25 +99,12 @@ Status IvfIndex::Build(const float* data, std::size_t n, std::size_t dim) {
     if (Cancelled(options_.cancel)) {
       return Status::Cancelled("ivf build cancelled");
     }
-    // Assign step (L2 on unit vectors == ordering by dot).
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* v = data + i * dim;
-      float best = -std::numeric_limits<float>::max();
-      std::uint32_t best_c = 0;
-      for (std::size_t c = 0; c < centroid_count_; ++c) {
-        const float s = DotUnrolled(v, centroids_.data() + c * dim, dim);
-        if (s > best) {
-          best = s;
-          best_c = static_cast<std::uint32_t>(c);
-        }
-      }
-      assign[i] = best_c;
-    }
+    assign_rows(train, train_n, &assign);
     // Update step.
     std::fill(sums.begin(), sums.end(), 0.f);
     std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* v = data + i * dim;
+    for (std::size_t i = 0; i < train_n; ++i) {
+      const float* v = train + i * dim;
       float* s = sums.data() + assign[i] * dim;
       for (std::size_t d = 0; d < dim; ++d) s[d] += v[d];
       ++counts[assign[i]];
@@ -84,6 +116,13 @@ Status IvfIndex::Build(const float* data, std::size_t n, std::size_t dim) {
       for (std::size_t d = 0; d < dim; ++d) ctr[d] = sums[c * dim + d] * inv;
       NormalizeInPlace(ctr, dim);
     }
+  }
+  if (train_n < n) {
+    if (Cancelled(options_.cancel)) {
+      return Status::Cancelled("ivf build cancelled");
+    }
+    assign.assign(n, 0);
+    assign_rows(data, n, &assign);
   }
 
   lists_.assign(centroid_count_, {});

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/cancel.h"
+#include "core/thread_pool.h"
 #include "vecsim/kernels.h"
 #include "vecsim/vector_index.h"
 
@@ -30,15 +31,23 @@ struct IvfOptions {
 
 class IvfIndex : public VectorIndex {
  public:
-  explicit IvfIndex(IvfOptions options = {}) : options_(options) {}
+  /// `build_pool` splits the k-means assignment passes of Build across
+  /// its workers (nullptr builds serially); the index is the same either
+  /// way.
+  explicit IvfIndex(IvfOptions options = {}, TaskRunner* build_pool = nullptr)
+      : options_(options), build_pool_(build_pool) {}
 
   Status Build(const float* data, std::size_t n, std::size_t dim) override;
   /// Incremental append: new vectors join the inverted list of their
   /// nearest existing centroid (standard IVF maintenance — centroids are
   /// not retrained, so heavy drift eventually warrants a rebuild).
   Status Add(const float* data, std::size_t n, std::size_t dim) override;
+  /// The clone builds serially: it may be refreshed on a pool worker,
+  /// which must not wait on its own pool.
   std::unique_ptr<VectorIndex> Clone() const override {
-    return std::make_unique<IvfIndex>(*this);
+    auto copy = std::make_unique<IvfIndex>(*this);
+    copy->build_pool_ = nullptr;
+    return copy;
   }
   Status Save(std::ostream& out) const override;
   Status Load(std::istream& in) override;
@@ -53,12 +62,21 @@ class IvfIndex : public VectorIndex {
 
   std::size_t num_centroids() const { return centroid_count_; }
 
+  /// k-means trains on at most this many base vectors per centroid (a
+  /// seeded sample when the base is larger); every vector is then
+  /// assigned to its nearest trained centroid in one final pass. So a
+  /// large base costs num_centroids * kTrainPointsPerCentroid *
+  /// kmeans_iters + n * num_centroids dots instead of n * num_centroids *
+  /// kmeans_iters. CostModel::SemanticIndexBuildCost mirrors this.
+  static constexpr std::size_t kTrainPointsPerCentroid = 64;
+
  private:
   /// Indices of the nprobe nearest centroids to `query`.
   std::vector<std::uint32_t> NearestCentroids(const float* query,
                                               std::size_t nprobe) const;
 
   IvfOptions options_;
+  TaskRunner* build_pool_ = nullptr;
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
   std::size_t centroid_count_ = 0;

@@ -87,7 +87,7 @@ void KMeansL2(const float* pts, std::size_t n, std::size_t d, std::size_t k,
 
 Status IvfPqIndex::Build(const float* data, std::size_t n, std::size_t dim) {
   if (dim == 0) return Status::InvalidArgument("dim must be positive");
-  if (options_.pq_m == 0 || dim % options_.pq_m != 0) {
+  if (!AcceptsDim(dim, options_.pq_m)) {
     return Status::InvalidArgument(
         "ivfpq: dim must be divisible by pq_m (pq_m >= 1)");
   }
@@ -340,8 +340,8 @@ void IvfPqIndex::RangeSearch(const float* query, float threshold,
   if (n_ == 0) return;
   // Scores are exact dots against the *reconstructed* vectors — the
   // closest this index can get to the originals, which it does not
-  // retain. Like LSH's false negatives, PQ's reconstruction error is the
-  // accuracy the caller opted into by picking this family.
+  // retain. PQ's reconstruction error is the accuracy the caller opted
+  // into by picking this family.
   std::vector<float> lut;
   BuildLut(query, &lut);
   ScanLists(query, NearestCentroids(query, options_.nprobe), lut,

@@ -72,6 +72,10 @@ class IvfPqIndex : public VectorIndex {
 
   std::size_t num_centroids() const { return centroid_count_; }
   std::size_t pq_m() const { return options_.pq_m; }
+  /// Whether Build accepts `dim`-wide vectors split into `pq_m` subspaces.
+  static bool AcceptsDim(std::size_t dim, std::size_t pq_m) {
+    return dim > 0 && pq_m > 0 && dim % pq_m == 0;
+  }
 
   /// Reconstructs vector `id` (coarse centroid + decoded residual) into
   /// out[0..dim). This is the best approximation the index can produce —

@@ -83,7 +83,7 @@ TEST(InterpretedJoinTest, MatchesCompiledJoin) {
                                                0.85f, 100, {});
   SemanticJoinOptions compiled;
   compiled.threshold = 0.85f;
-  auto reference = SemanticStringJoin(lw, rw, *model, compiled);
+  auto reference = SemanticStringJoin(lw, rw, *model, compiled).ValueOrDie();
   EXPECT_EQ(Keys(interpreted), Keys(reference));
 }
 

@@ -165,7 +165,7 @@ TEST(EdgeSemantic, EmptyStringEmbedsAndJoins) {
   EXPECT_NEAR(norm, 1.0f, 1e-3f);
   SemanticJoinOptions options;
   options.threshold = 0.99f;
-  auto matches = SemanticStringJoin({""}, {""}, *model, options);
+  auto matches = SemanticStringJoin({""}, {""}, *model, options).ValueOrDie();
   EXPECT_EQ(matches.size(), 1u);  // identical strings always match
 }
 

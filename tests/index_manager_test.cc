@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,7 +106,7 @@ TEST(IndexManagerTest, DistinctKindsAndColumnsAreDistinctEntries) {
       manager.GetOrBuild({"t", "name", "m", SemanticJoinStrategy::kIvf})
           .ok());
   ASSERT_TRUE(
-      manager.GetOrBuild({"t", "name", "m", SemanticJoinStrategy::kLsh})
+      manager.GetOrBuild({"t", "name", "m", SemanticJoinStrategy::kIvfPq})
           .ok());
   EXPECT_EQ(manager.stats().builds, 3u);
   EXPECT_EQ(manager.stats().resident_count, 3u);
@@ -455,12 +456,113 @@ TEST(IndexSelectionRuleTest, SelectFlipsToIndexOnlyWithManager) {
                                             false));
 }
 
+TEST(IndexSelectionRuleTest, RepeatedSelectInvestsInIvfAtAModerateHorizon) {
+  // E6b's shape: a 30k- to 50k-row select on two threads, repeated 32
+  // times. IVF trains k-means on a bounded sample and its foreground build
+  // fans out over the pool like the scan, so its build amortizes under the
+  // scan there; at a horizon of 4 it does not.
+  auto pick = [](double horizon, double rows) {
+    CostParams params;
+    params.parallelism = 2;
+    params.index_reuse_horizon = horizon;
+    const CostModel cost(nullptr, params);
+    PlanPtr scan = PlanNode::Scan("products");
+    scan->est_rows = rows;
+    const IndexResidencyProbe cold =
+        [](const std::string&, const std::string&, const std::string&,
+           SemanticJoinStrategy) { return IndexResidency::kAbsent; };
+    return RulePickSemanticSelectStrategy(
+               PlanNode::SemanticSelect(scan, "name", "shoes", "m", 0.9f),
+               cost, cold)
+        ->strategy;
+  };
+  EXPECT_EQ(pick(32, 50000), SemanticJoinStrategy::kIvf);
+  EXPECT_EQ(pick(32, 30000), SemanticJoinStrategy::kIvf);
+  EXPECT_EQ(pick(4, 50000), SemanticJoinStrategy::kBruteForce);
+}
+
+TEST(IndexSelectionRuleTest, RulesSkipFamiliesThatRejectTheModelDim) {
+  // IVF-PQ splits each vector into ivfpq_m = 8 subspaces, so it cannot
+  // index a dim-100 model. Both rules must pass it over even where its
+  // cost is lowest; a dim-96 model is the control that it is.
+  ModelRegistry models;
+  models.Put("d100", MakeModel(100));
+  models.Put("d96", MakeModel(96));
+  const CostModel cost(&models);
+  const IndexResidencyProbe warm = [](const std::string&, const std::string&,
+                                      const std::string&,
+                                      SemanticJoinStrategy) {
+    return IndexResidency::kResident;
+  };
+  auto select_over = [&](const std::string& model) {
+    PlanPtr scan = PlanNode::Scan("products");
+    scan->est_rows = 100000;
+    return RulePickSemanticSelectStrategy(
+        PlanNode::SemanticSelect(scan, "name", "shoes", model, 0.9f), cost,
+        warm);
+  };
+  auto join_over = [&](const std::string& model) {
+    PlanPtr probe = PlanNode::Scan("products");
+    probe->est_rows = 50000;
+    PlanPtr build = PlanNode::Scan("labels");
+    build->est_rows = 256;
+    return RulePickSemanticJoinStrategy(
+        PlanNode::SemanticJoin(probe, build, "name", "label", model, 0.9f),
+        cost);
+  };
+  EXPECT_EQ(select_over("d96")->strategy, SemanticJoinStrategy::kIvfPq);
+  EXPECT_EQ(join_over("d96")->strategy, SemanticJoinStrategy::kIvfPq);
+
+  const PlanPtr select = select_over("d100");
+  EXPECT_NE(select->strategy, SemanticJoinStrategy::kIvfPq);
+  EXPECT_NE(select->strategy, SemanticJoinStrategy::kBruteForce);
+  EXPECT_NE(join_over("d100")->strategy, SemanticJoinStrategy::kIvfPq);
+
+  // The check follows the configured subspace count: 5 divides 100 but
+  // not 96.
+  CostParams five;
+  five.ivfpq_m = 5;
+  EXPECT_TRUE(CostModel(&models, five)
+                  .StrategyAcceptsModel(SemanticJoinStrategy::kIvfPq, "d100"));
+  EXPECT_FALSE(CostModel(&models, five)
+                   .StrategyAcceptsModel(SemanticJoinStrategy::kIvfPq, "d96"));
+}
+
+TEST(IndexSelectionRuleTest, UnpinnedJoinOverIndivisibleDimExecutes) {
+  // A repeated-traffic horizon and a large probe side make IVF-PQ the
+  // cheapest join family by cost; the model's dim rules it out under the
+  // engine's configured pq_m (the default 8 for dim 100, and 5 for 96).
+  for (const auto& [pq_m, dim] :
+       {std::pair<std::size_t, std::size_t>{8, 100}, {5, 96}}) {
+    EngineOptions eo;
+    eo.num_threads = 2;
+    eo.optimizer.index_reuse_horizon = 32;
+    eo.index.ivfpq.pq_m = pq_m;
+    Engine engine(eo);
+    engine.models().Put("m", MakeModel(dim));
+    engine.catalog().Put("products",
+                         MakeStringTable(WordCorpus(2000, 500), "name"));
+    engine.catalog().Put("labels", MakeStringTable(WordCorpus(256, 256),
+                                                   "label"));
+    PlanPtr join = PlanNode::SemanticJoin(PlanNode::Scan("products"),
+                                          PlanNode::Scan("labels"), "name",
+                                          "label", "m", 0.9f);
+    const std::string explained = engine.Explain(join).ValueOrDie();
+    EXPECT_EQ(explained.find("strategy=ivfpq"), std::string::npos)
+        << "pq_m=" << pq_m << "\n" << explained;
+    auto result = engine.Execute(join);
+    ASSERT_TRUE(result.ok()) << "pq_m=" << pq_m << ": "
+                             << result.status().ToString();
+    EXPECT_GT(result.ValueOrDie()->num_rows(), 0u);
+  }
+}
+
 TEST(IndexSelectionRuleTest, ResidencyLowersJoinStrategyCost) {
   CostParams params;
   params.index_reuse_horizon = 8;
   CostModel cost(nullptr, params);
-  for (const auto s : {SemanticJoinStrategy::kLsh, SemanticJoinStrategy::kIvf,
-                       SemanticJoinStrategy::kHnsw}) {
+  for (const auto s : {SemanticJoinStrategy::kIvf, SemanticJoinStrategy::kHnsw,
+                       SemanticJoinStrategy::kIvfPq}) {
     const double cold =
         cost.AmortizedStrategyCost(s, 10000, 10000, false, false);
     const double reusable =

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,8 +46,8 @@
 #include "vecsim/brute_force.h"
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
+#include "vecsim/ivfpq_index.h"
 #include "vecsim/kernels.h"
-#include "vecsim/lsh_index.h"
 
 namespace cre {
 namespace {
@@ -176,12 +177,8 @@ TEST(CatalogAppendTest, AppendRejectsSchemaMismatch) {
 
 std::unique_ptr<VectorIndex> MakeFamily(SemanticJoinStrategy kind) {
   switch (kind) {
-    case SemanticJoinStrategy::kLsh: {
-      LshOptions o;
-      o.num_tables = 4;
-      o.bits_per_table = 8;
-      return std::make_unique<LshIndex>(o);
-    }
+    case SemanticJoinStrategy::kIvfPq:
+      return std::make_unique<IvfPqIndex>();
     case SemanticJoinStrategy::kIvf: {
       IvfOptions o;
       o.num_centroids = 16;
@@ -238,9 +235,9 @@ TEST_P(FamilyRoundTripTest, SaveLoadIsByteIdenticalForSearch) {
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyRoundTripTest,
                          ::testing::Values(SemanticJoinStrategy::kBruteForce,
-                                           SemanticJoinStrategy::kLsh,
                                            SemanticJoinStrategy::kIvf,
-                                           SemanticJoinStrategy::kHnsw));
+                                           SemanticJoinStrategy::kHnsw,
+                                           SemanticJoinStrategy::kIvfPq));
 
 TEST(FamilyRoundTripTest, TruncatedStreamIsRejectedNotMisread) {
   const std::size_t n = 300, dim = 16;
@@ -706,8 +703,8 @@ TEST(IndexPersistenceTest, AllFamiliesSurviveTheRoundTrip) {
   IndexManagerOptions options;
   options.persist_dir = dir.path;
   for (const auto kind :
-       {SemanticJoinStrategy::kLsh, SemanticJoinStrategy::kIvf,
-        SemanticJoinStrategy::kHnsw}) {
+       {SemanticJoinStrategy::kIvf, SemanticJoinStrategy::kHnsw,
+        SemanticJoinStrategy::kIvfPq}) {
     IndexKey key{"t", "name", "m", kind};
     IndexManager first = f.MakeManager(options);
     ASSERT_TRUE(first.GetOrBuild(key).ok());
@@ -718,6 +715,39 @@ TEST(IndexPersistenceTest, AllFamiliesSurviveTheRoundTrip) {
     EXPECT_EQ(second.stats().builds, 0u) << SemanticJoinStrategyName(kind);
     EXPECT_EQ(second.stats().disk_loads, 1u) << SemanticJoinStrategyName(kind);
     EXPECT_EQ(loaded.ValueOrDie()->size(), 500u);
+  }
+}
+
+TEST(IndexPersistenceTest, RetiredLshFamilyTagIsRejectedAndSkipped) {
+  // Family tag 1 belonged to the retired LSH index. Its images must fail
+  // the header read and stay out of the warm-start catalog, even when the
+  // header's row count matches the live table.
+  const DirGuard dir(FreshTempDir("retired_tag"));
+  Fixture f;
+  f.catalog.Put("t", MakeStringTable(Words(50, "w_")));
+  const IndexKey retired{"t", "name", "m",
+                         static_cast<SemanticJoinStrategy>(1)};
+  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(WriteImageHeader(image, retired, /*catalog_stamp=*/1,
+                               /*content_hash=*/2, /*rows=*/50)
+                  .ok());
+  {
+    std::ofstream out(dir.path + "/cre_retired.idx", std::ios::binary);
+    out << image.str();
+  }
+  IndexKey key;
+  std::uint64_t stamp = 0, hash = 0, rows = 0;
+  EXPECT_TRUE(ReadImageHeader(image, &key, &stamp, &hash, &rows)
+                  .IsInvalidArgument());
+
+  IndexManagerOptions options;
+  options.persist_dir = dir.path;
+  IndexManager manager = f.MakeManager(options);
+  EXPECT_EQ(manager.Residency(retired), IndexResidency::kAbsent);
+  for (const auto kind : kSemanticJoinStrategies) {
+    EXPECT_EQ(manager.Residency({"t", "name", "m", kind}),
+              IndexResidency::kAbsent)
+        << SemanticJoinStrategyName(kind);
   }
 }
 
@@ -900,6 +930,8 @@ TEST(IndexPersistenceEngineTest, RestartServesFirstSelectFromDisk) {
     pinned->strategy_pinned = true;
     auto r = engine.Execute(pinned);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // The engine hands the image write to its background runner.
+    engine.index_manager()->WaitForBuilds();
     EXPECT_EQ(engine.index_manager()->stats().builds, 1u);
     EXPECT_EQ(engine.index_manager()->stats().disk_writes, 1u);
   }

@@ -170,7 +170,7 @@ TEST_F(IntegrationTest, InterpretedAndEngineAgreeOnCorpus) {
   SemanticJoinOptions compiled;
   compiled.threshold = 0.9f;
   auto reference = SemanticStringJoin(left_words, right_words, *model,
-                                      compiled);
+                                      compiled).ValueOrDie();
   EXPECT_EQ(interpreted.size(), reference.size());
 }
 
@@ -256,13 +256,13 @@ TEST_P(ScaleSweep, BruteAndIvfJoinAgreeAcrossScales) {
 
   SemanticJoinOptions brute;
   brute.threshold = 0.9f;
-  auto ref = SemanticStringJoin(left, right, model, brute);
+  auto ref = SemanticStringJoin(left, right, model, brute).ValueOrDie();
 
   SemanticJoinOptions ivf = brute;
   ivf.strategy = SemanticJoinStrategy::kIvf;
   ivf.ivf.num_centroids = 8;
   ivf.ivf.nprobe = 8;  // exhaustive probing: exact results expected
-  auto via_ivf = SemanticStringJoin(left, right, model, ivf);
+  auto via_ivf = SemanticStringJoin(left, right, model, ivf).ValueOrDie();
   EXPECT_EQ(via_ivf.size(), ref.size()) << "n=" << n;
 }
 

@@ -218,13 +218,10 @@ TEST_F(OptimizerTest, StrategySelectionPrefersIndexForLargeInputs) {
   // Large join: an index strategy must win.
   const double big_brute = cost.SemanticJoinStrategyCost(
       SemanticJoinStrategy::kBruteForce, 100000, 100000);
-  const double big_lsh =
-      cost.SemanticJoinStrategyCost(SemanticJoinStrategy::kLsh, 100000,
-                                    100000);
   const double big_ivf =
       cost.SemanticJoinStrategyCost(SemanticJoinStrategy::kIvf, 100000,
                                     100000);
-  EXPECT_LT(std::min(big_lsh, big_ivf), big_brute);
+  EXPECT_LT(big_ivf, big_brute);
 }
 
 TEST_F(OptimizerTest, StrategyRuleRespectsPin) {

@@ -123,23 +123,27 @@ TEST(SemanticJoinTest, StrategiesAgreeOnTightClusters) {
                                           "canine", "oxfords"};
   SemanticJoinOptions brute;
   brute.threshold = 0.85f;
-  auto ref = SemanticStringJoin(left_words, right_words, *model, brute);
+  auto ref =
+      SemanticStringJoin(left_words, right_words, *model, brute).ValueOrDie();
 
   SemanticJoinOptions ivf = brute;
   ivf.strategy = SemanticJoinStrategy::kIvf;
   ivf.ivf.num_centroids = 4;
   ivf.ivf.nprobe = 4;  // full probe: exact on this scale
-  auto via_ivf = SemanticStringJoin(left_words, right_words, *model, ivf);
+  auto via_ivf =
+      SemanticStringJoin(left_words, right_words, *model, ivf).ValueOrDie();
   EXPECT_EQ(via_ivf.size(), ref.size());
+}
 
-  SemanticJoinOptions lsh = brute;
-  lsh.strategy = SemanticJoinStrategy::kLsh;
-  lsh.lsh.num_tables = 16;
-  lsh.lsh.bits_per_table = 6;
-  auto via_lsh = SemanticStringJoin(left_words, right_words, *model, lsh);
-  // LSH may miss borderline pairs but must not hallucinate.
-  EXPECT_LE(via_lsh.size(), ref.size());
-  EXPECT_GE(via_lsh.size(), ref.size() - 1);
+TEST(SemanticJoinTest, StringJoinReturnsIndexBuildError) {
+  // IVF-PQ cannot split a dim that pq_m does not divide; the standalone
+  // join reports the build failure instead of aborting.
+  auto model = TableOneModel();
+  SemanticJoinOptions options;
+  options.strategy = SemanticJoinStrategy::kIvfPq;
+  options.ivfpq.pq_m = model->dim() + 1;
+  auto result = SemanticStringJoin({"boots"}, {"sneakers"}, *model, options);
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
 }
 
 TEST(SemanticJoinTest, DuplicateColumnSuffixing) {
@@ -243,8 +247,8 @@ TEST_P(ThresholdSweep, HigherThresholdNeverMoreMatches) {
   lo.threshold = GetParam();
   SemanticJoinOptions hi;
   hi.threshold = GetParam() + 0.05f;
-  auto matches_lo = SemanticStringJoin(left, right, *model, lo);
-  auto matches_hi = SemanticStringJoin(left, right, *model, hi);
+  auto matches_lo = SemanticStringJoin(left, right, *model, lo).ValueOrDie();
+  auto matches_hi = SemanticStringJoin(left, right, *model, hi).ValueOrDie();
   EXPECT_GE(matches_lo.size(), matches_hi.size());
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
 #include "vecsim/kernels.h"
-#include "vecsim/lsh_index.h"
 #include "vecsim/top_k.h"
 
 namespace cre {
@@ -183,7 +183,7 @@ TEST(FlatIndexTest, RangeAndTopK) {
 }
 
 struct IndexRecallCase {
-  enum Kind { kLsh, kIvf, kHnsw } kind;
+  enum Kind { kIvf, kHnsw } kind;
   float threshold;
 };
 
@@ -198,12 +198,7 @@ TEST_P(IndexRecallTest, HighRecallNoFalsePositives) {
   const std::size_t n = 480;
 
   std::unique_ptr<VectorIndex> index;
-  if (param.kind == IndexRecallCase::kLsh) {
-    LshOptions o;
-    o.num_tables = 12;
-    o.bits_per_table = 10;
-    index = std::make_unique<LshIndex>(o);
-  } else if (param.kind == IndexRecallCase::kHnsw) {
+  if (param.kind == IndexRecallCase::kHnsw) {
     index = std::make_unique<HnswIndex>();
   } else {
     IvfOptions o;
@@ -243,32 +238,10 @@ TEST_P(IndexRecallTest, HighRecallNoFalsePositives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Indexes, IndexRecallTest,
-    ::testing::Values(IndexRecallCase{IndexRecallCase::kLsh, 0.85f},
-                      IndexRecallCase{IndexRecallCase::kLsh, 0.9f},
-                      IndexRecallCase{IndexRecallCase::kIvf, 0.85f},
+    ::testing::Values(IndexRecallCase{IndexRecallCase::kIvf, 0.85f},
                       IndexRecallCase{IndexRecallCase::kIvf, 0.9f},
                       IndexRecallCase{IndexRecallCase::kHnsw, 0.85f},
                       IndexRecallCase{IndexRecallCase::kHnsw, 0.9f}));
-
-TEST(LshIndexTest, RejectsTooManyBits) {
-  LshOptions o;
-  o.bits_per_table = 40;
-  LshIndex index(o);
-  std::vector<float> data(16, 0.5f);
-  EXPECT_TRUE(index.Build(data.data(), 4, 4).IsInvalidArgument());
-}
-
-TEST(LshIndexTest, ScanFractionBelowOne) {
-  const std::size_t dim = 32;
-  Rng rng(77);
-  auto data = ClusteredData(16, 32, dim, rng);
-  LshIndex index;
-  ASSERT_TRUE(index.Build(data.data(), 512, dim).ok());
-  std::vector<ScoredId> hits;
-  index.RangeSearch(data.data(), 0.9f, &hits);
-  EXPECT_LT(index.last_scan_fraction(), 0.9);
-  EXPECT_GT(index.MemoryBytes(), 512u * dim * sizeof(float));
-}
 
 TEST(IvfIndexTest, EmptyBuild) {
   IvfIndex index;
@@ -294,23 +267,50 @@ TEST(IvfIndexTest, FewerPointsThanCentroids) {
   EXPECT_EQ(top[0].id, 0u);
 }
 
+TEST(IvfIndexTest, LargeBaseTrainsOnASampleAndAssignsEveryRow) {
+  // 2000 rows over 16 centroids exceed the training budget, so k-means
+  // runs on a sample and every row is assigned to the trained centroids
+  // afterwards: each row then sits in its nearest list, which one probe
+  // finds. A build pool must not change the index.
+  IvfOptions o;
+  o.num_centroids = 16;
+  o.nprobe = 1;
+  const std::size_t dim = 16;
+  const std::size_t n = 2000;
+  ASSERT_GT(n, o.num_centroids * IvfIndex::kTrainPointsPerCentroid);
+  Rng rng(7);
+  auto data = ClusteredData(20, 100, dim, rng);
+  IvfIndex serial(o);
+  ASSERT_TRUE(serial.Build(data.data(), n, dim).ok());
+  for (std::size_t i = 0; i < n; ++i) {
+    auto top = serial.TopK(data.data() + i * dim, 1);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].id, i);
+  }
+
+  ThreadPool pool(3);
+  IvfIndex pooled(o, &pool);
+  ASSERT_TRUE(pooled.Build(data.data(), n, dim).ok());
+  std::ostringstream serial_image, pooled_image;
+  ASSERT_TRUE(serial.Save(serial_image).ok());
+  ASSERT_TRUE(pooled.Save(pooled_image).ok());
+  EXPECT_EQ(serial_image.str(), pooled_image.str());
+}
+
 TEST(VectorIndexTest, ZeroDimRejected) {
   FlatIndex flat;
   EXPECT_TRUE(flat.Build(nullptr, 0, 0).IsInvalidArgument());
-  LshIndex lsh;
-  EXPECT_TRUE(lsh.Build(nullptr, 0, 0).IsInvalidArgument());
   IvfIndex ivf;
   EXPECT_TRUE(ivf.Build(nullptr, 0, 0).IsInvalidArgument());
   HnswIndex hnsw;
   EXPECT_TRUE(hnsw.Build(nullptr, 0, 0).IsInvalidArgument());
 }
 
-// ---- uniform edge-case contract across all four index families ----
+// ---- uniform edge-case contract across the index families ----
 
 std::vector<std::unique_ptr<VectorIndex>> AllIndexFamilies() {
   std::vector<std::unique_ptr<VectorIndex>> out;
   out.push_back(std::make_unique<FlatIndex>());
-  out.push_back(std::make_unique<LshIndex>());
   out.push_back(std::make_unique<IvfIndex>());
   out.push_back(std::make_unique<HnswIndex>());
   return out;
@@ -392,12 +392,6 @@ TEST(IndexRecallAtKTest, ApproximateFamiliesTrackGroundTruth) {
     double min_recall;
   };
   std::vector<Family> families;
-  {
-    LshOptions o;
-    o.num_tables = 12;
-    o.bits_per_table = 10;
-    families.push_back({std::make_unique<LshIndex>(o), 0.80});
-  }
   {
     IvfOptions o;
     o.num_centroids = 16;

@@ -17,7 +17,6 @@
 #include "vecsim/ivf_index.h"
 #include "vecsim/ivfpq_index.h"
 #include "vecsim/kernels.h"
-#include "vecsim/lsh_index.h"
 
 namespace cre {
 namespace {
@@ -460,24 +459,6 @@ TEST(ScanCancelTest, PresetFlagStopsIvfScansImmediately) {
   std::vector<ScoredId> hits;
   index.RangeSearch(data.data(), -1.f, &hits);
   EXPECT_TRUE(hits.empty()) << "cancelled scan must stop within one block";
-  EXPECT_TRUE(index.TopK(data.data(), 5).empty());
-}
-
-TEST(ScanCancelTest, PresetFlagStopsLshVerifyImmediately) {
-  const std::size_t dim = 32;
-  Rng rng(73);
-  auto data = ClusteredData(6, 40, dim, rng);
-  const std::size_t n = data.size() / dim;
-  CancelFlag cancel;
-  LshOptions options;
-  options.cancel = &cancel;
-  LshIndex index(options);
-  ASSERT_TRUE(index.Build(data.data(), n, dim).ok());
-
-  cancel.Cancel();
-  std::vector<ScoredId> hits;
-  index.RangeSearch(data.data(), -1.f, &hits);
-  EXPECT_TRUE(hits.empty()) << "cancelled verify must stop within one block";
   EXPECT_TRUE(index.TopK(data.data(), 5).empty());
 }
 

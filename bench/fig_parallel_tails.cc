@@ -124,8 +124,8 @@ void RunParallelTails(bench::JsonReport* json) {
 
   PlanPtr sort_plan = PlanNode::Sort(PlanNode::Scan("rows"), "num", true);
   // ~1% of rows pass the filter, so the budget's prefix cutoff still has
-  // to drive most morsels through the pool before it trips — the case
-  // the old serial pull loop made single-threaded.
+  // to drive most morsels through the pool before it trips — the case a
+  // serial LIMIT would run single-threaded.
   PlanPtr limit_plan = PlanNode::Limit(
       PlanNode::Filter(PlanNode::Scan("rows"), Gt(Col("pay"), Lit(990.0))),
       limit_k);

@@ -10,13 +10,9 @@
 #include "embed/embedding_cache.h"
 #include "engine/parallel_driver.h"
 #include "hw/dispatch.h"
-#include "exec/aggregate.h"
 #include "exec/filter.h"
-#include "exec/hash_join.h"
 #include "exec/pipeline.h"
 #include "exec/project.h"
-#include "exec/scan.h"
-#include "exec/sort_limit.h"
 #include "semantic/semantic_group_by.h"
 #include "semantic/semantic_join.h"
 #include "semantic/semantic_select.h"
@@ -395,47 +391,6 @@ Result<PlanPtr> Engine::OptimizePlan(QueryContext* ctx, const PlanPtr& plan,
   return optimized;
 }
 
-Result<OperatorPtr> Engine::Lower(QueryContext* ctx, const PlanNode& node) {
-  CRE_ASSIGN_OR_RETURN(OperatorPtr op, LowerImpl(ctx, node));
-  if (ctx->stats() != nullptr) {
-    // Keyed by plan-node identity (like the parallel driver's shared
-    // slots), so EXPLAIN ANALYZE can look a node's stats up from the
-    // plan tree on either execution path.
-    OperatorStats* slot = ctx->stats()->SlotFor(&node, op->name());
-    op = std::make_unique<InstrumentedOperator>(std::move(op), slot);
-  }
-  return op;
-}
-
-Result<OperatorPtr> Engine::LowerImpl(QueryContext* ctx,
-                                      const PlanNode& node) {
-  if (node.kind == PlanKind::kLimit && node.limit > 0 &&
-      node.children[0]->kind == PlanKind::kSort) {
-    // Top-k peephole for the serial path (the parallel driver folds this
-    // shape itself): Sort feeding a LIMIT only needs the first n rows.
-    const PlanNode& sort = *node.children[0];
-    CRE_ASSIGN_OR_RETURN(OperatorPtr input, Lower(ctx, *sort.children[0]));
-    OperatorPtr sorted = std::make_unique<SortOperator>(
-        std::move(input), sort.sort_key, sort.sort_ascending, ctx->runner(),
-        /*limit_hint=*/node.limit, ctx->budget_handle(),
-        knob_tuner_->footprints());
-    if (ctx->stats() != nullptr) {
-      sorted = std::make_unique<InstrumentedOperator>(
-          std::move(sorted), ctx->stats()->SlotFor(&sort, sorted->name()));
-    }
-    std::vector<OperatorPtr> children;
-    children.push_back(std::move(sorted));
-    return LowerNodeOver(ctx, node, std::move(children));
-  }
-  std::vector<OperatorPtr> children;
-  children.reserve(node.children.size());
-  for (const PlanPtr& child : node.children) {
-    CRE_ASSIGN_OR_RETURN(OperatorPtr lowered, Lower(ctx, *child));
-    children.push_back(std::move(lowered));
-  }
-  return LowerNodeOver(ctx, node, std::move(children));
-}
-
 Result<OperatorPtr> Engine::TryLowerIndexSelect(QueryContext* ctx,
                                                 const PlanNode& node,
                                                 bool* build_in_flight,
@@ -487,16 +442,6 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
                                           const PlanNode& node,
                                           std::vector<OperatorPtr> children) {
   switch (node.kind) {
-    case PlanKind::kScan: {
-      CRE_ASSIGN_OR_RETURN(TablePtr table,
-                           ctx->snapshot().Get(node.table_name));
-      OperatorPtr scan = std::make_unique<TableScanOperator>(table);
-      if (node.predicate) {
-        scan = std::make_unique<FilterOperator>(std::move(scan),
-                                                node.predicate);
-      }
-      return scan;
-    }
     case PlanKind::kDetectScan: {
       CRE_ASSIGN_OR_RETURN(DetectorBinding binding,
                            detectors_.Get(node.table_name));
@@ -510,27 +455,6 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
     case PlanKind::kProject:
       return OperatorPtr(std::make_unique<ProjectOperator>(
           std::move(children[0]), node.projections));
-    case PlanKind::kJoin:
-      return OperatorPtr(std::make_unique<HashJoinOperator>(
-          std::move(children[0]), std::move(children[1]), node.left_key,
-          node.right_key));
-    case PlanKind::kSemanticSelect: {
-      if (node.IndexBackedSelect() && options_.index.enabled) {
-        CRE_ASSIGN_OR_RETURN(OperatorPtr indexed,
-                             TryLowerIndexSelect(ctx, node));
-        if (indexed != nullptr) return indexed;
-      }
-      if (children.empty()) {
-        // Reached as a pipeline-segment source whose managed index could
-        // not serve this query (manager disabled, build in flight, or
-        // snapshot/version mismatch): lower the child scan ourselves so
-        // the scanning fallback still executes.
-        CRE_ASSIGN_OR_RETURN(OperatorPtr child,
-                             Lower(ctx, *node.children[0]));
-        children.push_back(std::move(child));
-      }
-      return LowerSemanticSelectOver(node, std::move(children[0]), nullptr);
-    }
     case PlanKind::kSemanticJoin: {
       CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model,
                            models_.Get(node.model_name));
@@ -593,22 +517,13 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
           std::move(children[0]), node.column, std::move(model),
           node.threshold));
     }
-    case PlanKind::kAggregate:
-      return OperatorPtr(std::make_unique<AggregateOperator>(
-          std::move(children[0]), node.group_keys, node.aggs,
-          ctx->budget_handle(), knob_tuner_->footprints()));
-    case PlanKind::kSort:
-      // The operator sorts via SortTable; a single-thread pool (the
-      // serial engine) degrades to the classic serial sort, identically.
-      return OperatorPtr(std::make_unique<SortOperator>(
-          std::move(children[0]), node.sort_key, node.sort_ascending,
-          ctx->runner(), /*limit_hint=*/0, ctx->budget_handle(),
-          knob_tuner_->footprints()));
-    case PlanKind::kLimit:
-      return OperatorPtr(std::make_unique<LimitOperator>(
-          std::move(children[0]), node.limit));
+    default:
+      // Scan, Join, SemanticSelect, Aggregate, Sort and Limit are run by
+      // ParallelPlanDriver itself.
+      return Status::Internal("plan kind '" +
+                              std::string(PlanKindName(node.kind)) +
+                              "' is not lowered through LowerNodeOver");
   }
-  return Status::Internal("unreachable plan kind in LowerNodeOver");
 }
 
 Result<OperatorPtr> Engine::LowerSemanticSelectOver(
@@ -625,23 +540,10 @@ Result<OperatorPtr> Engine::LowerSemanticSelectOver(
 }
 
 Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {
-  CRE_RETURN_NOT_OK(ctx->CheckCancelled());
-  if (pool_ == nullptr || pool_->num_threads() <= 1) {
-    CRE_ASSIGN_OR_RETURN(OperatorPtr root, Lower(ctx, *plan));
-    // The classic serial pull loop, polling the cancellation flag
-    // between batches.
-    CRE_RETURN_NOT_OK(root->Open());
-    auto out = Table::Make(root->output_schema());
-    for (;;) {
-      CRE_RETURN_NOT_OK(ctx->CheckCancelled());
-      CRE_ASSIGN_OR_RETURN(TablePtr batch, root->Next());
-      if (batch == nullptr) break;
-      CRE_RETURN_NOT_OK(out->AppendTable(*batch));
-    }
-    return out;
-  }
-  // Morsel granularity is a tuned knob: the tuner aims each morsel task
-  // at options().tuning.morsel_target_seconds of observed work.
+  // Every thread count runs the same driver; at dop 1 it runs each
+  // pipeline on the caller's thread. Morsel granularity is a tuned knob:
+  // the tuner aims each morsel task at options().tuning.
+  // morsel_target_seconds of observed work.
   ParallelPlanDriver driver(this, ctx, knob_tuner_->morsel_rows());
   return driver.Run(*plan);
 }
@@ -755,28 +657,16 @@ Result<TablePtr> Engine::RunTracked(QueryContext* ctx, const PlanPtr& plan,
   return result;
 }
 
-Result<TablePtr> Engine::ExecuteUnoptimized(const PlanPtr& plan) {
-  return ExecuteUnoptimized(plan, QueryOptions{});
-}
-
 Result<TablePtr> Engine::ExecuteUnoptimized(const PlanPtr& plan,
                                             const QueryOptions& query) {
   CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, /*stats=*/nullptr));
   return RunTracked(&ctx, plan, /*optimize=*/false, "unoptimized");
 }
 
-Result<TablePtr> Engine::Execute(const PlanPtr& plan) {
-  return Execute(plan, QueryOptions{});
-}
-
 Result<TablePtr> Engine::Execute(const PlanPtr& plan,
                                  const QueryOptions& query) {
   CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, /*stats=*/nullptr));
   return RunTracked(&ctx, plan, /*optimize=*/true, "execute");
-}
-
-Result<Engine::AnalyzedResult> Engine::ExecuteWithStats(const PlanPtr& plan) {
-  return ExecuteWithStats(plan, QueryOptions{});
 }
 
 Result<Engine::AnalyzedResult> Engine::ExecuteWithStats(
@@ -823,7 +713,7 @@ Result<std::string> Engine::Explain(const PlanPtr& plan) {
   // Append the parallel driver's routing (per-pipeline degree of
   // parallelism and scheduling mode) plus the serving-layer state the
   // query would be admitted into.
-  const std::size_t dop = pool_ == nullptr ? 1 : pool_->num_threads();
+  const std::size_t dop = pool_->num_threads();
   const IndexManager::Stats index_stats = index_manager_->stats();
   std::string out =
       optimized->ToString() + "plan: " + plan_origin + "\n\n" +
@@ -888,8 +778,8 @@ void RenderAnalyzedNode(const PlanNode& node, int depth,
                   dop);
     *out += buf;
   } else {
-    // Nodes folded into a parent's execution (e.g. the Sort beneath a
-    // top-k Limit) carry no slot of their own.
+    // Nodes folded into a parent's execution (e.g. the Scan beneath an
+    // index-backed semantic select) carry no slot of their own.
     *out += "  [folded]";
   }
   *out += "\n";
@@ -912,10 +802,6 @@ void RenderAnalyzedNode(const PlanNode& node, int depth,
 }
 
 }  // namespace
-
-Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan) {
-  return ExplainAnalyze(plan, QueryOptions{});
-}
 
 Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
                                            const QueryOptions& query) {
@@ -960,7 +846,7 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
               trace);
   CRE_RETURN_NOT_OK(result.status());
 
-  const std::size_t dop = pool_ == nullptr ? 1 : pool_->num_threads();
+  const std::size_t dop = pool_->num_threads();
   std::string out;
   char head[96];
   std::snprintf(head, sizeof(head),

@@ -160,14 +160,13 @@ class Engine {
     options_.optimizer = o;
   }
 
-  /// Optimizes and executes a logical plan. With more than one worker
-  /// thread, streamable pipeline segments run per-morsel on the pool.
-  /// Safe to call from many threads at once; each call is admitted as an
-  /// independent query.
-  Result<TablePtr> Execute(const PlanPtr& plan);
-  /// As above with per-call admission knobs: priority class and an
-  /// optional cooperative cancellation handle.
-  Result<TablePtr> Execute(const PlanPtr& plan, const QueryOptions& query);
+  /// Optimizes and executes a logical plan through the morsel-driven
+  /// driver at the pool's degree of parallelism (at dop 1 every pipeline
+  /// runs on the calling thread). `query` carries the per-call admission
+  /// knobs: priority class, deadline, memory budget and an optional
+  /// cooperative cancellation handle. Safe to call from many threads at
+  /// once; each call is admitted as an independent query.
+  Result<TablePtr> Execute(const PlanPtr& plan, const QueryOptions& query = {});
 
   /// Execution result with per-operator counters (EXPLAIN ANALYZE).
   struct AnalyzedResult {
@@ -175,21 +174,20 @@ class Engine {
     std::shared_ptr<StatsCollector> stats;
     double total_seconds = 0;
     /// Serving-layer counters for this query: queue wait, admission
-    /// latency, task dispatches (all zero on the serial pull path).
+    /// latency, task dispatches (no dispatches at dop 1, where the
+    /// driver runs every pipeline on the calling thread).
     SchedulingCounters scheduling;
   };
 
   /// Optimizes and executes with per-operator instrumentation.
-  Result<AnalyzedResult> ExecuteWithStats(const PlanPtr& plan);
   Result<AnalyzedResult> ExecuteWithStats(const PlanPtr& plan,
-                                          const QueryOptions& query);
+                                          const QueryOptions& query = {});
 
   /// Executes the plan exactly as written (the "analyst's hand-rolled
   /// pipeline") — the baseline side of E3/E8. Uses the same parallel
   /// driver as Execute, just without the optimizer pass.
-  Result<TablePtr> ExecuteUnoptimized(const PlanPtr& plan);
   Result<TablePtr> ExecuteUnoptimized(const PlanPtr& plan,
-                                      const QueryOptions& query);
+                                      const QueryOptions& query = {});
 
   /// Optimized plan rendering with cardinality and cost annotations,
   /// pipeline routing, and the serving-layer state (scheduler load,
@@ -202,20 +200,16 @@ class Engine {
   /// phase breakdowns, scheduling waits, managed-index residency
   /// transitions observed across the execution, the pipeline routing,
   /// and the query's span tree.
-  Result<std::string> ExplainAnalyze(const PlanPtr& plan);
   Result<std::string> ExplainAnalyze(const PlanPtr& plan,
-                                     const QueryOptions& query);
-
-  /// Lowers a logical node to a physical operator tree (serial form:
-  /// every child lowered recursively) against `ctx`'s pinned snapshot.
-  /// Operators may capture ctx's task runner; the context must outlive
-  /// the returned tree.
-  Result<OperatorPtr> Lower(QueryContext* ctx, const PlanNode& node);
+                                     const QueryOptions& query = {});
 
   /// Constructs the physical operator for `node` over already-lowered
-  /// children (for leaves pass an empty vector). This is the shared
-  /// lowering core used both by Lower and by the parallel driver, which
-  /// substitutes materialized tables / shared join states for children.
+  /// children (for leaves pass an empty vector), against `ctx`'s pinned
+  /// snapshot. The parallel driver calls it for the kinds it does not run
+  /// itself: DetectScan, Filter, Project, SemanticJoin and
+  /// SemanticGroupBy, with materialized tables substituted for children.
+  /// Any other kind returns kInternal. Operators may capture ctx's task
+  /// runner; the context must outlive the returned operator.
   Result<OperatorPtr> LowerNodeOver(QueryContext* ctx, const PlanNode& node,
                                     std::vector<OperatorPtr> children);
 
@@ -257,7 +251,6 @@ class Engine {
   Optimizer MakeOptimizer() const;
 
  private:
-  Result<OperatorPtr> LowerImpl(QueryContext* ctx, const PlanNode& node);
   /// Admits one query: pins the catalog snapshot, joins the scheduler at
   /// `query.priority` under the bounded-admission policy (may shed with
   /// kResourceExhausted), arms the deadline token, and attaches the
@@ -301,8 +294,8 @@ class Engine {
   /// build discount filled in (shared by MakeOptimizer/MakeOptimizerFor
   /// so EXPLAIN and Execute agree on plans).
   OptimizerOptions EffectiveOptimizerOptions() const;
-  /// Executes a (possibly optimized) plan through the serial pull loop or
-  /// the morsel-driven parallel driver, depending on pool size.
+  /// Executes a (possibly optimized) plan through the morsel-driven
+  /// parallel driver at the pool's degree of parallelism.
   Result<TablePtr> RunPhysical(QueryContext* ctx, const PlanPtr& plan);
 
   EngineOptions options_;

@@ -103,7 +103,7 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
     case PlanKind::kSemanticGroupBy: {
       // Materialize the input in parallel, then run the (order-sensitive)
       // operator serially over it. Feeding morsels in order keeps the
-      // output identical to the serial execution.
+      // output identical at every thread count.
       CRE_ASSIGN_OR_RETURN(TablePtr input, Run(*source.children[0]));
       std::vector<OperatorPtr> children;
       children.push_back(
@@ -189,9 +189,16 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
     const PipelineSegment& segment, const TablePtr& slice,
     const JoinStates& joins, const SelectStates& selects) {
   const PlanNode& source = *segment.source;
-  OperatorPtr cur = std::make_unique<TableScanOperator>(slice, morsel_rows_);
+  // A chain with no operators only copies its slice out, so it reads the
+  // slice as one batch instead of copying it batch by batch first (at
+  // dop 1 the slice is the whole input).
+  const bool filtered =
+      source.kind == PlanKind::kScan && source.predicate != nullptr;
+  const std::size_t batch_rows =
+      segment.ops.empty() && !filtered ? slice->num_rows() : morsel_rows_;
+  OperatorPtr cur = std::make_unique<TableScanOperator>(slice, batch_rows);
   if (source.kind == PlanKind::kScan) {
-    // Mirror the serial lowering's one-slot Filter-over-Scan layout.
+    // A pushed-down scan predicate shares the Scan's stats slot.
     if (source.predicate != nullptr) {
       cur = std::make_unique<FilterOperator>(std::move(cur),
                                              source.predicate);
@@ -225,7 +232,7 @@ Result<TablePtr> ParallelPlanDriver::RunSegment(
   // Breaker outputs are freshly materialized tables the caller may own
   // outright. A bare Scan must still flow through the morsel map: it
   // copies (the snapshot table must not alias into query results) and it
-  // records Scan stats, matching the serial path's CollectAll.
+  // records Scan stats.
   if (segment.ops.empty() && segment.source->kind != PlanKind::kScan) {
     return base;
   }
@@ -481,26 +488,6 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
            ? agg.est_rows >= static_cast<double>(radix_threshold)
            : radix_threshold == 0);
 
-  if (!parallel) {
-    GroupedAggregationState total;
-    CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
-    CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
-                         BuildChain(segment, base, joins, selects));
-    CRE_RETURN_NOT_OK(chain->Open());
-    for (;;) {
-      CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-      CRE_ASSIGN_OR_RETURN(TablePtr batch, chain->Next());
-      if (batch == nullptr) break;
-      CRE_RETURN_NOT_OK(total.Consume(*batch));
-    }
-    CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
-    if (stats_ != nullptr) {
-      stats_->SlotFor(&agg, "Aggregate")
-          ->AddBatch(out->num_rows(), timer.Seconds());
-    }
-    return out;
-  }
-
   // Fixed chunk layout with per-chunk slots: workers race only on their
   // own slot, and the deterministic merge orders below (chunk index, or
   // partition-then-chunk index for radix) make the final group map — and
@@ -508,13 +495,17 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   // thread count. The radix form uses exactly one chunk per worker:
   // phase 2 merges every chunk's copy of every partition, so its work
   // grows with chunks x groups, and per-row hash work is uniform enough
-  // that finer chunks buy no balance.
-  const std::size_t chunks = std::min<std::size_t>(
-      num_morsels,
-      std::max<std::size_t>(1, use_radix ? runner_->num_threads()
-                                         : runner_->num_threads() * 4));
-  const std::size_t per_chunk = (num_morsels + chunks - 1) / chunks;
-  const std::size_t num_chunks = (num_morsels + per_chunk - 1) / per_chunk;
+  // that finer chunks buy no balance. The single-state form is one chunk.
+  std::size_t per_chunk = num_morsels;
+  std::size_t num_chunks = 1;
+  if (parallel) {
+    const std::size_t chunks = std::min<std::size_t>(
+        num_morsels,
+        std::max<std::size_t>(1, use_radix ? runner_->num_threads()
+                                           : runner_->num_threads() * 4));
+    per_chunk = (num_morsels + chunks - 1) / chunks;
+    num_chunks = (num_morsels + per_chunk - 1) / per_chunk;
+  }
 
   // Charge the accumulation's private state: every chunk keeps its own
   // hash (or radix-partitioned) aggregation state, sized by the group
@@ -533,6 +524,30 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     CRE_RETURN_NOT_OK(
         ctx_->budget()->Charge(state_bytes, "aggregation state"));
     agg_charge = ScopedCharge(ctx_->budget_handle(), state_bytes);
+  }
+
+  if (!parallel) {
+    GroupedAggregationState total;
+    CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
+    CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
+                         BuildChain(segment, base, joins, selects));
+    CRE_RETURN_NOT_OK(chain->Open());
+    for (;;) {
+      CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
+      CRE_ASSIGN_OR_RETURN(TablePtr batch, chain->Next());
+      if (batch == nullptr) break;
+      CRE_RETURN_NOT_OK(total.Consume(*batch));
+    }
+    if (total.num_groups() > 0) {
+      engine_->knob_tuner()->footprints()->Observe(
+          FootprintSite::kAggState, total.num_groups(), total.MemoryBytes());
+    }
+    CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
+    if (stats_ != nullptr) {
+      stats_->SlotFor(&agg, "Aggregate")
+          ->AddBatch(out->num_rows(), timer.Seconds());
+    }
+    return out;
   }
 
   // Drives chunk `c`'s morsel chains into `consume`, polling the

@@ -228,52 +228,4 @@ std::size_t GroupedAggregationState::MemoryBytes() const {
   return bytes;
 }
 
-AggregateOperator::AggregateOperator(OperatorPtr child,
-                                     std::vector<std::string> group_keys,
-                                     std::vector<AggSpec> aggs,
-                                     QueryBudgetPtr budget,
-                                     FootprintCalibrator* calibrator)
-    : child_(std::move(child)),
-      group_keys_(std::move(group_keys)),
-      aggs_(std::move(aggs)),
-      budget_(std::move(budget)),
-      calibrator_(calibrator) {}
-
-AggregateOperator::~AggregateOperator() {
-  if (budget_ != nullptr && charged_ != 0) budget_->Release(charged_);
-}
-
-Status AggregateOperator::Open() {
-  CRE_RETURN_NOT_OK(child_->Open());
-  return state_.Init(child_->output_schema(), group_keys_, aggs_);
-}
-
-Result<TablePtr> AggregateOperator::Next() {
-  if (done_) return TablePtr(nullptr);
-  for (;;) {
-    CRE_ASSIGN_OR_RETURN(TablePtr batch, child_->Next());
-    if (batch == nullptr) break;
-    CRE_RETURN_NOT_OK(state_.Consume(*batch));
-    if (budget_ != nullptr) {
-      // Re-charge to the estimated state size at the current group count;
-      // only growth is charged (group counts never shrink).
-      const std::size_t groups = state_.num_groups();
-      std::size_t est = groups * 64;
-      if (calibrator_ != nullptr) {
-        est = calibrator_->EstimateBytes(FootprintSite::kAggState, groups, est);
-      }
-      if (est > charged_) {
-        CRE_RETURN_NOT_OK(budget_->Charge(est - charged_, "aggregate state"));
-        charged_ = est;
-      }
-    }
-  }
-  done_ = true;
-  if (calibrator_ != nullptr && state_.num_groups() > 0) {
-    calibrator_->Observe(FootprintSite::kAggState, state_.num_groups(),
-                         state_.MemoryBytes());
-  }
-  return state_.Finalize();
-}
-
 }  // namespace cre

@@ -6,9 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/resource_governor.h"
-#include "exec/footprint.h"
-#include "exec/operator.h"
+#include "core/result.h"
+#include "storage/table.h"
 
 namespace cre {
 
@@ -22,9 +21,10 @@ struct AggSpec {
   std::string output_name;
 };
 
-/// Hash group-by accumulation state, factored out of the operator so the
-/// parallel driver can keep one partial state per worker and merge them at
-/// the pipeline barrier. All five aggregate kinds merge associatively
+/// Hash group-by accumulation state. The parallel driver keeps one
+/// partial state per worker chunk and merges them at the pipeline
+/// barrier (at dop 1, or for inputs of one morsel, a single state
+/// consumes everything). All five aggregate kinds merge associatively
 /// (count/sum/avg add, min/max fold), so partial states over disjoint
 /// morsel ranges combine into exactly the serial result.
 class GroupedAggregationState {
@@ -110,38 +110,6 @@ class RadixAggregationState {
  private:
   std::vector<GroupedAggregationState> partitions_;
   std::size_t mask_ = 0;
-};
-
-/// Hash group-by with streaming accumulation; emits one batch of group
-/// results at end of input. Group keys may be int64/date/string/bool.
-/// With a non-null `budget`, the growing accumulation state is charged
-/// against the governor batch by batch (estimated from the group count,
-/// calibrated by `calibrator` when given) and released on destruction, so
-/// serial-path aggregates are accounted the same way driver-level ones
-/// are.
-class AggregateOperator : public PhysicalOperator {
- public:
-  AggregateOperator(OperatorPtr child, std::vector<std::string> group_keys,
-                    std::vector<AggSpec> aggs, QueryBudgetPtr budget = nullptr,
-                    FootprintCalibrator* calibrator = nullptr);
-  ~AggregateOperator() override;
-
-  const Schema& output_schema() const override {
-    return state_.output_schema();
-  }
-  Status Open() override;
-  Result<TablePtr> Next() override;
-  std::string name() const override { return "Aggregate"; }
-
- private:
-  OperatorPtr child_;
-  std::vector<std::string> group_keys_;
-  std::vector<AggSpec> aggs_;
-  GroupedAggregationState state_;
-  QueryBudgetPtr budget_;
-  FootprintCalibrator* calibrator_;
-  std::size_t charged_ = 0;  ///< governor bytes currently held
-  bool done_ = false;
 };
 
 }  // namespace cre

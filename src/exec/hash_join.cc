@@ -112,14 +112,6 @@ Status HashJoinTable::Probe(const Column& key,
   return Status::OK();
 }
 
-HashJoinOperator::HashJoinOperator(OperatorPtr left, OperatorPtr right,
-                                   std::string left_key,
-                                   std::string right_key)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)) {}
-
 HashJoinOperator::HashJoinOperator(OperatorPtr left,
                                    std::shared_ptr<HashJoinTable> build,
                                    std::string left_key, std::string right_key)
@@ -132,12 +124,6 @@ Status HashJoinOperator::Open() {
   if (opened_) return Status::OK();
   opened_ = true;
   CRE_RETURN_NOT_OK(left_->Open());
-  if (join_table_ == nullptr) {
-    CRE_RETURN_NOT_OK(right_->Open());
-    CRE_ASSIGN_OR_RETURN(TablePtr build, CollectAll(right_.get()));
-    CRE_ASSIGN_OR_RETURN(join_table_,
-                         HashJoinTable::Build(std::move(build), right_key_));
-  }
 
   // Output schema: all left fields, then all right fields with duplicate
   // names suffixed.

@@ -14,10 +14,9 @@
 namespace cre {
 
 /// The shared build side of a hash join: a materialized table plus a hash
-/// index on its key column. Built once (by the operator's Open or by the
-/// parallel driver before fan-out) and then probed concurrently from any
-/// number of worker threads — Probe is const and the index is immutable
-/// after Build.
+/// index on its key column. Built once by the parallel driver before
+/// fan-out and then probed concurrently from any number of worker
+/// threads — Probe is const and the index is immutable after Build.
 class HashJoinTable {
  public:
   /// Materializes the index over `build`'s `key` column
@@ -48,18 +47,14 @@ class HashJoinTable {
   ScopedCharge charge_;  ///< governor charge for the materialized side
 };
 
-/// Inner equi-join: builds a hash table on the right input (assumed the
-/// smaller side; the optimizer is responsible for choosing sides), then
-/// probes with left batches. Duplicate output names from the right side
-/// get an "_r" suffix. The probe-only constructor shares a pre-built
-/// HashJoinTable, which is how the parallel driver runs one build and many
-/// concurrent per-morsel probe pipelines.
+/// Inner equi-join probe: streams left batches against a shared,
+/// already-built HashJoinTable on the right input (assumed the smaller
+/// side; the optimizer is responsible for choosing sides). Duplicate
+/// output names from the right side get an "_r" suffix. Sharing one
+/// table is how the parallel driver runs one build and many concurrent
+/// per-morsel probe pipelines.
 class HashJoinOperator : public PhysicalOperator {
  public:
-  HashJoinOperator(OperatorPtr left, OperatorPtr right, std::string left_key,
-                   std::string right_key);
-
-  /// Probe-only form over a shared, already-built hash table.
   HashJoinOperator(OperatorPtr left, std::shared_ptr<HashJoinTable> build,
                    std::string left_key, std::string right_key);
 
@@ -70,14 +65,8 @@ class HashJoinOperator : public PhysicalOperator {
     return "HashJoin(" + left_key_ + " = " + right_key_ + ")";
   }
 
-  /// Rows in the build-side hash table (exposed for tests/benches).
-  std::size_t build_rows() const {
-    return join_table_ ? join_table_->num_rows() : 0;
-  }
-
  private:
   OperatorPtr left_;
-  OperatorPtr right_;  ///< null in the probe-only form
   std::string left_key_;
   std::string right_key_;
 

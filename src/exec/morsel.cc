@@ -23,7 +23,10 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
     Timer timer;
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
     Result<TablePtr> out = ExecuteToTable(pipeline.get());
-    if (out.ok() && options.on_morsel && n > 0) {
+    // Only a one-morsel input is a morsel-sized observation; a whole
+    // multi-morsel input run as one chain (dop 1) would skew the tuner's
+    // per-morsel fit.
+    if (out.ok() && options.on_morsel && n > 0 && n <= morsel) {
       options.on_morsel(n, timer.Seconds());
     }
     return out;
@@ -116,7 +119,7 @@ Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled("query cancelled before morsel execution");
     }
-    // Serial pull with early exit — the classic LIMIT loop.
+    // One pipeline over the whole table, stopping at the limit.
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
     if (stats != nullptr) stats->morsels_run = num_morsels;
     return RunPipelineCapped(pipeline.get(), limit);

@@ -30,7 +30,8 @@ struct MorselOptions {
   /// knob tuner's morsel sizing from this). Called concurrently from
   /// worker threads — must be thread-safe. Uncapped full-pipeline runs
   /// only: the LIMIT-bounded variant doesn't report (an early-exited
-  /// pipeline's seconds/row would be meaningless).
+  /// pipeline's seconds/row would be meaningless), and the serial form
+  /// reports only an input that fits in one morsel.
   std::function<void(std::size_t rows, double seconds)> on_morsel;
 };
 
@@ -68,8 +69,8 @@ struct MorselBudgetStats {
 /// completed prefix can never displace prefix rows, so the cutoff is
 /// exact, not heuristic). Each pipeline also stops pulling batches once
 /// its own output reaches the budget remaining at claim time, bounding
-/// work inside a morsel. With no pool (or one thread) this is the classic
-/// serial pull loop with early exit.
+/// work inside a morsel. With no pool (or one thread) one pipeline runs
+/// over the whole table and stops at `limit` rows.
 Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
                                           const MorselPipelineBuilder& build,
                                           std::size_t limit,

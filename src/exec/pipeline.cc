@@ -57,10 +57,9 @@ class PipelineDescriber {
   }
 
  private:
-  /// Scheduling annotation; every parallel mode collapses to the serial
-  /// pull loop when the driver has no worker pool to spread over.
+  /// Scheduling annotation. At dop 1 the driver takes the same routes,
+  /// each run serially on the caller's thread.
   std::string Mode(const std::string& desc) const {
-    if (dop_ <= 1) return "[serial pull loop]";
     return "[" + desc + ", dop=" + std::to_string(dop_) + "]";
   }
 

@@ -52,12 +52,12 @@ PipelineSegment DecomposePipeline(const PlanNode& root);
 /// EXPLAIN rendering of the parallel driver's routing for `plan`: one
 /// line per pipeline, each annotated with its degree of parallelism and
 /// how it is scheduled — through the morsel scheduler (with a shared row
-/// budget for LIMIT subtrees), as a parallel sort / top-k sort, through
-/// an internally parallel operator, or (dop <= 1) the serial pull loop.
+/// budget for LIMIT subtrees), as a parallel sort / top-k sort, or
+/// through an internally parallel operator. At dop 1 the routes are the
+/// same, each run serially on the caller's thread.
 /// `radix_agg_min_groups` mirrors the driver's aggregate-form choice so
 /// the annotation matches what would execute. Appended to
-/// Engine::Explain output; makes the removal of the serial LIMIT
-/// fallback observable.
+/// Engine::Explain output.
 std::string DescribePipelines(const PlanNode& plan, std::size_t dop,
                               std::size_t radix_agg_min_groups);
 

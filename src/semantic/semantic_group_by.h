@@ -38,7 +38,7 @@ class OnlineClusterer {
 /// The paper's Semantic GroupBy operator extension (Sec. IV): clusters
 /// rows by the latent-space similarity of a string column and appends a
 /// cluster id plus the cluster representative label. Aggregation over the
-/// cluster id can then use the regular AggregateOperator.
+/// cluster id can then use a regular Aggregate plan node.
 class SemanticGroupByOperator : public PhysicalOperator {
  public:
   SemanticGroupByOperator(OperatorPtr child, std::string column,

@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -257,9 +258,15 @@ TEST(EngineDeadlineTest, DeadlineExpiresMidLocalIndexBuild) {
 
 // ---- resource governor ----
 
-TEST(GovernorTest, HashJoinBreachReturnsResourceExhausted) {
+// Breaches must surface at every degree of parallelism: dop 1 runs the
+// same driver as dop 2, single-chain.
+class GovernorDopTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Threads, GovernorDopTest, ::testing::Values(1, 2));
+
+TEST_P(GovernorDopTest, HashJoinBreachReturnsResourceExhausted) {
   EngineOptions eo;
-  eo.num_threads = 2;
+  eo.num_threads = GetParam();
   eo.governor.engine_memory_bytes = 4096;
   Engine engine(eo);
   engine.catalog().Put("left", MakeWordTable(5000, "w_", 100));
@@ -282,6 +289,38 @@ TEST(GovernorTest, HashJoinBreachReturnsResourceExhausted) {
   auto ok = engine.Execute(cheap.plan(), QueryOptions{});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_GT(ok.ValueOrDie()->num_rows(), 0u);
+}
+
+// A group-by is charged for its aggregation state whether its input spans
+// one morsel (a single state) or many (per-chunk states).
+class GovernorAggregateTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+INSTANTIATE_TEST_SUITE_P(ThreadsByRows, GovernorAggregateTest,
+                         ::testing::Combine(::testing::Values(1, 2),
+                                            ::testing::Values(4000, 40000)));
+
+TEST_P(GovernorAggregateTest, AggregateBudgetBreach) {
+  const auto [threads, rows] = GetParam();
+  EngineOptions eo;
+  eo.num_threads = threads;
+  Engine engine(eo);
+  engine.catalog().Put("t", MakeWordTable(rows, "g_"));  // one group per row
+
+  QueryBuilder qb(&engine);
+  qb.Scan("t").Aggregate({"word"}, {{AggKind::kCount, "", "n"}});
+  QueryOptions tight;
+  tight.memory_budget_bytes = 1024;
+  auto result = engine.Execute(qb.plan(), tight);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+
+  auto full = engine.Execute(qb.plan());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full.ValueOrDie()->num_rows(), rows);
 }
 
 TEST(GovernorTest, PerQuerySortBudgetBreach) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
+#include "exec/parallel_sort.h"
 #include "exec/project.h"
 #include "exec/scan.h"
-#include "exec/sort_limit.h"
+#include "plan/plan_node.h"
 
 namespace cre {
 namespace {
@@ -110,11 +112,19 @@ TEST(ProjectTest, MissingColumnFailsAtOpen) {
   EXPECT_TRUE(project.Open().IsNotFound());
 }
 
+/// Probe-only hash join over a table built from `build` on `build_key`.
+std::unique_ptr<HashJoinOperator> MakeJoin(TablePtr probe, TablePtr build,
+                                           const std::string& probe_key,
+                                           const std::string& build_key) {
+  auto table = HashJoinTable::Build(std::move(build), build_key).ValueOrDie();
+  return std::make_unique<HashJoinOperator>(
+      std::make_unique<TableScanOperator>(std::move(probe)), std::move(table),
+      probe_key, build_key);
+}
+
 TEST(HashJoinTest, InnerJoinIntKeys) {
-  HashJoinOperator join(std::make_unique<TableScanOperator>(Sales()),
-                        std::make_unique<TableScanOperator>(Products()),
-                        "pid", "id");
-  auto out = ExecuteToTable(&join).ValueOrDie();
+  auto join = MakeJoin(Sales(), Products(), "pid", "id");
+  auto out = ExecuteToTable(join.get()).ValueOrDie();
   // sale 100 -> product 1, 101 -> 3, 102 -> 1; 103 dangles.
   EXPECT_EQ(out->num_rows(), 3u);
   EXPECT_TRUE(out->schema().HasField("label"));
@@ -122,13 +132,11 @@ TEST(HashJoinTest, InnerJoinIntKeys) {
 }
 
 TEST(HashJoinTest, DuplicateNameSuffixed) {
-  HashJoinOperator join(std::make_unique<TableScanOperator>(Products()),
-                        std::make_unique<TableScanOperator>(Products()),
-                        "id", "id");
-  ASSERT_TRUE(join.Open().ok());
-  EXPECT_TRUE(join.output_schema().HasField("id"));
-  EXPECT_TRUE(join.output_schema().HasField("id_r"));
-  EXPECT_TRUE(join.output_schema().HasField("label_r"));
+  auto join = MakeJoin(Products(), Products(), "id", "id");
+  ASSERT_TRUE(join->Open().ok());
+  EXPECT_TRUE(join->output_schema().HasField("id"));
+  EXPECT_TRUE(join->output_schema().HasField("id_r"));
+  EXPECT_TRUE(join->output_schema().HasField("label_r"));
 }
 
 TEST(HashJoinTest, StringKeys) {
@@ -139,35 +147,56 @@ TEST(HashJoinTest, StringKeys) {
                                    {"v", DataType::kInt64, 0}}));
   right->AppendRow({Value("b"), Value(10)}).Check();
   right->AppendRow({Value("b"), Value(20)}).Check();
-  HashJoinOperator join(std::make_unique<TableScanOperator>(left),
-                        std::make_unique<TableScanOperator>(right), "k", "k2");
-  auto out = ExecuteToTable(&join).ValueOrDie();
+  auto join = MakeJoin(left, right, "k", "k2");
+  auto out = ExecuteToTable(join.get()).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);  // "b" matches twice
 }
 
 TEST(HashJoinTest, TypeMismatchFails) {
-  HashJoinOperator join(std::make_unique<TableScanOperator>(Products()),
-                        std::make_unique<TableScanOperator>(Sales()),
-                        "label", "pid");
-  ASSERT_TRUE(join.Open().ok());
-  auto r = join.Next();
+  auto join = MakeJoin(Products(), Sales(), "label", "pid");
+  ASSERT_TRUE(join->Open().ok());
+  auto r = join->Next();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsTypeError());
 }
 
+TEST(HashJoinTest, UnsupportedBuildKeyTypeFails) {
+  auto r = HashJoinTable::Build(Products(), "price");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTypeError());
+}
+
+/// Runs `batches` through one aggregation state, as the driver's
+/// single-state form does.
+Result<TablePtr> AggregateBatches(const std::vector<TablePtr>& batches,
+                                  std::vector<std::string> group_keys,
+                                  std::vector<AggSpec> aggs) {
+  GroupedAggregationState state;
+  CRE_RETURN_NOT_OK(
+      state.Init(batches[0]->schema(), std::move(group_keys), std::move(aggs)));
+  for (const TablePtr& batch : batches) {
+    CRE_RETURN_NOT_OK(state.Consume(*batch));
+  }
+  return state.Finalize();
+}
+
 TEST(AggregateTest, GroupByWithAggs) {
-  AggregateOperator agg(
-      std::make_unique<TableScanOperator>(Products()), {"label"},
-      {{AggKind::kCount, "", "n"},
-       {AggKind::kSum, "price", "total"},
-       {AggKind::kMin, "price", "cheapest"},
-       {AggKind::kMax, "price", "dearest"},
-       {AggKind::kAvg, "price", "avg_price"}});
-  auto out = ExecuteToTable(&agg).ValueOrDie();
+  TablePtr products = Products();
+  // Two batches, so the coat group accumulates across a batch boundary.
+  auto out =
+      AggregateBatches({products->Slice(0, 2), products->Slice(2, 2)},
+                       {"label"},
+                       {{AggKind::kCount, "", "n"},
+                        {AggKind::kSum, "price", "total"},
+                        {AggKind::kMin, "price", "cheapest"},
+                        {AggKind::kMax, "price", "dearest"},
+                        {AggKind::kAvg, "price", "avg_price"}})
+          .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 3u);  // coat, lamp, boot
-  // Find the coat row.
+  bool saw_coat = false;
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
     if (out->GetValue(r, 0).AsString() == "coat") {
+      saw_coat = true;
       EXPECT_EQ(out->GetValue(r, 1).AsInt64(), 2);
       EXPECT_DOUBLE_EQ(out->GetValue(r, 2).AsFloat64(), 38.0);
       EXPECT_DOUBLE_EQ(out->GetValue(r, 3).AsFloat64(), 8.0);
@@ -175,59 +204,92 @@ TEST(AggregateTest, GroupByWithAggs) {
       EXPECT_DOUBLE_EQ(out->GetValue(r, 5).AsFloat64(), 19.0);
     }
   }
+  EXPECT_TRUE(saw_coat);
 }
 
 TEST(AggregateTest, GlobalAggregateNoKeys) {
-  AggregateOperator agg(std::make_unique<TableScanOperator>(Products()), {},
-                        {{AggKind::kCount, "", "n"}});
-  auto out = ExecuteToTable(&agg).ValueOrDie();
+  auto out =
+      AggregateBatches({Products()}, {}, {{AggKind::kCount, "", "n"}})
+          .ValueOrDie();
   ASSERT_EQ(out->num_rows(), 1u);
   EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 4);
 }
 
+TEST(AggregateTest, EmptyGlobalAggregateYieldsIdentityRow) {
+  auto out = AggregateBatches({Products()->Slice(0, 0)}, {},
+                              {{AggKind::kCount, "", "n"},
+                               {AggKind::kSum, "price", "total"}})
+                 .ValueOrDie();
+  ASSERT_EQ(out->num_rows(), 1u);
+  EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 0);
+  EXPECT_DOUBLE_EQ(out->GetValue(0, 1).AsFloat64(), 0.0);
+}
+
 TEST(AggregateTest, MissingAggColumnFails) {
-  AggregateOperator agg(std::make_unique<TableScanOperator>(Products()), {},
-                        {{AggKind::kSum, "missing", "s"}});
-  EXPECT_TRUE(agg.Open().IsNotFound());
+  GroupedAggregationState state;
+  EXPECT_TRUE(state.Init(Products()->schema(), {},
+                         {{AggKind::kSum, "missing", "s"}})
+                  .IsNotFound());
+  EXPECT_TRUE(state.Init(Products()->schema(), {"missing"},
+                         {{AggKind::kCount, "", "n"}})
+                  .IsNotFound());
 }
 
 TEST(SortTest, AscendingAndDescending) {
-  SortOperator asc(std::make_unique<TableScanOperator>(Products()), "price",
-                   true);
-  auto out = ExecuteToTable(&asc).ValueOrDie();
+  auto out = SortTable(Products(), "price", true, /*pool=*/nullptr)
+                 .ValueOrDie();
   EXPECT_DOUBLE_EQ(out->GetValue(0, 2).AsFloat64(), 8.0);
   EXPECT_DOUBLE_EQ(out->GetValue(3, 2).AsFloat64(), 55.0);
 
-  SortOperator desc(std::make_unique<TableScanOperator>(Products()), "price",
-                    false);
-  auto out2 = ExecuteToTable(&desc).ValueOrDie();
+  auto out2 = SortTable(Products(), "price", false, /*pool=*/nullptr)
+                  .ValueOrDie();
   EXPECT_DOUBLE_EQ(out2->GetValue(0, 2).AsFloat64(), 55.0);
 }
 
 TEST(SortTest, StringKey) {
-  SortOperator sort(std::make_unique<TableScanOperator>(Products()), "label",
-                    true);
-  auto out = ExecuteToTable(&sort).ValueOrDie();
+  auto out = SortTable(Products(), "label", true, /*pool=*/nullptr)
+                 .ValueOrDie();
   EXPECT_EQ(out->GetValue(0, 1).AsString(), "boot");
 }
 
+/// A one-thread engine over the two fixture tables: every query runs
+/// through the morsel driver on the calling thread. `morsel_rows` is also
+/// the scan batch size, so a small value makes pipelines cross batches.
+std::unique_ptr<Engine> OneThreadEngine(std::size_t morsel_rows = 8 * 1024) {
+  EngineOptions eo;
+  eo.num_threads = 1;
+  eo.morsel_rows = morsel_rows;
+  eo.tuning.enabled = false;
+  auto engine = std::make_unique<Engine>(eo);
+  engine->catalog().Put("products", Products());
+  engine->catalog().Put("sales", Sales());
+  return engine;
+}
+
 TEST(LimitTest, TruncatesOutput) {
-  LimitOperator limit(std::make_unique<TableScanOperator>(Products()), 2);
-  auto out = ExecuteToTable(&limit).ValueOrDie();
+  auto engine = OneThreadEngine();
+  auto out = engine->ExecuteUnoptimized(
+                       PlanNode::Limit(PlanNode::Scan("products"), 2))
+                 .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);
 }
 
 TEST(LimitTest, LimitLargerThanInput) {
-  LimitOperator limit(std::make_unique<TableScanOperator>(Products()), 99);
-  auto out = ExecuteToTable(&limit).ValueOrDie();
+  auto engine = OneThreadEngine();
+  auto out = engine->ExecuteUnoptimized(
+                       PlanNode::Limit(PlanNode::Scan("products"), 99))
+                 .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 4u);
 }
 
 TEST(LimitTest, AcrossBatches) {
+  auto engine = OneThreadEngine(/*morsel_rows=*/16);
   auto table = Table::Make(Schema({{"x", DataType::kInt64, 0}}));
   for (int i = 0; i < 100; ++i) table->AppendRow({Value(i)}).Check();
-  LimitOperator limit(std::make_unique<TableScanOperator>(table, 16), 40);
-  auto out = ExecuteToTable(&limit).ValueOrDie();
+  engine->catalog().Put("t", table);
+  auto out =
+      engine->ExecuteUnoptimized(PlanNode::Limit(PlanNode::Scan("t"), 40))
+          .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 40u);
   EXPECT_EQ(out->GetValue(39, 0).AsInt64(), 39);
 }
@@ -235,21 +297,24 @@ TEST(LimitTest, AcrossBatches) {
 TEST(PipelineTest, ScanFilterProjectJoinAggregate) {
   // Full relational pipeline: sales joined to products over 20, count per
   // label.
-  auto scan_sales = std::make_unique<TableScanOperator>(Sales());
-  auto scan_products = std::make_unique<TableScanOperator>(Products());
-  auto filtered = std::make_unique<FilterOperator>(std::move(scan_products),
-                                                   Gt(Col("price"), Lit(20.0)));
-  auto join = std::make_unique<HashJoinOperator>(
-      std::move(scan_sales), std::move(filtered), "pid", "id");
-  AggregateOperator agg(std::move(join), {"label"},
-                        {{AggKind::kSum, "qty", "total_qty"}});
-  auto out = ExecuteToTable(&agg).ValueOrDie();
+  auto engine = OneThreadEngine();
+  PlanPtr plan = PlanNode::Aggregate(
+      PlanNode::Join(PlanNode::Scan("sales"),
+                     PlanNode::Filter(PlanNode::Scan("products"),
+                                      Gt(Col("price"), Lit(20.0))),
+                     "pid", "id"),
+      {"label"}, {{AggKind::kSum, "qty", "total_qty"}});
+  auto out = engine->ExecuteUnoptimized(plan).ValueOrDie();
   ASSERT_EQ(out->num_rows(), 2u);
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
     const std::string label = out->GetValue(r, 0).AsString();
     const double qty = out->GetValue(r, 1).AsFloat64();
-    if (label == "coat") EXPECT_DOUBLE_EQ(qty, 7.0);
-    if (label == "boot") EXPECT_DOUBLE_EQ(qty, 1.0);
+    if (label == "coat") {
+      EXPECT_DOUBLE_EQ(qty, 7.0);
+    } else {
+      EXPECT_EQ(label, "boot");
+      EXPECT_DOUBLE_EQ(qty, 1.0);
+    }
   }
 }
 

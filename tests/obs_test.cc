@@ -353,8 +353,16 @@ TEST_F(ObsEngineTest, EmbedCacheMetricsSurfaceForCachingModels) {
   EXPECT_NE(json.find("cre_embed_cache_entries"), std::string::npos);
 }
 
-TEST_F(ObsEngineTest, SemanticJoinTraceTreeShape) {
-  auto engine = MakeEngine();
+// The span tree has the same shape at every degree of parallelism.
+class ObsEngineDopTest : public ObsEngineTest,
+                         public ::testing::WithParamInterface<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Threads, ObsEngineDopTest, ::testing::Values(1, 2));
+
+TEST_P(ObsEngineDopTest, SemanticJoinTraceTreeShape) {
+  EngineOptions eo;
+  eo.num_threads = GetParam();
+  auto engine = MakeEngine(eo);
   auto r = engine->Execute(SemanticJoinPlan(SemanticJoinStrategy::kBruteForce));
   ASSERT_TRUE(r.ok()) << r.status().message();
 

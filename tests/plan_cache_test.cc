@@ -408,9 +408,18 @@ TEST_F(PlanCacheTest, SingleFlightPopulation) {
 // Mid-query index adoption
 // ---------------------------------------------------------------------------
 
-TEST_F(PlanCacheTest, MidQueryAdoptionIsByteIdenticalToFallback) {
+// A cold select adopts the finished index mid-query at every degree of
+// parallelism.
+class PlanCacheDopTest : public PlanCacheTest,
+                         public ::testing::WithParamInterface<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Threads, PlanCacheDopTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           kThreads));
+
+TEST_P(PlanCacheDopTest, MidQueryAdoptionIsByteIdenticalToFallback) {
   EngineOptions eo;
-  eo.num_threads = kThreads;
+  eo.num_threads = GetParam();
   eo.morsel_rows = kMorselRows;
   eo.tuning.enabled = false;  // keep morsel/wave geometry fixed
   eo.index.async_builds = true;

@@ -13,6 +13,10 @@
 //   disk load    - a "process restart": a fresh manager over the same
 //                  persist_dir adopts the persisted image (deserialize +
 //                  content-hash validation, no embedding, no build)
+//   append       - the catalog Append itself (no index), median over a
+//                  run of fixed-size batches at the base row count and at
+//                  4x it: new versions share the old rows' buffers, so the
+//                  cost tracks the batch, not the table
 //
 // The last section drives the whole path through the engine: a fresh
 // engine with persist_dir set EXPLAINs the first semantic select as
@@ -24,6 +28,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -57,6 +62,26 @@ double TimeOnce(const std::function<void()>& fn) {
   Timer t;
   fn();
   return t.Seconds();
+}
+
+/// Median seconds of one catalog Append of `batch_rows` rows onto a table
+/// of `rows` rows. One untimed append first moves the table into a shared,
+/// batch-claimed buffer, as any live table's first append does.
+double MedianAppendSeconds(std::size_t rows, std::size_t distinct,
+                           std::size_t batch_rows) {
+  constexpr int kAppends = 15;
+  Catalog catalog;
+  catalog.Put("t", MakeWordTable(rows, distinct, "item_"));
+  const TablePtr batch = MakeWordTable(batch_rows, distinct, "fresh_");
+  catalog.Append("t", *batch).status().Check();
+  std::vector<double> seconds;
+  for (int i = 0; i < kAppends; ++i) {
+    seconds.push_back(
+        TimeOnce([&] { catalog.Append("t", *batch).status().Check(); }));
+  }
+  std::nth_element(seconds.begin(), seconds.begin() + kAppends / 2,
+                   seconds.end());
+  return seconds[kAppends / 2];
 }
 
 void Run(bench::JsonReport* json) {
@@ -118,6 +143,13 @@ void Run(bench::JsonReport* json) {
   const double load_s =
       TimeOnce([&] { restarted.GetOrBuild(key).status().Check(); });
 
+  // Fixed 1000-row batches (the serving benchmark's append size).
+  const std::size_t append_batch = 1000;
+  const double append_base_s =
+      MedianAppendSeconds(rows, distinct, append_batch);
+  const double append_4x_s =
+      MedianAppendSeconds(4 * rows, distinct, append_batch);
+
   const IndexManager::Stats live = manager.stats();
   const IndexManager::Stats warm_start = restarted.stats();
   std::printf("\n%-34s %12s\n", "lifecycle step", "seconds");
@@ -128,6 +160,12 @@ void Run(bench::JsonReport* json) {
   std::printf("%-34s %12.4f\n", "full rebuild of appended table",
               rebuild_s);
   std::printf("%-34s %12.4f\n", "disk load (restart warm start)", load_s);
+  std::printf("%-34s %12.6f\n",
+              ("catalog append, " + std::to_string(rows) + " rows").c_str(),
+              append_base_s);
+  std::printf("%-34s %12.6f\n",
+              ("catalog append, " + std::to_string(4 * rows) + " rows").c_str(),
+              append_4x_s);
   std::printf("\nrefresh speedup vs rebuild: %.1fx\n", rebuild_s / refresh_s);
   std::printf("disk-load speedup vs rebuild: %.1fx\n", rebuild_s / load_s);
   std::printf(
@@ -147,6 +185,9 @@ void Run(bench::JsonReport* json) {
              {"disk_load_s", load_s},
              {"refresh_speedup", rebuild_s / refresh_s},
              {"disk_load_speedup", rebuild_s / load_s},
+             {"append_base_s", append_base_s},
+             {"append_4x_base_s", append_4x_s},
+             {"append_batch_rows", static_cast<double>(append_batch)},
              {"append_pct", static_cast<double>(append_pct)}});
 
   // ---- end-to-end restart through the engine ----

@@ -4,7 +4,7 @@
 
 namespace cre {
 
-void CachingEmbeddingModel::EmbedBatch(const std::vector<std::string>& texts,
+void CachingEmbeddingModel::EmbedBatch(Span<std::string> texts,
                                        float* out) const {
   const std::size_t d = dim();
   constexpr std::size_t kNoMiss = static_cast<std::size_t>(-1);

@@ -32,8 +32,7 @@ class CachingEmbeddingModel : public EmbeddingModel {
   /// Counters match what row-at-a-time Embed() calls would record: the
   /// first occurrence of an uncached string counts as a miss, its
   /// repeats within the batch count as hits.
-  void EmbedBatch(const std::vector<std::string>& texts,
-                  float* out) const override;
+  void EmbedBatch(Span<std::string> texts, float* out) const override;
   std::string name() const override {
     return inner_->name() + "+lru" + std::to_string(capacity_);
   }

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/span.h"
+
 namespace cre {
 
 /// A representation model mapping strings into a latent vector space where
@@ -38,8 +40,7 @@ class EmbeddingModel {
   }
 
   /// Embeds a batch of strings into a row-major matrix out[n x dim].
-  virtual void EmbedBatch(const std::vector<std::string>& texts,
-                          float* out) const {
+  virtual void EmbedBatch(Span<std::string> texts, float* out) const {
     for (std::size_t i = 0; i < texts.size(); ++i) {
       Embed(texts[i], out + i * dim());
     }

@@ -106,7 +106,7 @@ void SynonymStructuredModel::Embed(std::string_view text, float* out) const {
 }
 
 void SynonymStructuredModel::EmbedBatchPrefetch(
-    const std::vector<std::string>& texts, float* out, bool prefetch) const {
+    Span<std::string> texts, float* out, bool prefetch) const {
   const std::size_t n = texts.size();
   const std::size_t dim = options_.dim;
   if (!prefetch) {

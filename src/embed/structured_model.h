@@ -62,14 +62,13 @@ class SynonymStructuredModel : public EmbeddingModel {
   void Embed(std::string_view text, float* out) const override;
   std::string name() const override { return "synonym_structured"; }
   double cost_ns_per_embedding() const override { return 250.0; }
-  void EmbedBatch(const std::vector<std::string>& texts,
-                  float* out) const override {
+  void EmbedBatch(Span<std::string> texts, float* out) const override {
     EmbedBatchPrefetch(texts, out, /*prefetch=*/true);
   }
 
   /// Batch embedding with explicit control over software prefetching of
   /// the vocabulary table and embedding matrix rows (Figure 4 rung E1).
-  void EmbedBatchPrefetch(const std::vector<std::string>& texts, float* out,
+  void EmbedBatchPrefetch(Span<std::string> texts, float* out,
                           bool prefetch) const;
 
   // ---- vocabulary access ----

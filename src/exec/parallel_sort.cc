@@ -17,12 +17,12 @@ namespace {
 /// the serial stable-sort output.
 template <typename T>
 struct KeyLess {
-  const std::vector<T>* data;
+  Span<T> data;
   bool ascending;
 
   bool operator()(std::uint32_t a, std::uint32_t b) const {
-    const T& x = (*data)[a];
-    const T& y = (*data)[b];
+    const T& x = data[a];
+    const T& y = data[b];
     if (ascending) {
       if (x < y) return true;
       if (y < x) return false;
@@ -136,12 +136,12 @@ constexpr std::size_t kMinRunRows = 4096;
 constexpr std::size_t kSplitterOversample = 8;
 
 template <typename T>
-Result<TablePtr> SortTyped(const TablePtr& input, const std::vector<T>& keys,
+Result<TablePtr> SortTyped(const TablePtr& input, Span<T> keys,
                            bool ascending, TaskRunner* pool,
                            std::size_t limit_hint,
                            SortPhaseTimings* timings) {
   const std::size_t n = input->num_rows();
-  const KeyLess<T> less{&keys, ascending};
+  const KeyLess<T> less{keys, ascending};
   const std::size_t threads = pool == nullptr ? 1 : pool->num_threads();
   // Rows the caller actually needs (Sort under LIMIT = top-k).
   const std::size_t wanted = limit_hint == 0 ? n : std::min(limit_hint, n);

@@ -147,7 +147,7 @@ Result<EvalResult> Eval(const Expr& expr, const Table& table) {
       CRE_ASSIGN_OR_RETURN(const Column* col,
                            table.ColumnByName(expr.column_name()));
       EvalResult r;
-      r.column = *col;  // copy; acceptable at batch granularity
+      r.column = *col;  // shares the column buffer: O(1)
       return r;
     }
     case ExprKind::kLiteral: {

@@ -26,7 +26,7 @@ namespace {
 /// Order-sensitive digest of an indexed string column (row count + every
 /// value). This — not the process-local catalog stamp — is what proves a
 /// persisted index image still matches the live table across restarts.
-std::uint64_t ColumnContentHash(const std::vector<std::string>& words) {
+std::uint64_t ColumnContentHash(Span<std::string> words) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   h = HashCombine(h, words.size());
   for (const auto& w : words) h = HashCombine(h, HashString(w));
@@ -78,7 +78,7 @@ class DistinctExpandedIndex : public VectorIndex {
   /// Incremental append of base rows [first, words.size()): known values
   /// extend their postings list, new values embed once and insert into
   /// the inner index. Deterministic given (current state, appended rows).
-  Status AppendRows(const std::vector<std::string>& words, std::size_t first,
+  Status AppendRows(Span<std::string> words, std::size_t first,
                     const EmbeddingModel& model) {
     if (first != rows_ || words.size() < first) {
       return Status::Internal("append prefix does not line up with index");

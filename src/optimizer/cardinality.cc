@@ -69,17 +69,21 @@ Result<double> CardinalityEstimator::SemanticSelectSelectivity(
   const double step = static_cast<double>(words.size()) / n;
 
   const std::size_t dim = model.dim();
-  std::vector<float> qv(dim), wv(dim);
   const std::vector<std::string> queries =
       node.queries.empty() ? std::vector<std::string>{node.query}
                            : node.queries;
+  // Each query embeds once, not once per sampled row.
+  std::vector<float> qm(queries.size() * dim), wv(dim);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    model.Embed(queries[q], qm.data() + q * dim);
+  }
   std::size_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& w = words[static_cast<std::size_t>(i * step)];
     model.Embed(w, wv.data());
-    for (const auto& q : queries) {
-      model.Embed(q, qv.data());
-      if (DotUnrolled(qv.data(), wv.data(), dim) >= node.threshold) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      if (DotUnrolled(qm.data() + q * dim, wv.data(), dim) >=
+          node.threshold) {
         ++hits;
         break;
       }

@@ -20,7 +20,7 @@ struct DistinctBatch {
   std::vector<std::uint32_t> row_to_unique;
 };
 
-DistinctBatch CollectDistinct(const std::vector<std::string>& words) {
+DistinctBatch CollectDistinct(Span<std::string> words) {
   DistinctBatch out;
   out.row_to_unique.resize(words.size());
   std::unordered_map<std::string_view, std::uint32_t> index;

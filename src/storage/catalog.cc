@@ -22,10 +22,9 @@ void Catalog::Put(const std::string& name, TablePtr table) {
 }
 
 Result<TablePtr> Catalog::Append(const std::string& name, const Table& rows) {
-  // The merged table is built OUTSIDE the lock — copying a large base
-  // table under mu_ would stall every concurrent Get/Version/Snapshot
-  // for the duration — and published only if the base version is still
-  // current; a racing mutation restarts the merge from the new base.
+  // The new version is built OUTSIDE the lock and published only if the
+  // base version is still current; a racing mutation restarts the merge
+  // from the new base.
   for (;;) {
     TablePtr old;
     std::uint64_t from = 0;
@@ -39,9 +38,13 @@ Result<TablePtr> Catalog::Append(const std::string& name, const Table& rows) {
       from = versions_.at(name);
     }
     // Tables are immutable once registered (snapshots and in-flight
-    // queries share them), so an append publishes a copy-plus-suffix.
-    auto merged = Table::Make(old->schema());
-    CRE_RETURN_NOT_OK(merged->AppendTable(*old));
+    // queries share them). Copying one copies its column handles, which
+    // is O(#columns): the copy shares the old version's rows, and
+    // appending `rows` claims the slots past them in the same buffers
+    // (or, once those are full or taken, reallocates with std::vector's
+    // doubling), so the append costs O(|rows|) amortized while `old`
+    // keeps reading its own prefix.
+    auto merged = std::make_shared<Table>(*old);
     CRE_RETURN_NOT_OK(merged->AppendTable(rows));
 
     MutexLock lock(mu_);

@@ -24,7 +24,9 @@ namespace cre {
 ///
 /// Append-style mutations additionally record a per-version *row delta*:
 /// the new table is the old table's rows as an unchanged prefix plus
-/// appended rows. Derived artifacts can then refresh incrementally
+/// appended rows. The prefix is shared, not copied: both versions' columns
+/// point into the same append-only buffers (see ColumnStore), each reading
+/// only its own row count. Derived artifacts can then refresh incrementally
 /// (insert only the appended rows) instead of rebuilding; any Put/Drop
 /// breaks the delta chain, so a chain that spans from an artifact's
 /// build stamp to the current stamp proves the artifact's base rows are
@@ -43,9 +45,14 @@ class Catalog {
 
   /// Append-style mutation: publishes a new version of `name` whose rows
   /// are the current rows (unchanged, as a prefix) followed by all rows
-  /// of `rows` (schemas must match). Records the append delta so derived
-  /// artifacts built against any version in the unbroken delta chain can
-  /// refresh incrementally. Returns the new table.
+  /// of `rows` (schemas must match). The new version shares the current
+  /// version's column buffers (prefix sharing) and writes only the
+  /// appended rows, past every row the older versions can see, so an
+  /// append costs O(|rows|) amortized rather than O(table) and pinned
+  /// older versions keep reading their own rows unchanged. Records the
+  /// append delta so derived artifacts built against any version in the
+  /// unbroken delta chain can refresh incrementally. Returns the new
+  /// table.
   Result<TablePtr> Append(const std::string& name, const Table& rows);
 
   Result<TablePtr> Get(const std::string& name) const;

@@ -6,7 +6,7 @@ namespace cre {
 
 Column::Column(DataType type, std::size_t vector_dim) : type_(type) {
   if (type == DataType::kFloatVector) {
-    vec_.dim = vector_dim;
+    vec_dim_ = vector_dim;
   }
 }
 
@@ -22,7 +22,7 @@ std::size_t Column::size() const {
     case DataType::kString:
       return strings_.size();
     case DataType::kFloatVector:
-      return vec_.size();
+      return vec_dim_ == 0 ? 0 : vec_.size() / vec_dim_;
   }
   return 0;
 }
@@ -34,13 +34,13 @@ Status Column::AppendValue(const Value& v) {
       if (!v.is_int64() && !v.is_date()) {
         return Status::TypeError("expected int64/date, got " + v.ToString());
       }
-      i64_.push_back(v.AsInt64());
+      i64_.Push(v.AsInt64());
       return Status::OK();
     case DataType::kFloat64:
       if (v.is_float64()) {
-        f64_.push_back(v.AsFloat64());
+        f64_.Push(v.AsFloat64());
       } else if (v.is_int64()) {
-        f64_.push_back(static_cast<double>(v.AsInt64()));
+        f64_.Push(static_cast<double>(v.AsInt64()));
       } else {
         return Status::TypeError("expected float64, got " + v.ToString());
       }
@@ -49,24 +49,24 @@ Status Column::AppendValue(const Value& v) {
       if (!v.is_bool()) {
         return Status::TypeError("expected bool, got " + v.ToString());
       }
-      bools_.push_back(v.AsBool() ? 1 : 0);
+      bools_.Push(static_cast<std::uint8_t>(v.AsBool() ? 1 : 0));
       return Status::OK();
     case DataType::kString:
       if (!v.is_string()) {
         return Status::TypeError("expected string, got " + v.ToString());
       }
-      strings_.push_back(v.AsString());
+      strings_.Push(v.AsString());
       return Status::OK();
     case DataType::kFloatVector: {
       if (!v.is_vector()) {
         return Status::TypeError("expected vector, got " + v.ToString());
       }
       const auto& vec = v.AsVector();
-      if (vec_.dim == 0) vec_.dim = vec.size();
-      if (vec.size() != vec_.dim) {
+      if (vec_dim_ == 0) vec_dim_ = vec.size();
+      if (vec.size() != vec_dim_) {
         return Status::InvalidArgument("vector dimension mismatch");
       }
-      vec_.flat.insert(vec_.flat.end(), vec.begin(), vec.end());
+      vec_.Append(vec.data(), vec.size(), /*claim_all=*/true);
       return Status::OK();
     }
   }
@@ -76,44 +76,46 @@ Status Column::AppendValue(const Value& v) {
 Value Column::GetValue(std::size_t i) const {
   switch (type_) {
     case DataType::kInt64:
-      return Value(i64_[i]);
+      return Value(i64_.data()[i]);
     case DataType::kDate:
-      return Value::Date(i64_[i]);
+      return Value::Date(i64_.data()[i]);
     case DataType::kFloat64:
-      return Value(f64_[i]);
+      return Value(f64_.data()[i]);
     case DataType::kBool:
-      return Value(bools_[i] != 0);
+      return Value(bools_.data()[i] != 0);
     case DataType::kString:
-      return Value(strings_[i]);
+      return Value(strings_.data()[i]);
     case DataType::kFloatVector: {
-      const float* row = vec_.Row(i);
-      return Value(std::vector<float>(row, row + vec_.dim));
+      const float* row = vec_.data() + i * vec_dim_;
+      return Value(std::vector<float>(row, row + vec_dim_));
     }
   }
   return Value();
 }
 
 Column Column::Take(const std::vector<std::uint32_t>& indices) const {
-  Column out(type_, vec_.dim);
+  Column out(type_, vec_dim_);
   out.Reserve(indices.size());
+  const std::uint32_t* idx = indices.data();
+  const std::size_t n = indices.size();
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate:
-      for (auto i : indices) out.i64_.push_back(i64_[i]);
+      out.i64_.Gather(i64_.data(), idx, n);
       break;
     case DataType::kFloat64:
-      for (auto i : indices) out.f64_.push_back(f64_[i]);
+      out.f64_.Gather(f64_.data(), idx, n);
       break;
     case DataType::kBool:
-      for (auto i : indices) out.bools_.push_back(bools_[i]);
+      out.bools_.Gather(bools_.data(), idx, n);
       break;
     case DataType::kString:
-      for (auto i : indices) out.strings_.push_back(strings_[i]);
+      out.strings_.Gather(strings_.data(), idx, n);
       break;
     case DataType::kFloatVector:
       for (auto i : indices) {
-        out.vec_.flat.insert(out.vec_.flat.end(), vec_.Row(i),
-                             vec_.Row(i) + vec_.dim);
+        out.vec_.Append(vec_.data() + i * vec_dim_, vec_dim_,
+                        /*claim_all=*/true);
       }
       break;
   }
@@ -124,22 +126,35 @@ void Column::ResizeDefault(std::size_t n) {
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate:
-      i64_.resize(n);
+      i64_.ResizeDefault(n);
       break;
     case DataType::kFloat64:
-      f64_.resize(n);
+      f64_.ResizeDefault(n);
       break;
     case DataType::kBool:
-      bools_.resize(n);
+      bools_.ResizeDefault(n);
       break;
     case DataType::kString:
-      strings_.resize(n);
+      strings_.ResizeDefault(n);
       break;
     case DataType::kFloatVector:
-      vec_.flat.resize(n * vec_.dim);
+      vec_.ResizeDefault(n * vec_dim_);
       break;
   }
 }
+
+namespace {
+
+template <typename T>
+void Scatter(ColumnStore<T>* dst_store, const ColumnStore<T>& src,
+             const std::uint32_t* indices, std::size_t count,
+             std::size_t dst) {
+  T* out = dst_store->MutableData() + dst;
+  const T* in = src.data();
+  for (std::size_t i = 0; i < count; ++i) out[i] = in[indices[i]];
+}
+
+}  // namespace
 
 void Column::ScatterFrom(const Column& src, const std::uint32_t* indices,
                          std::size_t count, std::size_t dst) {
@@ -148,32 +163,25 @@ void Column::ScatterFrom(const Column& src, const std::uint32_t* indices,
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate:
-      for (std::size_t i = 0; i < count; ++i) {
-        i64_[dst + i] = src.i64_[indices[i]];
-      }
+      Scatter(&i64_, src.i64_, indices, count, dst);
       break;
     case DataType::kFloat64:
-      for (std::size_t i = 0; i < count; ++i) {
-        f64_[dst + i] = src.f64_[indices[i]];
-      }
+      Scatter(&f64_, src.f64_, indices, count, dst);
       break;
     case DataType::kBool:
-      for (std::size_t i = 0; i < count; ++i) {
-        bools_[dst + i] = src.bools_[indices[i]];
-      }
+      Scatter(&bools_, src.bools_, indices, count, dst);
       break;
     case DataType::kString:
+      Scatter(&strings_, src.strings_, indices, count, dst);
+      break;
+    case DataType::kFloatVector: {
+      float* out = vec_.MutableData();
       for (std::size_t i = 0; i < count; ++i) {
-        strings_[dst + i] = src.strings_[indices[i]];
+        const float* row = src.vec_.data() + indices[i] * vec_dim_;
+        std::copy(row, row + vec_dim_, out + (dst + i) * vec_dim_);
       }
       break;
-    case DataType::kFloatVector:
-      for (std::size_t i = 0; i < count; ++i) {
-        std::copy(src.vec_.Row(indices[i]),
-                  src.vec_.Row(indices[i]) + vec_.dim,
-                  vec_.flat.begin() + (dst + i) * vec_.dim);
-      }
-      break;
+    }
   }
 }
 
@@ -184,49 +192,58 @@ Status Column::AppendColumn(const Column& other) {
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate:
-      i64_.insert(i64_.end(), other.i64_.begin(), other.i64_.end());
+      i64_.Append(other.i64_.data(), other.i64_.size());
       break;
     case DataType::kFloat64:
-      f64_.insert(f64_.end(), other.f64_.begin(), other.f64_.end());
+      f64_.Append(other.f64_.data(), other.f64_.size());
       break;
     case DataType::kBool:
-      bools_.insert(bools_.end(), other.bools_.begin(), other.bools_.end());
+      bools_.Append(other.bools_.data(), other.bools_.size());
       break;
     case DataType::kString:
-      strings_.insert(strings_.end(), other.strings_.begin(),
-                      other.strings_.end());
+      strings_.Append(other.strings_.data(), other.strings_.size());
       break;
     case DataType::kFloatVector:
-      if (vec_.dim == 0) vec_.dim = other.vec_.dim;
-      if (vec_.dim != other.vec_.dim) {
+      if (vec_dim_ == 0) vec_dim_ = other.vec_dim_;
+      if (vec_dim_ != other.vec_dim_) {
         return Status::InvalidArgument("vector dim mismatch in AppendColumn");
       }
-      vec_.flat.insert(vec_.flat.end(), other.vec_.flat.begin(),
-                       other.vec_.flat.end());
+      vec_.Append(other.vec_.data(), other.vec_.size());
       break;
   }
   return Status::OK();
 }
 
+namespace {
+
+/// Heap bytes of a store's element slots: the whole allocation when this
+/// column alone holds it, only its own rows when the buffer is shared.
+template <typename T>
+std::size_t SlotBytes(const ColumnStore<T>& store) {
+  return (store.shared() ? store.size() : store.capacity()) * sizeof(T);
+}
+
+}  // namespace
+
 std::size_t Column::MemoryBytes() const {
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate:
-      return i64_.capacity() * sizeof(std::int64_t);
+      return SlotBytes(i64_);
     case DataType::kFloat64:
-      return f64_.capacity() * sizeof(double);
+      return SlotBytes(f64_);
     case DataType::kBool:
-      return bools_.capacity();
+      return SlotBytes(bools_);
     case DataType::kString: {
-      std::size_t bytes = strings_.capacity() * sizeof(std::string);
-      for (const auto& s : strings_) {
+      std::size_t bytes = SlotBytes(strings_);
+      for (const auto& s : strings_.view()) {
         // SSO strings hold their payload inline in sizeof(std::string).
         if (s.size() >= sizeof(std::string)) bytes += s.capacity();
       }
       return bytes;
     }
     case DataType::kFloatVector:
-      return vec_.flat.capacity() * sizeof(float);
+      return SlotBytes(vec_);
   }
   return 0;
 }
@@ -235,19 +252,19 @@ void Column::Reserve(std::size_t n) {
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate:
-      i64_.reserve(n);
+      i64_.Reserve(n);
       break;
     case DataType::kFloat64:
-      f64_.reserve(n);
+      f64_.Reserve(n);
       break;
     case DataType::kBool:
-      bools_.reserve(n);
+      bools_.Reserve(n);
       break;
     case DataType::kString:
-      strings_.reserve(n);
+      strings_.Reserve(n);
       break;
     case DataType::kFloatVector:
-      vec_.flat.reserve(n * vec_.dim);
+      vec_.Reserve(n * vec_dim_);
       break;
   }
 }

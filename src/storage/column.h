@@ -7,82 +7,74 @@
 
 #include "core/logging.h"
 #include "core/result.h"
+#include "core/span.h"
+#include "storage/column_buffer.h"
 #include "types/data_type.h"
 #include "types/value.h"
 
 namespace cre {
 
-/// Flat storage for a fixed-dimension embedding column: row i occupies
+/// Read-only view of a fixed-dimension embedding column: row i occupies
 /// flat[i*dim .. (i+1)*dim).
-struct VectorColumnData {
+struct VectorColumnView {
   std::size_t dim = 0;
-  std::vector<float> flat;
+  Span<float> flat;
 
   std::size_t size() const { return dim == 0 ? 0 : flat.size() / dim; }
   const float* Row(std::size_t i) const { return flat.data() + i * dim; }
-  float* MutableRow(std::size_t i) { return flat.data() + i * dim; }
 };
 
-/// A typed, dense, in-memory column. Exactly one of the typed vectors is
-/// active, selected by type(). Hot paths access the typed vector directly;
-/// Value-based access exists for boundaries and tests.
+/// A typed, dense, in-memory column. Exactly one of the typed stores is
+/// active, selected by type(). Hot paths read the typed data through a
+/// flat read-only view; Value-based access exists for boundaries and
+/// tests.
+///
+/// The payload is a (shared buffer, row count) pair (see ColumnStore):
+/// copying a column is O(1) and the copy shares the original's rows. Rows
+/// are append-only — no operation rewrites a row another column can see —
+/// so table versions that share a buffer each keep reading exactly their
+/// own rows while a newer version appends.
 class Column {
  public:
   explicit Column(DataType type, std::size_t vector_dim = 0);
 
   DataType type() const { return type_; }
   std::size_t size() const;
-  std::size_t vector_dim() const { return vec_.dim; }
+  std::size_t vector_dim() const { return vec_dim_; }
 
   // ---- typed appends ----
-  void AppendInt64(std::int64_t v) { i64_.push_back(v); }
-  void AppendFloat64(double v) { f64_.push_back(v); }
-  void AppendBool(bool v) { bools_.push_back(v ? 1 : 0); }
-  void AppendString(std::string v) { strings_.push_back(std::move(v)); }
+  void AppendInt64(std::int64_t v) { i64_.Push(v); }
+  void AppendFloat64(double v) { f64_.Push(v); }
+  void AppendBool(bool v) { bools_.Push(static_cast<std::uint8_t>(v ? 1 : 0)); }
+  void AppendString(std::string v) { strings_.Push(std::move(v)); }
   void AppendVector(const float* v, std::size_t dim) {
-    CRE_CHECK(dim == vec_.dim);
-    vec_.flat.insert(vec_.flat.end(), v, v + dim);
+    CRE_CHECK(dim == vec_dim_);
+    vec_.Append(v, dim, /*claim_all=*/true);
   }
 
   /// Appends a boxed value; checks the type tag matches.
   Status AppendValue(const Value& v);
 
-  // ---- typed access (aborts on wrong type: internal invariant) ----
-  const std::vector<std::int64_t>& i64() const {
+  // ---- typed read-only views (abort on wrong type: internal invariant) ----
+  Span<std::int64_t> i64() const {
     CRE_CHECK(type_ == DataType::kInt64 || type_ == DataType::kDate);
-    return i64_;
+    return i64_.view();
   }
-  std::vector<std::int64_t>& mutable_i64() {
-    CRE_CHECK(type_ == DataType::kInt64 || type_ == DataType::kDate);
-    return i64_;
-  }
-  const std::vector<double>& f64() const {
+  Span<double> f64() const {
     CRE_CHECK(type_ == DataType::kFloat64);
-    return f64_;
+    return f64_.view();
   }
-  std::vector<double>& mutable_f64() {
-    CRE_CHECK(type_ == DataType::kFloat64);
-    return f64_;
-  }
-  const std::vector<std::uint8_t>& bools() const {
+  Span<std::uint8_t> bools() const {
     CRE_CHECK(type_ == DataType::kBool);
-    return bools_;
+    return bools_.view();
   }
-  const std::vector<std::string>& strings() const {
+  Span<std::string> strings() const {
     CRE_CHECK(type_ == DataType::kString);
-    return strings_;
+    return strings_.view();
   }
-  std::vector<std::string>& mutable_strings() {
-    CRE_CHECK(type_ == DataType::kString);
-    return strings_;
-  }
-  const VectorColumnData& vectors() const {
+  VectorColumnView vectors() const {
     CRE_CHECK(type_ == DataType::kFloatVector);
-    return vec_;
-  }
-  VectorColumnData& mutable_vectors() {
-    CRE_CHECK(type_ == DataType::kFloatVector);
-    return vec_;
+    return VectorColumnView{vec_dim_, vec_.view()};
   }
 
   /// Boxed read of row i.
@@ -96,29 +88,35 @@ class Column {
 
   /// Scattered gather: writes src rows indices[0..count) into this
   /// column's rows [dst, dst+count). The column must already span row
-  /// dst+count (ResizeDefault). Writers filling disjoint [dst, dst+count)
-  /// ranges may run concurrently: every element (bools are distinct
-  /// bytes, strings distinct objects) belongs to exactly one range.
+  /// dst+count (ResizeDefault) and share its buffer with no other column.
+  /// Writers filling disjoint [dst, dst+count) ranges may run
+  /// concurrently: every element (bools are distinct bytes, strings
+  /// distinct objects) belongs to exactly one range.
   void ScatterFrom(const Column& src, const std::uint32_t* indices,
                    std::size_t count, std::size_t dst);
 
-  /// Appends all rows of `other` (same type) onto this column.
+  /// Appends all rows of `other` (same type) onto this column. Claims
+  /// exactly the slots it fills, so a copy of the result can extend the
+  /// same buffer in turn (Catalog::Append's chain of versions).
   Status AppendColumn(const Column& other);
 
   void Reserve(std::size_t n);
 
   /// Estimated heap bytes held by this column's payload (string bytes
   /// included). Used by the resource governor to charge materialized
-  /// state; an estimate, not an allocator measurement.
+  /// state; an estimate, not an allocator measurement. A column that
+  /// shares its buffer counts only its own rows, not the spare capacity
+  /// (which belongs to whichever version appends next).
   std::size_t MemoryBytes() const;
 
  private:
   DataType type_;
-  std::vector<std::int64_t> i64_;       // kInt64, kDate
-  std::vector<double> f64_;             // kFloat64
-  std::vector<std::uint8_t> bools_;     // kBool
-  std::vector<std::string> strings_;    // kString
-  VectorColumnData vec_;                // kFloatVector
+  std::size_t vec_dim_ = 0;                // kFloatVector
+  ColumnStore<std::int64_t> i64_;          // kInt64, kDate
+  ColumnStore<double> f64_;                // kFloat64
+  ColumnStore<std::uint8_t> bools_;        // kBool
+  ColumnStore<std::string> strings_;       // kString
+  ColumnStore<float> vec_;                 // kFloatVector, row-major
 };
 
 }  // namespace cre

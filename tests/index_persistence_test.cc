@@ -169,8 +169,26 @@ TEST(CatalogAppendTest, AppendRejectsSchemaMismatch) {
   other.AddField({"price", DataType::kFloat64, 0});
   auto bad = Table::Make(other);
   bad->AppendRow({Value(1.0)}).Check();
+  const std::uint64_t version = catalog.Version("t");
+  const TablePtr before = catalog.Get("t").ValueOrDie();
   EXPECT_FALSE(catalog.Append("t", *bad).ok());
   EXPECT_FALSE(catalog.Append("missing", *bad).ok());
+
+  // The rejection publishes nothing: same stamp, same rows.
+  EXPECT_EQ(catalog.Version("t"), version);
+  const TablePtr after = catalog.Get("t").ValueOrDie();
+  EXPECT_EQ(after.get(), before.get());
+  EXPECT_EQ(after->column(0).strings(), Span<std::string>(Words(4, "a_")));
+
+  // A following valid append still extends the table.
+  auto good = catalog.Append("t", *MakeStringTable(Words(2, "b_")));
+  ASSERT_TRUE(good.ok());
+  EXPECT_GT(catalog.Version("t"), version);
+  const TablePtr grown = catalog.Get("t").ValueOrDie();
+  ASSERT_EQ(grown->num_rows(), 6u);
+  EXPECT_EQ(grown->column(0).strings()[3], "a_3");
+  EXPECT_EQ(grown->column(0).strings()[5], "b_1");
+  EXPECT_EQ(before->num_rows(), 4u);
 }
 
 // ---- per-family Save/Load round trips ----

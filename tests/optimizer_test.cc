@@ -1,4 +1,7 @@
+#include <atomic>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -153,6 +156,44 @@ TEST_F(OptimizerTest, CardinalitySemanticSelectSampled) {
                            &engine_->detectors());
   ASSERT_TRUE(est.Annotate(plan.get()).ok());
   EXPECT_NEAR(plan->est_rows / 800.0, 0.375, 0.1);
+}
+
+/// Forwards to a real model and counts every embedding it computes.
+class CountingModel : public EmbeddingModel {
+ public:
+  explicit CountingModel(EmbeddingModelPtr inner) : inner_(std::move(inner)) {}
+  std::size_t dim() const override { return inner_->dim(); }
+  void Embed(std::string_view text, float* out) const override {
+    ++embeds_;
+    inner_->Embed(text, out);
+  }
+  std::string name() const override { return "counting"; }
+  std::size_t embeds() const { return embeds_.load(); }
+
+ private:
+  EmbeddingModelPtr inner_;
+  mutable std::atomic<std::size_t> embeds_{0};
+};
+
+TEST_F(OptimizerTest, SemanticSelectSelectivityEmbedsEachQueryOnce) {
+  auto counting = std::make_shared<CountingModel>(model_);
+  engine_->models().Put("counted", counting);
+  auto plan = PlanNode::SemanticSelect(PlanNode::Scan("products"), "label",
+                                       "jacket", "counted", 0.85f);
+  plan->queries = {"jacket", "shoes", "cat", "lamp"};
+  CardinalityEstimator est(&engine_->catalog(), &engine_->models(),
+                           &engine_->detectors());
+  ASSERT_TRUE(est.Annotate(plan.get()).ok());
+  const std::size_t samples = CardinalityOptions{}.sample_size;
+  EXPECT_LE(counting->embeds(), samples + plan->queries.size());
+  EXPECT_GT(counting->embeds(), 0u);
+
+  // Same estimate as the uncounted model: counting changes no vector.
+  auto reference = PlanNode::SemanticSelect(PlanNode::Scan("products"),
+                                            "label", "jacket", "m", 0.85f);
+  reference->queries = plan->queries;
+  ASSERT_TRUE(est.Annotate(reference.get()).ok());
+  EXPECT_EQ(plan->est_rows, reference->est_rows);
 }
 
 TEST_F(OptimizerTest, JoinReorderPutsSmallSideRight) {

@@ -12,9 +12,11 @@
 //
 // Each workload runs at 1/2/4/8 worker threads and reports wall time and
 // speedup vs the 1-thread run, plus the phase breakdown (local sort vs
-// merge, partition vs merge) at the highest thread count. The table
-// prints on any machine; the speedups are only meaningful on a
-// multi-core runner (single-core machines print ~1.0x).
+// merge, accumulate vs merge) at the highest thread count, read from the
+// EXPLAIN ANALYZE trace. The table prints on any machine; the speedups
+// are only meaningful on a multi-core runner (single-core machines print
+// ~1.0x). The bench exits nonzero when the trace carries no sort or no
+// aggregate phase.
 //
 // The last section fits cost-model constants from the measurements:
 // CostParams::parallel_fraction via Amdahl inversion of the observed
@@ -23,6 +25,7 @@
 // optimizer/cost_model.h.
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,6 +77,21 @@ double TimeExecute(Engine* engine, const PlanPtr& plan) {
   return best;
 }
 
+/// Value of trace attribute `key` in an EXPLAIN ANALYZE rendering (its
+/// spans print attributes as ` {key=value, ...}`), or "" when absent.
+std::string TraceAttr(const std::string& explain, const std::string& key) {
+  const std::size_t trace = explain.find("trace:\n");
+  if (trace == std::string::npos) return "";
+  for (const char* prefix : {"{", " "}) {
+    const std::string needle = prefix + key + "=";
+    const std::size_t pos = explain.find(needle, trace);
+    if (pos == std::string::npos) continue;
+    const std::size_t begin = pos + needle.size();
+    return explain.substr(begin, explain.find_first_of(",}\n", begin) - begin);
+  }
+  return "";
+}
+
 void PrintTable(const std::vector<std::size_t>& threads,
                 const std::vector<Workload>& workloads) {
   std::printf("\n%-28s", "workload \\ threads");
@@ -96,7 +114,9 @@ void PrintTable(const std::vector<std::size_t>& threads,
   }
 }
 
-void RunParallelTails(bench::JsonReport* json) {
+/// Returns false when the EXPLAIN ANALYZE trace lacks the sort or the
+/// aggregate phase timings.
+bool RunParallelTails(bench::JsonReport* json) {
   const std::size_t n_rows = bench::EnvSize("CRE_TAILS_ROWS", 200000);
   const std::size_t n_groups = bench::EnvSize("CRE_TAILS_GROUPS", 50000);
   const std::size_t n_vecs = bench::EnvSize("CRE_TAILS_VECS", 20000);
@@ -178,21 +198,49 @@ void RunParallelTails(bench::JsonReport* json) {
   }
 
   // ---- phase breakdown at the highest thread count ----
+  bool phases_found = false;
   {
     EngineOptions eo;
     eo.num_threads = thread_counts.back();
     Engine engine(eo);
     engine.catalog().Put("rows", rows);
-    auto analyzed_sort = engine.ExecuteWithStats(sort_plan).ValueOrDie();
-    auto analyzed_agg = engine.ExecuteWithStats(agg_plan).ValueOrDie();
-    std::printf("\n--- phase breakdown at %zu threads ---\n",
+    const std::string sort = engine.ExplainAnalyze(sort_plan).ValueOrDie();
+    const std::string limit = engine.ExplainAnalyze(limit_plan).ValueOrDie();
+    const std::string agg = engine.ExplainAnalyze(agg_plan).ValueOrDie();
+    std::printf("\n--- phase breakdown at %zu threads (EXPLAIN ANALYZE "
+                "trace) ---\n",
                 thread_counts.back());
-    for (const auto* analyzed : {&analyzed_sort, &analyzed_agg}) {
-      for (const auto& slot : analyzed->stats->slots()) {
-        if (slot->name.find("phase:") == std::string::npos) continue;
-        std::printf("%-52s %10.3f ms\n", slot->name.c_str(),
-                    slot->next_seconds.load() * 1e3);
-      }
+    const std::string local_ms = TraceAttr(sort, "local_sort_ms");
+    const std::string merge_ms = TraceAttr(sort, "merge_ms");
+    const std::string acc_ms = TraceAttr(agg, "agg_accumulate_ms");
+    const std::string agg_merge_ms = TraceAttr(agg, "agg_merge_ms");
+    const std::string partitions = TraceAttr(agg, "agg_partitions");
+    const std::string sort_runs =
+        "sort: local sort (" + TraceAttr(sort, "runs") + " runs)";
+    const std::string sort_merge =
+        "sort: merge (" + TraceAttr(sort, "merge_partitions") + " partitions)";
+    const std::string agg_acc =
+        "aggregate [" + TraceAttr(agg, "agg_mode") +
+        (partitions.empty() ? "" : ", " + partitions + " partitions") +
+        "]: accumulate";
+    std::printf("%-44s %10.3f ms\n", sort_runs.c_str(),
+                std::atof(local_ms.c_str()));
+    std::printf("%-44s %10.3f ms\n", sort_merge.c_str(),
+                std::atof(merge_ms.c_str()));
+    std::printf("%-44s %10.3f ms\n", agg_acc.c_str(),
+                std::atof(acc_ms.c_str()));
+    std::printf("%-44s %10.3f ms\n", "aggregate: merge",
+                std::atof(agg_merge_ms.c_str()));
+    std::printf("limit: %s/%s morsels run under the shared row budget\n",
+                TraceAttr(limit, "morsels_run").c_str(),
+                TraceAttr(limit, "morsels_total").c_str());
+    phases_found = !local_ms.empty() && !merge_ms.empty() &&
+                   !acc_ms.empty() && !agg_merge_ms.empty();
+    if (!phases_found) {
+      std::fprintf(stderr,
+                   "fig_parallel_tails: EXPLAIN ANALYZE trace lacks the sort "
+                   "or aggregate phases\n%s\n%s",
+                   sort.c_str(), agg.c_str());
     }
   }
 
@@ -242,6 +290,7 @@ void RunParallelTails(bench::JsonReport* json) {
               "dot_per_dim=0.35); at hnsw_expansion_factor=28 that implies "
               "hnsw_build_cost_multiplier = %.2f\n",
               build_ns_per_row, fitted_product, fitted_product / 28.0);
+  return phases_found;
 }
 
 }  // namespace
@@ -250,6 +299,6 @@ void RunParallelTails(bench::JsonReport* json) {
 int main(int argc, char** argv) {
   cre::bench::JsonReport json("fig_parallel_tails",
                               cre::bench::JsonPathFromArgs(argc, argv));
-  cre::RunParallelTails(&json);
-  return json.Write() ? 0 : 1;
+  const bool phases_found = cre::RunParallelTails(&json);
+  return json.Write() && phases_found ? 0 : 1;
 }

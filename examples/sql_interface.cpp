@@ -2,7 +2,7 @@
 // with the paper's semantic operators (SEMANTIC JOIN, SIMILAR TO,
 // SEMANTIC GROUP BY, DETECT sources). The same Fig. 2 query as
 // shopping_analytics.cpp, now as one statement, plus EXPLAIN and
-// per-operator execution statistics (EXPLAIN ANALYZE).
+// per-node execution statistics (EXPLAIN ANALYZE).
 
 #include <cstdio>
 
@@ -41,14 +41,13 @@ int main() {
   std::printf("=== optimized plan ===\n%s\n",
               sql::ExplainSql(&engine, query).ValueOrDie().c_str());
 
-  // EXPLAIN ANALYZE: run with per-operator instrumentation.
-  auto plan = sql::ParseSql(query).ValueOrDie();
-  auto analyzed = engine.ExecuteWithStats(plan).ValueOrDie();
+  auto result = sql::ExecuteSql(&engine, query).ValueOrDie();
   std::printf("=== result (top 10 by similarity) ===\n%s\n",
-              analyzed.table->ToString(10).c_str());
-  std::printf("=== execution statistics (%.1f ms total) ===\n%s\n",
-              analyzed.total_seconds * 1e3,
-              analyzed.stats->ToString().c_str());
+              result->ToString(10).c_str());
+
+  // EXPLAIN ANALYZE: run again with per-node instrumentation and a trace.
+  std::printf("=== execution statistics ===\n%s\n",
+              sql::ExplainAnalyzeSql(&engine, query).ValueOrDie().c_str());
 
   // A second statement: revenue per consolidated clothing concept.
   auto revenue =

@@ -549,14 +549,13 @@ Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {
 }
 
 std::shared_ptr<QueryTrace> Engine::AdmitForObs(QueryContext* ctx,
-                                                const char* kind,
-                                                bool force_trace) {
+                                                const char* kind) {
   const std::uint64_t id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   ctx->set_query_id(id);
   const std::uint64_t every = options_.obs.trace_sample_every;
   std::shared_ptr<QueryTrace> trace;
-  if (force_trace || (every > 0 && (id - 1) % every == 0)) {
+  if (ctx->stats() != nullptr || (every > 0 && (id - 1) % every == 0)) {
     trace = std::make_shared<QueryTrace>(id, kind);
     ctx->set_trace(trace.get());
     if (metrics_->enabled()) {
@@ -627,7 +626,8 @@ void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
 }
 
 Result<TablePtr> Engine::RunTracked(QueryContext* ctx, const PlanPtr& plan,
-                                    bool optimize, const char* kind) {
+                                    bool optimize, const char* kind,
+                                    AnalyzedRun* analyzed) {
   std::shared_ptr<QueryTrace> trace = AdmitForObs(ctx, kind);
   Timer timer;
   std::size_t rows = 0;
@@ -635,7 +635,13 @@ Result<TablePtr> Engine::RunTracked(QueryContext* ctx, const PlanPtr& plan,
     PlanPtr physical = plan;
     if (optimize) {
       CRE_ASSIGN_OR_RETURN(
-          physical, OptimizePlan(ctx, plan, trace.get(), /*origin=*/nullptr));
+          physical,
+          OptimizePlan(ctx, plan, trace.get(),
+                       analyzed != nullptr ? &analyzed->plan_origin : nullptr));
+    }
+    if (analyzed != nullptr) {
+      analyzed->physical = physical;
+      analyzed->before_execute(*physical);
     }
     ScopedSpan span(trace.get(), nullptr, "execute");
     ctx->set_trace_parent(span.span());
@@ -652,8 +658,12 @@ Result<TablePtr> Engine::RunTracked(QueryContext* ctx, const PlanPtr& plan,
       ctx->cancel_flag()->deadline_exceeded()) {
     result = Status::DeadlineExceeded("query deadline exceeded");
   }
-  FinishQuery(ctx, kind, timer.Seconds(), result.status(), rows,
-              std::move(trace));
+  const double seconds = timer.Seconds();
+  if (analyzed != nullptr) {
+    analyzed->seconds = seconds;
+    analyzed->trace = trace;
+  }
+  FinishQuery(ctx, kind, seconds, result.status(), rows, std::move(trace));
   return result;
 }
 
@@ -667,31 +677,6 @@ Result<TablePtr> Engine::Execute(const PlanPtr& plan,
                                  const QueryOptions& query) {
   CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, /*stats=*/nullptr));
   return RunTracked(&ctx, plan, /*optimize=*/true, "execute");
-}
-
-Result<Engine::AnalyzedResult> Engine::ExecuteWithStats(
-    const PlanPtr& plan, const QueryOptions& query) {
-  AnalyzedResult out;
-  out.stats = std::make_shared<StatsCollector>();
-  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, out.stats.get()));
-
-  Timer timer;
-  auto result = RunTracked(&ctx, plan, /*optimize=*/true, "stats");
-  out.total_seconds = timer.Seconds();
-  if (!result.ok()) return result.status();
-  out.table = std::move(result).ValueUnsafe();
-
-  // Surface the serving layer next to the operator timings: how long
-  // this query's tasks queued behind concurrently admitted work.
-  out.scheduling = ctx.scheduling();
-  out.stats
-      ->AddSlot("Scheduler: queue wait (" +
-                std::to_string(out.scheduling.tasks_dispatched) +
-                " task dispatches)")
-      ->AddBatch(0, out.scheduling.queue_wait_seconds);
-  out.stats->AddSlot("Scheduler: admission wait")
-      ->AddBatch(0, out.scheduling.admission_seconds);
-  return out;
 }
 
 Result<std::string> Engine::Explain(const PlanPtr& plan) {
@@ -757,8 +742,7 @@ void CollectIndexKeys(const PlanNode& node, std::vector<IndexKey>* out) {
 }
 
 /// Recursive measured-plan rendering: each node's Describe() line plus the
-/// executed counters looked up by plan-node identity, with breaker phase
-/// breakdowns as sub-lines.
+/// executed counters looked up by plan-node identity.
 void RenderAnalyzedNode(const PlanNode& node, int depth,
                         const StatsCollector& stats, std::size_t engine_dop,
                         std::string* out) {
@@ -783,19 +767,6 @@ void RenderAnalyzedNode(const PlanNode& node, int depth,
     *out += "  [folded]";
   }
   *out += "\n";
-  for (const auto& phase : stats.PhasesFor(&node)) {
-    if (phase.first == 0) continue;
-    out->append(static_cast<std::size_t>(depth) * 2 + 2, ' ');
-    // Phase slot names carry their own "  Sort phase: ..." indent; trim it.
-    const std::string& name = phase.second->name;
-    std::size_t start = name.find_first_not_of(' ');
-    if (start == std::string::npos) start = 0;
-    char buf[96];
-    std::snprintf(
-        buf, sizeof(buf), "%s  wall=%.3fms\n", name.substr(start).c_str(),
-        phase.second->next_seconds.load(std::memory_order_relaxed) * 1e3);
-    *out += buf;
-  }
   for (const PlanPtr& child : node.children) {
     RenderAnalyzedNode(*child, depth + 1, stats, engine_dop, out);
   }
@@ -807,54 +778,34 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
                                            const QueryOptions& query) {
   StatsCollector stats;
   CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, &stats));
-  std::shared_ptr<QueryTrace> trace =
-      AdmitForObs(&ctx, "explain_analyze", /*force_trace=*/true);
-
-  PlanPtr optimized;
-  std::string plan_origin;
-  CRE_ASSIGN_OR_RETURN(optimized,
-                       OptimizePlan(&ctx, plan, trace.get(), &plan_origin));
-
   // Residency of every managed index the plan consults, probed before and
   // after execution — the rendering shows the transition the execution
   // itself caused (on-disk -> resident for a warm start, absent ->
   // building for a kicked-off background build, ...).
   std::vector<IndexKey> index_keys;
-  if (options_.index.enabled) CollectIndexKeys(*optimized, &index_keys);
   std::vector<IndexResidency> residency_before;
-  residency_before.reserve(index_keys.size());
-  for (const IndexKey& key : index_keys) {
-    residency_before.push_back(index_manager_->Residency(key));
-  }
-
-  Timer timer;
-  Result<TablePtr> result = [&]() -> Result<TablePtr> {
-    ScopedSpan span(trace.get(), nullptr, "execute");
-    ctx.set_trace_parent(span.span());
-    auto r = RunPhysical(&ctx, optimized);
-    ctx.set_trace_parent(nullptr);
-    return r;
-  }();
-  if (!result.ok() && result.status().IsCancelled() &&
-      ctx.cancel_flag() != nullptr && ctx.cancel_flag()->deadline_exceeded()) {
-    result = Status::DeadlineExceeded("query deadline exceeded");
-  }
-  const double total_seconds = timer.Seconds();
-  const std::size_t rows =
-      result.ok() ? result.ValueUnsafe()->num_rows() : 0;
-  FinishQuery(&ctx, "explain_analyze", total_seconds, result.status(), rows,
-              trace);
-  CRE_RETURN_NOT_OK(result.status());
+  AnalyzedRun run;
+  run.before_execute = [&](const PlanNode& physical) {
+    if (options_.index.enabled) CollectIndexKeys(physical, &index_keys);
+    residency_before.reserve(index_keys.size());
+    for (const IndexKey& key : index_keys) {
+      residency_before.push_back(index_manager_->Residency(key));
+    }
+  };
+  CRE_ASSIGN_OR_RETURN(
+      TablePtr table,
+      RunTracked(&ctx, plan, /*optimize=*/true, "explain_analyze", &run));
+  const std::size_t rows = table->num_rows();
 
   const std::size_t dop = pool_->num_threads();
   std::string out;
   char head[96];
   std::snprintf(head, sizeof(head),
                 "EXPLAIN ANALYZE  wall=%.3fms rows=%zu dop=%zu\n",
-                total_seconds * 1e3, rows, dop);
+                run.seconds * 1e3, rows, dop);
   out += head;
-  out += "plan: " + plan_origin + "\n";
-  RenderAnalyzedNode(*optimized, 0, stats, dop, &out);
+  out += "plan: " + run.plan_origin + "\n";
+  RenderAnalyzedNode(*run.physical, 0, stats, dop, &out);
 
   const SchedulingCounters sched = ctx.scheduling();
   char sched_line[160];
@@ -898,9 +849,9 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
     }
   }
 
-  out += DescribePipelines(*optimized, dop,
+  out += DescribePipelines(*run.physical, dop,
                            knob_tuner_->radix_agg_min_groups());
-  out += "trace:\n" + trace->ToString();
+  out += "trace:\n" + run.trace->ToString();
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -168,21 +169,6 @@ class Engine {
   /// once; each call is admitted as an independent query.
   Result<TablePtr> Execute(const PlanPtr& plan, const QueryOptions& query = {});
 
-  /// Execution result with per-operator counters (EXPLAIN ANALYZE).
-  struct AnalyzedResult {
-    TablePtr table;
-    std::shared_ptr<StatsCollector> stats;
-    double total_seconds = 0;
-    /// Serving-layer counters for this query: queue wait, admission
-    /// latency, task dispatches (no dispatches at dop 1, where the
-    /// driver runs every pipeline on the calling thread).
-    SchedulingCounters scheduling;
-  };
-
-  /// Optimizes and executes with per-operator instrumentation.
-  Result<AnalyzedResult> ExecuteWithStats(const PlanPtr& plan,
-                                          const QueryOptions& query = {});
-
   /// Executes the plan exactly as written (the "analyst's hand-rolled
   /// pipeline") — the baseline side of E3/E8. Uses the same parallel
   /// driver as Execute, just without the optimizer pass.
@@ -194,12 +180,14 @@ class Engine {
   /// background builds) the query would be admitted into.
   Result<std::string> Explain(const PlanPtr& plan);
 
-  /// EXPLAIN ANALYZE: optimizes and *executes* the plan (always traced,
-  /// always instrumented), then renders the plan tree annotated with
-  /// measured per-node wall time, rows, batches, and dop — plus breaker
-  /// phase breakdowns, scheduling waits, managed-index residency
-  /// transitions observed across the execution, the pipeline routing,
-  /// and the query's span tree.
+  /// EXPLAIN ANALYZE: optimizes and *executes* the plan on Execute's
+  /// tracked path (always traced, always instrumented), then renders the
+  /// plan tree annotated with measured per-node wall time, rows, batches,
+  /// and dop — plus scheduling waits, managed-index residency transitions
+  /// observed across the execution, the pipeline routing, and the
+  /// query's span tree, whose breaker spans carry the phase breakdowns
+  /// (sort runs and merge, aggregation accumulate and merge, LIMIT
+  /// budget).
   Result<std::string> ExplainAnalyze(const PlanPtr& plan,
                                      const QueryOptions& query = {});
 
@@ -260,18 +248,31 @@ class Engine {
   /// Registers the pull-style metric collectors (scheduler, index
   /// manager, embed caches, kernel dispatch) on metrics_.
   void RegisterCollectors();
-  /// Allocates the query id and, when this query is sampled (or `force`),
-  /// its trace. Wires both into `ctx`.
-  std::shared_ptr<QueryTrace> AdmitForObs(QueryContext* ctx, const char* kind,
-                                          bool force_trace = false);
+  /// Allocates the query id and, when this query is sampled or analyzed
+  /// (ctx carries a StatsCollector), its trace. Wires both into `ctx`.
+  std::shared_ptr<QueryTrace> AdmitForObs(QueryContext* ctx, const char* kind);
   /// Telemetry tail of every query: latency/queue-wait histograms, status
   /// counters, trace ring push, slow-query log.
   void FinishQuery(QueryContext* ctx, const char* kind, double seconds,
                    const Status& status, std::size_t rows,
                    std::shared_ptr<QueryTrace> trace);
-  /// Shared optimize → execute path with tracing + telemetry around it.
+  /// What EXPLAIN ANALYZE reads back from its tracked run.
+  struct AnalyzedRun {
+    /// Called with the physical plan just before it executes.
+    std::function<void(const PlanNode&)> before_execute;
+    PlanPtr physical;  ///< null when planning failed
+    std::string plan_origin;
+    /// Admission to finish, optimization included (the same figure
+    /// cre_query_seconds observes).
+    double seconds = 0;
+    std::shared_ptr<QueryTrace> trace;
+  };
+  /// The one optimize → execute path, with tracing + telemetry around
+  /// it, shared by every entry point. `analyzed` is non-null only for
+  /// EXPLAIN ANALYZE.
   Result<TablePtr> RunTracked(QueryContext* ctx, const PlanPtr& plan,
-                              bool optimize, const char* kind);
+                              bool optimize, const char* kind,
+                              AnalyzedRun* analyzed = nullptr);
   /// The planning front door shared by Execute and EXPLAIN ANALYZE:
   /// plan-cache lookup (when enabled) with single-flight population,
   /// falling back to a full optimizer pass. `origin` (optional) receives

@@ -55,8 +55,8 @@ Result<TablePtr> ParallelPlanDriver::Run(const PlanNode& root) {
 OperatorPtr ParallelPlanDriver::Instrument(const PlanNode* node,
                                            OperatorPtr op) {
   if (stats_ == nullptr) return op;
-  OperatorStats* slot = stats_->SlotFor(node, op->name());
-  return std::make_unique<InstrumentedOperator>(std::move(op), slot);
+  return std::make_unique<InstrumentedOperator>(std::move(op),
+                                                stats_->SlotFor(node));
 }
 
 Result<TablePtr> ParallelPlanDriver::MaterializeSource(
@@ -374,21 +374,12 @@ Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,
                 engine_->knob_tuner()->footprints()));
   span.Annotate("rows", std::to_string(out->num_rows()));
   span.Annotate("runs", std::to_string(timings.runs));
+  span.Annotate("merge_partitions", std::to_string(timings.merge_partitions));
   span.Annotate("local_sort_ms",
                 std::to_string(timings.local_sort_seconds * 1e3));
   span.Annotate("merge_ms", std::to_string(timings.merge_seconds * 1e3));
   if (stats_ != nullptr) {
-    stats_->SlotFor(&sort, "Sort(" + sort.sort_key + ")")
-        ->AddBatch(out->num_rows(), timer.Seconds());
-    stats_->SlotFor(&sort, 1,
-                    "  Sort phase: local sort (" +
-                        std::to_string(timings.runs) + " runs)")
-        ->AddBatch(0, timings.local_sort_seconds);
-    stats_->SlotFor(&sort, 2,
-                    "  Sort phase: merge (" +
-                        std::to_string(timings.merge_partitions) +
-                        " partitions)")
-        ->AddBatch(0, timings.merge_seconds);
+    stats_->SlotFor(&sort)->AddBatch(out->num_rows(), timer.Seconds());
   }
   return out;
 }
@@ -409,10 +400,11 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
     if (sorted->num_rows() > limit.limit) {
       sorted = sorted->Slice(0, limit.limit);
     }
+    if (trace_ != nullptr && span_parent_ != nullptr) {
+      trace_->Annotate(span_parent_, "top_k", std::to_string(limit.limit));
+    }
     if (stats_ != nullptr) {
-      stats_->SlotFor(&limit, "Limit(" + std::to_string(limit.limit) +
-                                  ") [top-k sort]")
-          ->AddBatch(sorted->num_rows(), timer.Seconds());
+      stats_->SlotFor(&limit)->AddBatch(sorted->num_rows(), timer.Seconds());
     }
     return sorted;
   }
@@ -436,14 +428,14 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
             return BuildChain(segment, slice, joins, selects);
           },
           limit.limit, options, &budget));
+  if (trace_ != nullptr && span_parent_ != nullptr) {
+    trace_->Annotate(span_parent_, "morsels_run",
+                     std::to_string(budget.morsels_run));
+    trace_->Annotate(span_parent_, "morsels_total",
+                     std::to_string(budget.morsels_total));
+  }
   if (stats_ != nullptr) {
-    stats_->SlotFor(&limit,
-                    "Limit(" + std::to_string(limit.limit) +
-                        ") [shared row budget: " +
-                        std::to_string(budget.morsels_run) + "/" +
-                        std::to_string(budget.morsels_total) +
-                        " morsels run]")
-        ->AddBatch(out->num_rows(), timer.Seconds());
+    stats_->SlotFor(&limit)->AddBatch(out->num_rows(), timer.Seconds());
   }
   return out;
 }
@@ -544,8 +536,7 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     }
     CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
     if (stats_ != nullptr) {
-      stats_->SlotFor(&agg, "Aggregate")
-          ->AddBatch(out->num_rows(), timer.Seconds());
+      stats_->SlotFor(&agg)->AddBatch(out->num_rows(), timer.Seconds());
     }
     return out;
   }
@@ -694,21 +685,17 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
 
   if (trace_ != nullptr && span_parent_ != nullptr) {
     trace_->Annotate(span_parent_, "agg_mode", use_radix ? "radix" : "hash");
+    if (use_radix) {
+      trace_->Annotate(span_parent_, "agg_partitions",
+                       std::to_string(partitions_used));
+    }
     trace_->Annotate(span_parent_, "agg_accumulate_ms",
                      std::to_string(accumulate_seconds * 1e3));
     trace_->Annotate(span_parent_, "agg_merge_ms",
                      std::to_string(merge_seconds * 1e3));
   }
   if (stats_ != nullptr) {
-    const std::string label =
-        use_radix ? "Aggregate [radix, " + std::to_string(partitions_used) +
-                        " partitions]"
-                  : "Aggregate";
-    stats_->SlotFor(&agg, label)->AddBatch(out->num_rows(), timer.Seconds());
-    stats_->SlotFor(&agg, 1, "  Aggregate phase: accumulate")
-        ->AddBatch(0, accumulate_seconds);
-    stats_->SlotFor(&agg, 2, "  Aggregate phase: merge")
-        ->AddBatch(0, merge_seconds);
+    stats_->SlotFor(&agg)->AddBatch(out->num_rows(), timer.Seconds());
   }
   return out;
 }

@@ -43,7 +43,7 @@ struct QueryOptions {
 ///    submit through, scoping barriers to this query and multiplexing
 ///    its tasks fairly against concurrently admitted queries;
 ///  - the cooperative cancellation flag;
-///  - the per-query StatsCollector (null unless ExecuteWithStats).
+///  - the per-query StatsCollector (null unless EXPLAIN ANALYZE).
 class QueryContext {
  public:
   QueryContext(std::shared_ptr<const Catalog> snapshot,

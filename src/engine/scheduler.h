@@ -28,9 +28,9 @@ enum class QueryPriority { kHigh = 0, kNormal = 1, kBackground = 2 };
 const char* QueryPriorityName(QueryPriority p);
 
 /// Per-query scheduling counters, surfaced through
-/// Engine::ExecuteWithStats (EXPLAIN ANALYZE) and the concurrent-serving
-/// bench: how long this query's tasks sat in the scheduler's queues and
-/// how many worker dispatches it received.
+/// Engine::ExplainAnalyze (its `scheduling:` line) and the
+/// concurrent-serving bench: how long this query's tasks sat in the
+/// scheduler's queues and how many worker dispatches it received.
 struct SchedulingCounters {
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_dispatched = 0;

@@ -1,7 +1,5 @@
 #include "exec/stats.h"
 
-#include <sstream>
-
 #include "core/timer.h"
 
 namespace cre {
@@ -23,25 +21,6 @@ Result<TablePtr> InstrumentedOperator::Next() {
     AtomicAddDouble(stats_->next_seconds, seconds);
   }
   return r;
-}
-
-std::string StatsCollector::ToString() const {
-  MutexLock lock(mu_);
-  std::ostringstream os;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%-52s %10s %8s %12s %12s\n", "operator",
-                "rows", "batches", "open [ms]", "next [ms]");
-  os << line;
-  for (const auto& s : slots_) {
-    std::snprintf(line, sizeof(line), "%-52s %10zu %8zu %12.3f %12.3f\n",
-                  s->name.substr(0, 52).c_str(),
-                  s->rows.load(std::memory_order_relaxed),
-                  s->batches.load(std::memory_order_relaxed),
-                  s->open_seconds.load(std::memory_order_relaxed) * 1e3,
-                  s->next_seconds.load(std::memory_order_relaxed) * 1e3);
-    os << line;
-  }
-  return os.str();
 }
 
 }  // namespace cre

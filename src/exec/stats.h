@@ -5,8 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/mutex.h"
 #include "exec/operator.h"
@@ -21,11 +19,10 @@ inline void AtomicAddDouble(std::atomic<double>& target, double delta) {
   }
 }
 
-/// Execution counters for one operator (or one shared slot covering every
-/// per-morsel instance of a plan node). Counters are atomics so concurrent
+/// Execution counters for one plan node, shared by every per-morsel
+/// operator instance of that node. Counters are atomics so concurrent
 /// morsel pipelines can update one slot without tearing.
 struct OperatorStats {
-  std::string name;
   std::atomic<std::size_t> batches{0};
   std::atomic<std::size_t> rows{0};
   std::atomic<double> open_seconds{0};
@@ -39,95 +36,38 @@ struct OperatorStats {
   }
 };
 
-/// Collects stats from a tree of instrumented operators. AddSlot creates a
-/// fresh slot per call (the serial executor's one-slot-per-operator
-/// layout); SlotFor returns one shared slot per plan-node identity, which
-/// is how the parallel driver aggregates every per-morsel operator
-/// instance of one plan node into a single line while keeping distinct
-/// same-named nodes (two Filters, two HashJoins) on separate lines. Both
-/// are thread-safe.
+/// Per-query map from plan node to its counters, filled by the parallel
+/// driver and read by EXPLAIN ANALYZE. One slot per plan-node identity
+/// keeps distinct same-kind nodes (two Filters, two HashJoins) apart.
+/// Thread-safe; slot pointers stay valid for the collector's lifetime.
 class StatsCollector {
  public:
-  OperatorStats* AddSlot(std::string name) {
+  /// The slot for `key` (the driver passes the plan node pointer),
+  /// created on first use.
+  OperatorStats* SlotFor(const void* key) {
     MutexLock lock(mu_);
-    return AddSlotLocked(std::move(name));
+    std::unique_ptr<OperatorStats>& slot = by_key_[key];
+    if (slot == nullptr) slot = std::make_unique<OperatorStats>();
+    return slot.get();
   }
 
-  /// Shared slot keyed by an opaque identity (the driver passes the plan
-  /// node pointer); created with `name` on first use.
-  OperatorStats* SlotFor(const void* key, const std::string& name) {
-    return SlotFor(key, /*phase=*/0, name);
-  }
-
-  /// Per-stage slot of one plan node: the driver records where a parallel
-  /// breaker spends its time (e.g. Sort's local-sort vs merge phase,
-  /// radix aggregation's partition vs merge phase) under distinct phase
-  /// ids, so EXPLAIN ANALYZE and the benches can report the breakdown.
-  OperatorStats* SlotFor(const void* key, int phase,
-                         const std::string& name) {
+  /// The slot registered for `key`, or nullptr when the node was never
+  /// keyed.
+  OperatorStats* FindSlot(const void* key) const {
     MutexLock lock(mu_);
-    auto it = by_key_.find({key, phase});
-    if (it != by_key_.end()) return it->second;
-    OperatorStats* slot = AddSlotLocked(name);
-    by_key_.emplace(std::make_pair(key, phase), slot);
-    return slot;
-  }
-
-  /// The phase-0 slot registered for `key`, or nullptr when the node was
-  /// never keyed (EXPLAIN ANALYZE looks plan nodes up by identity).
-  OperatorStats* FindSlot(const void* key, int phase = 0) const {
-    MutexLock lock(mu_);
-    auto it = by_key_.find({key, phase});
-    return it == by_key_.end() ? nullptr : it->second;
-  }
-
-  /// All (phase, slot) pairs registered for `key`, sorted by phase —
-  /// phase 0 is the node's whole-operator slot, higher phases are the
-  /// breaker-internal stages recorded by the parallel driver.
-  std::vector<std::pair<int, OperatorStats*>> PhasesFor(
-      const void* key) const {
-    MutexLock lock(mu_);
-    std::vector<std::pair<int, OperatorStats*>> out;
-    for (auto it = by_key_.lower_bound({key, 0});
-         it != by_key_.end() && it->first.first == key; ++it) {
-      out.emplace_back(it->first.second, it->second);
-    }
-    return out;
-  }
-
-  /// Per-operator rows/time rendering (EXPLAIN ANALYZE output).
-  std::string ToString() const;
-
-  /// Registered slots in creation order, copied under the lock. Slot
-  /// pointers stay valid for the collector's lifetime (slots are never
-  /// removed); the counters themselves are atomics, so reading them while
-  /// an execution is still running is safe, just racy.
-  std::vector<OperatorStats*> slots() const {
-    MutexLock lock(mu_);
-    std::vector<OperatorStats*> out;
-    out.reserve(slots_.size());
-    for (const auto& slot : slots_) out.push_back(slot.get());
-    return out;
+    auto it = by_key_.find(key);
+    return it == by_key_.end() ? nullptr : it->second.get();
   }
 
  private:
-  OperatorStats* AddSlotLocked(std::string name) CRE_REQUIRES(mu_) {
-    slots_.push_back(std::make_unique<OperatorStats>());
-    OperatorStats* slot = slots_.back().get();
-    slot->name = std::move(name);
-    return slot;
-  }
-
   mutable Mutex mu_;
-  std::vector<std::unique_ptr<OperatorStats>> slots_ CRE_GUARDED_BY(mu_);
-  std::map<std::pair<const void*, int>, OperatorStats*> by_key_
+  std::map<const void*, std::unique_ptr<OperatorStats>> by_key_
       CRE_GUARDED_BY(mu_);
 };
 
 /// Decorator measuring a child operator's Open/Next time and output rows.
-/// The engine wraps every lowered operator with one of these when a
-/// query runs under ExecuteWithStats; the parallel driver wraps every
-/// per-morsel operator instance with a slot shared across morsels.
+/// Under EXPLAIN ANALYZE the parallel driver wraps every per-morsel
+/// operator instance with its plan node's shared slot.
 class InstrumentedOperator : public PhysicalOperator {
  public:
   InstrumentedOperator(OperatorPtr child, OperatorStats* stats)

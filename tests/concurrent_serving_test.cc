@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -443,21 +444,34 @@ TEST_F(ConcurrentServingTest, CancellationUnwindsAndEngineKeepsServing) {
   EXPECT_GT(healthy.ValueOrDie()->num_rows(), 0u);
 }
 
-// Observability satellite: per-query scheduling counters surface through
-// ExecuteWithStats and EXPLAIN grows a serving section.
-TEST_F(ConcurrentServingTest, SchedulingCountersSurfaceInStatsAndExplain) {
+// Observability satellite: per-query scheduling counters surface in
+// EXPLAIN ANALYZE's `scheduling:` line and EXPLAIN grows a serving section.
+TEST_F(ConcurrentServingTest, SchedulingCountersSurfaceInExplainAnalyze) {
   auto engine = MakeEngine(kThreads);
   PlanPtr plan = PlanNode::Sort(
       PlanNode::Filter(PlanNode::Scan("big"), Gt(Col("num"), Lit(100.0))),
       "num", true);
 
-  auto analyzed = engine->ExecuteWithStats(plan);
+  auto analyzed = engine->ExplainAnalyze(plan);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-  EXPECT_GT(analyzed.ValueOrDie().scheduling.tasks_dispatched, 0u);
-  EXPECT_GT(analyzed.ValueOrDie().scheduling.tasks_submitted, 0u);
-  const std::string stats = analyzed.ValueOrDie().stats->ToString();
-  EXPECT_NE(stats.find("Scheduler: queue wait"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("Scheduler: admission wait"), std::string::npos);
+  const std::string& text = analyzed.ValueOrDie();
+  const std::size_t line = text.find("\nscheduling: ");
+  ASSERT_NE(line, std::string::npos) << text;
+  unsigned long long submitted = 0;
+  unsigned long long dispatched = 0;
+  double queue_wait_ms = -1;
+  double admission_ms = -1;
+  ASSERT_EQ(std::sscanf(text.c_str() + line,
+                        "\nscheduling: tasks submitted=%llu dispatched=%llu "
+                        "queue wait=%lfms admission=%lfms",
+                        &submitted, &dispatched, &queue_wait_ms,
+                        &admission_ms),
+            4)
+      << text;
+  EXPECT_GT(dispatched, 0u);
+  EXPECT_GT(submitted, 0u);
+  EXPECT_GE(queue_wait_ms, 0.0);
+  EXPECT_GE(admission_ms, 0.0);
 
   auto explain = engine->Explain(plan);
   ASSERT_TRUE(explain.ok());

@@ -11,7 +11,8 @@
 //  - Query tracing: span tree shape for a parallel semantic-join query,
 //    trace ring retention, slow-query log emission.
 //  - EXPLAIN ANALYZE: measured per-node annotations, scheduling counters,
-//    index residency transitions, pipeline routing, and the span tree.
+//    index residency transitions, pipeline routing, and the span tree;
+//    its query metrics and trace, also when planning fails.
 //  - IndexManager persisted-image GC: destructive invalidation reclaims
 //    this-process images; the size-budget sweep deletes oldest-first and
 //    never the just-written image.
@@ -424,6 +425,56 @@ TEST_F(ObsEngineTest, ExplainAnalyzeSqlEndToEnd) {
   ASSERT_TRUE(r.ok()) << r.status().message();
   EXPECT_NE(r.ValueOrDie().find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(r.ValueOrDie().find("[rows="), std::string::npos);
+}
+
+// EXPLAIN ANALYZE runs on Execute's tracked path: a query that fails in
+// planning is still counted and its trace kept, and the latency it records
+// covers optimization as well as execution.
+TEST_F(ObsEngineTest, ExplainAnalyzeCountsPlanningFailuresAndTimesOptimize) {
+  auto engine = MakeEngine();
+  auto explain_seconds = [&]() {
+    for (const auto& h : engine->metrics()->Snapshot().histograms) {
+      if (h.name == "cre_query_seconds" &&
+          h.labels == MetricLabels{{"kind", "explain_analyze"}}) {
+        return h.hist;
+      }
+    }
+    return HistogramSnapshot{};
+  };
+
+  ASSERT_FALSE(engine->ExplainAnalyze(PlanNode::Scan("missing")).ok());
+  std::uint64_t errors = 0;
+  for (const auto& c : engine->metrics()->Snapshot().counters) {
+    if (c.name == "cre_queries_total" &&
+        c.labels == MetricLabels{{"status", "error"}}) {
+      errors = c.value;
+    }
+  }
+  EXPECT_EQ(errors, 1u);
+  auto traces = engine->traces()->Snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0]->label(), "explain_analyze");
+  auto* root = const_cast<QueryTrace&>(*traces[0]).root();
+  ASSERT_FALSE(root->children.empty());
+  EXPECT_EQ(root->children[0]->name, "optimize");
+  const HistogramSnapshot failed = explain_seconds();
+  EXPECT_EQ(failed.count, 1u);
+  EXPECT_GE(failed.sum, root->children[0]->DurationSeconds());
+
+  ASSERT_TRUE(engine
+                  ->ExplainAnalyze(PlanNode::Sort(PlanNode::Scan("items"),
+                                                  "num", true))
+                  .ok());
+  traces = engine->traces()->Snapshot();
+  ASSERT_EQ(traces.size(), 2u);
+  root = const_cast<QueryTrace&>(*traces[0]).root();
+  ASSERT_GE(root->children.size(), 2u);
+  EXPECT_EQ(root->children[0]->name, "optimize");
+  EXPECT_EQ(root->children[1]->name, "execute");
+  const HistogramSnapshot both = explain_seconds();
+  EXPECT_EQ(both.count, 2u);
+  EXPECT_GE(both.sum - failed.sum, root->children[0]->DurationSeconds() +
+                                       root->children[1]->DurationSeconds());
 }
 
 TEST_F(ObsEngineTest, DisabledMetricsStaysEmptyThroughQueries) {

@@ -9,6 +9,8 @@
 // the equivalence checks bit-exact rather than tolerance-based.
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -454,11 +456,38 @@ TEST(ParallelExecPlain, GlobalAggregateOverEmptyInput) {
   EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 0);
 }
 
-TEST(ParallelExecPlain, SortAndAggregateStageTimingsCollected) {
-  EngineOptions eo;
+// Every `key=value` trace attribute named exactly `key` in an EXPLAIN
+// ANALYZE rendering (a longer key such as agg_merge_ms never matches
+// merge_ms).
+std::vector<std::string> AttrValues(const std::string& text,
+                                    const std::string& key) {
+  std::vector<std::string> values;
+  const std::string needle = key + "=";
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    if (pos > 0 && (std::isalnum(static_cast<unsigned char>(text[pos - 1])) ||
+                    text[pos - 1] == '_')) {
+      continue;
+    }
+    const std::size_t begin = pos + needle.size();
+    const std::size_t end = text.find_first_of(",} \n", begin);
+    values.push_back(text.substr(begin, end - begin));
+  }
+  return values;
+}
+
+// The single value of trace attribute `key`, as a number; fails the test
+// when the attribute is missing or rendered more than once.
+double OneAttr(const std::string& text, const std::string& key) {
+  const std::vector<std::string> values = AttrValues(text, key);
+  EXPECT_EQ(values.size(), 1u) << key << " in:\n" << text;
+  return values.empty() ? -1 : std::stod(values[0]);
+}
+
+std::unique_ptr<Engine> MakeBreakerEngine(EngineOptions eo = {}) {
   eo.num_threads = kThreads;
   eo.morsel_rows = 512;
-  Engine engine(eo);
+  auto engine = std::make_unique<Engine>(eo);
   auto t = Table::Make(Schema({{"k", DataType::kInt64, 0},
                                {"v", DataType::kFloat64, 0}}));
   Rng rng(5);
@@ -466,28 +495,67 @@ TEST(ParallelExecPlain, SortAndAggregateStageTimingsCollected) {
     t->column(0).AppendInt64(static_cast<std::int64_t>(rng.Uniform(50)));
     t->column(1).AppendFloat64(static_cast<double>(rng.Uniform(1000)));
   }
-  engine.catalog().Put("t", t);
+  engine->catalog().Put("t", t);
+  return engine;
+}
 
+// Breaker phase timings are recorded once, on the trace spans, and
+// EXPLAIN ANALYZE shows them in its trace section.
+TEST(ParallelExecPlain, SortAndAggregatePhasesInExplainAnalyzeTrace) {
+  auto engine = MakeBreakerEngine();
   PlanPtr plan = PlanNode::Aggregate(
       PlanNode::Sort(PlanNode::Scan("t"), "v", true), {"k"},
       {{AggKind::kSum, "v", "sum"}});
-  auto analyzed = engine.ExecuteWithStats(plan).ValueOrDie();
-  bool sort_local = false, sort_merge = false;
-  bool agg_accumulate = false, agg_merge = false;
-  for (const auto& s : analyzed.stats->slots()) {
-    if (s->name.find("Sort phase: local sort") != std::string::npos) {
-      sort_local = true;
-    } else if (s->name.find("Sort phase: merge") != std::string::npos) {
-      sort_merge = true;
-    } else if (s->name.find("Aggregate phase: accumulate") !=
-               std::string::npos) {
-      agg_accumulate = true;
-    } else if (s->name.find("Aggregate phase: merge") != std::string::npos) {
-      agg_merge = true;
-    }
-  }
-  EXPECT_TRUE(sort_local && sort_merge) << analyzed.stats->ToString();
-  EXPECT_TRUE(agg_accumulate && agg_merge) << analyzed.stats->ToString();
+  const std::string text = engine->ExplainAnalyze(plan).ValueOrDie();
+  const std::string trace = text.substr(text.find("trace:\n"));
+  EXPECT_GT(OneAttr(trace, "runs"), 1.0) << "20000 rows sort in runs";
+  EXPECT_GE(OneAttr(trace, "merge_partitions"), 1.0);
+  EXPECT_GE(OneAttr(trace, "local_sort_ms"), 0.0);
+  EXPECT_GE(OneAttr(trace, "merge_ms"), 0.0);
+  ASSERT_EQ(AttrValues(trace, "agg_mode"),
+            std::vector<std::string>{"hash"});
+  EXPECT_GE(OneAttr(trace, "agg_accumulate_ms"), 0.0);
+  EXPECT_GE(OneAttr(trace, "agg_merge_ms"), 0.0);
+  EXPECT_TRUE(AttrValues(trace, "agg_partitions").empty()) << trace;
+  // The plan tree carries counters only; no per-node phase sub-lines.
+  EXPECT_EQ(text.find("phase:"), std::string::npos) << text;
+}
+
+TEST(ParallelExecPlain, RadixAggregatePartitionsInExplainAnalyzeTrace) {
+  EngineOptions eo;
+  eo.optimizer.radix_agg_min_groups = 0;  // every keyed aggregate is radix
+  auto engine = MakeBreakerEngine(eo);
+  PlanPtr plan = PlanNode::Aggregate(PlanNode::Scan("t"), {"k"},
+                                     {{AggKind::kSum, "v", "sum"}});
+  const std::string text = engine->ExplainAnalyze(plan).ValueOrDie();
+  ASSERT_EQ(AttrValues(text, "agg_mode"), std::vector<std::string>{"radix"})
+      << text;
+  EXPECT_GE(OneAttr(text, "agg_partitions"), 2.0);
+  EXPECT_GE(OneAttr(text, "agg_accumulate_ms"), 0.0);
+  EXPECT_GE(OneAttr(text, "agg_merge_ms"), 0.0);
+}
+
+TEST(ParallelExecPlain, LimitBudgetInExplainAnalyzeTrace) {
+  EngineOptions eo;
+  eo.tuning.enabled = false;  // keep 512-row morsels: 40 of them
+  auto engine = MakeBreakerEngine(eo);
+  // LIMIT over a sort is a top-k sort.
+  PlanPtr topk_plan =
+      PlanNode::Limit(PlanNode::Sort(PlanNode::Scan("t"), "v", false), 7);
+  const std::string topk = engine->ExplainAnalyze(topk_plan).ValueOrDie();
+  EXPECT_EQ(OneAttr(topk, "top_k"), 7.0);
+  EXPECT_GT(OneAttr(topk, "runs"), 1.0);
+  EXPECT_TRUE(AttrValues(topk, "morsels_run").empty()) << topk;
+
+  // Any other LIMIT runs its child's morsels under a shared row budget.
+  PlanPtr budget_plan = PlanNode::Limit(PlanNode::Scan("t"), 7);
+  const std::string budget = engine->ExplainAnalyze(budget_plan).ValueOrDie();
+  const double run = OneAttr(budget, "morsels_run");
+  const double total = OneAttr(budget, "morsels_total");
+  EXPECT_GE(run, 1.0) << budget;
+  EXPECT_LE(run, total) << budget;
+  EXPECT_GT(total, 1.0) << budget;
+  EXPECT_TRUE(AttrValues(budget, "top_k").empty()) << budget;
 }
 
 TEST(ParallelExecPlain, PipelineBreakerClassification) {
@@ -517,9 +585,17 @@ TEST(ParallelExecPlain, PipelineBreakerClassification) {
   EXPECT_EQ(segment.ops[1]->kind, PlanKind::kJoin);
 }
 
-TEST(ParallelExecPlain, ExecuteWithStatsUnderParallelDriver) {
+// EXPLAIN ANALYZE counts rows exactly at every dop: per-morsel operator
+// instances share their plan node's slot, so concurrent updates must still
+// total exactly.
+class ExplainAnalyzeDopTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Dop, ExplainAnalyzeDopTest,
+                         ::testing::Values(std::size_t{1}, kThreads));
+
+TEST_P(ExplainAnalyzeDopTest, PushedFilterCountsRowsExactly) {
   EngineOptions eo;
-  eo.num_threads = kThreads;
+  eo.num_threads = GetParam();
   eo.morsel_rows = 128;
   Engine engine(eo);
   auto t = Table::Make(Schema({{"x", DataType::kInt64, 0}}));
@@ -529,18 +605,21 @@ TEST(ParallelExecPlain, ExecuteWithStatsUnderParallelDriver) {
   engine.catalog().Put("numbers", t);
   QueryBuilder qb(&engine);
   qb.Scan("numbers").Filter(Gt(Col("x"), Lit(2499)));
-  auto analyzed = engine.ExecuteWithStats(qb.plan()).ValueOrDie();
-  EXPECT_EQ(analyzed.table->num_rows(), 2500u);
-  // Per-morsel operator instances share one slot per name; row counts
-  // must still total exactly despite concurrent updates.
-  bool found_filter = false;
-  for (const auto& s : analyzed.stats->slots()) {
-    if (s->name.find("Filter") != std::string::npos) {
-      found_filter = true;
-      EXPECT_EQ(s->rows.load(), 2500u);
-    }
-  }
-  EXPECT_TRUE(found_filter);
+  const std::string text = engine.ExplainAnalyze(qb.plan()).ValueOrDie();
+  double wall_ms = 0;
+  std::size_t rows = 0;
+  ASSERT_EQ(std::sscanf(text.c_str(), "EXPLAIN ANALYZE  wall=%lfms rows=%zu",
+                        &wall_ms, &rows),
+            2)
+      << text;
+  EXPECT_GT(wall_ms, 0.0);
+  EXPECT_EQ(rows, 2500u);
+  // The optimizer pushes the predicate into the scan, which lowers to a
+  // Filter-over-scan pipeline counted on the Scan's line.
+  const std::size_t scan = text.find("Scan(numbers, pushed: ");
+  ASSERT_NE(scan, std::string::npos) << text;
+  const std::string line = text.substr(scan, text.find('\n', scan) - scan);
+  EXPECT_NE(line.find("[rows=2500 "), std::string::npos) << line;
 }
 
 }  // namespace

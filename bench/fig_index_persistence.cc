@@ -23,8 +23,14 @@
 // "(on-disk)", serves it index-backed with zero builds, and EXPLAINs the
 // next as "(resident)" — the restart story end to end.
 //
+// The bench exits nonzero unless the lifecycle counts hold: the live
+// manager built once and refreshed once, the restarted manager loaded
+// once and built nothing, and the restarted engine showed both EXPLAIN
+// labels without a build. Counts, not timings, so the check is steady.
+//
 // Scaling knobs: CRE_PERSIST_ROWS, CRE_PERSIST_DISTINCT,
-// CRE_PERSIST_APPEND_PCT. Machine-readable output via --json <path>.
+// CRE_PERSIST_APPEND_PCT (the refresh count needs it at or below the
+// 25% refresh crossover). Machine-readable output via --json <path>.
 
 #include <unistd.h>
 
@@ -84,7 +90,14 @@ double MedianAppendSeconds(std::size_t rows, std::size_t distinct,
   return seconds[kAppends / 2];
 }
 
-void Run(bench::JsonReport* json) {
+/// Prints a failed lifecycle check to stderr; returns whether it held.
+bool Expect(bool held, const char* what) {
+  if (!held) std::fprintf(stderr, "fig_index_persistence: %s\n", what);
+  return held;
+}
+
+/// Runs the figure; returns false when a lifecycle count is off.
+bool Run(bench::JsonReport* json) {
   const std::size_t rows = bench::EnvSize("CRE_PERSIST_ROWS", 60000);
   const std::size_t distinct = bench::EnvSize("CRE_PERSIST_DISTINCT", 3000);
   const std::size_t append_pct = bench::EnvSize("CRE_PERSIST_APPEND_PCT", 10);
@@ -166,6 +179,11 @@ void Run(bench::JsonReport* json) {
   std::printf("%-34s %12.6f\n",
               ("catalog append, " + std::to_string(4 * rows) + " rows").c_str(),
               append_4x_s);
+  bool counts_hold =
+      Expect(live.builds == 1 && live.refreshes == 1,
+             "live manager must build once and refresh once");
+  counts_hold &= Expect(warm_start.builds == 0 && warm_start.disk_loads == 1,
+                        "restarted manager must load once and build nothing");
   std::printf("\nrefresh speedup vs rebuild: %.1fx\n", rebuild_s / refresh_s);
   std::printf("disk-load speedup vs rebuild: %.1fx\n", rebuild_s / load_s);
   std::printf(
@@ -222,10 +240,14 @@ void Run(bench::JsonReport* json) {
                {"explain_resident", resident ? 1.0 : 0.0},
                {"builds", static_cast<double>(es.builds)},
                {"disk_loads", static_cast<double>(es.disk_loads)}});
+    counts_hold &= Expect(on_disk && resident && es.builds == 0,
+                          "restarted engine must show (on-disk), then "
+                          "(resident), with no build");
   }
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+  return counts_hold;
 }
 
 }  // namespace
@@ -234,6 +256,6 @@ void Run(bench::JsonReport* json) {
 int main(int argc, char** argv) {
   cre::bench::JsonReport json("fig_index_persistence",
                               cre::bench::JsonPathFromArgs(argc, argv));
-  cre::Run(&json);
-  return json.Write() ? 0 : 1;
+  const bool counts_hold = cre::Run(&json);
+  return json.Write() && counts_hold ? 0 : 1;
 }

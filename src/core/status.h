@@ -95,9 +95,6 @@ class [[nodiscard]] Status {
   }
   bool IsNotFound() const { return code() == StatusCode::kNotFound; }
   bool IsTypeError() const { return code() == StatusCode::kTypeError; }
-  bool IsNotImplemented() const {
-    return code() == StatusCode::kNotImplemented;
-  }
   bool IsCancelled() const { return code() == StatusCode::kCancelled; }
   bool IsDeadlineExceeded() const {
     return code() == StatusCode::kDeadlineExceeded;

@@ -18,7 +18,6 @@ class Timer {
   }
 
   double Millis() const { return Seconds() * 1e3; }
-  double Micros() const { return Seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

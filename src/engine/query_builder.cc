@@ -25,11 +25,6 @@ QueryBuilder& QueryBuilder::Project(const std::vector<std::string>& columns) {
   return *this;
 }
 
-QueryBuilder& QueryBuilder::ProjectExprs(std::vector<ProjectionItem> items) {
-  plan_ = PlanNode::Project(plan_, std::move(items));
-  return *this;
-}
-
 QueryBuilder& QueryBuilder::JoinWith(const QueryBuilder& right,
                                      std::string left_key,
                                      std::string right_key) {
@@ -55,19 +50,6 @@ QueryBuilder& QueryBuilder::SemanticJoinWith(const QueryBuilder& right,
   plan_ = PlanNode::SemanticJoin(plan_, right.plan_, std::move(left_key),
                                  std::move(right_key), std::move(model),
                                  threshold);
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::SemanticTopKJoinWith(const QueryBuilder& right,
-                                                 std::string left_key,
-                                                 std::string right_key,
-                                                 std::string model,
-                                                 std::size_t k,
-                                                 float min_threshold) {
-  plan_ = PlanNode::SemanticJoin(plan_, right.plan_, std::move(left_key),
-                                 std::move(right_key), std::move(model),
-                                 min_threshold);
-  plan_->top_k = k;
   return *this;
 }
 

@@ -33,7 +33,6 @@ class QueryBuilder {
   QueryBuilder& Filter(ExprPtr predicate);
   /// Keeps (and orders) the named columns.
   QueryBuilder& Project(const std::vector<std::string>& columns);
-  QueryBuilder& ProjectExprs(std::vector<ProjectionItem> items);
   QueryBuilder& JoinWith(const QueryBuilder& right, std::string left_key,
                          std::string right_key);
   QueryBuilder& SemanticSelect(std::string column, std::string query,
@@ -41,13 +40,6 @@ class QueryBuilder {
   QueryBuilder& SemanticJoinWith(const QueryBuilder& right,
                                  std::string left_key, std::string right_key,
                                  std::string model, float threshold);
-  /// Top-k variant: each left row joins its `k` nearest right rows that
-  /// clear `min_threshold`.
-  QueryBuilder& SemanticTopKJoinWith(const QueryBuilder& right,
-                                     std::string left_key,
-                                     std::string right_key, std::string model,
-                                     std::size_t k,
-                                     float min_threshold = -1.0f);
   QueryBuilder& SemanticGroupBy(std::string column, std::string model,
                                 float threshold);
   QueryBuilder& Aggregate(std::vector<std::string> group_keys,

@@ -242,6 +242,16 @@ class DistinctExpandedIndex : public VectorIndex {
 constexpr std::uint32_t kImageMagic = 0x43524D47;  // "CRMG"
 constexpr std::uint32_t kImageVersion = 1;
 
+/// Refresh-vs-rebuild crossover. Refreshing touches only the appended
+/// rows, but each incrementally inserted row costs about this many
+/// bulk-build rows (HNSW: a full beam search against the grown graph with
+/// none of the batched build's sharing; plus the clone). So a stale entry
+/// refreshes while appended * kRefreshCostPerRow <= total rows, i.e. up
+/// to 25% appended, and rebuilds past that — the rebuild also re-trains
+/// IVF centroids and re-balances the graph instead of grinding through
+/// an insert-dominated refresh.
+constexpr double kRefreshCostPerRow = 4.0;
+
 }  // namespace
 
 Status WriteImageHeader(std::ostream& out, const IndexKey& key,
@@ -376,14 +386,6 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
   return std::shared_ptr<const VectorIndex>(std::make_shared<
       DistinctExpandedIndex>(std::move(index), std::move(distinct),
                              std::move(postings), words.size()));
-}
-
-bool IndexManager::RefreshIsCheaper(const Catalog::AppendChain& chain) const {
-  const double total = static_cast<double>(chain.table->num_rows());
-  const double appended = total - static_cast<double>(chain.prefix_rows);
-  if (appended <= 0) return true;  // nothing to insert: trivially cheap
-  return appended * options_.refresh_cost_per_row <=
-         total * options_.rebuild_cost_per_row;
 }
 
 Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
@@ -700,112 +702,151 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::LoadFromDisk(
 
 Result<std::shared_ptr<const VectorIndex>> IndexManager::GetOrBuild(
     const IndexKey& key, std::uint64_t* built_version) {
+  CRE_ASSIGN_OR_RETURN(AsyncIndex found, Lookup(key, /*may_defer=*/false));
+  if (built_version != nullptr) *built_version = found.built_version;
+  return std::move(found.index);
+}
+
+Result<IndexManager::AsyncIndex> IndexManager::GetOrBuildAsync(
+    const IndexKey& key) {
+  return Lookup(key, /*may_defer=*/true);
+}
+
+Result<IndexManager::AsyncIndex> IndexManager::Lookup(const IndexKey& key,
+                                                      bool may_defer) {
   MutexLock lock(mu_);
   lookup_keys_.insert(key);
+  const bool async =
+      may_defer && options_.async_builds && background_runner_ != nullptr;
   bool counted_miss = false;
-  std::string doomed_image;
   for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) break;
-    EntryPtr entry = it->second;
-    if (entry->building) {
-      // Single-flight: someone else is building this key; wait for the
-      // outcome rather than duplicating the work.
-      while (entry->building) cv_.Wait(lock);
-      continue;  // re-find: the entry may have been replaced or removed
-    }
-    if (entry->table_version == catalog_->Version(key.table)) {
+    EntryPtr entry;
+    std::string doomed_image;
+    const Verdict verdict = DecideLocked(key, &entry, &doomed_image);
+    if (verdict == Verdict::kHit) {
       entry->lru_tick = ++tick_;
       ++counters_.hits;
-      if (built_version != nullptr) *built_version = entry->table_version;
-      return entry->index;
+      return AsyncIndex{entry->index, entry->table_version, false};
     }
-    // Stale. When everything since the build was append-style AND the
-    // appended fraction is small enough that per-row incremental inserts
-    // beat a bulk rebuild (RefreshIsCheaper — by estimated cost, not
-    // merely by the chain existing), renew the entry in place: clone +
-    // insert only the appended rows. Single-flight like a build.
-    auto chain = options_.incremental_maintenance
-                     ? catalog_->AppendedSince(key.table, entry->table_version)
-                     : Result<Catalog::AppendChain>(
-                           Status::Aborted("maintenance off"));
-    if (chain.ok() && RefreshIsCheaper(chain.ValueUnsafe())) {
-      if (!counted_miss) {
-        ++counters_.misses;
-        counted_miss = true;
+    if (verdict == Verdict::kInFlight) {
+      if (async) {
+        // A sibling query or the background runner is already on it;
+        // report in-flight instead of joining the wait.
+        ++counters_.async_fallbacks;
+        return AsyncIndex{nullptr, 0, true};
       }
-      const std::shared_ptr<const VectorIndex> old_index = entry->index;
-      const std::uint64_t old_version = entry->table_version;
-      entry->building = true;
-      ++builds_in_flight_;
-      lock.Unlock();
-      std::uint64_t version = 0, hash = 0;
-      // The content hash only feeds the persisted-image header; skip the
-      // O(column) hashing pass entirely when persistence is off.
-      std::uint64_t* hash_out =
-          options_.persist_dir.empty() ? nullptr : &hash;
-      auto refreshed =
-          RefreshIndex(key, old_index, old_version, &version, hash_out);
-      lock.Lock();
-      const bool ok = refreshed.ok();
-      FinishInstallLocked(key, entry, std::move(refreshed), version,
-                          built_version, InstallSource::kRefresh);
-      if (ok) {
-        std::shared_ptr<const VectorIndex> index = entry->index;
-        lock.Unlock();
-        SchedulePersist(key, index, version, hash);
-        return index;
-      }
-      continue;  // chain broke mid-flight: fall back to a full rebuild
+      // Single-flight: wait for the other caller's job rather than
+      // duplicating it, then decide again (the entry may have been
+      // replaced or removed meanwhile).
+      while (entry->building) cv_.Wait(lock);
+      continue;
     }
-    // Version-stamped invalidation: the base table changed destructively
-    // since the build; drop the stale entry and fall through to a rebuild.
-    resident_bytes_ -= entry->bytes;
-    entries_.erase(it);
-    ++counters_.invalidations;
-    // A this-process image stamped before the destructive change can
-    // never validate again (the content hash now disagrees); reclaim it
-    // instead of leaving a dead file for the next startup scan to carry.
-    // Scanned images keep their benefit of the doubt until load time.
-    auto pit = persisted_.find(key);
-    if (pit != persisted_.end() && pit->second.stamp_local &&
-        pit->second.catalog_stamp != catalog_->Version(key.table)) {
-      doomed_image = pit->second.path;
-      persisted_.erase(pit);
-      ++counters_.disk_gc;
+    if (!counted_miss) {
+      ++counters_.misses;
+      counted_miss = true;
     }
-    CheckAccountingLocked();
-    break;
+    Job job;
+    if (verdict == Verdict::kRefresh) {
+      // Copy-on-write renewal of the resident entry; queries keep probing
+      // the old instance (or the brute-force fallback) until it lands.
+      job.entry = std::move(entry);
+      job.source = InstallSource::kRefresh;
+      job.old_index = job.entry->index;
+      job.old_version = job.entry->table_version;
+      job.deferred = async;
+    } else {
+      // A plausibly fresh persisted image loads inline even when async:
+      // deserialization is orders of magnitude cheaper than a build, so
+      // even the first post-restart query is index-backed. Mere image
+      // existence is not enough — a stale image would be rejected at
+      // load and drag a serving-path call into a blocking rebuild.
+      job.deferred = async && !PersistedPlausibleLocked(key);
+      job.try_disk =
+          !job.deferred && persisted_.find(key) != persisted_.end();
+      job.entry = std::make_shared<Entry>();
+      entries_[key] = job.entry;
+    }
+    // Claim the key: until the job installs, every lookup of it sees a
+    // building entry.
+    job.entry->building = true;
+    ++builds_in_flight_;
+    if (job.deferred) {
+      ++counters_.background_builds;
+      ++counters_.async_fallbacks;
+      // A failed background job leaves the key absent (its status is on
+      // the entry), and the next lookup decides afresh.
+      background_runner_->Submit(
+          [this, key, job] { (void)RunJob(key, job, nullptr); });
+    }
+    lock.Unlock();
+    if (!doomed_image.empty()) {
+      std::error_code ec;
+      std::filesystem::remove(doomed_image, ec);
+    }
+    if (job.deferred) return AsyncIndex{nullptr, 0, true};
+    std::uint64_t version = 0;
+    auto index = RunJob(key, job, &version);
+    if (index.ok()) {
+      return AsyncIndex{std::move(index).ValueUnsafe(), version, false};
+    }
+    if (job.source != InstallSource::kRefresh) return index.status();
+    // The append chain broke mid-flight (or the refresh failed); its
+    // entry is gone, so deciding again falls through to a rebuild.
+    lock.Lock();
   }
+}
 
-  // Miss: install a building placeholder, then build outside the lock so
-  // concurrent lookups of other keys (and waiters on this one) don't
-  // serialize behind embedding + construction. A persisted image, when
-  // present and still matching the live table, is adopted instead of
-  // paying the build.
-  if (!counted_miss) ++counters_.misses;
-  EntryPtr entry = std::make_shared<Entry>();
-  entry->building = true;
-  entries_[key] = entry;
-  ++builds_in_flight_;
-  const bool try_disk = HasPersistedLocked(key);
-  lock.Unlock();
-  if (!doomed_image.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(doomed_image, ec);
+IndexManager::Verdict IndexManager::DecideLocked(const IndexKey& key,
+                                                 EntryPtr* entry,
+                                                 std::string* doomed_image) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return Verdict::kFill;
+  *entry = it->second;
+  if ((*entry)->building) return Verdict::kInFlight;
+  if ((*entry)->table_version == catalog_->Version(key.table)) {
+    return Verdict::kHit;
   }
+  if (RefreshableLocked(key, **entry)) return Verdict::kRefresh;
+  // Version-stamped invalidation: the base table changed destructively,
+  // or grew past the refresh crossover, since the build; drop the stale
+  // entry so the key refills.
+  resident_bytes_ -= (*entry)->bytes;
+  entries_.erase(it);
+  entry->reset();
+  ++counters_.invalidations;
+  // A this-process image stamped before the change can never validate
+  // again (the content hash now disagrees); reclaim it instead of leaving
+  // a dead file for the next startup scan to carry. Scanned images keep
+  // their benefit of the doubt until load time.
+  auto pit = persisted_.find(key);
+  if (pit != persisted_.end() && pit->second.stamp_local &&
+      pit->second.catalog_stamp != catalog_->Version(key.table)) {
+    *doomed_image = pit->second.path;
+    persisted_.erase(pit);
+    ++counters_.disk_gc;
+  }
+  CheckAccountingLocked();
+  return Verdict::kFill;
+}
 
+Result<std::shared_ptr<const VectorIndex>> IndexManager::RunJob(
+    const IndexKey& key, const Job& job, std::uint64_t* built_version) {
   std::uint64_t version = 0, hash = 0;
+  // The content hash only feeds the persisted-image header; skip the
+  // O(column) hashing pass entirely when persistence is off.
   std::uint64_t* hash_out = options_.persist_dir.empty() ? nullptr : &hash;
-  InstallSource source = InstallSource::kBuild;
-  Result<std::shared_ptr<const VectorIndex>> built(
-      Status::Internal("index lookup never attempted"));
-  if (try_disk) {
-    built = LoadFromDisk(key, &version, &hash);
-    if (built.ok()) {
+  InstallSource source = job.source;
+  Result<std::shared_ptr<const VectorIndex>> made(
+      Status::Internal("index job never attempted"));
+  if (source == InstallSource::kRefresh) {
+    made = RefreshIndex(key, job.old_index, job.old_version, &version,
+                        hash_out);
+  } else if (job.try_disk) {
+    made = LoadFromDisk(key, &version, &hash);
+    if (made.ok()) {
       source = InstallSource::kDiskLoad;
-    } else if (built.status().IsInvalidArgument() ||
-               built.status().code() == StatusCode::kOutOfRange) {
+    } else if (made.status().IsInvalidArgument() ||
+               made.status().code() == StatusCode::kOutOfRange) {
       // Only a validation verdict (foreign/corrupt/truncated/stale
       // content) proves the image bad. Transient failures — the file
       // unreadable under fd pressure, the table momentarily dropped —
@@ -813,33 +854,20 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::GetOrBuild(
       DropPersisted(key);
     }
   }
-  if (source != InstallSource::kDiskLoad) {
-    built = BuildIndex(key, &version, hash_out);
-  }
-
-  lock.Lock();
-  const Status status = built.ok() ? Status::OK() : built.status();
-  FinishInstallLocked(key, entry, std::move(built), version,
-                      built_version, source);
-  if (!status.ok()) return status;
-  if (source == InstallSource::kDiskLoad) {
-    // The adopted image is now proven fresh for the live table at
-    // `version`: localize its stamp so subsequent plausibility probes
-    // and anti-rollback checks compare real (this-process) versions.
-    auto pit = persisted_.find(key);
-    if (pit != persisted_.end()) {
-      pit->second.catalog_stamp = version;
-      pit->second.stamp_local = true;
-    }
-  }
-  std::shared_ptr<const VectorIndex> index = entry->index;
-  lock.Unlock();
   if (source == InstallSource::kBuild) {
-    // Background write-through when a runner is wired: file I/O comes off
-    // the first query's latency (ROADMAP "persistence hygiene").
-    SchedulePersist(key, index, version, hash);
+    made = BuildIndex(key, &version, hash_out, /*serial=*/job.deferred);
   }
-  return index;
+  if (made.ok() && source != InstallSource::kDiskLoad) {
+    // With a runner wired the write-through leaves the caller's latency;
+    // it counts in builds_in_flight_ before this job's install uncounts.
+    SchedulePersist(key, made.ValueUnsafe(), version, hash);
+  }
+  MutexLock lock(mu_);
+  const Status status = made.ok() ? Status::OK() : made.status();
+  FinishInstallLocked(key, job.entry, std::move(made), version, built_version,
+                      source);
+  CRE_RETURN_NOT_OK(status);
+  return job.entry->index;
 }
 
 void IndexManager::FinishInstallLocked(
@@ -882,9 +910,18 @@ void IndexManager::FinishInstallLocked(
     case InstallSource::kRefresh:
       ++counters_.refreshes;
       break;
-    case InstallSource::kDiskLoad:
+    case InstallSource::kDiskLoad: {
       ++counters_.disk_loads;
+      // The adopted image is now proven fresh for the live table at
+      // `version`: localize its stamp so subsequent plausibility probes
+      // and anti-rollback checks compare real (this-process) versions.
+      auto pit = persisted_.find(key);
+      if (pit != persisted_.end()) {
+        pit->second.catalog_stamp = version;
+        pit->second.stamp_local = true;
+      }
       break;
+    }
   }
   EvictForBudgetLocked(entry.get());
   cv_.NotifyAll();
@@ -894,143 +931,6 @@ void IndexManager::FinishInstallLocked(
 void IndexManager::EnableAsyncBuilds(TaskRunner* background_runner) {
   MutexLock lock(mu_);
   background_runner_ = background_runner;
-}
-
-Result<IndexManager::AsyncIndex> IndexManager::GetOrBuildAsync(
-    const IndexKey& key) {
-  std::string doomed_image;
-  {
-    MutexLock lock(mu_);
-    lookup_keys_.insert(key);
-    const bool async =
-        background_runner_ != nullptr && options_.async_builds;
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      EntryPtr entry = it->second;
-      if (entry->building) {
-        if (async) {
-          // Someone (a sibling query or the background runner) is
-          // already on it; report in-flight instead of joining the wait.
-          ++counters_.async_fallbacks;
-          return AsyncIndex{nullptr, 0, true};
-        }
-        // Async off: fall through to the blocking path below, which
-        // joins the single-flight wait exactly like GetOrBuild.
-      } else if (entry->table_version == catalog_->Version(key.table)) {
-        entry->lru_tick = ++tick_;
-        ++counters_.hits;
-        return AsyncIndex{entry->index, entry->table_version, false};
-      } else if (!async) {
-        // Stale with async off: the blocking path below refreshes or
-        // rebuilds as appropriate; don't pre-judge here.
-      } else if (auto chain =
-                     options_.incremental_maintenance
-                         ? catalog_->AppendedSince(key.table,
-                                                   entry->table_version)
-                         : Result<Catalog::AppendChain>(
-                               Status::Aborted("maintenance off"));
-                 chain.ok() && RefreshIsCheaper(chain.ValueUnsafe())) {
-        // Stale by appends only, and the appended fraction is below the
-        // cost crossover: renew incrementally at background priority —
-        // the query stream keeps probing brute-force (or the old index
-        // via its own snapshot pairing) until the refresh lands.
-        // Single-flight via the building flag. Past the crossover the
-        // entry drops below and a full rebuild is scheduled instead.
-        ++counters_.misses;
-        ++counters_.background_builds;
-        ++counters_.async_fallbacks;
-        const std::shared_ptr<const VectorIndex> old_index = entry->index;
-        const std::uint64_t old_version = entry->table_version;
-        entry->building = true;
-        ++builds_in_flight_;
-        background_runner_->Submit(
-            [this, key, entry, old_index, old_version] {
-              std::uint64_t version = 0, hash = 0;
-              auto refreshed = RefreshIndex(
-                  key, old_index, old_version, &version,
-                  options_.persist_dir.empty() ? nullptr : &hash);
-              // Persist BEFORE installing: FinishInstallLocked releases
-              // WaitForBuilds (builds_in_flight_), so nothing in this
-              // task may touch the manager after it — a waiter is free
-              // to destroy the manager the moment the count drops.
-              if (refreshed.ok()) {
-                PersistToDisk(key, refreshed.ValueUnsafe(), version, hash);
-              }
-              MutexLock inner_lock(mu_);
-              FinishInstallLocked(key, entry, std::move(refreshed), version,
-                                  nullptr, InstallSource::kRefresh);
-            });
-        return AsyncIndex{nullptr, 0, true};
-      } else {
-        // Stale destructively: drop and fall through to scheduling a
-        // full background rebuild. A this-process image stamped before
-        // the change is permanently stale — reclaim it (same reasoning
-        // as the blocking path's invalidation).
-        resident_bytes_ -= entry->bytes;
-        entries_.erase(it);
-        ++counters_.invalidations;
-        auto pit = persisted_.find(key);
-        if (pit != persisted_.end() && pit->second.stamp_local &&
-            pit->second.catalog_stamp != catalog_->Version(key.table)) {
-          doomed_image = pit->second.path;
-          persisted_.erase(pit);
-          ++counters_.disk_gc;
-        }
-        CheckAccountingLocked();
-      }
-    }
-    // Reaching here async: the entry was absent or stale (a building
-    // entry returned in-flight above) — schedule the background build,
-    // unless a plausibly fresh persisted image can serve it:
-    // deserialization is orders of magnitude cheaper than a build, so
-    // warm-starting synchronously makes even the first post-restart
-    // query index-backed. Mere image existence is not enough — a stale
-    // image would be rejected at load and drag this serving-path call
-    // into a blocking rebuild.
-    if (async && !PersistedPlausibleLocked(key)) {
-      ++counters_.misses;
-      ++counters_.background_builds;
-      ++counters_.async_fallbacks;
-      EntryPtr entry = std::make_shared<Entry>();
-      entry->building = true;
-      entries_[key] = entry;
-      ++builds_in_flight_;
-      // Single-flight still holds: subsequent lookups of this key see the
-      // building placeholder above until the task completes.
-      background_runner_->Submit([this, key, entry] {
-        std::uint64_t version = 0, hash = 0;
-        auto built =
-            BuildIndex(key, &version,
-                       options_.persist_dir.empty() ? nullptr : &hash,
-                       /*serial=*/true);
-        // Persist BEFORE installing — see the refresh task above: the
-        // install releases WaitForBuilds, after which this task must
-        // not touch the manager.
-        if (built.ok()) {
-          PersistToDisk(key, built.ValueUnsafe(), version, hash);
-        }
-        MutexLock inner_lock(mu_);
-        FinishInstallLocked(key, entry, std::move(built), version,
-                            nullptr, InstallSource::kBuild);
-      });
-      lock.Unlock();
-      if (!doomed_image.empty()) {
-        std::error_code ec;
-        std::filesystem::remove(doomed_image, ec);
-      }
-      return AsyncIndex{nullptr, 0, true};
-    }
-  }
-  if (!doomed_image.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(doomed_image, ec);
-  }
-  // Async disabled, or a persisted image is available: preserve the
-  // blocking single-flight behavior (which itself prefers disk to build).
-  std::uint64_t version = 0;
-  CRE_ASSIGN_OR_RETURN(std::shared_ptr<const VectorIndex> index,
-                       GetOrBuild(key, &version));
-  return AsyncIndex{std::move(index), version, false};
 }
 
 void IndexManager::WaitForBuilds() {
@@ -1090,6 +990,16 @@ bool IndexManager::PersistedPlausibleLocked(const IndexKey& key) const {
   return vt.ok() && vt.ValueOrDie().table->num_rows() == it->second.rows;
 }
 
+bool IndexManager::RefreshableLocked(const IndexKey& key,
+                                     const Entry& entry) const {
+  auto chain = catalog_->AppendedSince(key.table, entry.table_version);
+  if (!chain.ok()) return false;  // a destructive change broke the chain
+  const Catalog::AppendChain& c = chain.ValueUnsafe();
+  const double total = static_cast<double>(c.table->num_rows());
+  const double appended = total - static_cast<double>(c.prefix_rows);
+  return appended * kRefreshCostPerRow <= total;
+}
+
 IndexResidency IndexManager::Residency(const IndexKey& key) const {
   MutexLock lock(mu_);
   auto it = entries_.find(key);
@@ -1106,12 +1016,8 @@ IndexResidency IndexManager::Residency(const IndexKey& key) const {
     // refresh path at all. Past the crossover the lookup will rebuild,
     // so advertising kRefreshable would understate the cost — the entry
     // reports like any other stale entry instead.
-    if (options_.incremental_maintenance) {
-      auto chain =
-          catalog_->AppendedSince(key.table, it->second->table_version);
-      if (chain.ok() && RefreshIsCheaper(chain.ValueUnsafe())) {
-        return IndexResidency::kRefreshable;
-      }
+    if (RefreshableLocked(key, *it->second)) {
+      return IndexResidency::kRefreshable;
     }
   }
   if (PersistedPlausibleLocked(key)) return IndexResidency::kOnDisk;

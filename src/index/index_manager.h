@@ -57,34 +57,12 @@ struct IndexManagerOptions {
   /// semantic operators build per-execution indexes as before.
   bool enabled = true;
   /// Asynchronous builds: when true (and the engine has wired a
-  /// background runner), a cold GetOrBuildAsync lookup enqueues the build
-  /// as a background-priority task and returns immediately so the
-  /// requesting query is served by the brute-force path — the cold-build
-  /// latency is hidden from the query stream entirely. When false,
-  /// GetOrBuildAsync degrades to the blocking GetOrBuild.
+  /// background runner), a cold or stale GetOrBuildAsync lookup enqueues
+  /// its build or refresh as a background-priority task and returns
+  /// immediately so the requesting query is served by the brute-force
+  /// path — the build latency is hidden from the query stream entirely.
+  /// When false, GetOrBuildAsync blocks exactly like GetOrBuild.
   bool async_builds = false;
-  /// Incremental maintenance: when true, a stale entry whose base table
-  /// changed only by catalog Appends since the build is *refreshed* —
-  /// the resident index is cloned (copy-on-write: in-flight queries keep
-  /// probing the old immutable instance), the appended rows' new
-  /// distinct values are embedded and inserted incrementally, and the
-  /// clone is swapped in under the append chain's stamp — instead of
-  /// being invalidated and rebuilt from scratch. Refreshes are
-  /// single-flight and run at background priority under async_builds.
-  bool incremental_maintenance = true;
-  /// Refresh-vs-rebuild crossover. Refreshing touches only the appended
-  /// rows, but each incrementally inserted row costs a multiple of a
-  /// bulk-build row (HNSW: a full beam search against the grown graph
-  /// with none of the batched build's sharing; plus the clone). A stale
-  /// entry refreshes only while
-  ///   appended_rows * refresh_cost_per_row
-  ///     <= total_rows * rebuild_cost_per_row
-  /// and rebuilds otherwise — with the defaults the crossover sits at
-  /// 25% appended, so a table that nearly doubled since the build takes
-  /// the rebuild (which also re-trains IVF centroids and re-balances the
-  /// graph) instead of grinding through an insert-dominated refresh.
-  double refresh_cost_per_row = 4.0;
-  double rebuild_cost_per_row = 1.0;
   /// On-disk persistence: when non-empty, every successful build/refresh
   /// write-throughs a versioned index image into this directory
   /// (<dir>/cre_<keyhash>.idx, atomic tmp+rename), and a cold lookup
@@ -136,7 +114,9 @@ struct IndexManagerOptions {
 ///    A destructive change (Put/Drop) makes the entry stale and the next
 ///    lookup rebuilds; an append-style change (Catalog::Append) makes the
 ///    next lookup *refresh* the entry in place — clone, insert only the
-///    appended rows, swap — at a fraction of the rebuild cost;
+///    appended rows, swap — at a fraction of the rebuild cost, as long as
+///    the appended rows are at most a quarter of the table (past that
+///    crossover a rebuild is cheaper and re-balances the index);
 ///  - a memory budget with LRU eviction over ready entries, with byte
 ///    accounting recomputed on every install (builds grow on refresh);
 ///  - on-disk persistence (persist_dir): built indexes spill to disk and
@@ -190,10 +170,14 @@ class IndexManager {
   IndexManager(const Catalog* catalog, const ModelRegistry* models,
                IndexManagerOptions options = {});
 
-  /// Returns the shared index for `key`, building it if absent or stale.
-  /// Stale-by-append entries refresh incrementally; cold lookups try the
-  /// persisted on-disk image before paying a build. Concurrent callers
-  /// with the same key wait for a single build. Errors (missing
+  /// Returns the shared index for `key`, blocking until it is fresh.
+  /// GetOrBuild and GetOrBuildAsync share one lookup: a fresh entry is a
+  /// hit; a stale-by-append entry below the refresh crossover refreshes
+  /// incrementally; any other stale entry is invalidated (with this
+  /// process's now-dead image) and, like an absent key, loads from the
+  /// persisted on-disk image or builds. The refresh, load or build is one
+  /// single-flight job per key: concurrent callers wait for it, and a
+  /// failed refresh falls through to a rebuild. Errors (missing
   /// table/model, non-string column, failed build) are returned to every
   /// waiter and nothing is cached. When `built_version` is non-null it
   /// receives the catalog version stamp the returned index was built
@@ -212,20 +196,16 @@ class IndexManager {
     bool build_in_flight = false;
   };
 
-  /// Non-blocking variant of GetOrBuild for the serving path. A fresh
-  /// resident entry returns immediately (a hit, same as GetOrBuild). On
-  /// a miss with async builds enabled, the build — or the incremental
-  /// refresh, when the staleness is append-only — is enqueued once on
-  /// the background runner (single-flight: concurrent misses and lookups
-  /// of a building key all get build_in_flight) — lowering then emits
-  /// the brute-force fallback, so a cold semantic query never blocks
-  /// behind index construction. A cold key with a persisted on-disk
-  /// image loads synchronously instead (deserialization is orders of
-  /// magnitude cheaper than a build), so the first query after a restart
-  /// is index-backed. Without a background runner (or with
-  /// options().async_builds off) this behaves exactly like GetOrBuild,
-  /// including blocking on another caller's in-flight single-flight
-  /// build.
+  /// The serving path's lookup: GetOrBuild's decision and job, except
+  /// that with async builds on (options().async_builds and a background
+  /// runner wired) it never waits. A refresh or build runs as the same
+  /// job on the background runner, and this call — like every lookup of
+  /// the key until the job installs — returns build_in_flight, so
+  /// lowering emits the brute-force fallback instead of blocking behind
+  /// index construction. A cold key with a plausibly fresh on-disk image
+  /// still loads inline (deserialization is orders of magnitude cheaper
+  /// than a build), so the first query after a restart is index-backed.
+  /// With async builds off this is exactly GetOrBuild.
   Result<AsyncIndex> GetOrBuildAsync(const IndexKey& key);
 
   /// Wires the executor background builds run on — the engine passes a
@@ -298,6 +278,47 @@ class IndexManager {
   /// and whether a write-through is warranted.
   enum class InstallSource { kBuild, kRefresh, kDiskLoad };
 
+  /// What a lookup does with its key, classified under mu_ by
+  /// DecideLocked: serve a fresh entry, wait for (or report) another
+  /// caller's job, refresh a stale-by-append entry, or fill the key from
+  /// its on-disk image or a build.
+  enum class Verdict { kHit, kInFlight, kRefresh, kFill };
+
+  /// One key's refresh, or its disk load falling back to a build, claimed
+  /// under mu_ (the entry is marked building and counted in
+  /// builds_in_flight_) and run outside it by RunJob.
+  struct Job {
+    EntryPtr entry;
+    /// kRefresh renews `entry` from old_index; kBuild fills a placeholder.
+    InstallSource source = InstallSource::kBuild;
+    std::shared_ptr<const VectorIndex> old_index;
+    std::uint64_t old_version = 0;
+    bool try_disk = false;
+    /// Runs on the background runner (and so builds serially there).
+    bool deferred = false;
+  };
+
+  /// The one lookup behind GetOrBuild (may_defer=false) and
+  /// GetOrBuildAsync (may_defer=true): decides, claims the job, and runs
+  /// it inline or, when deferring and async builds are on, submits it to
+  /// the background runner and reports build_in_flight.
+  Result<AsyncIndex> Lookup(const IndexKey& key, bool may_defer);
+
+  /// Classifies `key` (see Verdict); `entry` receives the resident entry
+  /// (null for kFill). A stale entry that does not refresh is invalidated
+  /// here, and the path of this process's image it outdated goes into
+  /// `doomed_image` for the caller to unlink after releasing mu_.
+  Verdict DecideLocked(const IndexKey& key, EntryPtr* entry,
+                       std::string* doomed_image) CRE_REQUIRES(mu_);
+
+  /// Runs a claimed job: refresh, or disk load falling back to a build;
+  /// then schedules the write-through and installs the result. The
+  /// persist is scheduled before the install because the install drops
+  /// builds_in_flight_, after which a background job must not touch the
+  /// manager (WaitForBuilds' contract). Returns the installed index.
+  Result<std::shared_ptr<const VectorIndex>> RunJob(
+      const IndexKey& key, const Job& job, std::uint64_t* built_version);
+
   /// Embeds the key's column and constructs+builds the index (no locks).
   /// `serial` forces a pool-free build: background builds run *on* a
   /// worker thread, and a task that fanned out and waited on the pool
@@ -328,7 +349,8 @@ class IndexManager {
   /// Installs a finished build/refresh/load into `entry` (or removes the
   /// entry on failure) and wakes waiters. Recomputes the entry's byte
   /// footprint from the installed index — entries grow across refreshes,
-  /// so bytes are never trusted from a previous install. Caller holds
+  /// so bytes are never trusted from a previous install. A disk load also
+  /// marks the adopted image's stamp as this process's. Caller holds
   /// mu_.
   void FinishInstallLocked(const IndexKey& key, const EntryPtr& entry,
                            Result<std::shared_ptr<const VectorIndex>>&& built,
@@ -376,17 +398,13 @@ class IndexManager {
                                 std::vector<std::string>* doomed)
       CRE_REQUIRES(mu_);
 
-  bool HasPersistedLocked(const IndexKey& key) const CRE_REQUIRES(mu_) {
-    return persisted_.find(key) != persisted_.end();
-  }
-
-  /// Cost-based refresh-vs-rebuild decision over a verified append
-  /// chain: refresh while appended * refresh_cost_per_row <=
-  /// total * rebuild_cost_per_row (see IndexManagerOptions). Every
-  /// refresh branch (sync, async, Residency's advertisement) runs the
-  /// same predicate so the optimizer's kRefreshable signal and the
+  /// True when the stale `entry` changed only by catalog appends since
+  /// its build and the appended rows are at most a quarter of the table,
+  /// the refresh-vs-rebuild crossover (kRefreshCostPerRow). Both lookups and Residency() ask
+  /// this one predicate, so the optimizer's kRefreshable signal and the
   /// manager's actual behavior never disagree.
-  bool RefreshIsCheaper(const Catalog::AppendChain& chain) const;
+  bool RefreshableLocked(const IndexKey& key, const Entry& entry) const
+      CRE_REQUIRES(mu_);
 
   /// Cheap plausibility of the persisted image against the live table
   /// (identity known, row counts agree) — the same probe Residency uses.

@@ -194,15 +194,6 @@ Result<TablePtr> ReadCsvFile(const std::string& path, const Schema& schema,
   return ParseCsv(buffer.str(), schema, options);
 }
 
-Result<TablePtr> ReadCsvFileInferSchema(const std::string& path,
-                                        const CsvOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open CSV file: " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsvInferSchema(buffer.str(), options);
-}
-
 std::string WriteCsv(const Table& table, char delimiter) {
   std::ostringstream os;
   const Schema& schema = table.schema();

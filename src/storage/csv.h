@@ -35,8 +35,6 @@ Result<TablePtr> ParseCsvInferSchema(std::string_view text,
 /// Reads and parses a CSV file.
 Result<TablePtr> ReadCsvFile(const std::string& path, const Schema& schema,
                              const CsvOptions& options = {});
-Result<TablePtr> ReadCsvFileInferSchema(const std::string& path,
-                                        const CsvOptions& options = {});
 
 /// Serializes a table to CSV text (with header).
 std::string WriteCsv(const Table& table, char delimiter = ',');

@@ -18,11 +18,6 @@ Result<const Column*> Table::ColumnByName(const std::string& name) const {
   return &columns_[idx];
 }
 
-Result<Column*> Table::MutableColumnByName(const std::string& name) {
-  CRE_ASSIGN_OR_RETURN(std::size_t idx, schema_.RequireField(name));
-  return &columns_[idx];
-}
-
 Status Table::AppendRow(const std::vector<Value>& values) {
   if (values.size() != columns_.size()) {
     return Status::InvalidArgument("row arity mismatch: expected " +

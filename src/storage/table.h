@@ -38,7 +38,6 @@ class Table {
 
   /// Column lookup by field name.
   Result<const Column*> ColumnByName(const std::string& name) const;
-  Result<Column*> MutableColumnByName(const std::string& name);
 
   /// Appends one row of boxed values (one per field, in schema order).
   Status AppendRow(const std::vector<Value>& values);

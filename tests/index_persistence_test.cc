@@ -15,6 +15,10 @@
 //    content-mismatched (stale) images are rejected and fall back to a
 //    clean rebuild — a stale index is never served; eviction degrades a
 //    key to on-disk, not absent.
+//  - Lookup parity: every lifecycle step (build, hit, refresh, rebuild,
+//    image reclaim, refresh fault, disk load) counts and answers alike
+//    through GetOrBuild and GetOrBuildAsync; concurrent blocking lookups
+//    of one stale key refresh once.
 //  - Cooperative cancellation inside HNSW construction and semantic-join
 //    probe loops, with a bounded-latency check on a large cold build.
 //  - Engine end to end: first post-"restart" EXPLAIN shows (on-disk),
@@ -35,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cancel.h"
+#include "core/fault_injection.h"
 #include "core/rng.h"
 #include "core/timer.h"
 #include "embed/hash_embedding_model.h"
@@ -550,8 +555,8 @@ TEST(IncrementalRefreshTest, ByteAccountingFollowsRefreshGrowth) {
 }
 
 TEST(IncrementalRefreshTest, CostCrossoverPicksRefreshOrRebuild) {
-  // Default cost knobs (refresh 4x the per-row cost of a rebuild row)
-  // place the crossover at 25% appended: a 5% append must refresh, a 30%
+  // An incrementally inserted row costs 4 bulk-build rows, which places
+  // the crossover at 25% appended: a 5% append must refresh, a 30%
   // append must fall through to a full rebuild.
   Fixture f;
   f.catalog.Put("t", MakeStringTable(Words(400, "w_")));
@@ -576,28 +581,16 @@ TEST(IncrementalRefreshTest, CostCrossoverPicksRefreshOrRebuild) {
   EXPECT_EQ(large.ValueOrDie()->size(), 600u);
   EXPECT_EQ(manager.stats().refreshes, 1u) << "past crossover must rebuild";
   EXPECT_EQ(manager.stats().builds, 2u);
-
-  // The knobs steer the decision: with refresh priced at zero the same
-  // 30%-scale append refreshes again.
-  IndexManagerOptions cheap;
-  cheap.refresh_cost_per_row = 0.0;
-  IndexManager always_refresh = f.MakeManager(cheap);
-  ASSERT_TRUE(always_refresh.GetOrBuild(key).ok());
-  ASSERT_TRUE(f.catalog.Append("t", *MakeStringTable(Words(250, "x_"))).ok());
-  ASSERT_TRUE(always_refresh.GetOrBuild(key).ok());
-  EXPECT_EQ(always_refresh.stats().refreshes, 1u);
-  EXPECT_EQ(always_refresh.stats().builds, 1u);
 }
 
 TEST(IncrementalRefreshTest, ConcurrentQueriesDuringAppendsAreClean) {
   Fixture f;
-  f.catalog.Put("t", MakeStringTable(Words(900, "w_", 300)));
   // This test exercises refresh/read concurrency, not the cost policy:
-  // pin refresh as always-cheaper so a reader that observes many pending
+  // all eight appends together (400 rows) stay below the 25% refresh
+  // crossover of the grown table, so a reader that observes many pending
   // appends at once never crosses into the rebuild regime.
-  IndexManagerOptions concurrency_options;
-  concurrency_options.refresh_cost_per_row = 0.0;
-  IndexManager manager = f.MakeManager(concurrency_options);
+  f.catalog.Put("t", MakeStringTable(Words(1800, "w_", 300)));
+  IndexManager manager = f.MakeManager();
   IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
   ASSERT_TRUE(manager.GetOrBuild(key).ok());
 
@@ -637,7 +630,7 @@ TEST(IncrementalRefreshTest, ConcurrentQueriesDuringAppendsAreClean) {
 
   auto final_index = manager.GetOrBuild(key);
   ASSERT_TRUE(final_index.ok());
-  EXPECT_EQ(final_index.ValueOrDie()->size(), 900u + 8u * 50u);
+  EXPECT_EQ(final_index.ValueOrDie()->size(), 1800u + 8u * 50u);
   EXPECT_EQ(manager.stats().builds, 1u) << "appends must never rebuild";
 }
 
@@ -926,6 +919,223 @@ TEST(IndexPersistenceTest, RefreshedImageWarmStartsAtTheNewVersion) {
   EXPECT_EQ(loaded.ValueOrDie()->size(), 570u);
   EXPECT_EQ(second.stats().builds, 0u);
   EXPECT_EQ(second.stats().disk_loads, 1u);
+}
+
+// ---- blocking vs non-blocking lookup parity ----
+//
+// Every lifecycle step must count and answer the same whether it is
+// reached through the blocking GetOrBuild or through GetOrBuildAsync with
+// background builds on (polled with WaitForBuilds until it serves).
+
+enum class LookupMode { kSync, kAsync };
+
+/// Clears the process-global fault injector on entry and exit.
+struct FaultReset {
+  FaultReset() { FaultInjector::Global().Reset(); }
+  ~FaultReset() { FaultInjector::Global().Reset(); }
+};
+
+/// One manager driven in one lookup mode. The pool is declared first so
+/// it outlives the manager's background jobs.
+struct ParityManager {
+  ParityManager(Fixture* f, LookupMode mode, const std::string& persist_dir)
+      : mode(mode),
+        manager(&f->catalog, &f->models, MakeOptions(mode, persist_dir)) {
+    if (mode == LookupMode::kAsync) manager.EnableAsyncBuilds(&pool);
+  }
+  ~ParityManager() { manager.WaitForBuilds(); }
+
+  static IndexManagerOptions MakeOptions(LookupMode mode,
+                                         const std::string& persist_dir) {
+    IndexManagerOptions options;
+    options.async_builds = mode == LookupMode::kAsync;
+    options.persist_dir = persist_dir;
+    return options;
+  }
+
+  /// Serves `key` the way this mode's callers do.
+  Result<std::shared_ptr<const VectorIndex>> Serve(const IndexKey& key) {
+    if (mode == LookupMode::kSync) return manager.GetOrBuild(key);
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      CRE_ASSIGN_OR_RETURN(IndexManager::AsyncIndex r,
+                           manager.GetOrBuildAsync(key));
+      if (r.index != nullptr) return r.index;
+      manager.WaitForBuilds();
+    }
+    return Status::Internal("async lookup never served the index");
+  }
+
+  LookupMode mode;
+  ThreadPool pool{2};
+  IndexManager manager;
+};
+
+struct ParityOutcome {
+  std::uint64_t builds = 0;
+  std::uint64_t refreshes = 0;
+  std::uint64_t invalidations = 0;
+  std::uint64_t disk_loads = 0;
+  std::uint64_t disk_gc = 0;
+  std::vector<ScoredId> top;
+};
+
+enum class ParityScenario {
+  kColdBuild,
+  kFreshHit,
+  kAppendBelowCrossover,
+  kAppendPastCrossover,
+  kDestructivePutReclaimsImage,
+  kRefreshFaultRebuilds,
+  kColdKeyLoadsImage,
+};
+
+/// Runs one scenario to completion and reports its counters plus the
+/// served index's answer to a fixed top-k probe.
+ParityOutcome RunParityScenario(ParityScenario scenario, LookupMode mode) {
+  const FaultReset faults;
+  const bool persists =
+      scenario == ParityScenario::kDestructivePutReclaimsImage ||
+      scenario == ParityScenario::kColdKeyLoadsImage;
+  const DirGuard dir(persists ? FreshTempDir("parity") : std::string());
+  Fixture f;
+  f.catalog.Put("t", MakeStringTable(Words(400, "w_")));
+  const IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+  if (scenario == ParityScenario::kColdKeyLoadsImage) {
+    // A previous process left a valid image behind.
+    ParityManager previous(&f, LookupMode::kSync, dir.path);
+    previous.Serve(key).status().Check();
+  }
+
+  ParityManager pm(&f, mode, dir.path);
+  Result<std::shared_ptr<const VectorIndex>> served = pm.Serve(key);
+  switch (scenario) {
+    case ParityScenario::kColdBuild:
+    case ParityScenario::kColdKeyLoadsImage:
+      break;
+    case ParityScenario::kFreshHit:
+      served = pm.Serve(key);
+      break;
+    case ParityScenario::kAppendBelowCrossover:  // 20 of 420 rows: ~5%
+      f.catalog.Append("t", *MakeStringTable(Words(20, "s_"))).status().Check();
+      served = pm.Serve(key);
+      break;
+    case ParityScenario::kAppendPastCrossover:  // 180 of 580 rows: ~31%
+      f.catalog.Append("t", *MakeStringTable(Words(180, "l_"))).status().Check();
+      served = pm.Serve(key);
+      break;
+    case ParityScenario::kDestructivePutReclaimsImage:
+      pm.manager.WaitForBuilds();  // the first image is on disk
+      f.catalog.Put("t", MakeStringTable(Words(400, "z_")));
+      served = pm.Serve(key);
+      break;
+    case ParityScenario::kRefreshFaultRebuilds:
+      f.catalog.Append("t", *MakeStringTable(Words(20, "s_"))).status().Check();
+      FaultInjector::Global().Arm("index.refresh.append", FaultSpec{});
+      served = pm.Serve(key);
+      break;
+  }
+  EXPECT_TRUE(served.ok()) << served.status().ToString();
+  pm.manager.WaitForBuilds();
+
+  ParityOutcome out;
+  const auto stats = pm.manager.stats();
+  out.builds = stats.builds;
+  out.refreshes = stats.refreshes;
+  out.invalidations = stats.invalidations;
+  out.disk_loads = stats.disk_loads;
+  out.disk_gc = stats.disk_gc;
+  if (served.ok()) {
+    auto model = f.models.Get("m").ValueOrDie();
+    std::vector<float> query(model->dim());
+    model->Embed("w_7", query.data());
+    out.top = served.ValueOrDie()->TopK(query.data(), 10);
+  }
+  return out;
+}
+
+class LookupParityTest : public ::testing::TestWithParam<LookupMode> {};
+
+TEST_P(LookupParityTest, LifecycleCountsAndAnswersMatch) {
+  struct Expected {
+    ParityScenario scenario;
+    const char* name;
+    std::uint64_t builds, refreshes, invalidations, disk_loads, disk_gc;
+  };
+  const Expected cases[] = {
+      {ParityScenario::kColdBuild, "cold build", 1, 0, 0, 0, 0},
+      {ParityScenario::kFreshHit, "fresh hit", 1, 0, 0, 0, 0},
+      {ParityScenario::kAppendBelowCrossover, "append below crossover", 1, 1,
+       0, 0, 0},
+      {ParityScenario::kAppendPastCrossover, "append past crossover", 2, 0, 1,
+       0, 0},
+      {ParityScenario::kDestructivePutReclaimsImage, "destructive put", 2, 0,
+       1, 0, 1},
+      {ParityScenario::kRefreshFaultRebuilds, "refresh fault", 2, 0, 1, 0, 0},
+      {ParityScenario::kColdKeyLoadsImage, "cold key with image", 0, 0, 0, 1,
+       0},
+  };
+  for (const Expected& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ParityOutcome got = RunParityScenario(c.scenario, GetParam());
+    EXPECT_EQ(got.builds, c.builds);
+    EXPECT_EQ(got.refreshes, c.refreshes);
+    EXPECT_EQ(got.invalidations, c.invalidations);
+    EXPECT_EQ(got.disk_loads, c.disk_loads);
+    EXPECT_EQ(got.disk_gc, c.disk_gc);
+    // The blocking lookup's answer is the reference for both modes.
+    const ParityOutcome ref = RunParityScenario(c.scenario, LookupMode::kSync);
+    ASSERT_EQ(got.top.size(), ref.top.size());
+    ASSERT_FALSE(got.top.empty());
+    for (std::size_t i = 0; i < got.top.size(); ++i) {
+      EXPECT_EQ(got.top[i].id, ref.top[i].id) << "rank " << i;
+      EXPECT_EQ(got.top[i].score, ref.top[i].score) << "rank " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexManagerParity, LookupParityTest,
+    ::testing::Values(LookupMode::kSync, LookupMode::kAsync),
+    [](const ::testing::TestParamInfo<LookupMode>& info) {
+      return std::string(info.param == LookupMode::kSync ? "Sync" : "Async");
+    });
+
+TEST(IndexManagerParityRace, BlockingLookupsOfOneStaleKeyRefreshOnce) {
+  // Async builds off: GetOrBuildAsync blocks like GetOrBuild, and every
+  // caller must join the one single-flight refresh.
+  Fixture f;
+  f.catalog.Put("t", MakeStringTable(Words(400, "w_")));
+  IndexManager manager = f.MakeManager();
+  const IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+  ASSERT_TRUE(manager.GetOrBuild(key).ok());
+  ASSERT_TRUE(f.catalog.Append("t", *MakeStringTable(Words(20, "s_"))).ok());
+
+  constexpr int kAsyncCallers = 4;
+  std::atomic<bool> go{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kAsyncCallers; ++t) {
+    callers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      auto r = manager.GetOrBuildAsync(key);
+      if (!r.ok() || r.ValueOrDie().index == nullptr ||
+          r.ValueOrDie().index->size() != 420u) {
+        wrong.fetch_add(1);
+      }
+    });
+  }
+  callers.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    auto r = manager.GetOrBuild(key);
+    if (!r.ok() || r.ValueOrDie()->size() != 420u) wrong.fetch_add(1);
+  });
+  go.store(true);
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto stats = manager.stats();
+  EXPECT_EQ(stats.refreshes, 1u);
+  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.invalidations, 0u);
 }
 
 // ---- engine end to end ----

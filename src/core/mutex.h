@@ -103,18 +103,6 @@ class CondVar {
     return ok;
   }
 
-  template <typename Clock, typename Duration>
-  bool WaitUntil(MutexLock& lock,
-                 const std::chrono::time_point<Clock, Duration>& deadline)
-      CRE_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock<std::mutex> native(lock.mutex()->native(),
-                                        std::adopt_lock);
-    const bool ok =
-        cv_.wait_until(native, deadline) == std::cv_status::no_timeout;
-    native.release();
-    return ok;
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

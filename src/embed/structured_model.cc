@@ -4,7 +4,6 @@
 #include <map>
 
 #include "core/hash.h"
-#include "vecsim/fp16.h"
 #include "vecsim/kernels.h"
 
 namespace cre {
@@ -143,13 +142,6 @@ void SynonymStructuredModel::EmbedBatchPrefetch(
       EmbedOov(texts[i], out + i * dim);
     }
   }
-}
-
-std::vector<std::uint16_t> SynonymStructuredModel::CompressedMatrixHalf()
-    const {
-  std::vector<std::uint16_t> half(matrix_.size());
-  FloatsToHalves(matrix_.data(), half.data(), matrix_.size());
-  return half;
 }
 
 }  // namespace cre

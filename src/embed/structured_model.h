@@ -81,9 +81,6 @@ class SynonymStructuredModel : public EmbeddingModel {
     return matrix_.data() + static_cast<std::size_t>(row) * options_.dim;
   }
 
-  /// FP16 copy of the vocabulary matrix (for the half-precision kernels).
-  std::vector<std::uint16_t> CompressedMatrixHalf() const;
-
   /// Approximate parameter footprint in bytes (optimizer: model shipping
   /// cost, Sec. VI).
   std::size_t ParameterBytes() const {

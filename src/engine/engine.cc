@@ -462,7 +462,6 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
       options.threshold = node.threshold;
       options.strategy = node.strategy;
       options.top_k = node.top_k;
-      options.variant = options_.kernel_variant;
       options.pool = ctx->runner();
       // Local builds use the engine's family options, as managed builds
       // and the optimizer's strategy rules do.
@@ -527,16 +526,11 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
 }
 
 Result<OperatorPtr> Engine::LowerSemanticSelectOver(
-    const PlanNode& node, OperatorPtr child, SharedQueryMatrix shared_query) {
+    const PlanNode& node, OperatorPtr child, SharedQueryMatrix queries) {
   CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model, models_.Get(node.model_name));
-  if (!node.queries.empty()) {
-    return OperatorPtr(std::make_unique<SemanticMultiSelectOperator>(
-        std::move(child), node.column, node.queries, std::move(model),
-        node.threshold, std::move(shared_query)));
-  }
   return OperatorPtr(std::make_unique<SemanticSelectOperator>(
-      std::move(child), node.column, node.query, std::move(model),
-      node.threshold, std::move(shared_query)));
+      std::move(child), node.column, std::move(model), node.threshold,
+      std::move(queries)));
 }
 
 Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {

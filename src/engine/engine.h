@@ -24,7 +24,6 @@
 #include "plan/plan_node.h"
 #include "semantic/semantic_select.h"
 #include "storage/catalog.h"
-#include "vecsim/kernels.h"
 #include "vision/detection_scan.h"
 
 namespace cre {
@@ -54,8 +53,6 @@ struct EngineOptions {
   std::size_t num_threads = 0;
   /// Rows per morsel for the parallel pipeline driver.
   std::size_t morsel_rows = 8 * 1024;
-  /// Kernel variant for similarity operators.
-  KernelVariant kernel_variant = BestKernelVariant();
   /// Persistent vector-index subsystem: cache/eviction budget, build
   /// parameters, and async (background) build policy for managed indexes
   /// shared across queries.
@@ -201,14 +198,13 @@ class Engine {
   Result<OperatorPtr> LowerNodeOver(QueryContext* ctx, const PlanNode& node,
                                     std::vector<OperatorPtr> children);
 
-  /// Lowers a scanning kSemanticSelect over `child`, optionally adopting
-  /// a pre-embedded query matrix. The parallel driver embeds each select
-  /// node's query constant(s) once per query and passes the shared matrix
-  /// to every per-morsel instance (instead of re-embedding at each
-  /// morsel-chain Open).
+  /// Lowers a scanning kSemanticSelect over `child` with its pre-embedded
+  /// query matrix. The parallel driver embeds each select node's query
+  /// constant(s) once per query and passes the shared matrix to every
+  /// per-morsel instance.
   Result<OperatorPtr> LowerSemanticSelectOver(const PlanNode& node,
                                               OperatorPtr child,
-                                              SharedQueryMatrix shared_query);
+                                              SharedQueryMatrix queries);
 
   /// Resolves an index-backed kSemanticSelect against ctx's snapshot and
   /// the (possibly asynchronous) IndexManager. Returns the index-probing

@@ -159,28 +159,21 @@ Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
     if (op->kind != PlanKind::kSemanticSelect) continue;
     CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model,
                          engine_->models().Get(op->model_name));
+    const std::vector<std::string> queries =
+        op->queries.empty() ? std::vector<std::string>{op->query}
+                            : op->queries;
     SpanScope span(this, "embed:queries");
     span.Annotate("model", op->model_name);
-    span.Annotate("queries",
-                  std::to_string(op->queries.empty() ? 1 : op->queries.size()));
+    span.Annotate("queries", std::to_string(queries.size()));
     CRE_RETURN_NOT_OK(CRE_INJECT_FAULT("embed.query"));
     // The shared matrix outlives this scope (every per-morsel operator
     // instance holds it), so charge without a scoped release; the query
     // budget returns the remainder when the query finishes.
     if (ctx_->budget() != nullptr) {
-      const std::size_t bytes = (op->queries.empty() ? 1 : op->queries.size()) *
-                                model->dim() * sizeof(float);
-      CRE_RETURN_NOT_OK(ctx_->budget()->Charge(bytes, "query embed matrix"));
+      CRE_RETURN_NOT_OK(ctx_->budget()->Charge(
+          queries.size() * model->dim() * sizeof(float), "query embed matrix"));
     }
-    auto matrix = std::make_shared<std::vector<float>>();
-    if (op->queries.empty()) {
-      matrix->resize(model->dim());
-      model->Embed(op->query, matrix->data());
-    } else {
-      matrix->resize(op->queries.size() * model->dim());
-      model->EmbedBatch(op->queries, matrix->data());
-    }
-    selects.emplace(op, std::move(matrix));
+    selects.emplace(op, EmbedQueries(*model, queries));
   }
   return selects;
 }

@@ -15,11 +15,11 @@ namespace cre {
 /// the worker pool with deterministic morsel-order concatenation.
 ///
 /// Streamable (ride inside a segment, row-parallel):
-///   Filter, Project, scanning SemanticSelect / SemanticMultiSelect, and
-///   the PROBE side of a hash Join once its build side has been
-///   materialized into a shared read-only hash table. (An index-backed
-///   SemanticSelect instead probes a whole-table managed index and acts
-///   as a segment source.)
+///   Filter, Project, scanning SemanticSelect (one literal query or a
+///   data-induced query set), and the PROBE side of a hash Join once its
+///   build side has been materialized into a shared read-only hash
+///   table. (An index-backed SemanticSelect instead probes a whole-table
+///   managed index and acts as a segment source.)
 /// Breakers (segment sources, materialized before the segment above them
 /// starts):
 ///   Scan (the segment's base table), DetectScan (parallelized internally

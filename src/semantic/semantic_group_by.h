@@ -25,9 +25,6 @@ class OnlineClusterer {
   std::uint32_t Assign(const float* vec);
 
   std::size_t num_clusters() const { return reps_.size() / dim_; }
-  const float* Representative(std::uint32_t cluster) const {
-    return reps_.data() + static_cast<std::size_t>(cluster) * dim_;
-  }
 
  private:
   std::size_t dim_;

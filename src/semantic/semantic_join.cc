@@ -113,7 +113,7 @@ Status SemanticJoinOperator::Open() {
     names.insert(nf.name);
     schema_.AddField(std::move(nf));
   }
-  std::string score = options_.score_column;
+  std::string score = "similarity";
   while (names.count(score)) score += "_";
   schema_.AddField({score, DataType::kFloat64, 0});
   return Status::OK();
@@ -138,7 +138,6 @@ Status SemanticJoinOperator::BuildRightSide() {
       options_.shared_index->size() == words.size() &&
       options_.shared_index->dim() == dim) {
     index_ = options_.shared_index;
-    using_shared_index_ = true;
     return Status::OK();
   }
 
@@ -176,7 +175,7 @@ Result<TablePtr> SemanticJoinOperator::Next() {
     std::vector<MatchPair> matches;
     if (options_.top_k > 0) {
       // Top-k mode: per left row, the k best right rows above threshold.
-      const DotFn dot = GetDotKernel(options_.variant);
+      const DotFn dot = GetDotKernel(BestKernelVariant());
       const std::size_t n_right = right_matrix_.size() / dim;
       for (std::size_t i = 0; i < words.size(); ++i) {
         CRE_RETURN_NOT_OK(CheckProbeCancel(options_.cancel, i));
@@ -200,7 +199,7 @@ Result<TablePtr> SemanticJoinOperator::Next() {
       }
     } else if (index_ == nullptr) {
       BruteForceOptions bf;
-      bf.variant = options_.variant;
+      bf.variant = BestKernelVariant();
       bf.pool = options_.pool;
       bf.cancel = options_.cancel;
       matches = SimilarityJoinBrute(left_matrix.data(), words.size(),
@@ -267,7 +266,7 @@ Result<std::vector<MatchPair>> SemanticStringJoin(
                       options.ivfpq, options.pool, options.cancel);
   if (index == nullptr) {
     BruteForceOptions bf;
-    bf.variant = options.variant;
+    bf.variant = BestKernelVariant();
     bf.pool = options.pool;
     return SimilarityJoinBrute(lm.data(), left.size(), rm.data(),
                                right.size(), dim, options.threshold, bf);

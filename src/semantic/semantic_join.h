@@ -87,7 +87,6 @@ const char* IndexResidencyName(IndexResidency r);
 struct SemanticJoinOptions {
   float threshold = 0.9f;
   SemanticJoinStrategy strategy = SemanticJoinStrategy::kBruteForce;
-  KernelVariant variant = BestKernelVariant();
   /// Enables parallel probing and parallel local IVF/HNSW builds when set.
   TaskRunner* pool = nullptr;
   /// Cooperative cancellation, polled inside the per-batch probe loops
@@ -110,14 +109,12 @@ struct SemanticJoinOptions {
   /// similar right rows that also clear `threshold` (set threshold to a
   /// very low value for pure k-NN). 0 = plain threshold range join.
   std::size_t top_k = 0;
-  /// Name of the appended similarity score column.
-  std::string score_column = "similarity";
 };
 
 /// The paper's Semantic Join operator extension (Sec. IV): joins two
 /// relations on the latent-space distance between the embeddings of their
 /// join-key strings. Emits left columns + right columns (duplicates
-/// suffixed "_r") + a float64 similarity score column.
+/// suffixed "_r") + a float64 "similarity" score column.
 class SemanticJoinOperator : public PhysicalOperator {
  public:
   SemanticJoinOperator(OperatorPtr left, OperatorPtr right,
@@ -134,9 +131,6 @@ class SemanticJoinOperator : public PhysicalOperator {
            ")";
   }
 
-  /// True when Open() adopted a prebuilt shared index instead of building.
-  bool using_shared_index() const { return using_shared_index_; }
-
  private:
   Status BuildRightSide();
 
@@ -152,8 +146,6 @@ class SemanticJoinOperator : public PhysicalOperator {
   std::vector<float> right_matrix_;
   /// Owned (locally built) or shared (IndexManager-served) index.
   std::shared_ptr<const VectorIndex> index_;
-  /// True when index_ came from options_.shared_index (stats/debugging).
-  bool using_shared_index_ = false;
   bool opened_ = false;
 };
 

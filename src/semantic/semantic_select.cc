@@ -10,45 +10,70 @@ namespace cre {
 
 namespace {
 
-/// Distinct strings of a batch plus a row -> distinct index mapping.
-/// Semantic operators embed (and score) each distinct string once per
-/// morsel-sized batch — on Zipfian corpora this collapses most of the
-/// embedding work, and it keeps one EmbedBatch call per morsel so batched
-/// backends (and the LRU cache's batched path) amortize properly.
-struct DistinctBatch {
+/// Ascending ids of the rows of `words` whose embedding scores >=
+/// threshold against ANY row of the row-major [nq x dim] `queries`. Each
+/// distinct string is embedded (and scored) once, with one EmbedBatch
+/// call: on Zipfian corpora this collapses most of the embedding work,
+/// and one call per morsel-sized batch lets batched backends (and the LRU
+/// cache's batched path) amortize. A string stops scoring at its first
+/// matching query.
+std::vector<std::uint32_t> MatchRows(Span<std::string> words,
+                                     const std::vector<float>& queries,
+                                     const EmbeddingModel& model,
+                                     float threshold) {
+  const std::size_t dim = model.dim();
+  const std::size_t num_queries = queries.size() / dim;
   std::vector<std::string> unique;
-  std::vector<std::uint32_t> row_to_unique;
-};
-
-DistinctBatch CollectDistinct(Span<std::string> words) {
-  DistinctBatch out;
-  out.row_to_unique.resize(words.size());
+  std::vector<std::uint32_t> row_to_unique(words.size());
   std::unordered_map<std::string_view, std::uint32_t> index;
   index.reserve(words.size());
   for (std::size_t i = 0; i < words.size(); ++i) {
     auto [it, inserted] = index.emplace(
-        std::string_view(words[i]),
-        static_cast<std::uint32_t>(out.unique.size()));
-    if (inserted) out.unique.push_back(words[i]);
-    out.row_to_unique[i] = it->second;
+        std::string_view(words[i]), static_cast<std::uint32_t>(unique.size()));
+    if (inserted) unique.push_back(words[i]);
+    row_to_unique[i] = it->second;
   }
-  return out;
+  std::vector<float> matrix(unique.size() * dim);
+  model.EmbedBatch(unique, matrix.data());
+
+  const DotFn dot = GetDotKernel(BestKernelVariant());
+  std::vector<char> match(unique.size());
+  for (std::size_t u = 0; u < unique.size(); ++u) {
+    const float* v = matrix.data() + u * dim;
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      if (dot(queries.data() + q * dim, v, dim) >= threshold) {
+        match[u] = 1;
+        break;
+      }
+    }
+  }
+  std::vector<std::uint32_t> rows;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (match[row_to_unique[i]]) rows.push_back(static_cast<std::uint32_t>(i));
+  }
+  return rows;
 }
 
 }  // namespace
 
+SharedQueryMatrix EmbedQueries(const EmbeddingModel& model,
+                               const std::vector<std::string>& queries) {
+  auto matrix = std::make_shared<std::vector<float>>(queries.size() *
+                                                     model.dim());
+  model.EmbedBatch(queries, matrix->data());
+  return matrix;
+}
+
 SemanticSelectOperator::SemanticSelectOperator(OperatorPtr child,
                                                std::string column,
-                                               std::string query,
                                                EmbeddingModelPtr model,
                                                float threshold,
-                                               SharedQueryMatrix shared_query)
+                                               SharedQueryMatrix queries)
     : child_(std::move(child)),
       column_(std::move(column)),
-      query_(std::move(query)),
       model_(std::move(model)),
       threshold_(threshold),
-      shared_query_(std::move(shared_query)) {}
+      queries_(std::move(queries)) {}
 
 Status SemanticSelectOperator::Open() {
   CRE_RETURN_NOT_OK(child_->Open());
@@ -58,111 +83,21 @@ Status SemanticSelectOperator::Open() {
     return Status::TypeError("semantic select column '" + column_ +
                              "' must be a string column");
   }
-  if (shared_query_ != nullptr) {
-    if (shared_query_->size() != model_->dim()) {
-      return Status::InvalidArgument(
-          "shared query matrix size does not match model dim");
-    }
-    query_data_ = shared_query_->data();
-    return Status::OK();
+  if (queries_ == nullptr || queries_->empty() ||
+      queries_->size() % model_->dim() != 0) {
+    return Status::InvalidArgument(
+        "semantic select query matrix is not [n x model dim] with n >= 1");
   }
-  query_vec_.resize(model_->dim());
-  model_->Embed(query_, query_vec_.data());
-  query_data_ = query_vec_.data();
   return Status::OK();
 }
 
 Result<TablePtr> SemanticSelectOperator::Next() {
-  const std::size_t dim = model_->dim();
   for (;;) {
     CRE_ASSIGN_OR_RETURN(TablePtr batch, child_->Next());
     if (batch == nullptr) return TablePtr(nullptr);
     CRE_ASSIGN_OR_RETURN(const Column* col, batch->ColumnByName(column_));
-    const auto& words = col->strings();
-
-    const DistinctBatch distinct = CollectDistinct(words);
-    std::vector<float> matrix(distinct.unique.size() * dim);
-    model_->EmbedBatch(distinct.unique, matrix.data());
-
-    const DotFn dot = GetDotKernel(BestKernelVariant());
-    std::vector<char> match(distinct.unique.size());
-    for (std::size_t u = 0; u < distinct.unique.size(); ++u) {
-      match[u] = dot(query_data_, matrix.data() + u * dim, dim) >= threshold_;
-    }
-    std::vector<std::uint32_t> keep;
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      if (match[distinct.row_to_unique[i]]) {
-        keep.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (keep.empty()) continue;
-    if (keep.size() == batch->num_rows()) return batch;
-    return batch->Take(keep);
-  }
-}
-
-SemanticMultiSelectOperator::SemanticMultiSelectOperator(
-    OperatorPtr child, std::string column, std::vector<std::string> queries,
-    EmbeddingModelPtr model, float threshold,
-    SharedQueryMatrix shared_queries)
-    : child_(std::move(child)),
-      column_(std::move(column)),
-      queries_(std::move(queries)),
-      model_(std::move(model)),
-      threshold_(threshold),
-      shared_queries_(std::move(shared_queries)) {}
-
-Status SemanticMultiSelectOperator::Open() {
-  CRE_RETURN_NOT_OK(child_->Open());
-  CRE_ASSIGN_OR_RETURN(std::size_t idx,
-                       child_->output_schema().RequireField(column_));
-  if (child_->output_schema().field(idx).type != DataType::kString) {
-    return Status::TypeError("semantic multi-select column '" + column_ +
-                             "' must be a string column");
-  }
-  if (shared_queries_ != nullptr) {
-    if (shared_queries_->size() != queries_.size() * model_->dim()) {
-      return Status::InvalidArgument(
-          "shared query matrix size does not match query count * model dim");
-    }
-    query_data_ = shared_queries_->data();
-    return Status::OK();
-  }
-  query_matrix_.resize(queries_.size() * model_->dim());
-  model_->EmbedBatch(queries_, query_matrix_.data());
-  query_data_ = query_matrix_.data();
-  return Status::OK();
-}
-
-Result<TablePtr> SemanticMultiSelectOperator::Next() {
-  const std::size_t dim = model_->dim();
-  const DotFn dot = GetDotKernel(BestKernelVariant());
-  for (;;) {
-    CRE_ASSIGN_OR_RETURN(TablePtr batch, child_->Next());
-    if (batch == nullptr) return TablePtr(nullptr);
-    CRE_ASSIGN_OR_RETURN(const Column* col, batch->ColumnByName(column_));
-    const auto& words = col->strings();
-
-    const DistinctBatch distinct = CollectDistinct(words);
-    std::vector<float> matrix(distinct.unique.size() * dim);
-    model_->EmbedBatch(distinct.unique, matrix.data());
-
-    std::vector<char> match(distinct.unique.size());
-    for (std::size_t u = 0; u < distinct.unique.size(); ++u) {
-      const float* v = matrix.data() + u * dim;
-      for (std::size_t q = 0; q < queries_.size(); ++q) {
-        if (dot(v, query_data_ + q * dim, dim) >= threshold_) {
-          match[u] = 1;
-          break;
-        }
-      }
-    }
-    std::vector<std::uint32_t> keep;
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      if (match[distinct.row_to_unique[i]]) {
-        keep.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
+    const std::vector<std::uint32_t> keep =
+        MatchRows(col->strings(), *queries_, *model_, threshold_);
     if (keep.empty()) continue;
     if (keep.size() == batch->num_rows()) return batch;
     return batch->Take(keep);
@@ -201,8 +136,7 @@ Status SemanticIndexSelectOperator::Open() {
         std::to_string(table_->num_rows()) +
         " (stale index served for a changed table?)");
   }
-  std::vector<float> query_vec(model_->dim());
-  model_->Embed(query_, query_vec.data());
+  const std::vector<float> query_vec = model_->EmbedToVector(query_);
   std::vector<ScoredId> hits;
   CRE_RETURN_NOT_OK(index_->RangeSearchChecked(query_vec.data(), model_->dim(),
                                                threshold_, &hits));
@@ -215,28 +149,16 @@ Status SemanticIndexSelectOperator::Open() {
   matches_.erase(std::unique(matches_.begin(), matches_.end()),
                  matches_.end());
   if (exact_verify_ && !matches_.empty()) {
-    // Re-score candidates exactly: gather their strings, embed each
-    // distinct one, and apply the same dot >= threshold test the
-    // scanning operator uses. Approximate index scores (quantized ADC
-    // distances, graph walks) then only prefilter; they can't keep a row
-    // the fallback would drop.
-    const std::size_t dim = model_->dim();
+    // Re-score candidates with the scanning select's own match routine.
+    // Approximate index scores (quantized ADC distances, graph walks)
+    // then only prefilter; they can't keep a row the fallback would drop.
     std::vector<std::string> words;
     words.reserve(matches_.size());
     const auto& strings = col->strings();
     for (std::uint32_t id : matches_) words.push_back(strings[id]);
-    const DistinctBatch distinct = CollectDistinct(words);
-    std::vector<float> matrix(distinct.unique.size() * dim);
-    model_->EmbedBatch(distinct.unique, matrix.data());
-    const DotFn dot = GetDotKernel(BestKernelVariant());
-    std::vector<char> match(distinct.unique.size());
-    for (std::size_t u = 0; u < distinct.unique.size(); ++u) {
-      match[u] =
-          dot(query_vec.data(), matrix.data() + u * dim, dim) >= threshold_;
-    }
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < matches_.size(); ++i) {
-      if (match[distinct.row_to_unique[i]]) matches_[kept++] = matches_[i];
+    for (std::uint32_t i : MatchRows(words, query_vec, *model_, threshold_)) {
+      matches_[kept++] = matches_[i];
     }
     matches_.resize(kept);
   }
@@ -251,38 +173,6 @@ Result<TablePtr> SemanticIndexSelectOperator::Next() {
                                        matches_.begin() + next_ + count);
   next_ += count;
   return table_->Take(batch_ids);
-}
-
-Result<TablePtr> SemanticFilter(const TablePtr& table,
-                                const std::string& column,
-                                const std::string& query,
-                                const EmbeddingModel& model,
-                                float threshold) {
-  CRE_ASSIGN_OR_RETURN(const Column* col, table->ColumnByName(column));
-  if (col->type() != DataType::kString) {
-    return Status::TypeError("semantic filter column must be string");
-  }
-  const std::size_t dim = model.dim();
-  std::vector<float> qv(dim);
-  model.Embed(query, qv.data());
-
-  const auto& words = col->strings();
-  const DistinctBatch distinct = CollectDistinct(words);
-  std::vector<float> matrix(distinct.unique.size() * dim);
-  model.EmbedBatch(distinct.unique, matrix.data());
-
-  const DotFn dot = GetDotKernel(BestKernelVariant());
-  std::vector<char> match(distinct.unique.size());
-  for (std::size_t u = 0; u < distinct.unique.size(); ++u) {
-    match[u] = dot(qv.data(), matrix.data() + u * dim, dim) >= threshold;
-  }
-  std::vector<std::uint32_t> keep;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    if (match[distinct.row_to_unique[i]]) {
-      keep.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  return table->Take(keep);
 }
 
 }  // namespace cre

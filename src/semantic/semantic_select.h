@@ -19,17 +19,24 @@ namespace cre {
 /// Layout: row-major [num_queries x dim].
 using SharedQueryMatrix = std::shared_ptr<const std::vector<float>>;
 
+/// Embeds `queries` into a shared [queries.size() x dim] matrix with one
+/// EmbedBatch call.
+SharedQueryMatrix EmbedQueries(const EmbeddingModel& model,
+                               const std::vector<std::string>& queries);
+
 /// The paper's Semantic Select operator extension (Sec. IV):
 ///   column ~= "query" USING MODEL m WITH COSINE THRESHOLD >= t
-/// Embeds the query once at Open() — or adopts a pre-embedded shared
-/// vector — and keeps rows whose string column embeds within the cosine
-/// threshold.
+/// Keeps rows whose string column embeds within the cosine threshold of
+/// ANY row of the pre-embedded query matrix. One query is the literal
+/// `col ~ 'query'`; several are the executable form of a data-induced
+/// predicate (paper Sec. IV, [23]), whose query set the optimizer derives
+/// from the data of a small join side and pushes below expensive
+/// downstream work.
 class SemanticSelectOperator : public PhysicalOperator {
  public:
   SemanticSelectOperator(OperatorPtr child, std::string column,
-                         std::string query, EmbeddingModelPtr model,
-                         float threshold,
-                         SharedQueryMatrix shared_query = nullptr);
+                         EmbeddingModelPtr model, float threshold,
+                         SharedQueryMatrix queries);
 
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -37,54 +44,16 @@ class SemanticSelectOperator : public PhysicalOperator {
   Status Open() override;
   Result<TablePtr> Next() override;
   std::string name() const override {
-    return "SemanticSelect(" + column_ + " ~ '" + query_ + "' >= " +
+    return "SemanticSelect(" + column_ + " >= " +
            std::to_string(threshold_) + ")";
   }
 
  private:
   OperatorPtr child_;
   std::string column_;
-  std::string query_;
   EmbeddingModelPtr model_;
   float threshold_;
-  /// Non-null when the driver pre-embedded the query for all morsels.
-  SharedQueryMatrix shared_query_;
-  std::vector<float> query_vec_;   ///< used when shared_query_ is null
-  const float* query_data_ = nullptr;
-};
-
-/// Multi-query variant: keeps rows whose string column matches ANY of the
-/// query strings at the threshold. This is the executable form of a
-/// data-induced predicate (paper Sec. IV, [23]): the optimizer derives the
-/// query set from the data of a small join side at optimization time and
-/// pushes this operator below expensive downstream work.
-class SemanticMultiSelectOperator : public PhysicalOperator {
- public:
-  SemanticMultiSelectOperator(OperatorPtr child, std::string column,
-                              std::vector<std::string> queries,
-                              EmbeddingModelPtr model, float threshold,
-                              SharedQueryMatrix shared_queries = nullptr);
-
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  Status Open() override;
-  Result<TablePtr> Next() override;
-  std::string name() const override {
-    return "SemanticMultiSelect(" + column_ + " ~ " +
-           std::to_string(queries_.size()) + " queries >= " +
-           std::to_string(threshold_) + ")";
-  }
-
- private:
-  OperatorPtr child_;
-  std::string column_;
-  std::vector<std::string> queries_;
-  EmbeddingModelPtr model_;
-  float threshold_;
-  SharedQueryMatrix shared_queries_;
-  std::vector<float> query_matrix_;  ///< used when shared_queries_ is null
-  const float* query_data_ = nullptr;
+  SharedQueryMatrix queries_;
 };
 
 /// Index-backed semantic select: instead of embedding and scoring every
@@ -135,13 +104,6 @@ class SemanticIndexSelectOperator : public PhysicalOperator {
   std::vector<std::uint32_t> matches_;
   std::size_t next_ = 0;
 };
-
-/// Function form used outside operator trees: rows of `table` whose
-/// `column` is semantically similar to `query`.
-Result<TablePtr> SemanticFilter(const TablePtr& table,
-                                const std::string& column,
-                                const std::string& query,
-                                const EmbeddingModel& model, float threshold);
 
 }  // namespace cre
 

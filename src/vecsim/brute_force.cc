@@ -67,40 +67,6 @@ std::vector<MatchPair> SimilarityJoinBrute(const float* left,
   return matches;
 }
 
-std::vector<MatchPair> SimilarityJoinBruteHalf(
-    const std::uint16_t* left, std::size_t n_left, const std::uint16_t* right,
-    std::size_t n_right, std::size_t dim, float threshold, TaskRunner* pool) {
-  std::vector<MatchPair> matches;
-  auto scan_range = [&](std::size_t begin, std::size_t end,
-                        std::vector<MatchPair>* out) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint16_t* lv = left + i * dim;
-      for (std::size_t j = 0; j < n_right; ++j) {
-        const float s = DotHalf(lv, right + j * dim, dim);
-        if (s >= threshold) {
-          out->push_back({static_cast<std::uint32_t>(i),
-                          static_cast<std::uint32_t>(j), s});
-        }
-      }
-    }
-  };
-  if (pool == nullptr || pool->num_threads() <= 1 || n_left < 64) {
-    scan_range(0, n_left, &matches);
-    return matches;
-  }
-  std::mutex merge_mu;
-  pool->ParallelFor(
-      n_left,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<MatchPair> local;
-        scan_range(begin, end, &local);
-        std::lock_guard<std::mutex> lock(merge_mu);
-        matches.insert(matches.end(), local.begin(), local.end());
-      },
-      /*min_chunk=*/64);
-  return matches;
-}
-
 Status FlatIndex::Build(const float* data, std::size_t n, std::size_t dim) {
   if (dim == 0) return Status::InvalidArgument("dim must be positive");
   store_.Reset(quant_.codec, dim);

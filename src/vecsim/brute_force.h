@@ -41,12 +41,6 @@ std::vector<MatchPair> SimilarityJoinBrute(
     std::size_t n_right, std::size_t dim, float threshold,
     const BruteForceOptions& options = {});
 
-/// FP16 variant of the join (operands stored as half precision).
-std::vector<MatchPair> SimilarityJoinBruteHalf(
-    const std::uint16_t* left, std::size_t n_left, const std::uint16_t* right,
-    std::size_t n_right, std::size_t dim, float threshold,
-    TaskRunner* pool = nullptr);
-
 /// Exact flat index: linear scan with the best available batch kernel.
 /// With a quantized codec the scan scores the compressed rows
 /// asymmetrically, over-fetches rescore_factor * k candidates, and

@@ -31,8 +31,6 @@ const char* KernelVariantName(KernelVariant v) {
       return "avx2";
     case KernelVariant::kAvx512:
       return "avx512";
-    case KernelVariant::kHalf:
-      return "fp16";
   }
   return "?";
 }
@@ -96,18 +94,6 @@ float DotAvx512(const float* a, const float* b, std::size_t dim) {
   if (CpuSupportsAvx512()) return detail::DotAvx512Impl(a, b, dim);
 #endif
   return DotAvx2(a, b, dim);
-}
-
-float DotHalf(const std::uint16_t* a, const std::uint16_t* b,
-              std::size_t dim) {
-#if defined(CRE_HAVE_AVX2_TU)
-  if (CpuSupportsAvx2()) return detail::DotHalfAvx2Impl(a, b, dim);
-#endif
-  float acc = 0.f;
-  for (std::size_t i = 0; i < dim; ++i) {
-    acc += HalfToFloat(a[i]) * HalfToFloat(b[i]);
-  }
-  return acc;
 }
 
 void DotBatchScalar(const float* query, const float* base, std::size_t n,
@@ -285,10 +271,6 @@ DotFn GetDotKernel(KernelVariant variant) {
     case KernelVariant::kAvx512:
       if (CpuSupportsAvx512()) return &DotAvx512;
       return CpuSupportsAvx2() ? &DotAvx2 : &DotUnrolled;
-    case KernelVariant::kHalf:
-      // Half operands use DotHalf directly; as a float-kernel fallback use
-      // the unrolled variant.
-      return &DotUnrolled;
   }
   return &DotScalar;
 }
@@ -304,8 +286,6 @@ DotBatchFn GetDotBatchKernel(KernelVariant variant) {
     case KernelVariant::kAvx512:
       if (CpuSupportsAvx512()) return &DotBatchAvx512;
       return CpuSupportsAvx2() ? &DotBatchAvx2 : &DotBatchUnrolled;
-    case KernelVariant::kHalf:
-      return &DotBatchUnrolled;
   }
   return &DotBatchScalar;
 }
@@ -321,8 +301,6 @@ DotBatchGatherFn GetDotBatchGatherKernel(KernelVariant variant) {
     case KernelVariant::kAvx512:
       if (CpuSupportsAvx512()) return &DotBatchGatherAvx512;
       return CpuSupportsAvx2() ? &DotBatchGatherAvx2 : &DotBatchGatherUnrolled;
-    case KernelVariant::kHalf:
-      return &DotBatchGatherUnrolled;
   }
   return &DotBatchGatherScalar;
 }
@@ -343,15 +321,6 @@ float Cosine(const float* a, const float* b, std::size_t dim) {
   const float nb = Norm(b, dim);
   if (na <= 0.f || nb <= 0.f) return 0.f;
   return DotUnrolled(a, b, dim) / (na * nb);
-}
-
-float L2Sq(const float* a, const float* b, std::size_t dim) {
-  float acc = 0.f;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const float d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
 }
 
 }  // namespace cre

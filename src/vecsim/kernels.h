@@ -19,11 +19,10 @@ enum class KernelVariant {
   kUnrolled,     ///< 4-way unrolled with independent accumulators
   kAvx2,         ///< 8-lane FMA when the host CPU has AVX2+FMA
   kAvx512,       ///< 16-lane FMA when the host CPU has AVX-512F
-  kHalf,         ///< FP16-stored operands, float accumulation
 };
 
-/// Number of float32 variants a calibration sweep covers (scalar, unrolled,
-/// avx2, avx512) — kHalf is excluded because its operand type differs.
+/// Number of variants a calibration sweep covers (scalar, unrolled, avx2,
+/// avx512).
 constexpr int kNumFloatKernelVariants = 4;
 
 const char* KernelVariantName(KernelVariant v);
@@ -45,10 +44,6 @@ float DotUnrolled(const float* a, const float* b, std::size_t dim);
 /// Fall back to DotUnrolled when the host lacks the ISA.
 float DotAvx2(const float* a, const float* b, std::size_t dim);
 float DotAvx512(const float* a, const float* b, std::size_t dim);
-
-/// FP16 operands (both sides), float32 accumulation.
-float DotHalf(const std::uint16_t* a, const std::uint16_t* b,
-              std::size_t dim);
 
 // ---- float32 batch kernels (one query vs. many base rows) ----
 // The hot loops of every index family score whole candidate blocks —
@@ -114,8 +109,7 @@ using DotBatchGatherFn = void (*)(const float*, const float*,
                                   std::size_t, float*);
 
 /// Returns the float32 kernel for `variant`, falling back to the widest
-/// supported one when the host lacks the ISA (kHalf is handled separately
-/// because its operand type differs).
+/// supported one when the host lacks the ISA.
 DotFn GetDotKernel(KernelVariant variant);
 DotBatchFn GetDotBatchKernel(KernelVariant variant);
 DotBatchGatherFn GetDotBatchGatherKernel(KernelVariant variant);
@@ -128,9 +122,6 @@ void NormalizeInPlace(float* a, std::size_t dim);
 
 /// Cosine similarity for not-necessarily-normalized inputs.
 float Cosine(const float* a, const float* b, std::size_t dim);
-
-/// Squared L2 distance.
-float L2Sq(const float* a, const float* b, std::size_t dim);
 
 }  // namespace cre
 

@@ -70,22 +70,6 @@ void DotBatchGatherAvx2Impl(const float* query, const float* base,
   }
 }
 
-float DotHalfAvx2Impl(const std::uint16_t* a, const std::uint16_t* b,
-                      std::size_t dim) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 va = _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256 vb = _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_fmadd_ps(va, vb, acc);
-  }
-  float out = ReduceAdd(acc);
-  for (; i < dim; ++i) out += HalfToFloat(a[i]) * HalfToFloat(b[i]);
-  return out;
-}
-
 float DotHalfAsymAvx2Impl(const float* query, const std::uint16_t* b,
                           std::size_t dim) {
   __m256 acc = _mm256_setzero_ps();

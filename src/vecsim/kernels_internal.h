@@ -22,8 +22,6 @@ void DotBatchAvx2Impl(const float* query, const float* base, std::size_t n,
 void DotBatchGatherAvx2Impl(const float* query, const float* base,
                             const std::uint32_t* ids, std::size_t n,
                             std::size_t dim, float* out);
-float DotHalfAvx2Impl(const std::uint16_t* a, const std::uint16_t* b,
-                      std::size_t dim);
 float DotHalfAsymAvx2Impl(const float* query, const std::uint16_t* b,
                           std::size_t dim);
 void DotHalfAsymBatchAvx2Impl(const float* query, const std::uint16_t* base,

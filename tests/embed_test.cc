@@ -152,20 +152,6 @@ TEST(StructuredModelTest, BatchPrefetchEqualsNoPrefetch) {
   EXPECT_EQ(with, without);
 }
 
-TEST(StructuredModelTest, Fp16CompressionPreservesSimilarity) {
-  SynonymStructuredModel model(TestGroups(), {});
-  auto half = model.CompressedMatrixHalf();
-  ASSERT_EQ(half.size(), model.vocab_size() * model.dim());
-  const std::uint32_t dog = model.LookupRow("dog");
-  const std::uint32_t canine = model.LookupRow("canine");
-  const float full = DotUnrolled(model.Row(dog), model.Row(canine),
-                                 model.dim());
-  const float compressed =
-      DotHalf(half.data() + dog * model.dim(),
-              half.data() + canine * model.dim(), model.dim());
-  EXPECT_NEAR(compressed, full, 5e-3f);
-}
-
 TEST(StructuredModelTest, ParameterBytes) {
   SynonymStructuredModel model(TestGroups(), {});
   EXPECT_EQ(model.ParameterBytes(),

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "datagen/vocabulary.h"
+#include "engine/engine.h"
 #include "exec/scan.h"
 #include "semantic/consolidation.h"
 #include "semantic/semantic_group_by.h"
 #include "semantic/semantic_join.h"
 #include "semantic/semantic_select.h"
+#include "vecsim/kernels.h"
 
 namespace cre {
 namespace {
@@ -32,7 +34,8 @@ TEST(SemanticSelectTest, FindsSynonyms) {
   auto model = TableOneModel();
   auto table = LabelTable({"boots", "kitten", "parka", "lantern", "coat"});
   SemanticSelectOperator op(std::make_unique<TableScanOperator>(table),
-                            "label", "jacket", model, 0.85f);
+                            "label", model, 0.85f,
+                            EmbedQueries(*model, {"jacket"}));
   auto out = ExecuteToTable(&op).ValueOrDie();
   std::set<std::string> labels;
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
@@ -48,7 +51,8 @@ TEST(SemanticSelectTest, ThresholdOneKeepsOnlyExact) {
   auto model = TableOneModel();
   auto table = LabelTable({"jacket", "parka", "coat"});
   SemanticSelectOperator op(std::make_unique<TableScanOperator>(table),
-                            "label", "jacket", model, 0.999f);
+                            "label", model, 0.999f,
+                            EmbedQueries(*model, {"jacket"}));
   auto out = ExecuteToTable(&op).ValueOrDie();
   ASSERT_EQ(out->num_rows(), 1u);
   EXPECT_EQ(out->GetValue(0, 0).AsString(), "jacket");
@@ -58,26 +62,17 @@ TEST(SemanticSelectTest, NonStringColumnFails) {
   auto model = TableOneModel();
   auto table = LabelTable({"a"});
   SemanticSelectOperator op(std::make_unique<TableScanOperator>(table),
-                            "row_id", "jacket", model, 0.9f);
+                            "row_id", model, 0.9f,
+                            EmbedQueries(*model, {"jacket"}));
   EXPECT_TRUE(op.Open().IsTypeError());
 }
 
-TEST(SemanticSelectTest, FunctionFormMatchesOperator) {
-  auto model = TableOneModel();
-  auto table = LabelTable({"boots", "kitten", "parka"});
-  auto via_fn =
-      SemanticFilter(table, "label", "jacket", *model, 0.85f).ValueOrDie();
-  SemanticSelectOperator op(std::make_unique<TableScanOperator>(table),
-                            "label", "jacket", model, 0.85f);
-  auto via_op = ExecuteToTable(&op).ValueOrDie();
-  EXPECT_EQ(via_fn->num_rows(), via_op->num_rows());
-}
-
-TEST(SemanticMultiSelectTest, MatchesAnyQuery) {
+TEST(SemanticSelectTest, MatchesAnyQuery) {
   auto model = TableOneModel();
   auto table = LabelTable({"boots", "kitten", "parka", "lantern"});
-  SemanticMultiSelectOperator op(std::make_unique<TableScanOperator>(table),
-                                 "label", {"shoes", "cat"}, model, 0.85f);
+  SemanticSelectOperator op(std::make_unique<TableScanOperator>(table),
+                            "label", model, 0.85f,
+                            EmbedQueries(*model, {"shoes", "cat"}));
   auto out = ExecuteToTable(&op).ValueOrDie();
   std::set<std::string> labels;
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
@@ -87,6 +82,99 @@ TEST(SemanticMultiSelectTest, MatchesAnyQuery) {
   EXPECT_TRUE(labels.count("kitten"));
   EXPECT_FALSE(labels.count("parka"));
   EXPECT_FALSE(labels.count("lantern"));
+}
+
+/// Rows of `table` whose `column` scores >= threshold against any query,
+/// computed row by row with the dispatched dot kernel: the oracle the
+/// engine's select must match byte for byte.
+std::vector<std::uint32_t> ReferenceSelect(
+    const Table& table, const std::string& column,
+    const std::vector<std::string>& queries, const EmbeddingModel& model,
+    float threshold) {
+  const std::size_t dim = model.dim();
+  const DotFn dot = GetDotKernel(BestKernelVariant());
+  const auto& words = table.ColumnByName(column).ValueOrDie()->strings();
+  std::vector<std::vector<float>> qvs;
+  for (const auto& q : queries) qvs.push_back(model.EmbedToVector(q));
+  std::vector<std::uint32_t> rows;
+  std::vector<float> v(dim);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    model.Embed(words[i], v.data());
+    for (const auto& qv : qvs) {
+      if (dot(qv.data(), v.data(), dim) >= threshold) {
+        rows.push_back(static_cast<std::uint32_t>(i));
+        break;
+      }
+    }
+  }
+  return rows;
+}
+
+/// Engine-level characterization of the scanning select: the literal
+/// single-query form, the DIP multi-query form and a one-element query
+/// list, each at dop 1 and 4 over many small morsels of repeated words.
+TEST(SemanticSelectEngineTest, SingleAndMultiQueryMatchReferenceAtEveryDop) {
+  auto model = TableOneModel();
+  const std::vector<std::string> vocab = {
+      "boots",  "kitten",   "parka", "lantern", "coat",  "sneakers", "cat",
+      "puppy",  "blazer",   "feline", "oxfords", "dog",  "windbreaker"};
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < 300; ++i) {
+    labels.push_back(vocab[(i * 7 + i / 13) % vocab.size()]);
+  }
+  auto table = LabelTable(labels);
+  const float threshold = 0.85f;
+  const std::vector<std::string> dip = {"jacket", "cat", "sneakers"};
+
+  struct Case {
+    std::vector<std::string> queries;  ///< empty: single literal query
+    std::vector<std::string> reference_queries;
+  };
+  const std::vector<Case> cases = {
+      {{}, {"jacket"}}, {dip, dip}, {{"jacket"}, {"jacket"}}};
+
+  std::vector<std::vector<std::uint32_t>> expected;
+  for (const Case& c : cases) {
+    expected.push_back(ReferenceSelect(*table, "label", c.reference_queries,
+                                       *model, threshold));
+    ASSERT_FALSE(expected.back().empty());
+    ASSERT_LT(expected.back().size(), labels.size());
+  }
+  EXPECT_EQ(expected[0], expected[2]);
+  EXPECT_GT(expected[1].size(), expected[0].size());
+
+  for (std::size_t threads : {1, 4}) {
+    EngineOptions eo;
+    eo.num_threads = threads;
+    eo.morsel_rows = 32;  // 300 rows -> 10 morsels
+    eo.tuning.enabled = false;
+    Engine engine(eo);
+    engine.catalog().Put("words", table);
+    engine.models().Put("m", model);
+    std::vector<TablePtr> outs;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " case=" + std::to_string(c));
+      PlanPtr plan = PlanNode::SemanticSelect(PlanNode::Scan("words"), "label",
+                                              "jacket", "m", threshold);
+      plan->queries = cases[c].queries;
+      auto out = engine.ExecuteUnoptimized(plan).ValueOrDie();
+      ASSERT_EQ(out->num_rows(), expected[c].size());
+      for (std::size_t r = 0; r < out->num_rows(); ++r) {
+        const std::uint32_t id = expected[c][r];
+        ASSERT_EQ(out->GetValue(r, 0).AsString(), labels[id]) << "row " << r;
+        ASSERT_EQ(out->GetValue(r, 1).AsInt64(), static_cast<int64_t>(id))
+            << "row " << r;
+      }
+      outs.push_back(out);
+    }
+    // The one-element query list is the literal select.
+    ASSERT_EQ(outs[0]->num_rows(), outs[2]->num_rows());
+    for (std::size_t r = 0; r < outs[0]->num_rows(); ++r) {
+      EXPECT_EQ(outs[0]->GetValue(r, 1).AsInt64(),
+                outs[2]->GetValue(r, 1).AsInt64());
+    }
+  }
 }
 
 TEST(SemanticJoinTest, JoinsSynonymsAcrossRelations) {

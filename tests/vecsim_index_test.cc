@@ -8,7 +8,6 @@
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "vecsim/brute_force.h"
-#include "vecsim/fp16.h"
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
 #include "vecsim/kernels.h"
@@ -138,24 +137,6 @@ TEST(BruteForceJoinTest, VariantsProduceSameMatches) {
         SimilarityJoinBrute(left.data(), n, right.data(), n, dim, 0.75f, opt);
     EXPECT_EQ(got.size(), ref.size()) << KernelVariantName(v);
   }
-}
-
-TEST(BruteForceJoinTest, HalfJoinApproximatesFloat) {
-  const std::size_t dim = 64;
-  Rng rng(8);
-  auto left = ClusteredData(4, 8, dim, rng);
-  auto right = left;
-  const std::size_t n = 32;
-  auto ref = SimilarityJoinBrute(left.data(), n, right.data(), n, dim,
-                                 0.8f, {});
-  std::vector<std::uint16_t> hl(left.size()), hr(right.size());
-  FloatsToHalves(left.data(), hl.data(), left.size());
-  FloatsToHalves(right.data(), hr.data(), right.size());
-  auto half = SimilarityJoinBruteHalf(hl.data(), n, hr.data(), n, dim, 0.8f);
-  // FP16 may flip borderline pairs; sizes must be close.
-  EXPECT_NEAR(static_cast<double>(half.size()),
-              static_cast<double>(ref.size()),
-              std::max(2.0, 0.05 * ref.size()));
 }
 
 TEST(FlatIndexTest, RangeAndTopK) {

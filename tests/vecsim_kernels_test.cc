@@ -43,21 +43,6 @@ TEST_P(KernelDimSweep, VariantsAgree) {
   }
 }
 
-TEST_P(KernelDimSweep, HalfKernelApproximates) {
-  const std::size_t dim = GetParam();
-  Rng rng(dim * 13 + 5);
-  auto a = RandomVec(rng, dim);
-  auto b = RandomVec(rng, dim);
-  NormalizeInPlace(a.data(), dim);
-  NormalizeInPlace(b.data(), dim);
-  std::vector<std::uint16_t> ha(dim), hb(dim);
-  FloatsToHalves(a.data(), ha.data(), dim);
-  FloatsToHalves(b.data(), hb.data(), dim);
-  const float ref = DotScalar(a.data(), b.data(), dim);
-  // FP16 storage loses ~3 decimal digits; cosine error stays small.
-  EXPECT_NEAR(DotHalf(ha.data(), hb.data(), dim), ref, 5e-3f);
-}
-
 TEST_P(KernelDimSweep, NormalizeMakesUnit) {
   const std::size_t dim = GetParam();
   Rng rng(dim + 3);
@@ -95,19 +80,13 @@ TEST(KernelsTest, NormalizeZeroVectorNoop) {
   for (float x : a) EXPECT_FLOAT_EQ(x, 0.f);
 }
 
-TEST(KernelsTest, L2SqBasic) {
-  const float a[3] = {0, 0, 0};
-  const float b[3] = {1, 2, 2};
-  EXPECT_FLOAT_EQ(L2Sq(a, b, 3), 9.f);
-}
-
 TEST(KernelsTest, DispatchReturnsWorkingKernels) {
   Rng rng(7);
   auto a = RandomVec(rng, 100);
   auto b = RandomVec(rng, 100);
   const float ref = DotScalar(a.data(), b.data(), 100);
   for (const auto v : {KernelVariant::kScalar, KernelVariant::kUnrolled,
-                       KernelVariant::kAvx2, KernelVariant::kHalf}) {
+                       KernelVariant::kAvx2}) {
     const DotFn fn = GetDotKernel(v);
     ASSERT_NE(fn, nullptr);
     EXPECT_NEAR(fn(a.data(), b.data(), 100), ref, 1e-3f);
@@ -117,7 +96,6 @@ TEST(KernelsTest, DispatchReturnsWorkingKernels) {
 TEST(KernelsTest, VariantNames) {
   EXPECT_STREQ(KernelVariantName(KernelVariant::kScalar), "scalar");
   EXPECT_STREQ(KernelVariantName(KernelVariant::kAvx2), "avx2");
-  EXPECT_STREQ(KernelVariantName(KernelVariant::kHalf), "fp16");
 }
 
 TEST(Fp16Test, RoundTripExactValues) {

@@ -1,0 +1,83 @@
+// Relational kernel ablation: google-benchmark of hash group-by
+// accumulation (GroupedAggregationState) over 150k rows, by key shape
+// (one int64 key, one string key, an (int64, string) key pair) and group
+// count (5, as in a low-cardinality GROUP BY, and 15000, past the radix
+// threshold). Rows arrive in 8192-row batches, like morsels; each
+// iteration accumulates COUNT(*) and SUM(v) and finalizes. The ns_per_row
+// counter reads in seconds per input row.
+//
+//   bench_ablation_relational_kernels --benchmark_filter=BM_GroupedAggregation
+
+#include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
+
+#include "core/rng.h"
+#include "exec/aggregate.h"
+
+namespace cre {
+namespace {
+
+constexpr std::size_t kRows = 150000;
+constexpr std::size_t kBatchRows = 8192;
+
+enum KeyShape { kInt64Key = 0, kStringKey = 1, kTwoKeys = 2 };
+
+/// kRows rows with group g drawn uniformly from [0, groups): k = g,
+/// s = "product_<g>", v an integer-valued double.
+TablePtr GroupTable(std::size_t groups) {
+  auto t = Table::Make(Schema({{"k", DataType::kInt64, 0},
+                               {"s", DataType::kString, 0},
+                               {"v", DataType::kFloat64, 0}}));
+  t->Reserve(kRows);
+  Rng rng(17);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::size_t g = rng.Uniform(groups);
+    t->column(0).AppendInt64(static_cast<std::int64_t>(g));
+    t->column(1).AppendString("product_" + std::to_string(g));
+    t->column(2).AppendFloat64(static_cast<double>(rng.Uniform(1000)));
+  }
+  return t;
+}
+
+/// range(0): KeyShape; range(1): groups.
+void BM_GroupedAggregation(benchmark::State& state) {
+  const auto shape = static_cast<KeyShape>(state.range(0));
+  const std::size_t groups = static_cast<std::size_t>(state.range(1));
+  const TablePtr table = GroupTable(groups);
+  std::vector<TablePtr> batches;
+  for (std::size_t r = 0; r < kRows; r += kBatchRows) {
+    batches.push_back(table->Slice(r, kBatchRows));
+  }
+  const std::vector<std::string> keys =
+      shape == kInt64Key    ? std::vector<std::string>{"k"}
+      : shape == kStringKey ? std::vector<std::string>{"s"}
+                            : std::vector<std::string>{"k", "s"};
+  const std::vector<AggSpec> aggs = {{AggKind::kCount, "", "n"},
+                                     {AggKind::kSum, "v", "total"}};
+  for (auto _ : state) {
+    GroupedAggregationState agg;
+    if (!agg.Init(table->schema(), keys, aggs).ok()) {
+      state.SkipWithError("Init failed");
+      return;
+    }
+    for (const TablePtr& batch : batches) {
+      benchmark::DoNotOptimize(agg.Consume(*batch).ok());
+    }
+    auto out = agg.Finalize().ValueOrDie();
+    benchmark::DoNotOptimize(out->num_rows());
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(kRows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kRows));
+}
+BENCHMARK(BM_GroupedAggregation)
+    ->ArgsProduct({{kInt64Key, kStringKey, kTwoKeys}, {5, 15000}})
+    ->Unit(benchmark::kMillisecond);
+
+}  // namespace
+}  // namespace cre

@@ -182,9 +182,9 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
     const PipelineSegment& segment, const TablePtr& slice,
     const JoinStates& joins, const SelectStates& selects) {
   const PlanNode& source = *segment.source;
-  // A chain with no operators only copies its slice out, so it reads the
-  // slice as one batch instead of copying it batch by batch first (at
-  // dop 1 the slice is the whole input).
+  // A chain with no operators only hands its slice on, so it reads the
+  // slice as one batch instead of cutting it into batches first (at dop 1
+  // the slice is the whole input).
   const bool filtered =
       source.kind == PlanKind::kScan && source.predicate != nullptr;
   const std::size_t batch_rows =
@@ -223,9 +223,10 @@ Result<TablePtr> ParallelPlanDriver::RunSegment(
                  std::string("pipeline:") + PlanKindName(segment.source->kind));
   CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
   // Breaker outputs are freshly materialized tables the caller may own
-  // outright. A bare Scan must still flow through the morsel map: it
-  // copies (the snapshot table must not alias into query results) and it
-  // records Scan stats.
+  // outright. A bare Scan must still flow through the morsel map: its
+  // morsels are O(1) slices of the snapshot table, and the map's
+  // concatenation copies them into a fresh result (the snapshot table
+  // must not alias into query results); it also records Scan stats.
   if (segment.ops.empty() && segment.source->kind != PlanKind::kScan) {
     return base;
   }
@@ -460,7 +461,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   const bool parallel =
       num_morsels > 1 && runner_ != nullptr && runner_->num_threads() > 1;
   // High estimated group cardinality flips accumulation to the two-phase
-  // radix scheme: the serial whole-map merge would otherwise dominate.
+  // radix scheme: the serial chunk-order merge of every partial's groups
+  // would otherwise dominate.
   // Unoptimized plans carry no estimate (est_rows < 0); then a threshold
   // of 0 explicitly forces the radix form for keyed aggregates. The
   // threshold comes from the knob tuner, which re-fits it from observed
@@ -565,7 +567,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   std::size_t partitions_used = 0;
   if (!use_radix) {
     // Phase 1: one private hash state per chunk. Phase 2: serial
-    // chunk-order merge (the tail the radix form removes).
+    // chunk-order merge (the tail the radix form removes). Groups keep
+    // first-seen order, so the output rows come in the serial order.
     Timer accumulate_timer;
     std::vector<GroupedAggregationState> partials(num_chunks);
     std::vector<Status> statuses(num_chunks);

@@ -1,8 +1,8 @@
 #ifndef CRE_EXEC_AGGREGATE_H_
 #define CRE_EXEC_AGGREGATE_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,6 +27,26 @@ struct AggSpec {
 /// consumes everything). All five aggregate kinds merge associatively
 /// (count/sum/avg add, min/max fold), so partial states over disjoint
 /// morsel ranges combine into exactly the serial result.
+///
+/// Group keys stay typed. The state keeps one Column per key column with
+/// each group's key values in first-seen order, a flat open-addressing
+/// table of uint32 group ids, and flat groups x aggs accumulators. A
+/// batch is hashed a key column at a time, then each row probes the
+/// table and the aggregates accumulate a column at a time.
+///
+/// Key hash: a row's hash folds its key cells in key order with
+/// HashCombine. An int64 or date cell hashes its raw value, a bool 0 or
+/// 1, a float64 its bit pattern after -0.0 maps to 0.0 and every NaN to
+/// one NaN, a string the FNV-1a hash of its bytes. The table uses the low
+/// hash bits; RadixAggregationState routes by the high bits.
+///
+/// Key equality: int64, date and bool by value; float64 by value, except
+/// that -0.0 equals 0.0 and NaN equals NaN, so each key value is exactly
+/// one group; strings by bytes. A group's output key is the first value
+/// seen for it. FLOAT_VECTOR key columns are rejected by Init.
+///
+/// Finalize emits groups in first-seen order. Merging partials in chunk
+/// order therefore reproduces the serial output order.
 class GroupedAggregationState {
  public:
   /// Resolves key/aggregate columns against the input schema and derives
@@ -37,71 +57,86 @@ class GroupedAggregationState {
   /// Accumulates one input batch (single-threaded per state).
   Status Consume(const Table& batch);
 
-  /// Serialized group-key of one row (collision-free across columns). The
-  /// radix router computes keys once to pick a partition, then hands them
-  /// to ConsumeRow unchanged.
-  std::string GroupKey(const Table& batch, std::size_t row) const;
-
-  /// Accumulates one row under a precomputed group key.
-  Status ConsumeRow(const Table& batch, std::size_t row, std::string&& key);
-
-  /// Folds `other`'s groups into this state.
+  /// Folds `other`'s groups into this state, in `other`'s group order.
   void Merge(GroupedAggregationState&& other);
 
-  /// Emits the group results. A global aggregate (no grouping keys) over
+  /// Emits the group results, one row per group in first-seen order, and
+  /// leaves the state empty. A global aggregate (no grouping keys) over
   /// empty input yields one row of identity values (COUNT = 0, sums = 0).
   Result<TablePtr> Finalize();
 
   const Schema& output_schema() const { return schema_; }
-  std::size_t num_groups() const { return groups_.size(); }
+  std::size_t num_groups() const { return group_hashes_.size(); }
 
-  /// Measured heap footprint of the accumulation state (hash buckets, key
-  /// strings, per-group accumulator vectors). O(groups) walk — call at
-  /// barriers (finalize, governor re-charge), not per row.
+  /// Heap footprint of the accumulation state (hash slots, key columns,
+  /// accumulators). Call at barriers (finalize, governor re-charge), not
+  /// per row.
   std::size_t MemoryBytes() const;
 
  private:
-  struct GroupState {
-    std::vector<Value> key_values;
-    std::vector<double> acc;           ///< sum/min/max accumulator per agg
-    std::vector<std::int64_t> counts;  ///< per-agg row counts
-  };
+  friend class RadixAggregationState;
 
-  void InitAccumulators(GroupState* state) const;
+  /// hashes[r] = the key hash of row r of `batch` (see the class comment).
+  void HashRows(const Table& batch, std::vector<std::uint64_t>* hashes) const;
+
+  /// Accumulates rows[0..n) of `batch`, in order; hashes[r] is row r's
+  /// key hash.
+  void ConsumeRows(const Table& batch, const std::uint64_t* hashes,
+                   const std::uint32_t* rows, std::size_t n);
+
+  /// The group whose key is row `row` of the key columns `src` (one per
+  /// key column), with key hash `h`; a new group when there is none.
+  std::uint32_t FindOrAdd(std::uint64_t h, const Column* const* src,
+                          std::size_t row);
+  bool KeyEquals(std::uint32_t group, const Column* const* src,
+                 std::size_t row) const;
+  void GrowSlots();
+  /// Drops every group, keeping the key and aggregate layout.
+  void ResetGroups();
 
   std::vector<std::string> group_keys_;
   std::vector<AggSpec> aggs_;
   std::vector<std::size_t> key_cols_;
   std::vector<int> agg_cols_;
   Schema schema_;
-  std::unordered_map<std::string, GroupState> groups_;
+
+  /// Per group, in first-seen order.
+  std::vector<Column> keys_;                 ///< one column per key column
+  std::vector<std::uint64_t> group_hashes_;  ///< key hash
+  std::vector<std::int64_t> counts_;         ///< rows accumulated
+  std::vector<double> acc_;  ///< groups x aggs sum/min/max accumulators
+  /// Open-addressing table of group ids (kEmptySlot when free), indexed
+  /// by the low hash bits with linear probing; at most half full.
+  std::vector<std::uint32_t> slots_;
+
+  /// Per-batch scratch, kept to reuse its allocation.
+  std::vector<std::uint64_t> hashes_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::uint32_t> group_of_;
 };
 
 /// Radix-partitioned accumulation state for high group cardinalities: one
-/// GroupedAggregationState per hash-radix partition, rows routed by a
-/// fixed bit-slice of the group-key hash. Every worker partitions the same
-/// way, so after phase 1 all occurrences of a group live in the same
-/// partition slot of every worker — phase 2 merges each partition across
-/// workers independently (one task per partition), replacing the serial
-/// whole-map merge tail of the per-worker-hash scheme with parallel
-/// per-partition merges. Partition routing is a pure function of the key
-/// bytes, so results are independent of row distribution across workers.
+/// GroupedAggregationState per hash-radix partition, rows routed by the
+/// high bits of the same key hash the partitions' tables use. Every worker
+/// partitions the same way, so after phase 1 all occurrences of a group
+/// live in the same partition slot of every worker — phase 2 merges each
+/// partition across workers independently (one task per partition), so
+/// no serial merge of whole partial states remains. Routing is a pure
+/// function of the key values, so results are independent of row
+/// distribution across workers.
 class RadixAggregationState {
  public:
-  /// `num_partitions` is rounded up to a power of two (the router uses a
-  /// bit mask). Must be called before Consume.
+  /// `num_partitions` is rounded up to a power of two (at least 2). Must
+  /// be called before Consume.
   Status Init(const Schema& input, const std::vector<std::string>& group_keys,
               const std::vector<AggSpec>& aggs, std::size_t num_partitions);
 
-  /// Routes each row of `batch` to its hash-radix partition.
+  /// Routes each row of `batch` to its hash-radix partition; a partition
+  /// consumes its rows in batch order.
   Status Consume(const Table& batch);
 
   std::size_t num_partitions() const { return partitions_.size(); }
   GroupedAggregationState& partition(std::size_t p) { return partitions_[p]; }
-
-  /// Partition of a serialized group key — exposed so callers (and tests)
-  /// can verify routing stability.
-  static std::size_t PartitionOf(const std::string& key, std::size_t mask);
 
   const Schema& output_schema() const {
     return partitions_.front().output_schema();
@@ -109,7 +144,10 @@ class RadixAggregationState {
 
  private:
   std::vector<GroupedAggregationState> partitions_;
-  std::size_t mask_ = 0;
+  unsigned shift_ = 63;  ///< partition = hash >> shift_
+  /// Per-batch scratch: row hashes and each partition's rows.
+  std::vector<std::uint64_t> hashes_;
+  std::vector<std::vector<std::uint32_t>> rows_;
 };
 
 }  // namespace cre

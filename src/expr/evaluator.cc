@@ -1,8 +1,7 @@
 #include "expr/evaluator.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
+#include <utility>
 
 namespace cre {
 
@@ -19,41 +18,32 @@ struct EvalResult {
 
 Result<EvalResult> Eval(const Expr& expr, const Table& table);
 
-bool CompareNumeric(CompareOp op, double a, double b) {
+/// Writes out[i] = lhs(i) <op> rhs(i) for i in [0, n). The op switch sits
+/// outside the loops, so each loop is a branch-free kernel over the two
+/// operand readers.
+template <typename L, typename R>
+void CompareInto(CompareOp op, const L& lhs, const R& rhs, std::size_t n,
+                 std::uint8_t* out) {
   switch (op) {
     case CompareOp::kEq:
-      return a == b;
+      for (std::size_t i = 0; i < n; ++i) out[i] = lhs(i) == rhs(i);
+      break;
     case CompareOp::kNe:
-      return a != b;
+      for (std::size_t i = 0; i < n; ++i) out[i] = lhs(i) != rhs(i);
+      break;
     case CompareOp::kLt:
-      return a < b;
+      for (std::size_t i = 0; i < n; ++i) out[i] = lhs(i) < rhs(i);
+      break;
     case CompareOp::kLe:
-      return a <= b;
+      for (std::size_t i = 0; i < n; ++i) out[i] = lhs(i) <= rhs(i);
+      break;
     case CompareOp::kGt:
-      return a > b;
+      for (std::size_t i = 0; i < n; ++i) out[i] = lhs(i) > rhs(i);
+      break;
     case CompareOp::kGe:
-      return a >= b;
+      for (std::size_t i = 0; i < n; ++i) out[i] = lhs(i) >= rhs(i);
+      break;
   }
-  return false;
-}
-
-bool CompareString(CompareOp op, const std::string& a, const std::string& b) {
-  const int c = a.compare(b);
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
 }
 
 double ApplyArith(ArithOp op, double a, double b) {
@@ -70,72 +60,100 @@ double ApplyArith(ArithOp op, double a, double b) {
   return 0;
 }
 
-/// Reads element i of a numeric eval result as double.
-double NumericAt(const EvalResult& r, std::size_t i) {
-  if (r.is_scalar) return r.scalar.AsNumeric();
-  switch (r.column.type()) {
-    case DataType::kInt64:
-    case DataType::kDate:
-      return static_cast<double>(r.column.i64()[i]);
-    case DataType::kFloat64:
-      return r.column.f64()[i];
-    case DataType::kBool:
-      return r.column.bools()[i] ? 1.0 : 0.0;
-    default:
-      return 0.0;
+/// The Visit* helpers call f(reader), where reader(i) is element i of `r`
+/// in the named domain: the column's typed data, or the broadcast scalar.
+/// Each kernel loop is thereby instantiated per operand shape instead of
+/// switching on the type once per element.
+
+/// Int64 domain: `r` must be an int64 or date column or scalar.
+template <typename F>
+void VisitInt64(const EvalResult& r, F&& f) {
+  if (r.is_scalar) {
+    const std::int64_t v = r.scalar.AsInt64();
+    f([v](std::size_t) { return v; });
+  } else {
+    const std::int64_t* d = r.column.i64().data();
+    f([d](std::size_t i) { return d[i]; });
   }
 }
 
-const std::string& StringAt(const EvalResult& r, std::size_t i) {
-  if (r.is_scalar) return r.scalar.AsString();
-  return r.column.strings()[i];
+/// Double domain: int64/date and bool widen, other types read as 0.
+template <typename F>
+void VisitDouble(const EvalResult& r, F&& f) {
+  if (r.is_scalar) {
+    const double v = r.scalar.AsNumeric();
+    f([v](std::size_t) { return v; });
+  } else {
+    VisitAsDouble(r.column, std::forward<F>(f));
+  }
 }
 
-bool BoolAt(const EvalResult& r, std::size_t i) {
-  if (r.is_scalar) return r.scalar.AsBool();
-  return r.column.bools()[i] != 0;
+/// String domain: `r` must be a string column or scalar.
+template <typename F>
+void VisitString(const EvalResult& r, F&& f) {
+  if (r.is_scalar) {
+    const std::string& v = r.scalar.AsString();
+    f([&v](std::size_t) -> const std::string& { return v; });
+  } else {
+    const std::string* d = r.column.strings().data();
+    f([d](std::size_t i) -> const std::string& { return d[i]; });
+  }
+}
+
+/// Bool domain: `r` must be a bool column or scalar.
+template <typename F>
+void VisitBool(const EvalResult& r, F&& f) {
+  if (r.is_scalar) {
+    const bool v = r.scalar.AsBool();
+    f([v](std::size_t) { return v; });
+  } else {
+    const std::uint8_t* d = r.column.bools().data();
+    f([d](std::size_t i) { return d[i] != 0; });
+  }
+}
+
+bool IsIntDomain(DataType t) {
+  return t == DataType::kInt64 || t == DataType::kDate;
+}
+
+/// A kBool result whose `n` rows the caller fills through the pointer.
+EvalResult BoolResult(std::size_t n, std::uint8_t** out) {
+  EvalResult r;
+  r.column = Column(DataType::kBool);
+  *out = r.column.ExtendBools(n);
+  return r;
 }
 
 Result<EvalResult> EvalCompare(const Expr& expr, const Table& table) {
   CRE_ASSIGN_OR_RETURN(EvalResult lhs, Eval(*expr.children()[0], table));
   CRE_ASSIGN_OR_RETURN(EvalResult rhs, Eval(*expr.children()[1], table));
-  const std::size_t n = table.num_rows();
-  EvalResult out;
-  out.column = Column(DataType::kBool);
-  out.column.Reserve(n);
-
   const bool lhs_str = lhs.type() == DataType::kString;
   const bool rhs_str = rhs.type() == DataType::kString;
   if (lhs_str != rhs_str) {
     return Status::TypeError("cannot compare string with non-string: " +
                              expr.ToString());
   }
+  const std::size_t n = table.num_rows();
   const CompareOp op = expr.compare_op();
+  std::uint8_t* mask = nullptr;
+  EvalResult out = BoolResult(n, &mask);
+  auto compare = [&](const auto& a, const auto& b) {
+    CompareInto(op, a, b, n, mask);
+  };
   if (lhs_str) {
-    // Fast path: column vs scalar string equality.
-    for (std::size_t i = 0; i < n; ++i) {
-      out.column.AppendBool(CompareString(op, StringAt(lhs, i),
-                                          StringAt(rhs, i)));
-    }
+    VisitString(lhs, [&](const auto& a) {
+      VisitString(rhs, [&](const auto& b) { compare(a, b); });
+    });
+  } else if (IsIntDomain(lhs.type()) && IsIntDomain(rhs.type())) {
+    // Exact: int64 values past 2^53 stay distinct, which a widening to
+    // double would merge.
+    VisitInt64(lhs, [&](const auto& a) {
+      VisitInt64(rhs, [&](const auto& b) { compare(a, b); });
+    });
   } else {
-    // Fast path: int64 column vs int64 scalar (the common pushdown shape).
-    if (!lhs.is_scalar && rhs.is_scalar &&
-        (lhs.column.type() == DataType::kInt64 ||
-         lhs.column.type() == DataType::kDate) &&
-        (rhs.scalar.is_int64() || rhs.scalar.is_date())) {
-      const auto& data = lhs.column.i64();
-      const std::int64_t rv = rhs.scalar.AsInt64();
-      for (std::size_t i = 0; i < n; ++i) {
-        out.column.AppendBool(CompareNumeric(op,
-                                             static_cast<double>(data[i]),
-                                             static_cast<double>(rv)));
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        out.column.AppendBool(
-            CompareNumeric(op, NumericAt(lhs, i), NumericAt(rhs, i)));
-      }
-    }
+    VisitDouble(lhs, [&](const auto& a) {
+      VisitDouble(rhs, [&](const auto& b) { compare(a, b); });
+    });
   }
   return out;
 }
@@ -163,11 +181,15 @@ Result<EvalResult> Eval(const Expr& expr, const Table& table) {
       CRE_ASSIGN_OR_RETURN(EvalResult rhs, Eval(*expr.children()[1], table));
       EvalResult out;
       out.column = Column(DataType::kFloat64);
-      out.column.Reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out.column.AppendFloat64(
-            ApplyArith(expr.arith_op(), NumericAt(lhs, i), NumericAt(rhs, i)));
-      }
+      double* values = out.column.ExtendFloat64(n);
+      const ArithOp op = expr.arith_op();
+      VisitDouble(lhs, [&](const auto& a) {
+        VisitDouble(rhs, [&](const auto& b) {
+          for (std::size_t i = 0; i < n; ++i) {
+            values[i] = ApplyArith(op, a(i), b(i));
+          }
+        });
+      });
       return out;
     }
     case ExprKind::kAnd:
@@ -178,15 +200,18 @@ Result<EvalResult> Eval(const Expr& expr, const Table& table) {
         return Status::TypeError("AND/OR requires boolean operands: " +
                                  expr.ToString());
       }
-      EvalResult out;
-      out.column = Column(DataType::kBool);
-      out.column.Reserve(n);
+      std::uint8_t* mask = nullptr;
+      EvalResult out = BoolResult(n, &mask);
       const bool is_and = expr.kind() == ExprKind::kAnd;
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool a = BoolAt(lhs, i);
-        const bool b = BoolAt(rhs, i);
-        out.column.AppendBool(is_and ? (a && b) : (a || b));
-      }
+      VisitBool(lhs, [&](const auto& a) {
+        VisitBool(rhs, [&](const auto& b) {
+          if (is_and) {
+            for (std::size_t i = 0; i < n; ++i) mask[i] = a(i) & b(i);
+          } else {
+            for (std::size_t i = 0; i < n; ++i) mask[i] = a(i) | b(i);
+          }
+        });
+      });
       return out;
     }
     case ExprKind::kNot: {
@@ -194,12 +219,11 @@ Result<EvalResult> Eval(const Expr& expr, const Table& table) {
       if (in.type() != DataType::kBool) {
         return Status::TypeError("NOT requires boolean operand");
       }
-      EvalResult out;
-      out.column = Column(DataType::kBool);
-      out.column.Reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out.column.AppendBool(!BoolAt(in, i));
-      }
+      std::uint8_t* mask = nullptr;
+      EvalResult out = BoolResult(n, &mask);
+      VisitBool(in, [&](const auto& a) {
+        for (std::size_t i = 0; i < n; ++i) mask[i] = !a(i);
+      });
       return out;
     }
     case ExprKind::kStrContains: {
@@ -207,14 +231,14 @@ Result<EvalResult> Eval(const Expr& expr, const Table& table) {
       if (in.type() != DataType::kString) {
         return Status::TypeError("contains() requires a string operand");
       }
-      EvalResult out;
-      out.column = Column(DataType::kBool);
-      out.column.Reserve(n);
+      std::uint8_t* mask = nullptr;
+      EvalResult out = BoolResult(n, &mask);
       const std::string& needle = expr.str_needle();
-      for (std::size_t i = 0; i < n; ++i) {
-        out.column.AppendBool(StringAt(in, i).find(needle) !=
-                              std::string::npos);
-      }
+      VisitString(in, [&](const auto& a) {
+        for (std::size_t i = 0; i < n; ++i) {
+          mask[i] = a(i).find(needle) != std::string::npos;
+        }
+      });
       return out;
     }
   }

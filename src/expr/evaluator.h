@@ -11,7 +11,8 @@
 namespace cre {
 
 /// Vectorized expression evaluation: computes `expr` over every row of
-/// `table`, producing one output column. Numeric comparisons promote to
+/// `table`, producing one output column. Comparisons between int64/date
+/// operands are exact in int64; other numeric comparisons promote to
 /// double; string comparisons are lexicographic.
 Result<Column> EvaluateExpr(const Expr& expr, const Table& table);
 

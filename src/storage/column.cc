@@ -122,6 +122,29 @@ Column Column::Take(const std::vector<std::uint32_t>& indices) const {
   return out;
 }
 
+Column Column::Slice(std::size_t offset, std::size_t length) const {
+  Column out(type_, vec_dim_);
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      out.i64_ = i64_.Slice(offset, length);
+      break;
+    case DataType::kFloat64:
+      out.f64_ = f64_.Slice(offset, length);
+      break;
+    case DataType::kBool:
+      out.bools_ = bools_.Slice(offset, length);
+      break;
+    case DataType::kString:
+      out.strings_ = strings_.Slice(offset, length);
+      break;
+    case DataType::kFloatVector:
+      out.vec_ = vec_.Slice(offset * vec_dim_, length * vec_dim_);
+      break;
+  }
+  return out;
+}
+
 void Column::ResizeDefault(std::size_t n) {
   switch (type_) {
     case DataType::kInt64:

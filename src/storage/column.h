@@ -29,11 +29,11 @@ struct VectorColumnView {
 /// flat read-only view; Value-based access exists for boundaries and
 /// tests.
 ///
-/// The payload is a (shared buffer, row count) pair (see ColumnStore):
-/// copying a column is O(1) and the copy shares the original's rows. Rows
-/// are append-only — no operation rewrites a row another column can see —
-/// so table versions that share a buffer each keep reading exactly their
-/// own rows while a newer version appends.
+/// The payload is a (shared buffer, offset, row count) triple (see
+/// ColumnStore): copying or slicing a column is O(1) and the result shares
+/// the original's rows. Rows are append-only — no operation rewrites a row
+/// another column can see — so table versions that share a buffer each
+/// keep reading exactly their own rows while a newer version appends.
 class Column {
  public:
   explicit Column(DataType type, std::size_t vector_dim = 0);
@@ -51,6 +51,12 @@ class Column {
     CRE_CHECK(dim == vec_dim_);
     vec_.Append(v, dim, /*claim_all=*/true);
   }
+
+  /// Appends `n` rows and returns them, uninitialized, for the caller to
+  /// fill: a kernel's bulk write, one growth check per batch instead of
+  /// one per row.
+  std::uint8_t* ExtendBools(std::size_t n) { return bools_.Extend(n); }
+  double* ExtendFloat64(std::size_t n) { return f64_.Extend(n); }
 
   /// Appends a boxed value; checks the type tag matches.
   Status AppendValue(const Value& v);
@@ -82,6 +88,12 @@ class Column {
 
   /// New column containing rows at `indices`, in order.
   Column Take(const std::vector<std::uint32_t>& indices) const;
+
+  /// Rows [offset, offset + length) in O(1): the slice shares this
+  /// column's buffer and, like a copy, reads only its own rows. Appending
+  /// to it writes past the parent's rows only when no other column has
+  /// claimed them (see ColumnStore), so the parent never changes.
+  Column Slice(std::size_t offset, std::size_t length) const;
 
   /// Resizes to `n` default-initialized rows — the scatter target shape.
   void ResizeDefault(std::size_t n);
@@ -118,6 +130,35 @@ class Column {
   ColumnStore<std::string> strings_;       // kString
   ColumnStore<float> vec_;                 // kFloatVector, row-major
 };
+
+/// Calls f(reader), where reader(i) is row i of `col` as a double: int64,
+/// date and bool widen, strings and vectors read as 0. A kernel written
+/// against the reader is compiled once per column type, with no type
+/// switch per row.
+template <typename F>
+void VisitAsDouble(const Column& col, F&& f) {
+  switch (col.type()) {
+    case DataType::kInt64:
+    case DataType::kDate: {
+      const std::int64_t* d = col.i64().data();
+      f([d](std::size_t i) { return static_cast<double>(d[i]); });
+      return;
+    }
+    case DataType::kFloat64: {
+      const double* d = col.f64().data();
+      f([d](std::size_t i) { return d[i]; });
+      return;
+    }
+    case DataType::kBool: {
+      const std::uint8_t* d = col.bools().data();
+      f([d](std::size_t i) { return d[i] ? 1.0 : 0.0; });
+      return;
+    }
+    default:
+      f([](std::size_t) { return 0.0; });
+      return;
+  }
+}
 
 }  // namespace cre
 

@@ -81,10 +81,15 @@ class SharedColumnBuffer {
   std::size_t constructed_ = 0;
 };
 
-/// One column's payload: a shared buffer plus the row count this column
-/// sees. Copies are O(1) and share the buffer; each copy reads only its
-/// own prefix. [size, owned_end) is spare room this handle has claimed and
-/// may fill without further atomics.
+/// One column's payload: a shared buffer, the buffer slot of this
+/// column's row 0 (its offset) and the row count it sees. Copies and
+/// slices are O(1) and share the buffer; each handle reads only its own
+/// rows [offset, offset + size). [size, owned_end) is spare room this
+/// handle has claimed and may fill without further atomics. Claims are
+/// made in buffer slots, so a handle extends the buffer in place only
+/// from offset + size, and only while that is still the claimed end: a
+/// slice that ends before its parent's last row, or a suffix slice whose
+/// parent (or another copy) has claimed further, reallocates instead.
 ///
 /// Two growth modes keep both build styles cheap:
 ///  - Push, Gather and Reserve (building a column: per-row appends, Take)
@@ -101,19 +106,21 @@ class ColumnStore {
  public:
   ColumnStore() = default;
   ColumnStore(const ColumnStore& other)
-      : buf_(other.buf_), data_(other.data_), size_(other.size_),
-        owned_end_(other.size_) {}
+      : buf_(other.buf_), data_(other.data_), offset_(other.offset_),
+        size_(other.size_), owned_end_(other.size_) {}
   ColumnStore& operator=(const ColumnStore& other) {
     if (this != &other) {
       buf_ = other.buf_;
       data_ = other.data_;
+      offset_ = other.offset_;
       size_ = other.size_;
       owned_end_ = other.size_;
     }
     return *this;
   }
   ColumnStore(ColumnStore&& other) noexcept
-      : buf_(std::move(other.buf_)), data_(other.data_), size_(other.size_),
+      : buf_(std::move(other.buf_)), data_(other.data_),
+        offset_(other.offset_), size_(other.size_),
         owned_end_(other.owned_end_) {
     other.Reset();
   }
@@ -121,11 +128,26 @@ class ColumnStore {
     if (this != &other) {
       buf_ = std::move(other.buf_);
       data_ = other.data_;
+      offset_ = other.offset_;
       size_ = other.size_;
       owned_end_ = other.owned_end_;
       other.Reset();
     }
     return *this;
+  }
+
+  /// O(1) view of elements [begin, begin + n) that shares this store's
+  /// buffer and claims none of it (see the class comment).
+  ColumnStore Slice(std::size_t begin, std::size_t n) const {
+    CRE_CHECK(begin + n <= size_);
+    ColumnStore out;
+    if (n == 0) return out;
+    out.buf_ = buf_;
+    out.data_ = data_ + begin;
+    out.offset_ = offset_ + begin;
+    out.size_ = n;
+    out.owned_end_ = n;
+    return out;
   }
 
   std::size_t size() const { return size_; }
@@ -139,9 +161,20 @@ class ColumnStore {
     if constexpr (std::is_trivially_destructible_v<T>) {
       Buffer::ConstructAt(data_ + size_, std::forward<U>(v));
     } else {
-      buf_->Construct(size_, std::forward<U>(v));
+      buf_->Construct(offset_ + size_, std::forward<U>(v));
     }
     ++size_;
+  }
+
+  /// Appends `n` uninitialized elements and returns them for the caller
+  /// to fill before any other use of the store (a kernel's bulk write);
+  /// grows like Push.
+  T* Extend(std::size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (size_ + n > owned_end_) Grow(n, /*claim_all=*/true);
+    T* out = data_ + size_;
+    size_ += n;
+    return out;
   }
 
   /// Appends src[indices[k]] for k in [0, n), growing like Push.
@@ -155,7 +188,7 @@ class ColumnStore {
       }
     } else {
       for (std::size_t k = 0; k < n; ++k) {
-        buf_->Construct(size_ + k, src[indices[k]]);
+        buf_->Construct(offset_ + size_ + k, src[indices[k]]);
       }
     }
     size_ += n;
@@ -170,7 +203,9 @@ class ColumnStore {
     if constexpr (std::is_trivially_copyable_v<T>) {
       std::memcpy(data_ + size_, src, n * sizeof(T));
     } else {
-      for (std::size_t i = 0; i < n; ++i) buf_->Construct(size_ + i, src[i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        buf_->Construct(offset_ + size_ + i, src[i]);
+      }
     }
     size_ += n;
   }
@@ -186,7 +221,7 @@ class ColumnStore {
   void ResizeDefault(std::size_t n) {
     CRE_CHECK(n >= size_);
     if (n > owned_end_) Grow(n - size_, /*claim_all=*/false);
-    for (; size_ < n; ++size_) buf_->Construct(size_);
+    for (; size_ < n; ++size_) buf_->Construct(offset_ + size_);
   }
 
   /// Writable rows for an in-place scatter; only a column that shares its
@@ -204,6 +239,7 @@ class ColumnStore {
 
   void Reset() {
     data_ = nullptr;
+    offset_ = 0;
     size_ = 0;
     owned_end_ = 0;
   }
@@ -214,9 +250,9 @@ class ColumnStore {
   std::shared_ptr<Buffer> Grow(std::size_t n, bool claim_all,
                                bool exact = false) {
     const std::size_t need = size_ + n;
-    if (buf_ != nullptr && need <= buf_->capacity()) {
-      const std::size_t to = claim_all ? buf_->capacity() : need;
-      if (buf_->TryClaim(owned_end_, to)) {
+    if (buf_ != nullptr && offset_ + need <= buf_->capacity()) {
+      const std::size_t to = claim_all ? buf_->capacity() - offset_ : need;
+      if (buf_->TryClaim(offset_ + owned_end_, offset_ + to)) {
         owned_end_ = to;
         return nullptr;
       }
@@ -233,12 +269,14 @@ class ColumnStore {
     }
     std::swap(buf_, fresh);
     data_ = buf_->data();
+    offset_ = 0;
     owned_end_ = to;
     return fresh;
   }
 
   std::shared_ptr<Buffer> buf_;
-  T* data_ = nullptr;
+  T* data_ = nullptr;       ///< buf_->data() + offset_
+  std::size_t offset_ = 0;  ///< buffer slot of row 0
   std::size_t size_ = 0;
   std::size_t owned_end_ = 0;
 };

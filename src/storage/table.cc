@@ -1,7 +1,6 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 namespace cre {
@@ -40,13 +39,13 @@ TablePtr Table::Take(const std::vector<std::uint32_t>& indices) const {
 
 TablePtr Table::Slice(std::size_t offset, std::size_t length) const {
   const std::size_t n = num_rows();
-  const std::size_t end = std::min(n, offset + length);
-  std::vector<std::uint32_t> idx;
-  idx.reserve(end > offset ? end - offset : 0);
-  for (std::size_t i = offset; i < end; ++i) {
-    idx.push_back(static_cast<std::uint32_t>(i));
+  const std::size_t begin = std::min(n, offset);
+  const std::size_t rows = std::min(n - begin, length);
+  auto out = Table::Make(schema_);
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    out->columns_[c] = columns_[c].Slice(begin, rows);
   }
-  return Take(idx);
+  return out;
 }
 
 Status Table::AppendTable(const Table& other) {

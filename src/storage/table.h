@@ -50,7 +50,9 @@ class Table {
   /// New table with rows at `indices` in order (gather).
   TablePtr Take(const std::vector<std::uint32_t>& indices) const;
 
-  /// New table with rows [offset, offset+length).
+  /// New table with rows [offset, offset+length), clamped to the table,
+  /// in O(columns): its columns share this table's buffers (see
+  /// Column::Slice).
   TablePtr Slice(std::size_t offset, std::size_t length) const;
 
   /// Appends all rows of `other` (schemas must match).

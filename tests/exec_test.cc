@@ -235,6 +235,64 @@ TEST(AggregateTest, MissingAggColumnFails) {
                   .IsNotFound());
 }
 
+/// One FLOAT64 key column holding `keys`, with a count per group.
+Result<TablePtr> CountByFloatKey(const std::vector<double>& keys) {
+  auto t = Table::Make(Schema({{"k", DataType::kFloat64, 0}}));
+  for (const double k : keys) t->column(0).AppendFloat64(k);
+  return AggregateBatches({t}, {"k"}, {{AggKind::kCount, "", "n"}});
+}
+
+TEST(AggregateTest, FloatKeysDifferingPastSixDigitsStayApart) {
+  auto out = CountByFloatKey({1.0000001, 1.0000002, 1.0000001}).ValueOrDie();
+  ASSERT_EQ(out->num_rows(), 2u);
+  // First-seen group order.
+  EXPECT_EQ(out->GetValue(0, 0).AsFloat64(), 1.0000001);
+  EXPECT_EQ(out->GetValue(0, 1).AsInt64(), 2);
+  EXPECT_EQ(out->GetValue(1, 0).AsFloat64(), 1.0000002);
+  EXPECT_EQ(out->GetValue(1, 1).AsInt64(), 1);
+}
+
+TEST(AggregateTest, NegativeZeroAndZeroShareAGroup) {
+  auto out = CountByFloatKey({0.0, -0.0, 0.0}).ValueOrDie();
+  ASSERT_EQ(out->num_rows(), 1u);
+  EXPECT_EQ(out->GetValue(0, 1).AsInt64(), 3);
+}
+
+TEST(AggregateTest, VectorKeyIsTypeError) {
+  auto t = Table::Make(Schema({{"v", DataType::kFloatVector, 2}}));
+  const float a[2] = {1.0f, 0.0f};
+  const float b[2] = {0.0f, 1.0f};
+  t->column(0).AppendVector(a, 2);
+  t->column(0).AppendVector(b, 2);
+  GroupedAggregationState state;
+  EXPECT_TRUE(
+      state.Init(t->schema(), {"v"}, {{AggKind::kCount, "", "n"}})
+          .IsTypeError());
+}
+
+TEST(AggregateTest, MultiKeyGroupsInFirstSeenOrder) {
+  auto t = Table::Make(Schema({{"a", DataType::kInt64, 0},
+                               {"b", DataType::kString, 0},
+                               {"v", DataType::kInt64, 0}}));
+  // (1,"x") (2,"x") (1,"y") (1,"x"): the string half alone or the int half
+  // alone would merge groups.
+  t->AppendRow({Value(1), Value("x"), Value(10)}).Check();
+  t->AppendRow({Value(2), Value("x"), Value(20)}).Check();
+  t->AppendRow({Value(1), Value("y"), Value(30)}).Check();
+  t->AppendRow({Value(1), Value("x"), Value(40)}).Check();
+  auto out = AggregateBatches({t->Slice(0, 3), t->Slice(3, 1)}, {"a", "b"},
+                              {{AggKind::kSum, "v", "s"}})
+                 .ValueOrDie();
+  ASSERT_EQ(out->num_rows(), 3u);
+  EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 1);
+  EXPECT_EQ(out->GetValue(0, 1).AsString(), "x");
+  EXPECT_EQ(out->GetValue(0, 2).AsFloat64(), 50.0);
+  EXPECT_EQ(out->GetValue(1, 0).AsInt64(), 2);
+  EXPECT_EQ(out->GetValue(1, 2).AsFloat64(), 20.0);
+  EXPECT_EQ(out->GetValue(2, 1).AsString(), "y");
+  EXPECT_EQ(out->GetValue(2, 2).AsFloat64(), 30.0);
+}
+
 TEST(SortTest, AscendingAndDescending) {
   auto out = SortTable(Products(), "price", true, /*pool=*/nullptr)
                  .ValueOrDie();

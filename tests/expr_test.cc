@@ -64,6 +64,18 @@ TEST(EvaluatorTest, IntColumnVsIntLiteralFastPath) {
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{2, 3}));
 }
 
+TEST(EvaluatorTest, Int64EqualityIsExactPastTwoToThe53) {
+  // 2^53 + 1 and 2^53 are the same double; as int64 they differ.
+  auto t = Table::Make(Schema({{"id", DataType::kInt64, 0}}));
+  t->column(0).AppendInt64(9007199254740992);
+  t->column(0).AppendInt64(9007199254740993);
+  const Value big(std::int64_t{9007199254740993});
+  auto eq = FilterIndices(*t, *Eq(Col("id"), Lit(big))).ValueOrDie();
+  EXPECT_EQ(eq, (std::vector<std::uint32_t>{1}));
+  auto lt = FilterIndices(*t, *Lt(Col("id"), Lit(big))).ValueOrDie();
+  EXPECT_EQ(lt, (std::vector<std::uint32_t>{0}));
+}
+
 TEST(EvaluatorTest, DateComparison) {
   auto t = MakeTable();
   auto idx =

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -404,6 +406,117 @@ TEST(ParallelExecPlain, RadixAggregationMatchesSerialAtHighCardinality) {
   }());
   auto optimized = radix.Execute(plan).ValueOrDie();
   EXPECT_EQ(Fingerprint(*a), Fingerprint(*optimized));
+}
+
+// Grouping oracle: every group-key type against a std::map reference
+// keyed by raw values (never by formatted strings), at dop 1 and dop 4,
+// in the hash and the radix form. Values are integer-valued doubles, so
+// sums are exact under any merge order and must match bit for bit.
+TEST(ParallelExecPlain, GroupingMatchesRawValueOracle) {
+  auto t = Table::Make(Schema({{"i", DataType::kInt64, 0},
+                               {"d", DataType::kDate, 0},
+                               {"b", DataType::kBool, 0},
+                               {"s", DataType::kString, 0},
+                               {"j", DataType::kInt64, 0},
+                               {"v", DataType::kFloat64, 0}}));
+  Rng rng(2024);
+  for (std::size_t r = 0; r < 20000; ++r) {
+    t->column(0).AppendInt64(static_cast<std::int64_t>(rng.Uniform(3000)) -
+                             1500);
+    t->column(1).AppendInt64(18000 + static_cast<std::int64_t>(
+                                         rng.Uniform(400)));
+    t->column(2).AppendBool(rng.Bernoulli(0.3));
+    t->column(3).AppendString("s" + std::to_string(rng.Uniform(60)));
+    t->column(4).AppendInt64(static_cast<std::int64_t>(rng.Uniform(40)));
+    t->column(5).AppendFloat64(static_cast<double>(rng.Uniform(100000)) -
+                               50000.0);
+  }
+
+  // Raw key: the int64 part (int64, date or bool keys) and the string part.
+  using RefKey = std::pair<std::int64_t, std::string>;
+  struct RefAcc {
+    std::int64_t n = 0;
+    double sum = 0;
+    double lo = std::numeric_limits<double>::max();
+    double hi = std::numeric_limits<double>::lowest();
+  };
+  auto key_of = [](const Table& table, std::size_t row,
+                   const std::vector<std::size_t>& cols) {
+    RefKey key{0, ""};
+    for (const std::size_t c : cols) {
+      const Column& col = table.column(c);
+      if (col.type() == DataType::kString) {
+        key.second = col.strings()[row];
+      } else if (col.type() == DataType::kBool) {
+        key.first = col.bools()[row];
+      } else {
+        key.first = col.i64()[row];
+      }
+    }
+    return key;
+  };
+
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"i"}, {"d"}, {"b"}, {"s"}, {"j", "s"}};
+  for (const auto& keys : key_sets) {
+    std::vector<std::size_t> in_cols;
+    for (const auto& k : keys) {
+      in_cols.push_back(t->schema().RequireField(k).ValueOrDie());
+    }
+    std::map<RefKey, RefAcc> ref;
+    const auto v = t->column(5).f64();
+    for (std::size_t r = 0; r < t->num_rows(); ++r) {
+      RefAcc& acc = ref[key_of(*t, r, in_cols)];
+      ++acc.n;
+      acc.sum += v[r];
+      acc.lo = std::min(acc.lo, v[r]);
+      acc.hi = std::max(acc.hi, v[r]);
+    }
+
+    PlanPtr plan = PlanNode::Aggregate(PlanNode::Scan("t"), keys,
+                                       {{AggKind::kCount, "", "n"},
+                                        {AggKind::kSum, "v", "sum"},
+                                        {AggKind::kMin, "v", "lo"},
+                                        {AggKind::kMax, "v", "hi"},
+                                        {AggKind::kAvg, "v", "mean"}});
+    std::vector<std::size_t> out_cols(keys.size());
+    for (std::size_t k = 0; k < keys.size(); ++k) out_cols[k] = k;
+    std::vector<std::string> serial_hash_order;
+    for (const std::size_t threads : {std::size_t{1}, kThreads}) {
+      for (const bool radix : {false, true}) {
+        SCOPED_TRACE(keys.back() + " threads=" + std::to_string(threads) +
+                     (radix ? " radix" : " default"));
+        EngineOptions eo;
+        eo.num_threads = threads;
+        eo.morsel_rows = 256;
+        if (radix) eo.optimizer.radix_agg_min_groups = 0;
+        Engine engine(eo);
+        engine.catalog().Put("t", t);
+        auto out = engine.ExecuteUnoptimized(plan).ValueOrDie();
+        ASSERT_EQ(out->num_rows(), ref.size());
+        for (std::size_t r = 0; r < out->num_rows(); ++r) {
+          auto it = ref.find(key_of(*out, r, out_cols));
+          ASSERT_NE(it, ref.end()) << r;
+          const RefAcc& want = it->second;
+          const std::size_t a = keys.size();
+          EXPECT_EQ(out->GetValue(r, a).AsInt64(), want.n);
+          EXPECT_EQ(out->GetValue(r, a + 1).AsFloat64(), want.sum);
+          EXPECT_EQ(out->GetValue(r, a + 2).AsFloat64(), want.lo);
+          EXPECT_EQ(out->GetValue(r, a + 3).AsFloat64(), want.hi);
+          EXPECT_EQ(out->GetValue(r, a + 4).AsFloat64(),
+                    want.sum / static_cast<double>(want.n));
+        }
+        // Output order is fixed run to run; the hash form emits groups in
+        // first-seen order at every thread count.
+        auto again = engine.ExecuteUnoptimized(plan).ValueOrDie();
+        EXPECT_EQ(OrderedRows(*out), OrderedRows(*again));
+        if (!radix) {
+          if (threads == 1) serial_hash_order = OrderedRows(*out);
+          EXPECT_EQ(OrderedRows(*out), serial_hash_order);
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelExecPlain, ExplainAnnotatesPipelineSchedulingAndBudget) {

@@ -274,6 +274,63 @@ TEST(CatalogTest, AppendSharesPrefixStorage) {
   }
 }
 
+TEST(CatalogTest, AppendingToSlicesLeavesTheParentUnchanged) {
+  constexpr std::size_t kBase = 100;
+  constexpr std::size_t kBatch = 10;
+  const TablePtr extra = NumberedRows(1000, 1000 + kBatch);
+  enum class Kind { kSuffix, kSliceOfSlice, kPrefix };
+  for (const Kind kind : {Kind::kSuffix, Kind::kSliceOfSlice, Kind::kPrefix}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    Catalog cat;
+    cat.Put("t", NumberedRows(0, kBase));
+    // After one append the version's buffers have spare capacity and the
+    // version holds their claimed end, so a slice ending at the parent's
+    // last row can extend the buffer in place.
+    const TablePtr parent =
+        cat.Append("t", *NumberedRows(kBase, kBase + kBatch)).ValueOrDie();
+    const std::size_t rows = parent->num_rows();
+    const std::int64_t* parent_ids = parent->column(0).i64().data();
+
+    std::size_t first = 0;
+    TablePtr slice;
+    switch (kind) {
+      case Kind::kSuffix:
+        first = 40;
+        slice = parent->Slice(first, rows - first);
+        break;
+      case Kind::kSliceOfSlice:
+        first = 50;
+        slice = parent->Slice(20, rows - 20)->Slice(30, rows - 50);
+        break;
+      case Kind::kPrefix:
+        first = 0;
+        slice = parent->Slice(0, 30);
+        break;
+    }
+    const std::size_t len = slice->num_rows();
+    EXPECT_EQ(slice->column(0).i64().data(), parent_ids + first);  // no copy
+    ASSERT_TRUE(slice->AppendTable(*extra).ok());
+    // A slice ending at the claimed end extends in place; a prefix cannot.
+    EXPECT_EQ(slice->column(0).i64().data() == parent_ids + first,
+              kind != Kind::kPrefix);
+    ASSERT_EQ(slice->num_rows(), len + kBatch);
+    for (std::size_t i = 0; i < slice->num_rows(); ++i) {
+      const std::size_t want = i < len ? first + i : 1000 + (i - len);
+      EXPECT_EQ(slice->column(0).i64()[i], static_cast<std::int64_t>(want));
+      EXPECT_EQ(slice->column(1).strings()[i], "row_" + std::to_string(want));
+    }
+
+    EXPECT_EQ(parent->num_rows(), rows);
+    EXPECT_TRUE(HoldsNumberedRows(*parent));
+    const TablePtr next =
+        cat.Append("t", *NumberedRows(rows, rows + kBatch)).ValueOrDie();
+    EXPECT_EQ(next->num_rows(), rows + kBatch);
+    EXPECT_TRUE(HoldsNumberedRows(*next));
+    EXPECT_TRUE(HoldsNumberedRows(*parent));
+    EXPECT_EQ(slice->column(0).i64()[len], 1000);
+  }
+}
+
 TEST(CatalogTest, ConcurrentReadersSeeStablePrefixesWhileAppending) {
   constexpr std::size_t kBase = 500;
   constexpr std::size_t kBatch = 7;

@@ -288,7 +288,6 @@ int main(int argc, char** argv) {
     opts.num_threads = 0;
     opts.obs.trace_sample_every = 2;  // query ids 1, 3, 5, ...
     opts.obs.slow_query_seconds = 0;  // latency only, no log IO skew
-    opts.tuning.enabled = false;      // no refits between the two sides
     Engine gate(opts);
     gate.catalog().Put("items", items);
     gate.catalog().Put("dims", dims);

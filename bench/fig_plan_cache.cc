@@ -1,4 +1,4 @@
-// Self-tuning fast-path figure: what the parameterized plan cache saves
+// Fast-path figure: what the parameterized plan cache saves
 // and what mid-query index adoption hides.
 //
 // Three sections:
@@ -274,7 +274,6 @@ int main(int argc, char** argv) {
     // morsel waves per query, independent of the runner's core count.
     eo.num_threads = 4;
     eo.morsel_rows = 512;
-    eo.tuning.enabled = false;
     eo.optimizer.allow_approximate_similarity = true;
     eo.index.async_builds = true;
     Engine sem(eo);

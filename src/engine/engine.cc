@@ -53,11 +53,6 @@ Engine::Engine(EngineOptions options) : options_(options) {
   traces_ = std::make_unique<TraceRing>(
       std::max<std::size_t>(1, options_.obs.trace_ring_capacity));
   plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache);
-  KnobBaselines baselines;
-  baselines.morsel_rows = options_.morsel_rows;
-  baselines.radix_agg_min_groups = options_.optimizer.radix_agg_min_groups;
-  baselines.index_reuse_horizon = options_.optimizer.index_reuse_horizon;
-  knob_tuner_ = std::make_unique<KnobTuner>(options_.tuning, baselines);
   RegisterCollectors();
 }
 
@@ -120,11 +115,10 @@ void Engine::RegisterCollectors() {
     e->Counter("cre_governor_breaches_total", {}, governor_->breaches());
     // Calibrated charge estimates the governor uses at the big
     // allocation sites (0 until the site has been observed).
-    const FootprintCalibrator* fp = knob_tuner_->footprints();
     for (int site = 0; site < kNumFootprintSites; ++site) {
       e->Gauge("cre_governor_bytes_per_row",
                {{"site", FootprintSiteName(static_cast<FootprintSite>(site))}},
-               fp->bytes_per_row(static_cast<FootprintSite>(site)));
+               footprints_.bytes_per_row(static_cast<FootprintSite>(site)));
     }
 
     // Plan cache.
@@ -138,14 +132,13 @@ void Engine::RegisterCollectors() {
                pc.single_flight_waits);
     e->Gauge("cre_plan_cache_entries", {}, static_cast<double>(pc.entries));
 
-    // Knob tuner: the currently published execution knobs.
-    const KnobTuner::Snapshot kt = knob_tuner_->snapshot();
+    // The configured execution knobs.
     e->Gauge("cre_scheduler_morsel_rows", {},
-             static_cast<double>(kt.morsel_rows));
+             static_cast<double>(options_.morsel_rows));
     e->Gauge("cre_knob_radix_agg_min_groups", {},
-             static_cast<double>(kt.radix_agg_min_groups));
-    e->Gauge("cre_knob_index_reuse_horizon", {}, kt.index_reuse_horizon);
-    e->Counter("cre_knob_refits_total", {}, kt.refits);
+             static_cast<double>(options_.optimizer.radix_agg_min_groups));
+    e->Gauge("cre_knob_index_reuse_horizon", {},
+             options_.optimizer.index_reuse_horizon);
 
     // Embedding caches (every registered model wrapped in the LRU
     // decorator).
@@ -250,12 +243,6 @@ OptimizerOptions Engine::EffectiveOptimizerOptions() const {
   OptimizerOptions options = options_.optimizer;
   if (options.degree_of_parallelism == 0) {
     options.degree_of_parallelism = pool_->num_threads();
-  }
-  if (knob_tuner_ != nullptr) {
-    // Feedback-calibrated knobs override the configured baselines (they
-    // equal the baselines until the tuner has published a refit).
-    options.radix_agg_min_groups = knob_tuner_->radix_agg_min_groups();
-    options.index_reuse_horizon = knob_tuner_->index_reuse_horizon();
   }
   if (options_.index.async_builds &&
       options.background_build_discount >= 1.0) {
@@ -535,10 +522,8 @@ Result<OperatorPtr> Engine::LowerSemanticSelectOver(
 
 Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {
   // Every thread count runs the same driver; at dop 1 it runs each
-  // pipeline on the caller's thread. Morsel granularity is a tuned knob:
-  // the tuner aims each morsel task at options().tuning.
-  // morsel_target_seconds of observed work.
-  ParallelPlanDriver driver(this, ctx, knob_tuner_->morsel_rows());
+  // pipeline on the caller's thread.
+  ParallelPlanDriver driver(this, ctx);
   return driver.Run(*plan);
 }
 
@@ -592,13 +577,6 @@ void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
   if (trace != nullptr) {
     trace->Finish();
     traces_->Push(trace);
-  }
-  // Feed the tuner the manager's cumulative reuse rate (lookups per
-  // distinct key) — the measured form of index_reuse_horizon.
-  if (options_.index.enabled) {
-    const IndexManager::Stats reuse = index_manager_->stats();
-    knob_tuner_->ObserveIndexReuse(reuse.hits + reuse.misses,
-                                   reuse.distinct_lookup_keys);
   }
   const double slow = options_.obs.slow_query_seconds;
   if (slow > 0 && seconds >= slow) {
@@ -697,7 +675,7 @@ Result<std::string> Engine::Explain(const PlanPtr& plan) {
   std::string out =
       optimized->ToString() + "plan: " + plan_origin + "\n\n" +
       DescribePipelines(*optimized, dop,
-                        knob_tuner_->radix_agg_min_groups());
+                        options_.optimizer.radix_agg_min_groups);
   // The engine's own permanent background group is not a query.
   const std::size_t active = scheduler_->active_queries() - 1;
   out += "serving: scheduler dop=" + std::to_string(dop) +
@@ -844,7 +822,7 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
   }
 
   out += DescribePipelines(*run.physical, dop,
-                           knob_tuner_->radix_agg_min_groups());
+                           options_.optimizer.radix_agg_min_groups);
   out += "trace:\n" + run.trace->ToString();
   return out;
 }

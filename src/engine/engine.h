@@ -13,12 +13,12 @@
 #include "embed/model_registry.h"
 #include "engine/query_context.h"
 #include "engine/scheduler.h"
+#include "exec/footprint.h"
 #include "exec/operator.h"
 #include "exec/stats.h"
 #include "index/index_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "optimizer/knob_tuner.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_cache.h"
 #include "plan/plan_node.h"
@@ -43,6 +43,11 @@ struct ObsOptions {
   /// Queries slower than this emit a structured `event=slow_query` log
   /// line (with the compact trace when sampled). 0 disables.
   double slow_query_seconds = 1.0;
+};
+
+/// See EngineOptions::tuning.
+struct TuningOptions {
+  bool enabled = false;
 };
 
 /// Top-level engine options.
@@ -75,10 +80,13 @@ struct EngineOptions {
   /// rebind literals into the cached optimized plan (stamp- and
   /// residency-validated at every lookup).
   PlanCacheOptions plan_cache;
-  /// Feedback calibration: refit morsel size, the radix-aggregation
-  /// crossover, the index reuse horizon, and the governor's bytes/row
-  /// charge estimates from observed execution.
-  KnobTunerOptions tuning;
+  /// Inert: nothing reads it. The engine runs on the configured
+  /// morsel_rows, optimizer.radix_agg_min_groups and
+  /// optimizer.index_reuse_horizon. It stays only because the benchmark
+  /// harness (perfbench/src/harness.cc) still assigns
+  /// `tuning.enabled = false`; the next benchmark change deletes that
+  /// line, and then this field and TuningOptions.
+  TuningOptions tuning;
 };
 
 /// The context-rich analytical engine: a catalog of relational tables, a
@@ -139,10 +147,10 @@ class Engine {
   /// options().plan_cache.enabled).
   PlanCache* plan_cache() { return plan_cache_.get(); }
   const PlanCache* plan_cache() const { return plan_cache_.get(); }
-  /// The feedback knob tuner (never null; returns configured baselines
-  /// while options().tuning.enabled is false).
-  KnobTuner* knob_tuner() { return knob_tuner_.get(); }
-  const KnobTuner* knob_tuner() const { return knob_tuner_.get(); }
+  /// Bytes/row calibrations for the governor charge sites, fed by the
+  /// operators (hash-join build, sort runs, aggregation state).
+  FootprintCalibrator* footprints() { return &footprints_; }
+  const FootprintCalibrator* footprints() const { return &footprints_; }
 
   /// Mid-query index adoptions: fallback scans that swapped their
   /// remaining morsels onto a freshly completed background index build.
@@ -277,8 +285,8 @@ class Engine {
   Result<PlanPtr> OptimizePlan(QueryContext* ctx, const PlanPtr& plan,
                                QueryTrace* trace, std::string* origin);
   /// Serialized effective optimizer knobs — part of every plan-cache key,
-  /// so a knob refit (or reconfiguration) re-plans instead of serving a
-  /// plan chosen under different costs.
+  /// so a reconfiguration re-plans instead of serving a plan chosen under
+  /// different costs.
   std::string KnobSignature() const;
   /// Plan-cache freshness probes: table stamps against `ctx`'s pinned
   /// snapshot (or the live catalog when ctx is null, for EXPLAIN), and
@@ -315,7 +323,7 @@ class Engine {
   std::unique_ptr<ResourceGovernor> governor_;
   std::unique_ptr<DeadlineReaper> reaper_;
   std::unique_ptr<PlanCache> plan_cache_;
-  std::unique_ptr<KnobTuner> knob_tuner_;
+  FootprintCalibrator footprints_;
   std::atomic<std::uint64_t> index_adoptions_{0};
   std::atomic<std::uint64_t> next_query_id_{0};
 };

@@ -37,12 +37,11 @@ void ParallelPlanDriver::SetAdoptionWaveHookForTesting(
   g_adoption_hook = std::move(hook);
 }
 
-ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx,
-                                       std::size_t morsel_rows)
+ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx)
     : engine_(engine),
       ctx_(ctx),
       runner_(ctx->runner()),
-      morsel_rows_(std::max<std::size_t>(1, morsel_rows)),
+      morsel_rows_(std::max<std::size_t>(1, engine->options().morsel_rows)),
       stats_(ctx->stats()),
       trace_(ctx->trace()),
       span_parent_(ctx->trace_parent()) {}
@@ -146,7 +145,7 @@ Result<ParallelPlanDriver::JoinStates> ParallelPlanDriver::BuildJoinStates(
         std::shared_ptr<HashJoinTable> table,
         HashJoinTable::Build(std::move(build), op->right_key,
                              ctx_->budget_handle(),
-                             engine_->knob_tuner()->footprints()));
+                             engine_->footprints()));
     joins.emplace(op, std::move(table));
   }
   return joins;
@@ -237,9 +236,6 @@ Result<TablePtr> ParallelPlanDriver::RunSegment(
   options.morsel_rows = morsel_rows_;
   options.pool = runner_;
   options.cancel = ctx_->cancel_flag();
-  options.on_morsel = [this](std::size_t rows, double seconds) {
-    engine_->knob_tuner()->ObserveMorsel(rows, seconds);
-  };
   return MorselParallelMap(
       base,
       [&](std::size_t, const TablePtr& slice) {
@@ -267,9 +263,6 @@ Result<TablePtr> ParallelPlanDriver::RunFallbackWithAdoption(
   options.morsel_rows = morsel_rows_;
   options.pool = runner_;
   options.cancel = ctx_->cancel_flag();
-  options.on_morsel = [this](std::size_t rows, double seconds) {
-    engine_->knob_tuner()->ObserveMorsel(rows, seconds);
-  };
 
   // Brute-force the input in waves of ~2 morsels per worker. Between
   // waves (pipeline-segment boundaries — no per-morsel pipeline is in
@@ -365,7 +358,7 @@ Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,
       TablePtr out,
       SortTable(input, sort.sort_key, sort.sort_ascending, runner_,
                 limit_hint, &timings, ctx_->budget(),
-                engine_->knob_tuner()->footprints()));
+                engine_->footprints()));
   span.Annotate("rows", std::to_string(out->num_rows()));
   span.Annotate("runs", std::to_string(timings.runs));
   span.Annotate("merge_partitions", std::to_string(timings.merge_partitions));
@@ -449,26 +442,16 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   const Schema input_schema = prototype->output_schema();
 
   const std::size_t n = base->num_rows();
-  // Layout decisions (parallel-vs-serial, chunk boundaries) use the
-  // engine's configured morsel baseline, NOT the tuned morsel size: the
-  // chunk row-ranges determine the group-merge insertion order, and a
-  // mid-stream tuner refit must never change result row order. The tuned
-  // size only affects slicing granularity inside a chunk, where morsels
-  // run sequentially in row order.
-  const std::size_t layout_rows =
-      std::max<std::size_t>(1, engine_->options().morsel_rows);
-  const std::size_t num_morsels = (n + layout_rows - 1) / layout_rows;
+  const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
   const bool parallel =
       num_morsels > 1 && runner_ != nullptr && runner_->num_threads() > 1;
   // High estimated group cardinality flips accumulation to the two-phase
   // radix scheme: the serial chunk-order merge of every partial's groups
   // would otherwise dominate.
   // Unoptimized plans carry no estimate (est_rows < 0); then a threshold
-  // of 0 explicitly forces the radix form for keyed aggregates. The
-  // threshold comes from the knob tuner, which re-fits it from observed
-  // accumulate/merge timings (falling back to the configured baseline).
+  // of 0 explicitly forces the radix form for keyed aggregates.
   const std::size_t radix_threshold =
-      engine_->knob_tuner()->radix_agg_min_groups();
+      engine_->options().optimizer.radix_agg_min_groups;
   const bool use_radix =
       parallel && !agg.group_keys.empty() &&
       (agg.est_rows >= 0
@@ -504,9 +487,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   if (ctx_->budget() != nullptr) {
     const std::size_t est_groups =
         agg.est_rows >= 0 ? static_cast<std::size_t>(agg.est_rows) : n;
-    const std::size_t per_chunk_bytes =
-        engine_->knob_tuner()->footprints()->EstimateBytes(
-            FootprintSite::kAggState, est_groups, est_groups * 64);
+    const std::size_t per_chunk_bytes = engine_->footprints()->EstimateBytes(
+        FootprintSite::kAggState, est_groups, est_groups * 64);
     const std::size_t state_bytes = per_chunk_bytes * num_chunks;
     CRE_RETURN_NOT_OK(
         ctx_->budget()->Charge(state_bytes, "aggregation state"));
@@ -526,8 +508,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
       CRE_RETURN_NOT_OK(total.Consume(*batch));
     }
     if (total.num_groups() > 0) {
-      engine_->knob_tuner()->footprints()->Observe(
-          FootprintSite::kAggState, total.num_groups(), total.MemoryBytes());
+      engine_->footprints()->Observe(FootprintSite::kAggState,
+                                     total.num_groups(), total.MemoryBytes());
     }
     CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
     if (stats_ != nullptr) {
@@ -537,15 +519,14 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   }
 
   // Drives chunk `c`'s morsel chains into `consume`, polling the
-  // cancellation flag between morsels. Chunk boundaries are fixed by the
-  // layout baseline; within the chunk, rows stream in order in slices of
-  // the tuned morsel size.
+  // cancellation flag between morsels; within the chunk, rows stream in
+  // order, one morsel at a time.
   auto run_chunk = [&](std::size_t c,
                        const std::function<Status(const Table&)>& consume)
       -> Status {
-    const std::size_t begin_row = c * per_chunk * layout_rows;
+    const std::size_t begin_row = c * per_chunk * morsel_rows_;
     const std::size_t end_row =
-        std::min(n, begin_row + per_chunk * layout_rows);
+        std::min(n, begin_row + per_chunk * morsel_rows_);
     for (std::size_t r = begin_row; r < end_row; r += morsel_rows_) {
       CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
       TablePtr slice = base->Slice(r, std::min(morsel_rows_, end_row - r));
@@ -596,8 +577,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
       state_bytes += partial.MemoryBytes();
     }
     if (state_groups > 0) {
-      engine_->knob_tuner()->footprints()->Observe(FootprintSite::kAggState,
-                                                   state_groups, state_bytes);
+      engine_->footprints()->Observe(FootprintSite::kAggState, state_groups,
+                                     state_bytes);
     }
 
     Timer merge_timer;
@@ -639,8 +620,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
       }
     }
     if (state_groups > 0) {
-      engine_->knob_tuner()->footprints()->Observe(FootprintSite::kAggState,
-                                                   state_groups, state_bytes);
+      engine_->footprints()->Observe(FootprintSite::kAggState, state_groups,
+                                     state_bytes);
     }
 
     // Phase 2: all occurrences of a group share a partition index, so
@@ -673,11 +654,6 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     }
     merge_seconds = merge_timer.Seconds();
   }
-
-  // Feed the tuner's radix-threshold fit: which accumulation mode ran,
-  // over how many rows/groups, and how the time split between phases.
-  engine_->knob_tuner()->ObserveAggregate(use_radix, n, out->num_rows(),
-                                          accumulate_seconds, merge_seconds);
 
   if (trace_ != nullptr && span_parent_ != nullptr) {
     trace_->Annotate(span_parent_, "agg_mode", use_radix ? "radix" : "hash");

@@ -64,8 +64,7 @@ namespace cre {
 /// deadlock-free.
 class ParallelPlanDriver {
  public:
-  ParallelPlanDriver(Engine* engine, QueryContext* ctx,
-                     std::size_t morsel_rows);
+  ParallelPlanDriver(Engine* engine, QueryContext* ctx);
 
   /// Executes the plan tree and returns the materialized result.
   Result<TablePtr> Run(const PlanNode& root);

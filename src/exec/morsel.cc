@@ -4,8 +4,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/timer.h"
-
 namespace cre {
 
 Result<TablePtr> MorselParallelMap(const TablePtr& table,
@@ -20,16 +18,8 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled("query cancelled before morsel execution");
     }
-    Timer timer;
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
-    Result<TablePtr> out = ExecuteToTable(pipeline.get());
-    // Only a one-morsel input is a morsel-sized observation; a whole
-    // multi-morsel input run as one chain (dop 1) would skew the tuner's
-    // per-morsel fit.
-    if (out.ok() && options.on_morsel && n > 0 && n <= morsel) {
-      options.on_morsel(n, timer.Seconds());
-    }
-    return out;
+    return ExecuteToTable(pipeline.get());
   }
 
   // Each task writes only its own slot, so no lock is needed.
@@ -44,16 +34,11 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
             results[m] = Status::Cancelled("query cancelled mid-morsel-map");
             continue;
           }
-          TablePtr slice = table->Slice(m * morsel, morsel);
-          Timer timer;
-          const std::size_t slice_rows = slice->num_rows();
           results[m] = [&]() -> Result<TablePtr> {
-            CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(m, slice));
+            CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline,
+                                 build(m, table->Slice(m * morsel, morsel)));
             return ExecuteToTable(pipeline.get());
           }();
-          if (results[m].ok() && options.on_morsel && slice_rows > 0) {
-            options.on_morsel(slice_rows, timer.Seconds());
-          }
         }
       },
       /*min_chunk=*/1);

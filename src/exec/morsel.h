@@ -25,14 +25,6 @@ struct MorselOptions {
   /// once set, remaining morsels resolve to Status::Cancelled and the
   /// map returns it. nullptr = not cancellable.
   const CancelFlag* cancel = nullptr;
-  /// Observation hook: called once per successfully completed morsel
-  /// pipeline with its input rows and wall seconds (the engine feeds the
-  /// knob tuner's morsel sizing from this). Called concurrently from
-  /// worker threads — must be thread-safe. Uncapped full-pipeline runs
-  /// only: the LIMIT-bounded variant doesn't report (an early-exited
-  /// pipeline's seconds/row would be meaningless), and the serial form
-  /// reports only an input that fits in one morsel.
-  std::function<void(std::size_t rows, double seconds)> on_morsel;
 };
 
 /// Instantiates the per-morsel pipeline for morsel `index` over `slice`.

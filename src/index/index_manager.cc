@@ -715,7 +715,6 @@ Result<IndexManager::AsyncIndex> IndexManager::GetOrBuildAsync(
 Result<IndexManager::AsyncIndex> IndexManager::Lookup(const IndexKey& key,
                                                       bool may_defer) {
   MutexLock lock(mu_);
-  lookup_keys_.insert(key);
   const bool async =
       may_defer && options_.async_builds && background_runner_ != nullptr;
   bool counted_miss = false;
@@ -1072,7 +1071,6 @@ IndexManager::Stats IndexManager::stats() const {
   MutexLock lock(mu_);
   Stats s = counters_;
   s.resident_bytes = resident_bytes_;
-  s.distinct_lookup_keys = lookup_keys_.size();
   s.resident_count = 0;
   for (const auto& [key, entry] : entries_) {
     (void)key;

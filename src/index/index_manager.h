@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/hash.h"
@@ -161,10 +160,6 @@ class IndexManager {
     std::uint64_t disk_retries = 0;
     std::size_t resident_count = 0;
     std::size_t resident_bytes = 0;
-    /// Distinct keys ever looked up (GetOrBuild/GetOrBuildAsync).
-    /// hits+misses over this is the manager's measured lookups-per-key
-    /// reuse rate — what the knob tuner refits index_reuse_horizon from.
-    std::size_t distinct_lookup_keys = 0;
   };
 
   IndexManager(const Catalog* catalog, const ModelRegistry* models,
@@ -440,9 +435,6 @@ class IndexManager {
   std::size_t builds_in_flight_ CRE_GUARDED_BY(mu_) = 0;
   TaskRunner* background_runner_ CRE_GUARDED_BY(mu_) = nullptr;
   Stats counters_ CRE_GUARDED_BY(mu_);
-  /// Every key ever looked up, for Stats::distinct_lookup_keys.
-  std::unordered_set<IndexKey, IndexKeyHash> lookup_keys_
-      CRE_GUARDED_BY(mu_);
 };
 
 }  // namespace cre

@@ -29,8 +29,8 @@ struct PlanCacheOptions {
 /// identity and strategy-relevant knob (tables, columns, models,
 /// thresholds, strategies, group keys, sort keys, limits) — with literal
 /// constants and semantic query strings parameterized out, concatenated
-/// with a signature of the engine's effective optimizer knobs (so a tuned
-/// knob change re-plans naturally). Two queries that differ only in
+/// with a signature of the engine's effective optimizer knobs (so a
+/// reconfiguration re-plans naturally). Two queries that differ only in
 /// literal values share one entry; a hit rebinds the cached optimized
 /// plan's parameters by value substitution and returns it without running
 /// a single optimizer rule.

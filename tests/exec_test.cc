@@ -317,7 +317,6 @@ std::unique_ptr<Engine> OneThreadEngine(std::size_t morsel_rows = 8 * 1024) {
   EngineOptions eo;
   eo.num_threads = 1;
   eo.morsel_rows = morsel_rows;
-  eo.tuning.enabled = false;
   auto engine = std::make_unique<Engine>(eo);
   engine->catalog().Put("products", Products());
   engine->catalog().Put("sales", Sales());

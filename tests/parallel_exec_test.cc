@@ -50,6 +50,34 @@ std::vector<std::string> Fingerprint(const Table& table) {
   return rows;
 }
 
+// Every `key=value` trace attribute named exactly `key` in an EXPLAIN
+// ANALYZE rendering (a longer key such as agg_merge_ms never matches
+// merge_ms).
+std::vector<std::string> AttrValues(const std::string& text,
+                                    const std::string& key) {
+  std::vector<std::string> values;
+  const std::string needle = key + "=";
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    if (pos > 0 && (std::isalnum(static_cast<unsigned char>(text[pos - 1])) ||
+                    text[pos - 1] == '_')) {
+      continue;
+    }
+    const std::size_t begin = pos + needle.size();
+    const std::size_t end = text.find_first_of(",} \n", begin);
+    values.push_back(text.substr(begin, end - begin));
+  }
+  return values;
+}
+
+// The single value of trace attribute `key`, as a number; fails the test
+// when the attribute is missing or rendered more than once.
+double OneAttr(const std::string& text, const std::string& key) {
+  const std::vector<std::string> values = AttrValues(text, key);
+  EXPECT_EQ(values.size(), 1u) << key << " in:\n" << text;
+  return values.empty() ? -1 : std::stod(values[0]);
+}
+
 /// Ordered row rendering, for exact order comparisons.
 std::vector<std::string> OrderedRows(const Table& table) {
   std::vector<std::string> rows;
@@ -396,14 +424,25 @@ TEST(ParallelExecPlain, RadixAggregationMatchesSerialAtHighCardinality) {
   auto c = radix.ExecuteUnoptimized(plan).ValueOrDie();
   EXPECT_EQ(OrderedRows(*b), OrderedRows(*c));
 
-  // The optimized path estimates group cardinality and crosses the
-  // default threshold on its own once the threshold is in reach.
-  radix.set_optimizer_options([] {
+  // The optimized path estimates group cardinality (30000 * 0.1 = 3000)
+  // and compares it with the threshold set_optimizer_options installs
+  // last: above the estimate it runs the hash form, below it the radix
+  // form.
+  auto run_with_threshold = [&](std::size_t min_groups) {
     OptimizerOptions o;
-    o.radix_agg_min_groups = 1000;  // est = 30000 * 0.1 = 3000 >= 1000
+    o.radix_agg_min_groups = min_groups;
     o.allow_approximate_similarity = false;
-    return o;
-  }());
+    radix.set_optimizer_options(o);
+    return radix.ExplainAnalyze(plan).ValueOrDie();
+  };
+  const std::string hash_text = run_with_threshold(std::size_t{1} << 20);
+  EXPECT_EQ(AttrValues(hash_text, "agg_mode"),
+            std::vector<std::string>{"hash"})
+      << hash_text;
+  const std::string radix_text = run_with_threshold(1000);
+  EXPECT_EQ(AttrValues(radix_text, "agg_mode"),
+            std::vector<std::string>{"radix"})
+      << radix_text;
   auto optimized = radix.Execute(plan).ValueOrDie();
   EXPECT_EQ(Fingerprint(*a), Fingerprint(*optimized));
 }
@@ -569,34 +608,6 @@ TEST(ParallelExecPlain, GlobalAggregateOverEmptyInput) {
   EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 0);
 }
 
-// Every `key=value` trace attribute named exactly `key` in an EXPLAIN
-// ANALYZE rendering (a longer key such as agg_merge_ms never matches
-// merge_ms).
-std::vector<std::string> AttrValues(const std::string& text,
-                                    const std::string& key) {
-  std::vector<std::string> values;
-  const std::string needle = key + "=";
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + 1)) {
-    if (pos > 0 && (std::isalnum(static_cast<unsigned char>(text[pos - 1])) ||
-                    text[pos - 1] == '_')) {
-      continue;
-    }
-    const std::size_t begin = pos + needle.size();
-    const std::size_t end = text.find_first_of(",} \n", begin);
-    values.push_back(text.substr(begin, end - begin));
-  }
-  return values;
-}
-
-// The single value of trace attribute `key`, as a number; fails the test
-// when the attribute is missing or rendered more than once.
-double OneAttr(const std::string& text, const std::string& key) {
-  const std::vector<std::string> values = AttrValues(text, key);
-  EXPECT_EQ(values.size(), 1u) << key << " in:\n" << text;
-  return values.empty() ? -1 : std::stod(values[0]);
-}
-
 std::unique_ptr<Engine> MakeBreakerEngine(EngineOptions eo = {}) {
   eo.num_threads = kThreads;
   eo.morsel_rows = 512;
@@ -649,9 +660,7 @@ TEST(ParallelExecPlain, RadixAggregatePartitionsInExplainAnalyzeTrace) {
 }
 
 TEST(ParallelExecPlain, LimitBudgetInExplainAnalyzeTrace) {
-  EngineOptions eo;
-  eo.tuning.enabled = false;  // keep 512-row morsels: 40 of them
-  auto engine = MakeBreakerEngine(eo);
+  auto engine = MakeBreakerEngine();
   // LIMIT over a sort is a top-k sort.
   PlanPtr topk_plan =
       PlanNode::Limit(PlanNode::Sort(PlanNode::Scan("t"), "v", false), 7);
@@ -669,6 +678,65 @@ TEST(ParallelExecPlain, LimitBudgetInExplainAnalyzeTrace) {
   EXPECT_LE(run, total) << budget;
   EXPECT_GT(total, 1.0) << budget;
   EXPECT_TRUE(AttrValues(budget, "top_k").empty()) << budget;
+}
+
+// A default engine runs on the geometry it was configured with: after a
+// few hundred queries of mixed shape (hash and radix aggregates, top-k,
+// filtered scans), the morsel size it reports and the pipeline routing
+// EXPLAIN renders are the ones it started with.
+TEST(ParallelExecPlain, DefaultEngineKeepsItsGeometry) {
+  EngineOptions eo;
+  eo.num_threads = kThreads;
+  Engine engine(eo);
+  auto t = Table::Make(Schema({{"k", DataType::kInt64, 0},
+                               {"g", DataType::kInt64, 0},
+                               {"v", DataType::kFloat64, 0}}));
+  Rng rng(11);
+  for (std::size_t i = 0; i < 60000; ++i) {
+    t->column(0).AppendInt64(static_cast<std::int64_t>(rng.Uniform(20000)));
+    t->column(1).AppendInt64(static_cast<std::int64_t>(rng.Uniform(8)));
+    t->column(2).AppendFloat64(static_cast<double>(rng.Uniform(1000)));
+  }
+  engine.catalog().Put("t", t);
+
+  const std::vector<PlanPtr> plans = {
+      PlanNode::Aggregate(
+          PlanNode::Filter(PlanNode::Scan("t"), Gt(Col("v"), Lit(500.0))),
+          {"g"}, {{AggKind::kSum, "v", "sum"}}),
+      PlanNode::Aggregate(PlanNode::Scan("t"), {"k"},
+                          {{AggKind::kSum, "v", "sum"}}),
+      PlanNode::Limit(PlanNode::Sort(PlanNode::Scan("t"), "v", false), 5),
+      PlanNode::Filter(PlanNode::Scan("t"), Gt(Col("v"), Lit(990.0))),
+  };
+  auto routing = [&](const PlanPtr& plan) {
+    const std::string text = engine.Explain(plan).ValueOrDie();
+    const std::size_t begin = text.find("pipelines (dop=");
+    const std::size_t end = text.find("serving:");
+    EXPECT_NE(begin, std::string::npos) << text;
+    EXPECT_NE(end, std::string::npos) << text;
+    return text.substr(begin, end - begin);
+  };
+  auto morsel_rows_gauge = [&] {
+    for (const auto& g : engine.metrics()->Snapshot().gauges) {
+      if (g.name == "cre_scheduler_morsel_rows") return g.value;
+    }
+    return -1.0;
+  };
+  std::vector<std::string> before;
+  for (const PlanPtr& plan : plans) before.push_back(routing(plan));
+  EXPECT_NE(before[0].find("serial merge"), std::string::npos) << before[0];
+  EXPECT_NE(before[1].find("radix-partitioned"), std::string::npos)
+      << before[1];
+  EXPECT_EQ(morsel_rows_gauge(), static_cast<double>(eo.morsel_rows));
+
+  for (std::size_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(engine.Execute(plans[i % plans.size()]).ok()) << i;
+  }
+
+  EXPECT_EQ(morsel_rows_gauge(), static_cast<double>(eo.morsel_rows));
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    EXPECT_EQ(routing(plans[p]), before[p]) << "plan " << p;
+  }
 }
 
 TEST(ParallelExecPlain, PipelineBreakerClassification) {

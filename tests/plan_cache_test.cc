@@ -1,11 +1,9 @@
-// Self-tuning fast-path tests: the parameterized plan cache (hit/miss,
+// Fast-path tests: the parameterized plan cache (hit/miss,
 // literal rebinding with byte-identical results, stamp and
 // index-residency invalidation, LRU bounds, single-flight population),
 // mid-query index adoption (byte-identity against the all-fallback run),
-// and the feedback knob tuner (fit formulas, hysteresis, clamps,
-// disabled baselines) plus the governor's footprint calibrator. The
-// concurrent storm test runs under TSan in CI like the other parallel
-// tests.
+// and the governor's footprint calibrator. The concurrent storm test runs
+// under TSan in CI like the other parallel tests.
 
 #include <atomic>
 #include <chrono>
@@ -23,7 +21,6 @@
 #include "engine/engine.h"
 #include "engine/parallel_driver.h"
 #include "exec/footprint.h"
-#include "optimizer/knob_tuner.h"
 #include "optimizer/plan_cache.h"
 
 namespace cre {
@@ -82,14 +79,11 @@ class PlanCacheTest : public ::testing::Test {
     return engine;
   }
 
-  /// Cache tests pin the knob signature by disabling the tuner, so a
-  /// mid-test refit can never turn an expected hit into a miss.
   std::unique_ptr<Engine> MakeCacheEngine(bool cache_enabled = true) {
     EngineOptions eo;
     eo.num_threads = kThreads;
     eo.morsel_rows = kMorselRows;
     eo.optimizer.allow_approximate_similarity = false;
-    eo.tuning.enabled = false;
     eo.plan_cache.enabled = cache_enabled;
     return MakeEngine(eo);
   }
@@ -300,7 +294,6 @@ TEST_F(PlanCacheTest, IndexResidencyFlipInvalidates) {
   eo.num_threads = kThreads;
   eo.morsel_rows = kMorselRows;
   eo.optimizer.allow_approximate_similarity = true;
-  eo.tuning.enabled = false;
   auto engine = MakeEngine(eo);
 
   auto make_plan = [&] {
@@ -421,7 +414,6 @@ TEST_P(PlanCacheDopTest, MidQueryAdoptionIsByteIdenticalToFallback) {
   EngineOptions eo;
   eo.num_threads = GetParam();
   eo.morsel_rows = kMorselRows;
-  eo.tuning.enabled = false;  // keep morsel/wave geometry fixed
   eo.index.async_builds = true;
   // Probe every IVF list: with exact verification on top, the index path
   // admits exactly the rows the brute-force scan admits.
@@ -463,104 +455,8 @@ TEST_P(PlanCacheDopTest, MidQueryAdoptionIsByteIdenticalToFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Knob tuner units
+// Governor footprint calibration
 // ---------------------------------------------------------------------------
-
-KnobTunerOptions UnitTunerOptions() {
-  KnobTunerOptions to;
-  to.min_samples = 1;
-  to.hysteresis = 0.0;
-  to.ewma_alpha = 1.0;  // EWMA == last sample: exact expectations
-  return to;
-}
-
-TEST_F(PlanCacheTest, TunerFitsMorselRowsToTargetTaskLength) {
-  KnobTuner tuner(UnitTunerOptions(), KnobBaselines{});
-  EXPECT_EQ(tuner.morsel_rows(), KnobBaselines{}.morsel_rows);
-
-  // 1000 rows in 1ms = 1us/row; at a 2ms target that fits 2000 rows.
-  tuner.ObserveMorsel(1000, 0.001);
-  EXPECT_EQ(tuner.morsel_rows(), 2000u);
-  EXPECT_GE(tuner.snapshot().refits, 1u);
-
-  // Very cheap rows clamp at the max...
-  tuner.ObserveMorsel(1000000, 1e-7);
-  EXPECT_EQ(tuner.morsel_rows(), UnitTunerOptions().max_morsel_rows);
-
-  // ...and very expensive rows clamp at the min.
-  tuner.ObserveMorsel(10, 1.0);
-  EXPECT_EQ(tuner.morsel_rows(), UnitTunerOptions().min_morsel_rows);
-}
-
-TEST_F(PlanCacheTest, TunerHysteresisSuppressesSmallMoves) {
-  KnobTunerOptions to = UnitTunerOptions();
-  to.hysteresis = 0.25;
-  KnobTuner tuner(to, KnobBaselines{});
-  const std::size_t baseline = KnobBaselines{}.morsel_rows;  // 8192
-
-  // Candidate 9000 is within 25% of 8192: no publish.
-  tuner.ObserveMorsel(9000, 0.002);
-  EXPECT_EQ(tuner.morsel_rows(), baseline);
-  EXPECT_EQ(tuner.snapshot().refits, 0u);
-
-  // Candidate 1024 (clamped) clears the band: published.
-  tuner.ObserveMorsel(1000, 0.002);
-  EXPECT_EQ(tuner.morsel_rows(), to.min_morsel_rows);
-  EXPECT_EQ(tuner.snapshot().refits, 1u);
-}
-
-TEST_F(PlanCacheTest, TunerRadixCrossoverNeedsBothModes) {
-  KnobTuner tuner(UnitTunerOptions(), KnobBaselines{});
-  const std::size_t baseline = KnobBaselines{}.radix_agg_min_groups;
-
-  // Hash-mode only: no refit (the crossover needs both sides measured).
-  tuner.ObserveAggregate(/*radix=*/false, 10000, 100, 0.010, 0.001);
-  EXPECT_EQ(tuner.radix_agg_min_groups(), baseline);
-
-  // Radix observed too: accumulate delta 2us/row over 10000 rows against
-  // a 10us/group merge -> breakeven at 2000 groups.
-  tuner.ObserveAggregate(/*radix=*/true, 10000, 500, 0.030, 0.001);
-  EXPECT_EQ(tuner.radix_agg_min_groups(), 2000u);
-}
-
-TEST_F(PlanCacheTest, TunerIndexReuseHorizonFitsAndClamps) {
-  KnobTunerOptions to;  // default min_samples = 8 gates thin evidence
-  KnobTuner tuner(to, KnobBaselines{});
-
-  // Too few lookups: keep the baseline.
-  tuner.ObserveIndexReuse(4, 2);
-  EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(),
-                   KnobBaselines{}.index_reuse_horizon);
-
-  // 20 lookups over 4 distinct keys: 5 queries amortize one build.
-  tuner.ObserveIndexReuse(20, 4);
-  EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(), 5.0);
-
-  // Extreme reuse clamps at the configured max.
-  tuner.ObserveIndexReuse(1000, 10);
-  EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(), to.max_reuse_horizon);
-}
-
-TEST_F(PlanCacheTest, TunerDisabledReturnsBaselinesAndDropsObservations) {
-  KnobTunerOptions to = UnitTunerOptions();
-  to.enabled = false;
-  KnobBaselines kb;
-  kb.morsel_rows = 4096;
-  kb.radix_agg_min_groups = 512;
-  kb.index_reuse_horizon = 2.5;
-  KnobTuner tuner(to, kb);
-
-  tuner.ObserveMorsel(1000, 0.001);
-  tuner.ObserveAggregate(false, 10000, 100, 0.010, 0.001);
-  tuner.ObserveAggregate(true, 10000, 500, 0.030, 0.001);
-  tuner.ObserveIndexReuse(1000, 10);
-
-  EXPECT_EQ(tuner.morsel_rows(), 4096u);
-  EXPECT_EQ(tuner.radix_agg_min_groups(), 512u);
-  EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(), 2.5);
-  EXPECT_EQ(tuner.snapshot().refits, 0u);
-  EXPECT_EQ(tuner.snapshot().morsel_samples, 0u);
-}
 
 TEST_F(PlanCacheTest, FootprintCalibratorWarmsAfterMinSamples) {
   FootprintCalibrator cal(/*ewma_alpha=*/1.0, /*min_samples=*/3);

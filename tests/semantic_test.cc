@@ -147,7 +147,6 @@ TEST(SemanticSelectEngineTest, SingleAndMultiQueryMatchReferenceAtEveryDop) {
     EngineOptions eo;
     eo.num_threads = threads;
     eo.morsel_rows = 32;  // 300 rows -> 10 morsels
-    eo.tuning.enabled = false;
     Engine engine(eo);
     engine.catalog().Put("words", table);
     engine.models().Put("m", model);

@@ -7,8 +7,8 @@
 //                 hit, and the resulting overhead share (the CI gate
 //                 measures the same share on its own, see below). Clients
 //                 send the same plan shapes with per-query literals, so
-//                 every hit exercises the rebind path, not just pointer
-//                 sharing.
+//                 every hit writes new values into the cached plan's
+//                 parameter slots, not just pointer sharing.
 //   cached /    - QPS and p50/p99 for 1/2/4/8 concurrent clients over a
 //   uncached      parameterized relational mix, cache-enabled engine vs
 //                 cache-disabled engine on identical tables.
@@ -248,17 +248,21 @@ int main(int argc, char** argv) {
       per_miss_ms > 0 ? per_hit_ms / per_miss_ms * 100.0 : 0.0;
   std::printf(
       "\nplan cache: %llu hits, %llu misses, %llu invalidations, "
-      "%llu evictions, %zu entries\n",
+      "%llu evictions, %llu single-flight waits, %zu entries\n",
       static_cast<unsigned long long>(stats.hits),
       static_cast<unsigned long long>(stats.misses),
       static_cast<unsigned long long>(stats.invalidations),
-      static_cast<unsigned long long>(stats.evictions), stats.entries);
+      static_cast<unsigned long long>(stats.evictions),
+      static_cast<unsigned long long>(stats.single_flight_waits),
+      stats.entries);
   std::printf(
       "planning wall: %.4f ms per miss (optimizer) vs %.4f ms per hit "
       "(lookup+rebind) -> %.2f%% overhead share\n",
       per_miss_ms, per_hit_ms, overhead_pct);
   json.Add("planning", {{"hits", static_cast<double>(stats.hits)},
                         {"misses", static_cast<double>(stats.misses)},
+                        {"single_flight_waits",
+                         static_cast<double>(stats.single_flight_waits)},
                         {"per_miss_ms", per_miss_ms},
                         {"per_hit_ms", per_hit_ms},
                         {"overhead_pct", overhead_pct}});

@@ -363,15 +363,17 @@ Result<PlanPtr> Engine::OptimizePlan(QueryContext* ctx, const PlanPtr& plan,
     annotate("cached(stamp=" + std::to_string(lookup.stamp) + ")");
     return std::move(lookup.plan);
   }
+  // A miss holds the planning ticket: optimize the parameterized copy so
+  // later hits can bind their own values into it.
+  PlanPtr parameterized;
+  PlanCache::Normalize(*plan, KnobSignature(), &parameterized);
   Timer timer;
   Optimizer optimizer = MakeOptimizerFor(ctx);
-  Result<PlanPtr> optimized = optimizer.Optimize(plan);
+  Result<PlanPtr> optimized = optimizer.Optimize(parameterized);
   if (!optimized.ok()) {
-    if (lookup.ticket) plan_cache_->Abort(shape);
+    plan_cache_->Abort(shape);
     return optimized.status();
   }
-  // Ticketed misses install for the waiters; ambiguous-rebind misses
-  // refresh the entry with their own binding.
   plan_cache_->Install(shape, optimized.ValueUnsafe(), timer.Seconds(),
                        version, absent);
   annotate("optimized");

@@ -77,8 +77,8 @@ struct EngineOptions {
   /// per-priority-class load shedding (see AdmissionOptions).
   AdmissionOptions admission;
   /// Parameterized plan cache: repeat plan shapes skip the optimizer and
-  /// rebind literals into the cached optimized plan (stamp- and
-  /// residency-validated at every lookup).
+  /// bind their literals into the cached optimized plan by parameter slot
+  /// (stamp- and residency-validated at every lookup).
   PlanCacheOptions plan_cache;
   /// Inert: nothing reads it. The engine runs on the configured
   /// morsel_rows, optimizer.radix_agg_min_groups and

@@ -11,10 +11,11 @@ ExprPtr Expr::Column(std::string name) {
   return e;
 }
 
-ExprPtr Expr::Literal(Value v) {
+ExprPtr Expr::Literal(Value v, int param_id) {
   std::shared_ptr<Expr> e(new Expr());
   e->kind_ = ExprKind::kLiteral;
   e->literal_ = std::move(v);
+  e->param_id_ = param_id;
   return e;
 }
 
@@ -60,6 +61,12 @@ ExprPtr Expr::StrContains(ExprPtr haystack, std::string needle) {
   e->kind_ = ExprKind::kStrContains;
   e->column_name_ = std::move(needle);
   e->children_ = {std::move(haystack)};
+  return e;
+}
+
+ExprPtr Expr::WithChildren(std::vector<ExprPtr> children) const {
+  std::shared_ptr<Expr> e(new Expr(*this));
+  e->children_ = std::move(children);
   return e;
 }
 

@@ -32,7 +32,9 @@ using ExprPtr = std::shared_ptr<const Expr>;
 class Expr {
  public:
   static ExprPtr Column(std::string name);
-  static ExprPtr Literal(Value v);
+  /// `param_id` >= 0 tags the literal as plan-cache parameter slot
+  /// `param_id` (see PlanCache::Normalize); -1 is an untagged literal.
+  static ExprPtr Literal(Value v, int param_id = -1);
   static ExprPtr Compare(CompareOp op, ExprPtr lhs, ExprPtr rhs);
   static ExprPtr Arith(ArithOp op, ExprPtr lhs, ExprPtr rhs);
   static ExprPtr MakeAnd(ExprPtr lhs, ExprPtr rhs);
@@ -43,10 +45,14 @@ class Expr {
   ExprKind kind() const { return kind_; }
   const std::string& column_name() const { return column_name_; }
   const Value& literal() const { return literal_; }
+  int param_id() const { return param_id_; }
   CompareOp compare_op() const { return compare_op_; }
   ArithOp arith_op() const { return arith_op_; }
   const std::string& str_needle() const { return column_name_; }
   const std::vector<ExprPtr>& children() const { return children_; }
+
+  /// Copy of this node over `children` in place of its own.
+  ExprPtr WithChildren(std::vector<ExprPtr> children) const;
 
   /// Adds every referenced column name to `out`.
   void CollectColumns(std::set<std::string>* out) const;
@@ -62,6 +68,7 @@ class Expr {
   ExprKind kind_ = ExprKind::kLiteral;
   std::string column_name_;  // kColumnRef; also needle for kStrContains
   Value literal_;
+  int param_id_ = -1;  // kLiteral
   CompareOp compare_op_ = CompareOp::kEq;
   ArithOp arith_op_ = ArithOp::kAdd;
   std::vector<ExprPtr> children_;

@@ -3,8 +3,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <unordered_set>
+
+#include "core/logging.h"
 
 namespace cre {
 
@@ -16,39 +17,13 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Value equality that also distinguishes the date tag (the variant
-/// operator== treats Date(5) and Int(5) as equal).
+/// Value equality that also distinguishes the date tag and the sign of a
+/// zero (the variant operator== treats Date(5) and Int(5), and 0.0 and
+/// -0.0, as equal; both pairs print differently).
 bool SameValue(const Value& a, const Value& b) {
-  return a == b && a.is_date() == b.is_date();
-}
-
-/// Exact-representation map key for a literal: type-tagged (so Date(5),
-/// Int(5) and "5" never unify) and never rounded. A double keys on its
-/// raw bits (short enough to stay inline in the string, and no printf on
-/// a cache hit); NaNs collapse to one key per sign.
-std::string ValueKey(const Value& v) {
-  char buf[64];
-  if (v.is_null()) return "n";
-  if (v.is_date()) return "d" + std::to_string(v.AsInt64());
-  if (v.is_int64()) return "i" + std::to_string(v.AsInt64());
-  if (v.is_float64()) {
-    const double d = v.AsFloat64();
-    if (std::isnan(d)) return std::signbit(d) ? "f-nan" : "fnan";
-    std::string key(1 + sizeof(d), 'f');
-    std::memcpy(&key[1], &d, sizeof(d));
-    return key;
-  }
-  if (v.is_bool()) return v.AsBool() ? "b1" : "b0";
-  if (v.is_string()) return "s" + v.AsString();
-  if (v.is_vector()) {
-    std::string out = "v";
-    for (float f : v.AsVector()) {
-      std::snprintf(buf, sizeof(buf), "%.9g,", static_cast<double>(f));
-      out += buf;
-    }
-    return out;
-  }
-  return "?";
+  return a == b && a.is_date() == b.is_date() &&
+         (!a.is_float64() ||
+          std::signbit(a.AsFloat64()) == std::signbit(b.AsFloat64()));
 }
 
 char ValueTypeTag(const Value& v) {
@@ -76,27 +51,31 @@ void AppendInt(std::int64_t v, std::string* out) {
 
 /// Serializes the expression's shape: structure, operators, column names
 /// and StrContains needles verbatim; literal values replaced by a typed
-/// "?" and pushed onto `params` in pre-order.
-void FingerprintExpr(const Expr& e, std::string* out,
-                     std::vector<Value>* params) {
+/// "?" and pushed onto `params` in pre-order. With `tag`, returns a copy of
+/// `e` whose literals carry their parameter ids (nullptr otherwise).
+ExprPtr FingerprintExpr(const ExprPtr& e, std::string* out,
+                        std::vector<Value>* params, bool tag) {
   out->push_back('(');
-  switch (e.kind()) {
+  switch (e->kind()) {
     case ExprKind::kColumnRef:
       out->push_back('c');
-      AppendStr(e.column_name(), out);
+      AppendStr(e->column_name(), out);
       break;
-    case ExprKind::kLiteral:
+    case ExprKind::kLiteral: {
       out->push_back('?');
-      out->push_back(ValueTypeTag(e.literal()));
-      params->push_back(e.literal());
-      break;
+      out->push_back(ValueTypeTag(e->literal()));
+      out->push_back(')');
+      const int id = static_cast<int>(params->size());
+      params->push_back(e->literal());
+      return tag ? Expr::Literal(e->literal(), id) : nullptr;
+    }
     case ExprKind::kCompare:
       out->push_back('=');
-      AppendInt(static_cast<int>(e.compare_op()), out);
+      AppendInt(static_cast<int>(e->compare_op()), out);
       break;
     case ExprKind::kArith:
       out->push_back('+');
-      AppendInt(static_cast<int>(e.arith_op()), out);
+      AppendInt(static_cast<int>(e->arith_op()), out);
       break;
     case ExprKind::kAnd:
       out->push_back('&');
@@ -109,32 +88,39 @@ void FingerprintExpr(const Expr& e, std::string* out,
       break;
     case ExprKind::kStrContains:
       out->push_back('~');
-      AppendStr(e.str_needle(), out);
+      AppendStr(e->str_needle(), out);
       break;
   }
-  if (e.kind() != ExprKind::kColumnRef && e.kind() != ExprKind::kLiteral) {
-    for (const ExprPtr& child : e.children()) {
-      FingerprintExpr(*child, out, params);
-    }
+  std::vector<ExprPtr> tagged;
+  for (const ExprPtr& child : e->children()) {
+    ExprPtr t = FingerprintExpr(child, out, params, tag);
+    if (tag) tagged.push_back(std::move(t));
   }
   out->push_back(')');
+  if (!tag) return nullptr;
+  return tagged.empty() ? e : e->WithChildren(std::move(tagged));
 }
 
+/// `copy`, when non-null, is a copy of `n` whose parameter sites get
+/// tagged with their ids; its children are replaced by copies in turn.
 void FingerprintNode(const PlanNode& n, std::string* out,
-                     PlanCache::Shape* shape) {
+                     std::vector<Value>* params, PlanNode* copy) {
   out->push_back('[');
   AppendInt(static_cast<int>(n.kind), out);
   AppendStr(n.table_name, out);
   if (n.predicate) {
-    FingerprintExpr(*n.predicate, out, &shape->value_params);
+    ExprPtr tagged = FingerprintExpr(n.predicate, out, params, copy != nullptr);
+    if (copy) copy->predicate = std::move(tagged);
   } else {
     out->push_back('_');
   }
   AppendInt(static_cast<std::int64_t>(n.projections.size()), out);
-  for (const ProjectionItem& item : n.projections) {
-    AppendStr(item.name, out);
-    if (item.expr) {
-      FingerprintExpr(*item.expr, out, &shape->value_params);
+  for (std::size_t i = 0; i < n.projections.size(); ++i) {
+    AppendStr(n.projections[i].name, out);
+    if (n.projections[i].expr) {
+      ExprPtr tagged = FingerprintExpr(n.projections[i].expr, out, params,
+                                       copy != nullptr);
+      if (copy) copy->projections[i].expr = std::move(tagged);
     } else {
       out->push_back('_');
     }
@@ -149,19 +135,18 @@ void FingerprintNode(const PlanNode& n, std::string* out,
   AppendInt(static_cast<int>(n.strategy), out);
   AppendInt(n.strategy_pinned ? 1 : 0, out);
   AppendInt(static_cast<std::int64_t>(n.top_k), out);
-  // A single-query semantic select's query text is a rebindable
-  // parameter; DIP multi-select lists are literal-derived and stay
-  // verbatim (such plans are uncacheable anyway, the fingerprint just has
-  // to be unambiguous).
+  // A single-query semantic select's query text is a parameter;
+  // multi-select lists stay verbatim and untagged (such plans are
+  // uncacheable, the fingerprint just has to be unambiguous).
   if (n.kind == PlanKind::kSemanticSelect && n.queries.empty()) {
     out->append("q?");
-    shape->query_params.push_back(n.query);
+    if (copy) copy->query_param = static_cast<int>(params->size());
+    params->push_back(n.query);
   } else {
     AppendStr(n.query, out);
   }
   AppendInt(static_cast<std::int64_t>(n.queries.size()), out);
   for (const std::string& q : n.queries) AppendStr(q, out);
-  if (!n.queries.empty()) ++shape->multi_selects;
   AppendInt(static_cast<std::int64_t>(n.group_keys.size()), out);
   for (const std::string& k : n.group_keys) AppendStr(k, out);
   AppendInt(static_cast<std::int64_t>(n.aggs.size()), out);
@@ -176,113 +161,101 @@ void FingerprintNode(const PlanNode& n, std::string* out,
   // est_rows / est_cost / index_resident / index_residency are optimizer
   // annotations, not identity — deliberately excluded.
   AppendInt(static_cast<std::int64_t>(n.children.size()), out);
-  for (const PlanPtr& child : n.children) {
-    FingerprintNode(*child, out, shape);
+  for (std::size_t i = 0; i < n.children.size(); ++i) {
+    PlanNode* child_copy = nullptr;
+    if (copy) {
+      copy->children[i] = std::make_shared<PlanNode>(*n.children[i]);
+      child_copy = copy->children[i].get();
+    }
+    FingerprintNode(*n.children[i], out, params, child_copy);
   }
   out->push_back(']');
 }
 
-using ValueMap = std::unordered_map<std::string, Value>;
-using QueryMap = std::unordered_map<std::string, std::string>;
-
-ExprPtr RebindExpr(const ExprPtr& e, const ValueMap& values, bool* changed) {
-  switch (e->kind()) {
-    case ExprKind::kColumnRef:
-      return e;
-    case ExprKind::kLiteral: {
-      auto it = values.find(ValueKey(e->literal()));
-      // A literal absent from the parameter map was synthesized by an
-      // optimizer rule (not user-supplied); it is shape-stable and stays.
-      if (it == values.end() || SameValue(it->second, e->literal())) return e;
-      *changed = true;
-      return Expr::Literal(it->second);
-    }
-    case ExprKind::kCompare: {
-      bool c = false;
-      ExprPtr l = RebindExpr(e->children()[0], values, &c);
-      ExprPtr r = RebindExpr(e->children()[1], values, &c);
-      if (!c) return e;
-      *changed = true;
-      return Expr::Compare(e->compare_op(), std::move(l), std::move(r));
-    }
-    case ExprKind::kArith: {
-      bool c = false;
-      ExprPtr l = RebindExpr(e->children()[0], values, &c);
-      ExprPtr r = RebindExpr(e->children()[1], values, &c);
-      if (!c) return e;
-      *changed = true;
-      return Expr::Arith(e->arith_op(), std::move(l), std::move(r));
-    }
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      bool c = false;
-      std::vector<ExprPtr> kids;
-      kids.reserve(e->children().size());
-      for (const ExprPtr& child : e->children()) {
-        kids.push_back(RebindExpr(child, values, &c));
-      }
-      if (!c) return e;
-      *changed = true;
-      ExprPtr folded = kids[0];
-      for (std::size_t i = 1; i < kids.size(); ++i) {
-        folded = e->kind() == ExprKind::kAnd
-                     ? Expr::MakeAnd(std::move(folded), std::move(kids[i]))
-                     : Expr::MakeOr(std::move(folded), std::move(kids[i]));
-      }
-      return folded;
-    }
-    case ExprKind::kNot: {
-      bool c = false;
-      ExprPtr child = RebindExpr(e->children()[0], values, &c);
-      if (!c) return e;
-      *changed = true;
-      return Expr::MakeNot(std::move(child));
-    }
-    case ExprKind::kStrContains: {
-      bool c = false;
-      ExprPtr child = RebindExpr(e->children()[0], values, &c);
-      if (!c) return e;
-      *changed = true;
-      return Expr::StrContains(std::move(child), e->str_needle());
-    }
+/// Writes `params[id]` into every tagged literal under `e` whose value
+/// differs, copying only the nodes above such a literal.
+ExprPtr BindExpr(const ExprPtr& e, const std::vector<Value>& params) {
+  if (e->kind() == ExprKind::kLiteral) {
+    const Value& v = params[e->param_id()];
+    return SameValue(v, e->literal()) ? e : Expr::Literal(v, e->param_id());
   }
-  return e;
+  std::vector<ExprPtr> bound;  // filled from the first changed child on
+  for (std::size_t i = 0; i < e->children().size(); ++i) {
+    ExprPtr child = BindExpr(e->children()[i], params);
+    if (bound.empty() && child != e->children()[i]) bound = e->children();
+    if (!bound.empty()) bound[i] = std::move(child);
+  }
+  return bound.empty() ? e : e->WithChildren(std::move(bound));
 }
 
-void RebindNode(PlanNode* n, const ValueMap& values, const QueryMap& queries) {
-  bool changed = false;
-  if (n->predicate) n->predicate = RebindExpr(n->predicate, values, &changed);
-  for (ProjectionItem& item : n->projections) {
-    if (item.expr) item.expr = RebindExpr(item.expr, values, &changed);
+/// BindExpr over a plan: a node is copied only when a parameter site in
+/// it or below it changes; untouched subtrees stay shared with `n`.
+PlanPtr BindNode(const PlanPtr& n, const std::vector<Value>& params) {
+  PlanPtr copy;
+  auto own = [&]() -> PlanNode& {
+    if (copy == nullptr) copy = std::make_shared<PlanNode>(*n);
+    return *copy;
+  };
+  if (n->predicate) {
+    ExprPtr bound = BindExpr(n->predicate, params);
+    if (bound != n->predicate) own().predicate = std::move(bound);
   }
-  if (n->kind == PlanKind::kSemanticSelect && n->queries.empty()) {
-    auto it = queries.find(n->query);
-    if (it != queries.end()) n->query = it->second;
+  for (std::size_t i = 0; i < n->projections.size(); ++i) {
+    const ExprPtr& expr = n->projections[i].expr;
+    if (expr == nullptr) continue;
+    ExprPtr bound = BindExpr(expr, params);
+    if (bound != expr) own().projections[i].expr = std::move(bound);
   }
-  for (PlanPtr& child : n->children) {
-    RebindNode(child.get(), values, queries);
+  if (n->query_param >= 0) {
+    const std::string& query = params[n->query_param].AsString();
+    if (query != n->query) own().query = query;
   }
+  for (std::size_t i = 0; i < n->children.size(); ++i) {
+    PlanPtr bound = BindNode(n->children[i], params);
+    if (bound != n->children[i]) own().children[i] = std::move(bound);
+  }
+  return copy != nullptr ? copy : n;
+}
+
+/// The cacheability rule: every literal under `e` carries a parameter id.
+bool FullyTagged(const Expr& e) {
+  if (e.kind() == ExprKind::kLiteral) return e.param_id() >= 0;
+  for (const ExprPtr& child : e.children()) {
+    if (!FullyTagged(*child)) return false;
+  }
+  return true;
+}
+
+/// ... and every literal and semantic select query text in `n`'s tree
+/// does. A DIP multi-select fails it: its query list carries no id.
+bool FullyTagged(const PlanNode& n) {
+  if (n.predicate && !FullyTagged(*n.predicate)) return false;
+  for (const ProjectionItem& item : n.projections) {
+    if (item.expr && !FullyTagged(*item.expr)) return false;
+  }
+  if (n.kind == PlanKind::kSemanticSelect && n.query_param < 0) return false;
+  for (const PlanPtr& child : n.children) {
+    if (!FullyTagged(*child)) return false;
+  }
+  return true;
 }
 
 /// Walks an optimized plan collecting (a) the catalog stamp of every
 /// scanned table, (b) the absent-class of every managed-index candidate
 /// the shape exposes — index-backed-select-shaped nodes and indexable
 /// semantic-join build sides, across all four index families (the choice
-/// among families is also residency-driven) — and (c) the DIP
-/// multi-select count.
+/// among families is also residency-driven).
 void CollectFreshness(
     const PlanNode& n, const PlanCache::VersionProbe& version,
     const PlanCache::AbsentProbe& absent,
     std::unordered_set<std::string>* seen_tables,
     std::unordered_set<std::string>* seen_candidates,
     std::vector<std::pair<std::string, std::uint64_t>>* stamps,
-    std::vector<std::pair<PlanCache::IndexCandidate, bool>>* residency,
-    std::size_t* multi_selects) {
+    std::vector<std::pair<PlanCache::IndexCandidate, bool>>* residency) {
   if ((n.kind == PlanKind::kScan || n.kind == PlanKind::kDetectScan) &&
       !n.table_name.empty() && seen_tables->insert(n.table_name).second) {
     stamps->emplace_back(n.table_name, version(n.table_name));
   }
-  if (!n.queries.empty()) ++*multi_selects;
   const PlanNode* scan = nullptr;
   std::string key_column;
   if (n.kind == PlanKind::kSemanticSelect && n.queries.empty() &&
@@ -309,50 +282,26 @@ void CollectFreshness(
   }
   for (const PlanPtr& child : n.children) {
     CollectFreshness(*child, version, absent, seen_tables, seen_candidates,
-                     stamps, residency, multi_selects);
+                     stamps, residency);
   }
 }
 
 }  // namespace
 
 PlanCache::Shape PlanCache::Normalize(const PlanNode& plan,
-                                      const std::string& knob_signature) {
+                                      const std::string& knob_signature,
+                                      PlanPtr* parameterized) {
   Shape shape;
   shape.fingerprint.reserve(256);
-  FingerprintNode(plan, &shape.fingerprint, &shape);
+  PlanNode* copy = nullptr;
+  if (parameterized != nullptr) {
+    *parameterized = std::make_shared<PlanNode>(plan);
+    copy = parameterized->get();
+  }
+  FingerprintNode(plan, &shape.fingerprint, &shape.params, copy);
   shape.fingerprint.push_back('|');
   shape.fingerprint.append(knob_signature);
   return shape;
-}
-
-PlanPtr RebindPlan(const PlanPtr& plan, const std::vector<Value>& old_values,
-                   const std::vector<Value>& new_values,
-                   const std::vector<std::string>& old_queries,
-                   const std::vector<std::string>& new_queries) {
-  if (plan == nullptr || old_values.size() != new_values.size() ||
-      old_queries.size() != new_queries.size()) {
-    return nullptr;
-  }
-  bool identical = true;
-  ValueMap values;
-  for (std::size_t i = 0; i < old_values.size(); ++i) {
-    auto [it, inserted] =
-        values.emplace(ValueKey(old_values[i]), new_values[i]);
-    if (!inserted && !SameValue(it->second, new_values[i])) {
-      return nullptr;  // one old value -> two new values: ambiguous
-    }
-    if (!SameValue(old_values[i], new_values[i])) identical = false;
-  }
-  QueryMap queries;
-  for (std::size_t i = 0; i < old_queries.size(); ++i) {
-    auto [it, inserted] = queries.emplace(old_queries[i], new_queries[i]);
-    if (!inserted && it->second != new_queries[i]) return nullptr;
-    if (old_queries[i] != new_queries[i]) identical = false;
-  }
-  if (identical) return plan;  // share the cached tree as-is
-  PlanPtr rebound = plan->Clone();
-  RebindNode(rebound.get(), values, queries);
-  return rebound;
 }
 
 PlanCache::PlanCache(PlanCacheOptions options) : options_(options) {}
@@ -390,7 +339,7 @@ void PlanCache::EvictLocked(const Entry* keep) {
 PlanCache::Lookup PlanCache::AcquireOrPlan(const Shape& shape,
                                            const VersionProbe& version,
                                            const AbsentProbe& absent) {
-  const auto start = std::chrono::steady_clock::now();
+  auto start = std::chrono::steady_clock::now();
   Lookup out;
   EntryPtr entry;
   {
@@ -399,11 +348,8 @@ PlanCache::Lookup PlanCache::AcquireOrPlan(const Shape& shape,
     for (;;) {
       auto it = entries_.find(shape.fingerprint);
       if (it == entries_.end()) {
-        auto placeholder = std::make_shared<Entry>();
-        entries_.emplace(shape.fingerprint, placeholder);
+        entries_.emplace(shape.fingerprint, std::make_shared<Entry>());
         ++stats_.misses;
-        out.must_plan = true;
-        out.ticket = true;
         return out;
       }
       if (it->second->planning) {
@@ -412,6 +358,8 @@ PlanCache::Lookup PlanCache::AcquireOrPlan(const Shape& shape,
           ++stats_.single_flight_waits;
         }
         cv_.Wait(lock);
+        // The wait was the other caller's planning, not this lookup's.
+        start = std::chrono::steady_clock::now();
         continue;
       }
       if (!ValidLocked(*it->second, version, absent)) {
@@ -424,26 +372,14 @@ PlanCache::Lookup PlanCache::AcquireOrPlan(const Shape& shape,
       break;
     }
   }
-  // Rebind outside the lock: parameter substitution over the cached tree
-  // must not serialize concurrent hits.
-  PlanPtr rebound =
-      RebindPlan(entry->plan, entry->value_params, shape.value_params,
-                 entry->query_params, shape.query_params);
+  // Bind outside the lock: writing parameters into the cached tree must
+  // not serialize concurrent hits.
+  out.plan = BindNode(entry->plan, shape.params);
+  out.stamp = entry->stamp;
   const double elapsed = SecondsSince(start);
   MutexLock lock(mu_);
   stats_.lookup_seconds += elapsed;
-  if (rebound == nullptr) {
-    // Duplicate literal values diverged between the cached and looking
-    // query — substitution would be guesswork. Plan standalone (no
-    // ticket: the installed entry stays valid for unambiguous traffic).
-    ++stats_.rebind_ambiguous;
-    ++stats_.misses;
-    out.must_plan = true;
-    return out;
-  }
   ++stats_.hits;
-  out.plan = std::move(rebound);
-  out.stamp = entry->stamp;
   return out;
 }
 
@@ -455,36 +391,27 @@ void PlanCache::Install(const Shape& shape, const PlanPtr& optimized,
   std::unordered_set<std::string> seen_candidates;
   std::vector<std::pair<std::string, std::uint64_t>> stamps;
   std::vector<std::pair<IndexCandidate, bool>> residency;
-  std::size_t optimized_multi = 0;
-  if (optimized != nullptr) {
+  // An untagged site holds a value no parameter binds — a DIP rewrite's
+  // query list, derived at plan time from the concrete literals — so the
+  // plan must not serve other parameter bindings.
+  const bool cacheable = optimized != nullptr && FullyTagged(*optimized);
+  if (cacheable) {
     CollectFreshness(*optimized, version, absent, &seen_tables,
-                     &seen_candidates, &stamps, &residency, &optimized_multi);
+                     &seen_candidates, &stamps, &residency);
   }
-  // More multi-selects than the source shape had: the DIP rule executed
-  // inducing subplans at plan time, so this plan is derived from the
-  // concrete literals and must not serve other parameter bindings.
-  const bool cacheable =
-      optimized != nullptr && optimized_multi <= shape.multi_selects;
 
   MutexLock lock(mu_);
   stats_.planning_seconds += planning_seconds;
   auto it = entries_.find(shape.fingerprint);
+  CRE_CHECK(it != entries_.end() && it->second->planning);  // ticket held
   if (!cacheable) {
     ++stats_.uncacheable;
-    if (it != entries_.end() && it->second->planning) entries_.erase(it);
+    entries_.erase(it);
     cv_.NotifyAll();
     return;
   }
-  EntryPtr entry;
-  if (it != entries_.end()) {
-    entry = it->second;
-  } else {
-    entry = std::make_shared<Entry>();
-    entries_.emplace(shape.fingerprint, entry);
-  }
+  Entry* entry = it->second.get();
   entry->plan = optimized;
-  entry->value_params = shape.value_params;
-  entry->query_params = shape.query_params;
   entry->stamp = 0;
   for (const auto& [table, stamp] : stamps) {
     if (stamp > entry->stamp) entry->stamp = stamp;
@@ -493,7 +420,7 @@ void PlanCache::Install(const Shape& shape, const PlanPtr& optimized,
   entry->residency = std::move(residency);
   entry->lru_tick = ++tick_;
   entry->planning = false;
-  EvictLocked(entry.get());
+  EvictLocked(entry);
   cv_.NotifyAll();
 }
 

@@ -31,9 +31,15 @@ struct PlanCacheOptions {
 /// constants and semantic query strings parameterized out, concatenated
 /// with a signature of the engine's effective optimizer knobs (so a
 /// reconfiguration re-plans naturally). Two queries that differ only in
-/// literal values share one entry; a hit rebinds the cached optimized
-/// plan's parameters by value substitution and returns it without running
-/// a single optimizer rule.
+/// literal values share one entry.
+///
+/// Parameters bind by slot, not by value: on a miss the engine optimizes
+/// a parameterized copy of the plan whose i-th literal (and i-th select
+/// query text, in the same pre-order) carries parameter id i. Rules share
+/// expressions and copy node fields, so the ids survive into the
+/// optimized plan. A hit writes each looking query's `params[id]` into
+/// its tagged sites — copying only the nodes above a site whose value
+/// changed — and returns without running a single optimizer rule.
 ///
 /// Freshness is validated at lookup, not invalidated by callbacks:
 ///  - per-table version stamps: the entry records the catalog stamp of
@@ -50,11 +56,12 @@ struct PlanCacheOptions {
 ///
 /// Population is single-flight: concurrent misses on one fingerprint
 /// produce one planning ticket; the others wait on the install and then
-/// hit. Plans whose optimization executed data-induced-predicate subplans
-/// are literal-dependent and are never cached (Install detects the DIP
-/// rewrite and releases the ticket uncached).
+/// hit. A plan is cached only when every literal and every select query
+/// text in it carries a parameter id. Data-induced-predicate rewrites fail
+/// that rule (their multi-select lists are derived from the literals and
+/// carry no ids), so Install releases their ticket uncached.
 ///
-/// Thread-safe; rebinding runs outside the cache lock. Cached PlanNode
+/// Thread-safe; binding runs outside the cache lock. Cached PlanNode
 /// trees are immutable after install — execution paths take const plans —
 /// and hold table *names* only (never TablePtrs), so a cached plan
 /// structurally cannot pin rows past any query's snapshot.
@@ -77,60 +84,59 @@ class PlanCache {
   using AbsentProbe = std::function<bool(const IndexCandidate&)>;
 
   /// Normalized form of one logical plan: the fingerprint (cache key) and
-  /// the parameter values extracted from it, in traversal order.
+  /// the parameter values extracted from it. `params[i]` is the i-th
+  /// parameter site in pre-order: a literal, or a single-query semantic
+  /// select's query text (as a string Value).
   struct Shape {
     std::string fingerprint;
-    std::vector<Value> value_params;        ///< literals, pre-order
-    std::vector<std::string> query_params;  ///< semantic query strings
-    std::size_t multi_selects = 0;  ///< DIP multi-select nodes in the source
+    std::vector<Value> params;
   };
 
   /// Computes the shape of a logical plan under the engine's current knob
-  /// signature. Pure; does not touch the cache.
+  /// signature. Pure; does not touch the cache. With `parameterized`, the
+  /// same walk also returns the copy of `plan` a miss optimizes: parameter
+  /// site i carries id i (Expr::param_id, PlanNode::query_param).
   static Shape Normalize(const PlanNode& plan,
-                         const std::string& knob_signature);
+                         const std::string& knob_signature,
+                         PlanPtr* parameterized = nullptr);
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t invalidations = 0;  ///< stamp / residency-class drops
     std::uint64_t evictions = 0;
-    std::uint64_t uncacheable = 0;    ///< DIP plans (subset of misses)
-    std::uint64_t rebind_ambiguous = 0;  ///< hits demoted to misses
+    std::uint64_t uncacheable = 0;    ///< untagged (DIP) plans; in misses
     std::uint64_t single_flight_waits = 0;
     std::size_t entries = 0;
-    /// Optimizer wall accumulated by misses vs lookup+rebind wall
-    /// accumulated by hits — the bench's planning-overhead ratio.
+    /// Optimizer wall accumulated by misses vs lookup+bind wall
+    /// accumulated by hits (single-flight waits excluded) — the bench's
+    /// planning-overhead ratio.
     double planning_seconds = 0;
     double lookup_seconds = 0;
   };
 
   struct Lookup {
-    /// Non-null on a hit: the cached optimized plan, parameter-rebound to
-    /// the looking query. Shared when parameters already match.
+    /// Non-null on a hit: the cached optimized plan, bound to the looking
+    /// query's parameters. Shared untouched when they already match.
+    /// Null on a miss: the caller holds the single-flight planning ticket
+    /// and MUST call Install (success) or Abort (failure).
     PlanPtr plan;
     /// Max table stamp the entry was planned against (for annotations).
     std::uint64_t stamp = 0;
-    /// True when the caller must run the optimizer.
-    bool must_plan = false;
-    /// With must_plan: the caller holds the single-flight planning ticket
-    /// and MUST call Install (success) or Abort (failure). Without a
-    /// ticket the caller re-plans standalone (ambiguous rebind) and may
-    /// Install to refresh the entry.
-    bool ticket = false;
   };
 
   explicit PlanCache(PlanCacheOptions options);
 
   /// Looks `shape` up, validating stamps and residency classes via the
   /// probes. Blocks while another caller holds the fingerprint's planning
-  /// ticket. Never blocks during rebinding.
+  /// ticket. Never blocks during binding.
   Lookup AcquireOrPlan(const Shape& shape, const VersionProbe& version,
                        const AbsentProbe& absent);
 
-  /// Installs an optimized plan for `shape`, recording the stamps and
-  /// residency classes it was planned under, and releases the ticket.
-  /// DIP-rewritten plans release the ticket without caching.
+  /// Installs the optimized parameterized plan for `shape`, recording the
+  /// stamps and residency classes it was planned under, and releases the
+  /// caller's ticket. A plan with an untagged literal or select query
+  /// (a DIP rewrite) releases the ticket without caching.
   /// `planning_seconds` is the optimizer wall the caller measured.
   void Install(const Shape& shape, const PlanPtr& optimized,
                double planning_seconds, const VersionProbe& version,
@@ -150,8 +156,6 @@ class PlanCache {
  private:
   struct Entry {
     PlanPtr plan;
-    std::vector<Value> value_params;
-    std::vector<std::string> query_params;
     /// Table name -> catalog stamp at plan time.
     std::vector<std::pair<std::string, std::uint64_t>> stamps;
     /// Candidate -> was-absent class at plan time.
@@ -175,16 +179,6 @@ class PlanCache {
   std::uint64_t tick_ CRE_GUARDED_BY(mu_) = 0;
   Stats stats_ CRE_GUARDED_BY(mu_);
 };
-
-/// Rebinds the cached plan `plan` (old parameters `old_values` /
-/// `old_queries`) to the new parameters. Returns nullptr when the
-/// substitution is ambiguous — the same old value maps to two different
-/// new values — in which case the caller must re-plan. Shares the cached
-/// tree untouched when all parameters already match. Exposed for tests.
-PlanPtr RebindPlan(const PlanPtr& plan, const std::vector<Value>& old_values,
-                   const std::vector<Value>& new_values,
-                   const std::vector<std::string>& old_queries,
-                   const std::vector<std::string>& new_queries);
 
 }  // namespace cre
 

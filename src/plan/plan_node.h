@@ -62,6 +62,9 @@ class PlanNode {
   std::string column;      ///< input string column (select/group-by; also
                            ///< left key of semantic join via left_key)
   std::string query;       ///< semantic select query text
+  /// Plan-cache parameter slot of `query` (-1: untagged; see
+  /// PlanCache::Normalize).
+  int query_param = -1;
   /// Data-induced predicate form of semantic select: match ANY of these
   /// (populated by the optimizer's DIP rule; overrides `query` when
   /// non-empty).

@@ -1,7 +1,9 @@
 // Property test: for randomly generated logical plans over random data,
 // the optimizer must never change query results — optimized and
 // as-written executions agree row-for-row (up to row order, which the
-// engine does not guarantee without ORDER BY).
+// engine does not guarantee without ORDER BY). Each plan then re-runs with
+// every literal and select query re-drawn: the same shape, so a plan-cache
+// hit that binds the new parameters into the cached plan.
 
 #include <algorithm>
 #include <memory>
@@ -140,6 +142,37 @@ class FuzzEquivalenceTest : public ::testing::TestWithParam<int> {
     return plan;
   }
 
+  /// Same type, new value: keeps the plan's shape (and cache key).
+  ExprPtr RedrawExpr(const ExprPtr& e, Rng& rng) {
+    if (e->kind() == ExprKind::kLiteral) {
+      if (e->literal().is_int64()) {
+        return Lit(static_cast<std::int64_t>(rng.Uniform(4)));
+      }
+      return Lit(rng.NextDouble() * 100.0);
+    }
+    std::vector<ExprPtr> children;
+    for (const ExprPtr& child : e->children()) {
+      children.push_back(RedrawExpr(child, rng));
+    }
+    return children.empty() ? e : e->WithChildren(std::move(children));
+  }
+
+  /// A copy of `plan` with every literal and select query re-drawn.
+  PlanPtr Redraw(const PlanPtr& plan, Rng& rng) {
+    PlanPtr copy = plan->Clone();
+    std::vector<PlanNode*> stack = {copy.get()};
+    while (!stack.empty()) {
+      PlanNode* n = stack.back();
+      stack.pop_back();
+      if (n->predicate) n->predicate = RedrawExpr(n->predicate, rng);
+      if (n->kind == PlanKind::kSemanticSelect) {
+        n->query = words_[rng.Uniform(words_.size())];
+      }
+      for (const PlanPtr& child : n->children) stack.push_back(child.get());
+    }
+    return copy;
+  }
+
   std::uint64_t seed_ = 0;
   std::unique_ptr<Engine> engine_;
   std::vector<SynonymGroup> groups_;
@@ -149,8 +182,10 @@ class FuzzEquivalenceTest : public ::testing::TestWithParam<int> {
 
 TEST_P(FuzzEquivalenceTest, OptimizerPreservesResults) {
   Rng rng(seed_ * 977 + 5);
+  Rng redraw_rng(seed_ * 131 + 3);  // leaves `rng`'s plan sequence as is
   for (int trial = 0; trial < 8; ++trial) {
     PlanPtr plan = RandomPlan(rng);
+    const PlanCache::Stats before = engine_->plan_cache()->stats();
     auto naive = engine_->ExecuteUnoptimized(plan);
     ASSERT_TRUE(naive.ok()) << naive.status() << "\n" << plan->ToString();
     auto optimized = engine_->Execute(plan);
@@ -160,6 +195,23 @@ TEST_P(FuzzEquivalenceTest, OptimizerPreservesResults) {
               Fingerprint(*optimized.ValueOrDie()))
         << "plan:\n"
         << plan->ToString();
+
+    // The re-drawn plan hits the entry the run above installed, unless
+    // that plan was uncacheable (a DIP rewrite).
+    const PlanCache::Stats planned = engine_->plan_cache()->stats();
+    PlanPtr redrawn = Redraw(plan, redraw_rng);
+    auto bound = engine_->Execute(redrawn);
+    ASSERT_TRUE(bound.ok()) << bound.status() << "\n" << redrawn->ToString();
+    auto bound_naive = engine_->ExecuteUnoptimized(redrawn);
+    ASSERT_TRUE(bound_naive.ok()) << bound_naive.status();
+    EXPECT_EQ(Fingerprint(*bound_naive.ValueOrDie()),
+              Fingerprint(*bound.ValueOrDie()))
+        << "re-drawn plan:\n"
+        << redrawn->ToString();
+    if (planned.uncacheable == before.uncacheable) {
+      EXPECT_GT(engine_->plan_cache()->stats().hits, planned.hits)
+          << redrawn->ToString();
+    }
   }
 }
 

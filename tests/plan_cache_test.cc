@@ -1,6 +1,7 @@
-// Fast-path tests: the parameterized plan cache (hit/miss,
-// literal rebinding with byte-identical results, stamp and
-// index-residency invalidation, LRU bounds, single-flight population),
+// Fast-path tests: the parameterized plan cache (hit/miss, binding
+// parameters by slot with byte-identical results, the cacheability rule,
+// stamp and index-residency invalidation, LRU bounds, single-flight
+// population),
 // mid-query index adoption (byte-identity against the all-fallback run),
 // and the governor's footprint calibrator. The concurrent storm test runs
 // under TSan in CI like the other parallel tests.
@@ -120,6 +121,27 @@ class PlanCacheTest : public ::testing::Test {
     return t;
   }
 
+  /// Runs `first`, then `second` (same shape, new parameters) on a cache
+  /// engine: `second` must hit, and match a cache-off engine byte for
+  /// byte and not `first`'s rows (its own parameters took effect).
+  void ExpectBoundHit(const PlanPtr& first, const PlanPtr& second) {
+    auto engine = MakeCacheEngine();
+    auto reference = MakeCacheEngine(/*cache_enabled=*/false);
+    ASSERT_TRUE(engine->Execute(first).ok());
+    auto got = engine->Execute(second);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto s = engine->plan_cache()->stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 1u);
+    auto want = reference->Execute(second);
+    auto first_rows = reference->Execute(first);
+    ASSERT_TRUE(want.ok() && first_rows.ok());
+    EXPECT_EQ(OrderedRows(*want.ValueUnsafe()),
+              OrderedRows(*got.ValueUnsafe()));
+    EXPECT_NE(OrderedRows(*first_rows.ValueUnsafe()),
+              OrderedRows(*got.ValueUnsafe()));
+  }
+
   static PlanPtr FilterPlan(double threshold) {
     return PlanNode::Filter(PlanNode::Scan("big"),
                             Gt(Col("num"), Lit(threshold)));
@@ -141,9 +163,9 @@ TEST_F(PlanCacheTest, NormalizeParameterizesLiterals) {
   auto b = PlanCache::Normalize(*FilterPlan(200.0), "sig");
   // Same shape, different parameter values.
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  ASSERT_EQ(a.value_params.size(), 1u);
-  ASSERT_EQ(b.value_params.size(), 1u);
-  EXPECT_NE(a.value_params[0].ToString(), b.value_params[0].ToString());
+  ASSERT_EQ(a.params.size(), 1u);
+  ASSERT_EQ(b.params.size(), 1u);
+  EXPECT_NE(a.params[0].ToString(), b.params[0].ToString());
 
   // A different knob signature is a different key.
   auto c = PlanCache::Normalize(*FilterPlan(500.0), "other-sig");
@@ -165,37 +187,89 @@ TEST_F(PlanCacheTest, NormalizeParameterizesLiterals) {
                                 "m", 0.85f),
       "sig");
   EXPECT_EQ(s1.fingerprint, s2.fingerprint);
-  ASSERT_EQ(s1.query_params.size(), 1u);
-  EXPECT_EQ(s1.query_params[0], words_[0]);
-  EXPECT_EQ(s2.query_params[0], words_[1]);
+  ASSERT_EQ(s1.params.size(), 1u);
+  EXPECT_EQ(s1.params[0].AsString(), words_[0]);
+  EXPECT_EQ(s2.params[0].AsString(), words_[1]);
 }
 
-TEST_F(PlanCacheTest, RebindSubstitutesSharesAndDetectsAmbiguity) {
-  PlanPtr cached = FilterPlan(500.0);
+TEST_F(PlanCacheTest, HitBindsBySlotAndSharesIdenticalParams) {
+  PlanCache cache(PlanCacheOptions{});
+  PlanPtr cached;
+  const auto shape = PlanCache::Normalize(*FilterPlan(500.0), "sig", &cached);
+  // The parameterized copy tags its one literal with slot 0.
+  ASSERT_EQ(shape.params.size(), 1u);
+  EXPECT_EQ(cached->predicate->children()[1]->param_id(), 0);
+  ASSERT_EQ(cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent()).plan,
+            nullptr);
+  cache.Install(shape, cached, 0.0, ConstVersion(1), NeverAbsent());
 
   // Identical parameters: the cached tree is shared untouched.
-  PlanPtr same = RebindPlan(cached, {Value(500.0)}, {Value(500.0)}, {}, {});
-  EXPECT_EQ(same.get(), cached.get());
+  auto same = cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent());
+  EXPECT_EQ(same.plan.get(), cached.get());
 
-  // Value substitution rebinds the literal.
-  PlanPtr rebound =
-      RebindPlan(cached, {Value(500.0)}, {Value(200.0)}, {}, {});
-  ASSERT_NE(rebound, nullptr);
-  EXPECT_NE(rebound.get(), cached.get());
-  auto shape = PlanCache::Normalize(*rebound, "sig");
-  ASSERT_EQ(shape.value_params.size(), 1u);
-  EXPECT_EQ(shape.value_params[0].ToString(), Value(200.0).ToString());
-  // The cached tree itself is immutable — still holds the old literal.
-  EXPECT_EQ(PlanCache::Normalize(*cached, "sig").value_params[0].ToString(),
+  // A new value is written into its slot. Only the node holding the site
+  // is copied; the scan below it stays shared.
+  auto other =
+      cache.AcquireOrPlan(PlanCache::Normalize(*FilterPlan(200.0), "sig"),
+                          ConstVersion(1), NeverAbsent());
+  ASSERT_NE(other.plan, nullptr);
+  EXPECT_NE(other.plan.get(), cached.get());
+  EXPECT_EQ(PlanCache::Normalize(*other.plan, "sig").params[0].ToString(),
+            Value(200.0).ToString());
+  EXPECT_EQ(other.plan->children[0].get(), cached->children[0].get());
+
+  // The cached tree itself is immutable: it still holds the old literal,
+  // and the old parameters share it again.
+  EXPECT_EQ(PlanCache::Normalize(*cached, "sig").params[0].ToString(),
             Value(500.0).ToString());
+  EXPECT_EQ(
+      cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent()).plan.get(),
+      cached.get());
+  EXPECT_EQ(cache.stats().hits, 3u);
+}
 
-  // Two occurrences of one old value mapping to two different new values
-  // is ambiguous: the caller must re-plan.
-  PlanPtr twice = PlanNode::Filter(FilterPlan(500.0),
-                                   Le(Col("num"), Lit(500.0)));
-  PlanPtr ambiguous = RebindPlan(twice, {Value(500.0), Value(500.0)},
-                                 {Value(200.0), Value(300.0)}, {}, {});
-  EXPECT_EQ(ambiguous, nullptr);
+TEST_F(PlanCacheTest, HitKeepsTheSignOfAZeroLiteral) {
+  // 0.0 == -0.0, but a projected literal prints "0" vs "-0": a hit must
+  // bind the looking query's zero, byte-identical to a cache-off engine.
+  auto plan = [](double zero) {
+    return PlanNode::Limit(
+        PlanNode::Project(PlanNode::Scan("big"), {{"z", Lit(zero)}}), 1);
+  };
+  auto engine = MakeCacheEngine();
+  ASSERT_TRUE(engine->Execute(plan(0.0)).ok());
+  auto got = engine->Execute(plan(-0.0));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(engine->plan_cache()->stats().hits, 1u);
+  EXPECT_EQ(OrderedRows(*got.ValueUnsafe()), std::vector<std::string>{"-0|"});
+}
+
+TEST_F(PlanCacheTest, UntaggedPlansAreNeverCached) {
+  // A plan whose literal carries no parameter id (not the parameterized
+  // copy) releases the ticket uncached.
+  PlanCache cache(PlanCacheOptions{});
+  const PlanPtr plan = FilterPlan(500.0);
+  const auto shape = PlanCache::Normalize(*plan, "sig");
+  ASSERT_EQ(cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent()).plan,
+            nullptr);
+  cache.Install(shape, plan, 0.0, ConstVersion(1), NeverAbsent());
+  EXPECT_EQ(cache.stats().uncacheable, 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  // A hand-built multi-select's query list carries no id either: every
+  // execution re-plans.
+  auto engine = MakeCacheEngine();
+  auto multi = [&] {
+    auto select = PlanNode::SemanticSelect(PlanNode::Scan("big"), "word", "",
+                                           "m", 0.85f);
+    select->queries = {words_[0], words_[1]};
+    return select;
+  };
+  ASSERT_TRUE(engine->Execute(multi()).ok());
+  ASSERT_TRUE(engine->Execute(multi()).ok());
+  auto s = engine->plan_cache()->stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.uncacheable, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +303,6 @@ TEST_F(PlanCacheTest, HitSkipsOptimizerAndRebindsByteIdentical) {
   s = engine->plan_cache()->stats();
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.rebind_ambiguous, 0u);
   auto r3_ref = reference->Execute(FilterPlan(200.0));
   ASSERT_TRUE(r3_ref.ok());
   EXPECT_EQ(OrderedRows(*r3_ref.ValueUnsafe()),
@@ -246,6 +319,66 @@ TEST_F(PlanCacheTest, HitSkipsOptimizerAndRebindsByteIdentical) {
   EXPECT_NE(prom.find("cre_plan_cache_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("cre_plan_cache_misses_total"), std::string::npos);
   EXPECT_NE(prom.find("cre_scheduler_morsel_rows"), std::string::npos);
+}
+
+// Four shapes that value-keyed rebinding could not serve (one old value
+// bound to two new ones); slot binding hits on each.
+
+TEST_F(PlanCacheTest, BindsOneValueAtTwoSitesToTwoValues) {
+  auto band = [](double lo, double hi) {
+    return PlanNode::Filter(
+        PlanNode::Filter(PlanNode::Scan("big"), Ge(Col("num"), Lit(lo))),
+        Le(Col("num"), Lit(hi)));
+  };
+  ExpectBoundHit(band(300.0, 300.0), band(200.0, 600.0));
+}
+
+TEST_F(PlanCacheTest, BindsOneExprSharedAtTwoSites) {
+  const ExprPtr shared = Gt(Col("num"), Lit(300.0));
+  const PlanPtr first =
+      PlanNode::Filter(PlanNode::Filter(PlanNode::Scan("big"), shared),
+                       shared);
+  const PlanPtr second = PlanNode::Filter(
+      PlanNode::Filter(PlanNode::Scan("big"), Gt(Col("num"), Lit(100.0))),
+      Gt(Col("num"), Lit(700.0)));
+  ExpectBoundHit(first, second);
+}
+
+TEST_F(PlanCacheTest, BindsTwoEqualSelectQueriesToDifferentTexts) {
+  auto selects = [&](const std::string& outer, const std::string& inner) {
+    return PlanNode::SemanticSelect(
+        PlanNode::SemanticSelect(PlanNode::Scan("big"), "word", inner, "m",
+                                 0.5f),
+        "word", outer, "m", 0.5f);
+  };
+  ExpectBoundHit(selects(groups_[0].words[0], groups_[0].words[0]),
+                 selects(groups_[1].words[0], groups_[1].words[1]));
+}
+
+TEST_F(PlanCacheTest, BindsSelectsOnBothSidesOfASwappedJoin) {
+  // Disjoint column names on the two sides let RuleReorderJoinInputs put
+  // the smaller input on the build (right) side.
+  auto side = [&](const char* table, const char* prefix,
+                  const std::string& query) {
+    const std::string p(prefix);
+    return PlanNode::Project(
+        PlanNode::SemanticSelect(PlanNode::Scan(table), "word", query, "m",
+                                 0.85f),
+        {{p + "id", Col("id")}, {p + "word", Col("word")}});
+  };
+  auto join = [&](const std::string& small_query,
+                  const std::string& big_query) {
+    return PlanNode::Join(side("small", "s_", small_query),
+                          side("big", "b_", big_query), "s_id", "b_id");
+  };
+  const PlanPtr first = join(words_[0], words_[0]);
+  auto engine = MakeCacheEngine();
+  auto explained = engine->Explain(first);
+  ASSERT_TRUE(explained.ok());
+  const std::string& text = explained.ValueUnsafe();
+  ASSERT_LT(text.find("Scan(big"), text.find("Scan(small"))
+      << "the optimizer no longer swaps this join:\n" << text;
+  ExpectBoundHit(first, join(groups_[1].words[0], groups_[2].words[0]));
 }
 
 TEST_F(PlanCacheTest, ExplainAnnotatesWithoutPopulating) {
@@ -340,8 +473,7 @@ TEST_F(PlanCacheTest, LruBoundsInstalledEntries) {
     auto plan = PlanNode::Scan(table);
     auto shape = PlanCache::Normalize(*plan, "sig");
     auto lookup = cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent());
-    ASSERT_TRUE(lookup.must_plan);
-    ASSERT_TRUE(lookup.ticket);
+    ASSERT_EQ(lookup.plan, nullptr);
     cache.Install(shape, plan, 0.0, ConstVersion(1), NeverAbsent());
   }
 
@@ -353,11 +485,10 @@ TEST_F(PlanCacheTest, LruBoundsInstalledEntries) {
   // The LRU victim was the oldest shape: t1 misses again, t3 hits.
   auto s1 = PlanCache::Normalize(*PlanNode::Scan("t1"), "sig");
   auto l1 = cache.AcquireOrPlan(s1, ConstVersion(1), NeverAbsent());
-  EXPECT_TRUE(l1.must_plan);
+  EXPECT_EQ(l1.plan, nullptr);
   cache.Abort(s1);
   auto s3 = PlanCache::Normalize(*PlanNode::Scan("t3"), "sig");
   auto l3 = cache.AcquireOrPlan(s3, ConstVersion(1), NeverAbsent());
-  EXPECT_FALSE(l3.must_plan);
   EXPECT_NE(l3.plan, nullptr);
 }
 
@@ -368,8 +499,7 @@ TEST_F(PlanCacheTest, SingleFlightPopulation) {
 
   // The first caller takes the planning ticket...
   auto first = cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent());
-  ASSERT_TRUE(first.must_plan);
-  ASSERT_TRUE(first.ticket);
+  ASSERT_EQ(first.plan, nullptr);
 
   // ...and concurrent lookups on the same fingerprint wait for the
   // install instead of planning again.
@@ -381,7 +511,7 @@ TEST_F(PlanCacheTest, SingleFlightPopulation) {
     waiters.emplace_back([&] {
       auto lookup =
           cache.AcquireOrPlan(shape, ConstVersion(1), NeverAbsent());
-      if (!lookup.must_plan && lookup.plan != nullptr) {
+      if (lookup.plan != nullptr) {
         hits.fetch_add(1);
       }
     });
@@ -395,6 +525,9 @@ TEST_F(PlanCacheTest, SingleFlightPopulation) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kWaiters));
   EXPECT_GE(s.single_flight_waits, 1u);
+  // The waiters' hits book their own lookups, not the 50 ms they waited
+  // while the first caller held the ticket.
+  EXPECT_LT(s.lookup_seconds, 0.025);
 }
 
 // ---------------------------------------------------------------------------

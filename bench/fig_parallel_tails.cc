@@ -20,12 +20,15 @@
 //
 // The last section fits cost-model constants from the measurements:
 // CostParams::parallel_fraction via Amdahl inversion of the observed
-// speedups, and the HNSW build constants from the measured per-row build
-// cost. Fitted values are recorded next to the constants in
-// optimizer/cost_model.h.
+// speedups, the HNSW build constants from the measured per-row build
+// cost, and the HNSW probe constant from range and top-10 probes of the
+// serially built index. Fitted values are recorded next to the constants
+// in optimizer/cost_model.h.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +40,7 @@
 #include "embed/hash_embedding_model.h"
 #include "engine/engine.h"
 #include "exec/aggregate.h"
+#include "optimizer/cost_model.h"
 #include "plan/plan_node.h"
 #include "vecsim/hnsw_index.h"
 
@@ -164,6 +168,7 @@ bool RunParallelTails(bench::JsonReport* json) {
                                      {"ORDER BY + LIMIT (top-k)", {}},
                                      {"cold HNSW build", {}}};
 
+  std::unique_ptr<HnswIndex> probe_index;
   for (const std::size_t threads : thread_counts) {
     EngineOptions eo;
     eo.num_threads = threads;
@@ -179,10 +184,12 @@ bool RunParallelTails(bench::JsonReport* json) {
     if (threads > 1) ho.build_pool = &pool;
     double best = 1e300;
     for (int rep = 0; rep < 2; ++rep) {
-      HnswIndex index(ho);
+      auto index = std::make_unique<HnswIndex>(ho);
       Timer t;
-      index.Build(matrix.data(), n_vecs, dim).Check();
+      index->Build(matrix.data(), n_vecs, dim).Check();
       best = std::min(best, t.Seconds());
+      // The serial build (no pool pointer to outlive) serves the probe fit.
+      if (threads == 1) probe_index = std::move(index);
     }
     workloads[4].seconds.push_back(best);
   }
@@ -290,6 +297,53 @@ bool RunParallelTails(bench::JsonReport* json) {
               "dot_per_dim=0.35); at hnsw_expansion_factor=28 that implies "
               "hnsw_build_cost_multiplier = %.2f\n",
               build_ns_per_row, fitted_product, fitted_product / 28.0);
+
+  // HNSW probe constants: a probe costs (descent + ef_search *
+  // expansion_factor) dot products (SemanticIndexProbeCost), with
+  // descent = M * log2(n). Probes are near-duplicates of indexed strings
+  // ("entity_<i>x"), so range probes at kProbeThreshold have hits.
+  constexpr float kProbeThreshold = 0.8f;
+  const std::size_t n_probes = std::min<std::size_t>(n_vecs, 500);
+  std::vector<float> probes(n_probes * dim);
+  for (std::size_t i = 0; i < n_probes; ++i) {
+    model.Embed("entity_" + std::to_string(i * (n_vecs / n_probes)) + "x",
+                probes.data() + i * dim);
+  }
+  double range_s = 0, topk_s = 0;
+  std::size_t range_hits = 0;
+  std::vector<ScoredId> hits;
+  for (std::size_t i = 0; i < n_probes; ++i) {
+    hits.clear();
+    Timer range_timer;
+    probe_index->RangeSearch(probes.data() + i * dim, kProbeThreshold, &hits);
+    range_s += range_timer.Seconds();
+    range_hits += hits.size();
+    Timer topk_timer;
+    (void)probe_index->TopK(probes.data() + i * dim, 10);
+    topk_s += topk_timer.Seconds();
+  }
+  // The probe index runs on HnswOptions defaults, which CostParams
+  // mirrors.
+  const CostParams cost;
+  const double descent =
+      cost.hnsw_m * std::log2(std::max(2.0, static_cast<double>(n_vecs)));
+  auto implied_expansion = [&](double seconds) {
+    const double dots = seconds * 1e9 / static_cast<double>(n_probes) / dot_ns;
+    return (dots - descent) / cost.hnsw_ef_search;
+  };
+  std::printf("hnsw probe: range@%.2f %.1f us/probe (%.1f hits), top-10 "
+              "%.1f us/probe -> implied hnsw_expansion_factor at "
+              "ef_search=%.0f: range %.1f, top-10 %.1f\n",
+              kProbeThreshold, range_s * 1e6 / static_cast<double>(n_probes),
+              static_cast<double>(range_hits) / static_cast<double>(n_probes),
+              topk_s * 1e6 / static_cast<double>(n_probes),
+              cost.hnsw_ef_search, implied_expansion(range_s),
+              implied_expansion(topk_s));
+  json->Add("hnsw probe",
+            {{"range_us", range_s * 1e6 / static_cast<double>(n_probes)},
+             {"topk_us", topk_s * 1e6 / static_cast<double>(n_probes)},
+             {"range_hits", static_cast<double>(range_hits) /
+                                static_cast<double>(n_probes)}});
   return phases_found;
 }
 

@@ -115,7 +115,10 @@ class DistinctExpandedIndex : public VectorIndex {
 
   void RangeSearch(const float* query, float threshold,
                    std::vector<ScoredId>* out) const override {
-    std::vector<ScoredId> hits;
+    // Distinct-value hits go to a per-thread buffer that keeps its
+    // capacity, so a probe allocates nothing beyond its output rows.
+    thread_local std::vector<ScoredId> hits;
+    hits.clear();
     inner_->RangeSearch(query, threshold, &hits);
     for (const ScoredId& h : hits) {
       for (const std::uint32_t row : postings_[h.id]) {

@@ -46,12 +46,20 @@ struct CostParams {
   double hnsw_ef_construction = 128.0;
   double hnsw_ef_search = 96.0;
   /// Each beam-search hop scores the expanded node's neighbors, so a probe
-  /// touches roughly ef_search * hnsw_expansion_factor candidates.
-  /// Fitted from bench/fig_parallel_tails measurements (8k vectors of a
-  /// 64-dim hash model): 65.7us/probe = ~2930 dot-equivalents at
-  /// 0.35 ns/dim -> (2930 - descent) / ef_search ~ 28. The old default of
-  /// 4 undercounted the layer-0 degree (2*M neighbors scored per hop)
-  /// plus queue/visited bookkeeping per candidate.
+  /// touches roughly ef_search * hnsw_expansion_factor candidates. One
+  /// form prices both probe shapes, at 0.35 ns/dim on a 4-vCPU Xeon with
+  /// avx512 dispatch:
+  ///  - top-10 (a full ef_search beam), bench/fig_parallel_tails' "hnsw
+  ///    probe" line (20k vectors of a 64-dim hash model): 79-113
+  ///    us/probe, implying 34-50;
+  ///  - range search costs a 16-wide seed beam plus the flood fill, and a
+  ///    full ef_search beam as well when none, or half or more, of the
+  ///    seed beam's nodes score near the threshold. The same line's range
+  ///    probes at 0.8 (a dense band; ~70% widen) take 103-129 us,
+  ///    implying 46-58;
+  ///    perfbench semantic_serving's (10k 100-dim words at 0.75; ~15%
+  ///    widen) take 32 us, implying ~7.
+  /// 28 sits between the shapes: no single value prices them all.
   double hnsw_expansion_factor = 28.0;
   /// Construction does strictly more per scored candidate than a probe
   /// (neighbor selection, reverse-link shrinking, multi-layer beams).

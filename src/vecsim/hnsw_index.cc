@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "core/hash.h"
 #include "core/rng.h"
@@ -39,7 +38,54 @@ bool Cancelled(const CancelFlag* cancel) {
   return cancel != nullptr && cancel->cancelled();
 }
 
+/// RangeSearch's first layer-0 beam width. The small beam is enough when
+/// it straddles the edge of the exploration band: some, but fewer than
+/// half, of its nodes score within range_slack of the threshold. Every
+/// other probe pays for this beam and a full ef_search one, so the saving
+/// depends on how many probes straddle the edge.
+constexpr std::size_t kRangeSeedBeam = 16;
+
 }  // namespace
+
+/// hnswlib's VisitedListPool idiom with one list per thread: a node is
+/// visited iff marks[node] == epoch, so starting a new visited set is an
+/// increment, not an O(n) clear. One thread's scratch serves every index
+/// it searches (stale stamps from another graph are older epochs), so
+/// the marks only grow to the largest graph seen. The heaps and batch
+/// buffers keep their capacity across calls.
+struct HnswIndex::SearchScratch {
+  std::vector<std::uint32_t> marks;
+  std::uint32_t epoch = 0;
+  /// Beam state: `candidates` is a max-heap under ScoreLess (best on
+  /// top), `results` a min-heap under ScoreGreater (worst kept on top).
+  std::vector<ScoredId> candidates;
+  std::vector<ScoredId> results;
+  std::vector<std::uint32_t> fresh;
+  std::vector<float> scores;
+  std::vector<std::uint32_t> frontier;
+  /// Decode buffer for the exact fp32 rescore of quantized rows.
+  std::vector<float> decoded;
+
+  /// Starts an empty visited set over node ids [0, n).
+  void NewVisit(std::size_t n) {
+    if (marks.size() < n) marks.resize(n, 0);
+    if (++epoch == 0) {  // wrapped: stamps from 2^32 visits ago look live
+      std::fill(marks.begin(), marks.end(), 0);
+      epoch = 1;
+    }
+  }
+  /// Marks `id` visited; false if it already was.
+  bool Visit(std::uint32_t id) {
+    if (marks[id] == epoch) return false;
+    marks[id] = epoch;
+    return true;
+  }
+};
+
+HnswIndex::SearchScratch& HnswIndex::ThreadScratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
 
 int HnswIndex::DrawLevel() {
   const double ml = 1.0 / std::log(static_cast<double>(options_.M));
@@ -124,18 +170,18 @@ Status HnswIndex::Build(const float* data, std::size_t n, std::size_t dim) {
       pool->ParallelFor(
           batch,
           [&](std::size_t begin, std::size_t end) {
-            std::vector<char> visited(n_, 0);
+            SearchScratch& scratch = ThreadScratch();
             for (std::size_t j = begin; j < end; ++j) {
               const std::uint32_t id = cur + static_cast<std::uint32_t>(j);
-              plans[j] = PlanInsert(id, levels_[id], cur, &visited);
+              plans[j] = PlanInsert(id, levels_[id], cur, &scratch);
             }
           },
           /*min_chunk=*/1);
     } else {
-      std::vector<char> visited(n_, 0);
+      SearchScratch& scratch = ThreadScratch();
       for (std::size_t j = 0; j < batch; ++j) {
         const std::uint32_t id = cur + static_cast<std::uint32_t>(j);
-        plans[j] = PlanInsert(id, levels_[id], cur, &visited);
+        plans[j] = PlanInsert(id, levels_[id], cur, &scratch);
       }
     }
     ApplyBatch(cur, batch, &plans);
@@ -146,7 +192,7 @@ Status HnswIndex::Build(const float* data, std::size_t n, std::size_t dim) {
 
 HnswIndex::InsertPlan HnswIndex::PlanInsert(std::uint32_t id, int level,
                                             std::uint32_t batch_first,
-                                            std::vector<char>* visited) const {
+                                            SearchScratch* scratch) const {
   // Mirrors Insert()'s search half on the frozen graph: greedy descent
   // through the upper layers, then an ef_construction beam per layer with
   // the Malkov-Yashunin neighbor selection. No writes.
@@ -157,7 +203,7 @@ HnswIndex::InsertPlan HnswIndex::PlanInsert(std::uint32_t id, int level,
   const float pre = store_.QueryPrecompute(q);
   std::uint32_t ep = entry_;
   for (int layer = max_level_; layer > level; --layer) {
-    ep = GreedyStep(q, pre, ep, layer);
+    ep = GreedyStep(q, pre, ep, layer, scratch);
   }
   // Earlier batch members are invisible to the frozen-graph search, so
   // score them exactly once (one contiguous batch-kernel call) and merge
@@ -175,8 +221,8 @@ HnswIndex::InsertPlan HnswIndex::PlanInsert(std::uint32_t id, int level,
     }
   }
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    std::vector<ScoredId> found =
-        SearchLayer(q, pre, ep, options_.ef_construction, layer, visited);
+    SearchLayer(q, pre, ep, options_.ef_construction, layer, scratch);
+    std::vector<ScoredId>& found = scratch->results;
     std::sort(found.begin(), found.end(), ScoreGreater{});
     if (!found.empty()) ep = found.front().id;
     for (const ScoredId& peer : peers) {
@@ -265,10 +311,11 @@ void HnswIndex::ApplyBatch(std::uint32_t first, std::size_t count,
 }
 
 std::uint32_t HnswIndex::GreedyStep(const float* query, float query_pre,
-                                    std::uint32_t entry, int layer) const {
+                                    std::uint32_t entry, int layer,
+                                    SearchScratch* scratch) const {
   std::uint32_t cur = entry;
   float cur_score = store_.ScoreOne(query, query_pre, cur);
-  std::vector<float> scores;
+  std::vector<float>& scores = scratch->scores;
   for (;;) {
     const auto& nbrs = links_[cur][layer];
     if (nbrs.empty()) return cur;
@@ -288,35 +335,39 @@ std::uint32_t HnswIndex::GreedyStep(const float* query, float query_pre,
   }
 }
 
-std::vector<ScoredId> HnswIndex::SearchLayer(const float* query,
-                                             float query_pre,
-                                             std::uint32_t entry,
-                                             std::size_t ef, int layer,
-                                             std::vector<char>* visited) const {
-  std::fill(visited->begin(), visited->end(), 0);
-  std::priority_queue<ScoredId, std::vector<ScoredId>, ScoreLess> candidates;
-  std::priority_queue<ScoredId, std::vector<ScoredId>, ScoreGreater> results;
+void HnswIndex::SearchLayer(const float* query, float query_pre,
+                            std::uint32_t entry, std::size_t ef, int layer,
+                            SearchScratch* scratch) const {
+  scratch->NewVisit(n_);
+  std::vector<ScoredId>& candidates = scratch->candidates;
+  std::vector<ScoredId>& results = scratch->results;
+  candidates.clear();
+  results.clear();
+  auto push = [](std::vector<ScoredId>* heap, ScoredId x, auto less) {
+    heap->push_back(x);
+    std::push_heap(heap->begin(), heap->end(), less);
+  };
+  auto pop = [](std::vector<ScoredId>* heap, auto less) {
+    std::pop_heap(heap->begin(), heap->end(), less);
+    heap->pop_back();
+  };
 
   const float entry_score = store_.ScoreOne(query, query_pre, entry);
-  (*visited)[entry] = 1;
-  candidates.push({entry, entry_score});
-  results.push({entry, entry_score});
+  scratch->Visit(entry);
+  push(&candidates, {entry, entry_score}, ScoreLess{});
+  push(&results, {entry, entry_score}, ScoreGreater{});
 
-  std::vector<std::uint32_t> fresh;
-  std::vector<float> scores;
-  fresh.reserve(MaxDegree(layer));
-  scores.reserve(MaxDegree(layer));
+  std::vector<std::uint32_t>& fresh = scratch->fresh;
+  std::vector<float>& scores = scratch->scores;
   while (!candidates.empty()) {
-    const ScoredId c = candidates.top();
-    candidates.pop();
-    if (results.size() >= ef && c.score < results.top().score) break;
+    const ScoredId c = candidates.front();
+    pop(&candidates, ScoreLess{});
+    if (results.size() >= ef && c.score < results.front().score) break;
     // Collect the node's unvisited links, then score them in one
     // gather-batch kernel call (prefetch hides the row loads).
     fresh.clear();
     for (const std::uint32_t nb : links_[c.id][layer]) {
-      if ((*visited)[nb]) continue;
-      (*visited)[nb] = 1;
-      fresh.push_back(nb);
+      if (scratch->Visit(nb)) fresh.push_back(nb);
     }
     if (fresh.empty()) continue;
     scores.resize(fresh.size());
@@ -324,21 +375,13 @@ std::vector<ScoredId> HnswIndex::SearchLayer(const float* query,
                     scores.data());
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       const float s = scores[i];
-      if (results.size() < ef || s > results.top().score) {
-        candidates.push({fresh[i], s});
-        results.push({fresh[i], s});
-        if (results.size() > ef) results.pop();
+      if (results.size() < ef || s > results.front().score) {
+        push(&candidates, {fresh[i], s}, ScoreLess{});
+        push(&results, {fresh[i], s}, ScoreGreater{});
+        if (results.size() > ef) pop(&results, ScoreGreater{});
       }
     }
   }
-
-  std::vector<ScoredId> out;
-  out.reserve(results.size());
-  while (!results.empty()) {
-    out.push_back(results.top());
-    results.pop();
-  }
-  return out;
 }
 
 std::vector<std::uint32_t> HnswIndex::SelectNeighbors(
@@ -394,14 +437,14 @@ void HnswIndex::Insert(std::uint32_t id, int level) {
   const float* q = NodeVec(id, &qbuf);
   const float pre = store_.QueryPrecompute(q);
   std::uint32_t ep = entry_;
+  SearchScratch& scratch = ThreadScratch();
   for (int layer = max_level_; layer > level; --layer) {
-    ep = GreedyStep(q, pre, ep, layer);
+    ep = GreedyStep(q, pre, ep, layer, &scratch);
   }
 
-  std::vector<char> visited(n_, 0);
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    std::vector<ScoredId> found =
-        SearchLayer(q, pre, ep, options_.ef_construction, layer, &visited);
+    SearchLayer(q, pre, ep, options_.ef_construction, layer, &scratch);
+    std::vector<ScoredId>& found = scratch.results;
     std::sort(found.begin(), found.end(), ScoreGreater{});
     auto& own = links_[id][layer];
     own = SelectNeighbors(found, MaxDegree(layer));
@@ -421,10 +464,11 @@ void HnswIndex::Insert(std::uint32_t id, int level) {
 std::vector<ScoredId> HnswIndex::TopK(const float* query,
                                       std::size_t k) const {
   if (n_ == 0 || k == 0) return {};
+  SearchScratch& scratch = ThreadScratch();
   const float pre = store_.QueryPrecompute(query);
   std::uint32_t ep = entry_;
   for (int layer = max_level_; layer > 0; --layer) {
-    ep = GreedyStep(query, pre, ep, layer);
+    ep = GreedyStep(query, pre, ep, layer, &scratch);
   }
   // Quantized codecs over-fetch so the exact re-rank below can repair
   // ordering errors inside the top-k band.
@@ -433,20 +477,19 @@ std::vector<ScoredId> HnswIndex::TopK(const float* query,
           ? std::max(k, k * std::max<std::size_t>(
                             options_.quant.rescore_factor, 1))
           : k;
-  std::vector<char> visited(n_, 0);
-  std::vector<ScoredId> found = SearchLayer(
-      query, pre, ep, std::max(options_.ef_search, fetch), 0, &visited);
+  SearchLayer(query, pre, ep, std::max(options_.ef_search, fetch), 0,
+              &scratch);
+  std::vector<ScoredId>& found = scratch.results;
   std::sort(found.begin(), found.end(), ScoreGreater{});
   if (found.size() > fetch) found.resize(fetch);
   if (!store_.quantized()) {
-    if (found.size() > k) found.resize(k);
-    return found;
+    return {found.begin(), found.begin() + std::min(k, found.size())};
   }
-  std::vector<float> scratch(dim_);
+  scratch.decoded.resize(dim_);
   TopKCollector rescored(k);
   for (const ScoredId& cand : found) {
     rescored.Offer(cand.id,
-                   store_.RescoreOne(query, cand.id, scratch.data()));
+                   store_.RescoreOne(query, cand.id, scratch.decoded.data()));
   }
   return rescored.TakeSorted();
 }
@@ -454,50 +497,64 @@ std::vector<ScoredId> HnswIndex::TopK(const float* query,
 void HnswIndex::RangeSearch(const float* query, float threshold,
                             std::vector<ScoredId>* out) const {
   if (n_ == 0) return;
+  SearchScratch& scratch = ThreadScratch();
   const float pre = store_.QueryPrecompute(query);
   std::uint32_t ep = entry_;
   for (int layer = max_level_; layer > 0; --layer) {
-    ep = GreedyStep(query, pre, ep, layer);
+    ep = GreedyStep(query, pre, ep, layer, &scratch);
   }
-  // Seed the threshold region with an ef_search beam, then flood-fill the
+  // Seed the threshold region with a layer-0 beam, then flood-fill the
   // layer-0 graph over nodes scoring within range_slack of the threshold.
   // Only exact hits (>= threshold) are reported: no false positives —
   // quantized codecs widen the exploration band by the codec's error
   // bound and re-verify every hit with exact fp32 arithmetic.
-  std::vector<char> visited(n_, 0);
-  std::vector<ScoredId> seeds =
-      SearchLayer(query, pre, ep, options_.ef_search, 0, &visited);
-
   const float quant_slack = store_.ScoreSlack();
   const float explore = threshold - options_.range_slack - quant_slack;
   const float gate = threshold - quant_slack;
-  std::vector<float> scratch(dim_);
+  // A small beam first: the flood fill only needs seeds inside the band.
+  // One full ef_search beam from the same start (the same search as
+  // seeding at full width) replaces it when none of its nodes is in the
+  // band, since the region may lie past its reach, or when half or more
+  // are: the band then reaches past the beam, and where scores are flat
+  // (low thresholds) it falls into pieces the flood fill cannot connect
+  // but the wide beam's seeds reach directly.
+  const std::vector<ScoredId>& seeds = scratch.results;
+  const std::size_t seed_beam = std::min(options_.ef_search, kRangeSeedBeam);
+  SearchLayer(query, pre, ep, seed_beam, 0, &scratch);
+  const std::size_t in_band = static_cast<std::size_t>(
+      std::count_if(seeds.begin(), seeds.end(),
+                    [&](const ScoredId& s) { return s.score >= explore; }));
+  if ((in_band == 0 || 2 * in_band >= seed_beam) &&
+      options_.ef_search > seed_beam) {
+    SearchLayer(query, pre, ep, options_.ef_search, 0, &scratch);
+  }
+
+  scratch.decoded.resize(dim_);
   auto emit = [&](std::uint32_t id, float approx_score) {
     if (approx_score < gate) return;
     if (!store_.quantized()) {
       out->push_back({id, approx_score});
       return;
     }
-    const float exact = store_.RescoreOne(query, id, scratch.data());
+    const float exact = store_.RescoreOne(query, id, scratch.decoded.data());
     if (exact >= threshold) out->push_back({id, exact});
   };
-  std::fill(visited.begin(), visited.end(), 0);
-  std::vector<std::uint32_t> frontier;
-  std::vector<float> scores;
+  scratch.NewVisit(n_);
+  std::vector<std::uint32_t>& frontier = scratch.frontier;
+  std::vector<std::uint32_t>& fresh = scratch.fresh;
+  std::vector<float>& scores = scratch.scores;
+  frontier.clear();
   for (const ScoredId& s : seeds) {
-    visited[s.id] = 1;
+    scratch.Visit(s.id);
     emit(s.id, s.score);
     if (s.score >= explore) frontier.push_back(s.id);
   }
-  std::vector<std::uint32_t> fresh;
   while (!frontier.empty()) {
     const std::uint32_t cur = frontier.back();
     frontier.pop_back();
     fresh.clear();
     for (const std::uint32_t nb : links_[cur][0]) {
-      if (visited[nb]) continue;
-      visited[nb] = 1;
-      fresh.push_back(nb);
+      if (scratch.Visit(nb)) fresh.push_back(nb);
     }
     if (fresh.empty()) continue;
     scores.resize(fresh.size());

@@ -26,13 +26,20 @@ struct HnswOptions {
   std::size_t M = 16;
   /// Beam width while inserting (quality of the construction).
   std::size_t ef_construction = 128;
-  /// Beam width while querying (recall/latency knob).
+  /// Query beam width (recall/latency knob): TopK's layer-0 beam, and the
+  /// ceiling RangeSearch's seed beam widens to. RangeSearch first seeds
+  /// with a beam of min(ef_search, 16) and widens once to ef_search when
+  /// none, or half or more, of that beam's nodes score within range_slack
+  /// of the threshold.
   std::size_t ef_search = 96;
   std::uint64_t seed = 13;
-  /// RangeSearch explores graph nodes scoring >= threshold - range_slack,
-  /// reporting only those >= threshold: the slack lets the walk cross
-  /// small similarity dips inside a threshold region without admitting
-  /// false positives (every hit is exactly verified).
+  /// RangeSearch flood-fills layer 0 from its seed beam over nodes
+  /// scoring >= threshold - range_slack, reporting only those >=
+  /// threshold: the slack lets the walk cross small similarity dips
+  /// inside a threshold region without admitting false positives (every
+  /// hit is exactly verified). A seed beam with some, but fewer than
+  /// half, of its nodes in this band hands off to the flood fill at its
+  /// small width.
   float range_slack = 0.05f;
   /// Worker pool for construction. Build always runs the *canonical
   /// batched* insertion schedule — bootstrap incrementally, then insert
@@ -105,6 +112,11 @@ class HnswIndex : public VectorIndex {
   struct InsertPlan {
     std::vector<std::vector<std::uint32_t>> links;
   };
+  /// Per-thread search state: epoch-stamped visited marks and the beam's
+  /// heaps and batch buffers, reused across calls (hnsw_index.cc).
+  struct SearchScratch;
+  /// The calling thread's scratch, shared by every index it searches.
+  static SearchScratch& ThreadScratch();
 
   /// Computes `id`'s insertion plan against the current (frozen) graph.
   /// Earlier batch members ([batch_first, id), invisible in the frozen
@@ -113,7 +125,7 @@ class HnswIndex : public VectorIndex {
   /// run concurrently for all members of a batch.
   InsertPlan PlanInsert(std::uint32_t id, int level,
                         std::uint32_t batch_first,
-                        std::vector<char>* visited) const;
+                        SearchScratch* scratch) const;
 
   /// Applies a batch's plans: assigns own links, then groups the reverse
   /// edges by target node and appends+shrinks each target once, in
@@ -125,18 +137,18 @@ class HnswIndex : public VectorIndex {
   std::size_t MaxDegree(int layer) const {
     return layer == 0 ? 2 * options_.M : options_.M;
   }
-  /// Best-first beam search at `layer` from `entry`; returns up to `ef`
-  /// results, unsorted. All of a node's unvisited links are scored in one
-  /// batch-kernel call (the gather shape with software prefetch).
-  std::vector<ScoredId> SearchLayer(const float* query, float query_pre,
-                                    std::uint32_t entry, std::size_t ef,
-                                    int layer,
-                                    std::vector<char>* visited) const;
+  /// Best-first beam search at `layer` from `entry`, over a fresh visited
+  /// set; leaves up to `ef` results, unsorted, in scratch->results. All
+  /// of a node's unvisited links are scored in one batch-kernel call (the
+  /// gather shape with software prefetch).
+  void SearchLayer(const float* query, float query_pre, std::uint32_t entry,
+                   std::size_t ef, int layer, SearchScratch* scratch) const;
   /// One greedy descent step chain: from `entry`, repeatedly hop to the
   /// best-scoring neighbor at `layer` until no neighbor improves; each
   /// hop scores the node's whole adjacency list in one batch call.
   std::uint32_t GreedyStep(const float* query, float query_pre,
-                           std::uint32_t entry, int layer) const;
+                           std::uint32_t entry, int layer,
+                           SearchScratch* scratch) const;
   void Insert(std::uint32_t id, int level);
   /// Malkov & Yashunin's neighbor-selection heuristic (Alg. 4): from
   /// `candidates` (scored against the base point, sorted descending),

@@ -1,12 +1,17 @@
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "datagen/vocabulary.h"
+#include "embed/hash_embedding_model.h"
 #include "vecsim/brute_force.h"
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
@@ -552,6 +557,162 @@ TEST(HnswIndexTest, SingleElement) {
   std::vector<ScoredId> hits;
   index.RangeSearch(v.data(), 0.5f, &hits);
   ASSERT_EQ(hits.size(), 1u);
+}
+
+TEST(HnswIndexTest, RangeSearchMatchesFlatOnHashEmbeddings) {
+  // The serving shape: ~10k distinct vocabulary words under the subword
+  // hash model, probed by vocabulary words and misspellings. At this size
+  // the 16-wide seed beam covers a small part of the graph, so seeding
+  // the flood fill from it alone shows up as lost recall at the low
+  // threshold, where the band is wide and flat: without widening when
+  // half the seed beam is in the band, 0.4 reads 0.9895 on int8. The
+  // unreachable threshold sends every probe down the widened path, which
+  // must still report nothing. Recall is against fp32 ground truth for
+  // both codecs.
+  VocabularyOptions vo;
+  vo.num_groups = 1000;
+  vo.num_singletons = 6300;
+  const std::vector<std::string> all = AllWords(GenerateVocabulary(vo));
+  const std::set<std::string> distinct(all.begin(), all.end());
+  const std::vector<std::string> words(distinct.begin(), distinct.end());
+  ASSERT_GE(words.size(), 10000u);
+  const HashEmbeddingModel model;
+  const std::size_t dim = model.dim();
+  std::vector<float> data(words.size() * dim);
+  model.EmbedBatch(words, data.data());
+
+  Rng rng(71);
+  std::vector<std::string> queries;
+  for (std::size_t q = 0; q < 320; ++q) {
+    std::string w = words[rng.Uniform(words.size())];
+    if (q % 5 == 0) w = Misspell(w, rng);
+    queries.push_back(std::move(w));
+  }
+  std::vector<float> qvecs(queries.size() * dim);
+  model.EmbedBatch(queries, qvecs.data());
+
+  // truth[t][q]: the exact fp32 hits of query q at thresholds[t].
+  const float thresholds[] = {0.4f, 0.5f, 0.75f};
+  constexpr float kUnreachable = 1.25f;
+  FlatIndex exact;
+  ASSERT_TRUE(exact.Build(data.data(), words.size(), dim).ok());
+  std::vector<std::vector<ScoredId>> truth[3];
+  for (int t = 0; t < 3; ++t) {
+    truth[t].resize(queries.size());
+    std::size_t total = 0;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      exact.RangeSearch(qvecs.data() + q * dim, thresholds[t], &truth[t][q]);
+      total += truth[t][q].size();
+    }
+    ASSERT_GT(total, queries.size() / 2) << thresholds[t];
+  }
+
+  ThreadPool pool(4);
+  std::vector<float> decoded(dim);
+  for (const VectorCodecKind codec :
+       {VectorCodecKind::kFp32, VectorCodecKind::kInt8}) {
+    // A hit is false when its exact fp32 score over the row the index
+    // stores (for int8, the decoded row) is below the threshold.
+    VectorStore stored;
+    stored.Reset(codec, dim);
+    stored.Append(data.data(), words.size());
+    HnswOptions o;
+    o.quant.codec = codec;
+    o.build_pool = &pool;
+    HnswIndex hnsw(o);
+    ASSERT_TRUE(hnsw.Build(data.data(), words.size(), dim).ok());
+    std::vector<ScoredId> hits;
+    for (int t = 0; t < 3; ++t) {
+      std::size_t truth_total = 0, found = 0;
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const float* query = qvecs.data() + q * dim;
+        hits.clear();
+        hnsw.RangeSearch(query, thresholds[t], &hits);
+        std::set<std::uint32_t> ids;
+        for (const ScoredId& h : hits) {
+          EXPECT_TRUE(ids.insert(h.id).second) << "duplicate id " << h.id;
+          EXPECT_GE(stored.RescoreOne(query, h.id, decoded.data()),
+                    thresholds[t] - 1e-5f)
+              << VectorCodecName(codec) << " false positive " << words[h.id]
+              << " for " << queries[q];
+        }
+        truth_total += truth[t][q].size();
+        for (const ScoredId& h : truth[t][q]) found += ids.count(h.id);
+      }
+      EXPECT_GE(static_cast<double>(found) / truth_total, 0.99)
+          << VectorCodecName(codec) << " @ " << thresholds[t] << ": "
+          << found << " of " << truth_total;
+    }
+    // Unit vectors never reach the unreachable threshold.
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      hits.clear();
+      hnsw.RangeSearch(qvecs.data() + q * dim, kUnreachable, &hits);
+      EXPECT_TRUE(hits.empty()) << VectorCodecName(codec) << " " << queries[q];
+    }
+  }
+}
+
+TEST(HnswIndexTest, ConcurrentSearchesOfTwoGraphsMatchSerial) {
+  // Every thread keeps one set of visited marks for all the indexes it
+  // searches. Threads that interleave a small and a large graph must grow
+  // their marks to the larger one and get exactly the serial answers.
+  const std::size_t dim = 32;
+  Rng rng(73);
+  const std::vector<float> small_data = ClusteredData(4, 50, dim, rng);
+  const std::vector<float> large_data = ClusteredData(20, 100, dim, rng);
+  HnswIndex small_index, large_index;
+  ASSERT_TRUE(small_index.Build(small_data.data(), 200, dim).ok());
+  ASSERT_TRUE(large_index.Build(large_data.data(), 2000, dim).ok());
+  const HnswIndex* indexes[2] = {&small_index, &large_index};
+  const float* queries = large_data.data();
+  const std::size_t num_queries = 40;
+  const float threshold = 0.85f;
+
+  // ref[i][q]: range hits then top-10 of query q on index i, run serially.
+  auto answer = [&](const HnswIndex& index, std::size_t q) {
+    const float* query = queries + q * 47 * dim;
+    std::vector<ScoredId> out;
+    index.RangeSearch(query, threshold, &out);
+    for (const ScoredId& h : index.TopK(query, 10)) out.push_back(h);
+    return out;
+  };
+  auto same = [](const std::vector<ScoredId>& a,
+                 const std::vector<ScoredId>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const ScoredId& x, const ScoredId& y) {
+                        return x.id == y.id && x.score == y.score;
+                      });
+  };
+  std::vector<std::vector<ScoredId>> ref[2];
+  std::size_t range_hits = 0;
+  for (int i = 0; i < 2; ++i) {
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      ref[i].push_back(answer(*indexes[i], q));
+      range_hits += ref[i].back().size();
+    }
+  }
+  ASSERT_GT(range_hits, 0u);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t j = 0; j < num_queries; ++j) {
+          const std::size_t q = (j + static_cast<std::size_t>(t) * 7) %
+                                num_queries;
+          // Odd threads start on the large graph, even ones on the small.
+          for (int k = 0; k < 2; ++k) {
+            const int i = (k + t) % 2;
+            if (!same(answer(*indexes[i], q), ref[i][q])) ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

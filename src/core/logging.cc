@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 namespace cre {
@@ -179,6 +180,11 @@ LogMessage::~LogMessage() {
   if (enabled_) {
     Emit(level_, stream_.str());
   }
+}
+
+void CheckFailed(const char* cond, const char* file, int line) {
+  LogMessage(LogLevel::kError, file, line) << "CHECK failed: " << cond;
+  std::abort();
 }
 
 }  // namespace internal

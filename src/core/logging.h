@@ -90,6 +90,11 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
+/// Logs "CHECK failed: <cond>" for `file`:`line` and aborts. Out of
+/// line, so a CRE_CHECK costs its caller one branch and stays small
+/// enough to inline (the typed Column accessors sit in hot loops).
+[[noreturn]] void CheckFailed(const char* cond, const char* file, int line);
+
 }  // namespace internal
 
 #define CRE_LOG(level)                                             \
@@ -97,12 +102,11 @@ class LogMessage {
                               __LINE__)
 
 /// Internal invariant check that aborts on failure (active in all builds).
-#define CRE_CHECK(cond)                                                   \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      CRE_LOG(Error) << "CHECK failed: " #cond;                           \
-      std::abort();                                                       \
-    }                                                                     \
+#define CRE_CHECK(cond)                                            \
+  do {                                                             \
+    if (!(cond)) {                                                 \
+      ::cre::internal::CheckFailed(#cond, __FILE__, __LINE__);     \
+    }                                                              \
   } while (false)
 
 #define CRE_DCHECK(cond) CRE_CHECK(cond)

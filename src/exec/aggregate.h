@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/result.h"
+#include "storage/key_table.h"
 #include "storage/table.h"
 
 namespace cre {
@@ -28,22 +29,13 @@ struct AggSpec {
 /// (count/sum/avg add, min/max fold), so partial states over disjoint
 /// morsel ranges combine into exactly the serial result.
 ///
-/// Group keys stay typed. The state keeps one Column per key column with
-/// each group's key values in first-seen order, a flat open-addressing
-/// table of uint32 group ids, and flat groups x aggs accumulators. A
-/// batch is hashed a key column at a time, then each row probes the
-/// table and the aggregates accumulate a column at a time.
-///
-/// Key hash: a row's hash folds its key cells in key order with
-/// HashCombine. An int64 or date cell hashes its raw value, a bool 0 or
-/// 1, a float64 its bit pattern after -0.0 maps to 0.0 and every NaN to
-/// one NaN, a string the FNV-1a hash of its bytes. The table uses the low
-/// hash bits; RadixAggregationState routes by the high bits.
-///
-/// Key equality: int64, date and bool by value; float64 by value, except
-/// that -0.0 equals 0.0 and NaN equals NaN, so each key value is exactly
-/// one group; strings by bytes. A group's output key is the first value
-/// seen for it. FLOAT_VECTOR key columns are rejected by Init.
+/// Group keys stay typed: a KeyTable maps each row's key cells to a
+/// dense group id (its key hash and equality are the group-by key
+/// semantics), and the state keeps flat groups x aggs accumulators
+/// beside it. A batch is hashed a key column at a time, then each row
+/// finds its group and the aggregates accumulate a column at a time. A
+/// group's output key is the first value seen for it. FLOAT_VECTOR key
+/// columns are rejected by Init.
 ///
 /// Finalize emits groups in first-seen order. Merging partials in chunk
 /// order therefore reproduces the serial output order.
@@ -66,7 +58,7 @@ class GroupedAggregationState {
   Result<TablePtr> Finalize();
 
   const Schema& output_schema() const { return schema_; }
-  std::size_t num_groups() const { return group_hashes_.size(); }
+  std::size_t num_groups() const { return counts_.size(); }
 
   /// Heap footprint of the accumulation state (hash slots, key columns,
   /// accumulators). Call at barriers (finalize, governor re-charge), not
@@ -76,21 +68,14 @@ class GroupedAggregationState {
  private:
   friend class RadixAggregationState;
 
-  /// hashes[r] = the key hash of row r of `batch` (see the class comment).
-  void HashRows(const Table& batch, std::vector<std::uint64_t>* hashes) const;
+  /// The key columns of `batch`, in key order.
+  std::vector<const Column*> KeyColumns(const Table& batch) const;
 
   /// Accumulates rows[0..n) of `batch`, in order; hashes[r] is row r's
   /// key hash.
   void ConsumeRows(const Table& batch, const std::uint64_t* hashes,
                    const std::uint32_t* rows, std::size_t n);
 
-  /// The group whose key is row `row` of the key columns `src` (one per
-  /// key column), with key hash `h`; a new group when there is none.
-  std::uint32_t FindOrAdd(std::uint64_t h, const Column* const* src,
-                          std::size_t row);
-  bool KeyEquals(std::uint32_t group, const Column* const* src,
-                 std::size_t row) const;
-  void GrowSlots();
   /// Drops every group, keeping the key and aggregate layout.
   void ResetGroups();
 
@@ -100,14 +85,9 @@ class GroupedAggregationState {
   std::vector<int> agg_cols_;
   Schema schema_;
 
-  /// Per group, in first-seen order.
-  std::vector<Column> keys_;                 ///< one column per key column
-  std::vector<std::uint64_t> group_hashes_;  ///< key hash
-  std::vector<std::int64_t> counts_;         ///< rows accumulated
+  KeyTable keys_;                    ///< group id per key, first-seen order
+  std::vector<std::int64_t> counts_;  ///< per group: rows accumulated
   std::vector<double> acc_;  ///< groups x aggs sum/min/max accumulators
-  /// Open-addressing table of group ids (kEmptySlot when free), indexed
-  /// by the low hash bits with linear probing; at most half full.
-  std::vector<std::uint32_t> slots_;
 
   /// Per-batch scratch, kept to reuse its allocation.
   std::vector<std::uint64_t> hashes_;

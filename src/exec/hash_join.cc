@@ -1,10 +1,19 @@
 #include "exec/hash_join.h"
 
+#include <numeric>
 #include <set>
 
 #include "core/fault_injection.h"
 
 namespace cre {
+
+namespace {
+
+bool IsIntKey(DataType type) {
+  return type == DataType::kInt64 || type == DataType::kDate;
+}
+
+}  // namespace
 
 Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
     TablePtr build, const std::string& key, QueryBudgetPtr budget,
@@ -15,13 +24,17 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
   CRE_ASSIGN_OR_RETURN(std::size_t key_idx,
                        out->build_->schema().RequireField(key));
   const Column& col = out->build_->column(key_idx);
-  const std::size_t rows = out->build_->num_rows();
+  if (!IsIntKey(col.type()) && col.type() != DataType::kString) {
+    return Status::TypeError("hash join key must be int64/date/string, got " +
+                             std::string(DataTypeName(col.type())));
+  }
+  const std::size_t rows = col.size();
   if (budget != nullptr) {
-    // Materialized side = the pinned table plus the hash index (bucket
-    // array + one node per row; ~32 bytes/entry is a fair estimate for
-    // libstdc++'s unordered_multimap before string keys). A calibrator
-    // replaces the whole estimate with the observed bytes/row of past
-    // builds once enough of them have been seen.
+    // Materialized side = the pinned table plus the index. A unique int64
+    // key costs about 32 bytes/row of index (key copy, hash, two to four
+    // slots, run offset, row id); a calibrator replaces the whole
+    // estimate with the observed bytes/row of past builds once enough of
+    // them have been seen.
     std::size_t bytes = out->build_->MemoryBytes() + rows * 32;
     if (calibrator != nullptr) {
       bytes = calibrator->EstimateBytes(FootprintSite::kHashJoinBuild, rows,
@@ -31,48 +44,24 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
     if (!st.ok()) return st;
     out->charge_ = ScopedCharge(budget, bytes);
   }
-  switch (col.type()) {
-    case DataType::kInt64:
-    case DataType::kDate: {
-      const auto& data = col.i64();
-      out->int_index_.reserve(data.size());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        out->int_index_.emplace(data[i], static_cast<std::uint32_t>(i));
-      }
-      out->key_is_string_ = false;
-      break;
-    }
-    case DataType::kString: {
-      const auto& data = col.strings();
-      out->str_index_.reserve(data.size());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        out->str_index_.emplace(data[i], static_cast<std::uint32_t>(i));
-      }
-      out->key_is_string_ = true;
-      break;
-    }
-    default:
-      return Status::TypeError("hash join key must be int64/date/string, got " +
-                               std::string(DataTypeName(col.type())));
+  out->keys_ = KeyTable({col.type()});
+  out->keys_.Reserve(rows);
+  std::vector<std::uint32_t> ids;
+  out->keys_.FindOrAddRows(col, &ids);
+  // Counting sort of the rows by key id: each key's rows form one run,
+  // in ascending row order.
+  std::vector<std::uint32_t>& offsets = out->offsets_;
+  offsets.assign(out->keys_.size() + 1, 0);
+  for (const std::uint32_t id : ids) ++offsets[id + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
+  out->rows_.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    out->rows_[next[ids[r]]++] = static_cast<std::uint32_t>(r);
   }
   if (calibrator != nullptr && rows > 0) {
-    // Actual footprint: the pinned table plus the built index's node and
-    // bucket storage (libstdc++ node = key + row id + next pointer +
-    // cached hash; string keys add the SSO footprint and any heap
-    // spill).
-    std::size_t index_bytes = 0;
-    if (out->key_is_string_) {
-      for (const auto& kv : out->str_index_) {
-        const std::string& k = kv.first;
-        index_bytes += 56 + (k.capacity() > 15 ? k.capacity() : 0);
-      }
-      index_bytes += out->str_index_.bucket_count() * sizeof(void*);
-    } else {
-      index_bytes = out->int_index_.size() * 40 +
-                    out->int_index_.bucket_count() * sizeof(void*);
-    }
     calibrator->Observe(FootprintSite::kHashJoinBuild, rows,
-                        out->build_->MemoryBytes() + index_bytes);
+                        out->build_->MemoryBytes() + out->MemoryBytes());
   }
   return out;
 }
@@ -80,36 +69,34 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
 Status HashJoinTable::Probe(const Column& key,
                             std::vector<std::uint32_t>* probe_rows,
                             std::vector<std::uint32_t>* build_rows) const {
-  if (key_is_string_) {
-    if (key.type() != DataType::kString) {
-      return Status::TypeError("join key type mismatch: left " +
-                               std::string(DataTypeName(key.type())) +
-                               " vs right string");
-    }
-    const auto& data = key.strings();
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      auto [lo, hi] = str_index_.equal_range(data[i]);
-      for (auto it = lo; it != hi; ++it) {
-        probe_rows->push_back(static_cast<std::uint32_t>(i));
-        build_rows->push_back(it->second);
-      }
-    }
-    return Status::OK();
-  }
-  if (key.type() != DataType::kInt64 && key.type() != DataType::kDate) {
+  const DataType build_type = keys_.keys()[0].type();
+  const bool joinable = build_type == DataType::kString
+                            ? key.type() == DataType::kString
+                            : IsIntKey(key.type());
+  if (!joinable) {
     return Status::TypeError("join key type mismatch: left " +
                              std::string(DataTypeName(key.type())) +
-                             " vs right int64");
+                             " vs right " +
+                             std::string(DataTypeName(build_type)));
   }
-  const auto& data = key.i64();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    auto [lo, hi] = int_index_.equal_range(data[i]);
-    for (auto it = lo; it != hi; ++it) {
+  const Column* src[] = {&key};
+  const Span<const Column*> cols(src, 1);
+  std::vector<std::uint64_t> hashes;
+  KeyTable::HashRows(cols, key.size(), &hashes);
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    const std::uint32_t id = keys_.Find(hashes[i], cols, i);
+    if (id == KeyTable::kNoKey) continue;
+    for (std::uint32_t j = offsets_[id]; j < offsets_[id + 1]; ++j) {
       probe_rows->push_back(static_cast<std::uint32_t>(i));
-      build_rows->push_back(it->second);
+      build_rows->push_back(rows_[j]);
     }
   }
   return Status::OK();
+}
+
+std::size_t HashJoinTable::MemoryBytes() const {
+  return keys_.MemoryBytes() +
+         (offsets_.capacity() + rows_.capacity()) * sizeof(std::uint32_t);
 }
 
 HashJoinOperator::HashJoinOperator(OperatorPtr left,

@@ -3,47 +3,56 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/resource_governor.h"
 #include "exec/footprint.h"
 #include "exec/operator.h"
+#include "storage/key_table.h"
 
 namespace cre {
 
-/// The shared build side of a hash join: a materialized table plus a hash
-/// index on its key column. Built once by the parallel driver before
-/// fan-out and then probed concurrently from any number of worker
-/// threads — Probe is const and the index is immutable after Build.
+/// The shared build side of a hash join: a materialized table, a
+/// KeyTable over its key column (the group-by key semantics) and, per
+/// distinct key, the contiguous run of build rows holding it in ascending
+/// row order. Built once by the parallel driver before fan-out and then
+/// probed concurrently from any number of worker threads: Probe is const
+/// and nothing changes after Build.
 class HashJoinTable {
  public:
-  /// Materializes the index over `build`'s `key` column
-  /// (int64/date/string). With a non-null `budget`, the estimated bytes
-  /// of the materialized side (table + hash index) are charged before
-  /// building; a breach returns kResourceExhausted and the charge is
-  /// released when the table is destroyed. With a non-null `calibrator`,
-  /// the charge uses the observed bytes/row of past builds instead of the
-  /// static ~32 bytes/entry prior, and this build's actual footprint is
-  /// folded back in afterwards.
+  /// Materializes the index over `build`'s `key` column (int64, date or
+  /// string; int64 and date keys join each other). With a non-null
+  /// `budget`, the estimated bytes of the materialized side (table plus
+  /// index) are charged before the index is built; a breach returns
+  /// kResourceExhausted and the charge is released when the table is
+  /// destroyed. With a non-null `calibrator`, the charge uses the
+  /// observed bytes/row of past builds instead of the static ~32
+  /// bytes/row prior, and this build's actual footprint (table plus
+  /// MemoryBytes()) is folded back in afterwards.
   static Result<std::shared_ptr<HashJoinTable>> Build(
       TablePtr build, const std::string& key, QueryBudgetPtr budget = nullptr,
       FootprintCalibrator* calibrator = nullptr);
 
   const TablePtr& table() const { return build_; }
-  std::size_t num_rows() const { return build_->num_rows(); }
 
-  /// Appends one (probe_row, build_row) pair per key match. Thread-safe.
+  /// Appends one (probe_row, build_row) pair per key match: probe rows in
+  /// ascending order, and each probe row's matches in ascending build-row
+  /// order. A probe key type the build key cannot join is a TypeError.
+  /// Thread-safe.
   Status Probe(const Column& key, std::vector<std::uint32_t>* probe_rows,
                std::vector<std::uint32_t>* build_rows) const;
 
+  /// Heap bytes of the index (key table and row runs), without the
+  /// materialized table.
+  std::size_t MemoryBytes() const;
+
  private:
   TablePtr build_;
-  // Key maps: exactly one is used, depending on the key column type.
-  std::unordered_multimap<std::int64_t, std::uint32_t> int_index_;
-  std::unordered_multimap<std::string, std::uint32_t> str_index_;
-  bool key_is_string_ = false;
+  KeyTable keys_;  ///< the build key's distinct values
+  /// Key id k's build rows, ascending: rows_[offsets_[k], offsets_[k+1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> rows_;
   ScopedCharge charge_;  ///< governor charge for the materialized side
 };
 

@@ -8,13 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "core/fault_injection.h"
 #include "core/logging.h"
+#include "storage/key_table.h"
 #include "vecsim/hnsw_index.h"
 #include "vecsim/index_io.h"
 #include "vecsim/ivf_index.h"
@@ -55,61 +54,57 @@ std::unique_ptr<VectorIndex> MakeManagedIndex(
 /// value, so callers see ids 0..num_rows as if the index covered the
 /// full column.
 ///
-/// The distinct values themselves are retained: the incremental refresh
-/// path needs them to tell "appended row holds a known value" (a postings
-/// append) from "appended row introduces a new value" (an embedding + an
-/// incremental insert into the inner index).
+/// Inner id i is the column's i-th distinct value in first-seen order,
+/// and appends keep it so: a KeyTable over the values tells a known value
+/// (a postings append) from a new one (the next id: an embedding and an
+/// incremental insert into the inner index). The values and postings are
+/// therefore a function of the column alone, so a saved image holds only
+/// the row count and the inner index, and a load derives the rest from
+/// the live column with the same KeyTable pass.
 class DistinctExpandedIndex : public VectorIndex {
  public:
-  DistinctExpandedIndex(std::unique_ptr<VectorIndex> inner,
-                        std::vector<std::string> distinct,
-                        std::vector<std::vector<std::uint32_t>> postings,
-                        std::size_t num_rows)
-      : inner_(std::move(inner)),
-        distinct_(std::move(distinct)),
-        postings_(std::move(postings)),
-        rows_(num_rows) {}
+  explicit DistinctExpandedIndex(std::unique_ptr<VectorIndex> inner)
+      : inner_(std::move(inner)), values_({DataType::kString}) {}
 
-  Status Build(const float*, std::size_t, std::size_t) override {
-    return Status::Internal(
-        "DistinctExpandedIndex is constructed over a prebuilt inner index");
+  /// Builds the inner index from the embeddings of the values IndexRows
+  /// found, row i of `data` embedding value i.
+  Status Build(const float* data, std::size_t n, std::size_t dim) override {
+    if (n != values_.size()) {
+      return Status::Internal("inner build does not cover the values");
+    }
+    return inner_->Build(data, n, dim);
   }
 
-  /// Incremental append of base rows [first, words.size()): known values
+  /// Adds base rows [size(), col.size()) of the string column `col` to the
+  /// postings and returns the values first seen among them, in id order.
+  /// The span lives until the next call.
+  Span<std::string> IndexRows(const Column& col) {
+    const std::size_t known = values_.size();
+    std::vector<std::uint32_t> ids;
+    values_.FindOrAddRows(col.Slice(rows_, col.size() - rows_), &ids);
+    postings_.resize(values_.size());
+    for (std::size_t r = 0; r < ids.size(); ++r) {
+      postings_[ids[r]].push_back(static_cast<std::uint32_t>(rows_ + r));
+    }
+    rows_ = col.size();
+    return Span<std::string>(values_.keys()[0].strings().data() + known,
+                             values_.size() - known);
+  }
+
+  /// Incremental append of base rows [size(), col.size()): known values
   /// extend their postings list, new values embed once and insert into
   /// the inner index. Deterministic given (current state, appended rows).
-  Status AppendRows(Span<std::string> words, std::size_t first,
-                    const EmbeddingModel& model) {
-    if (first != rows_ || words.size() < first) {
+  Status AppendRows(const Column& col, const EmbeddingModel& model) {
+    if (col.size() < rows_) {
       return Status::Internal("append prefix does not line up with index");
     }
-    std::unordered_map<std::string, std::uint32_t> seen;
-    seen.reserve(distinct_.size() * 2);
-    for (std::size_t i = 0; i < distinct_.size(); ++i) {
-      seen.emplace(distinct_[i], static_cast<std::uint32_t>(i));
-    }
-    std::vector<std::string> fresh;
-    for (std::size_t i = first; i < words.size(); ++i) {
-      auto it = seen.find(words[i]);
-      std::uint32_t id;
-      if (it == seen.end()) {
-        id = static_cast<std::uint32_t>(distinct_.size());
-        seen.emplace(words[i], id);
-        distinct_.push_back(words[i]);
-        postings_.emplace_back();
-        fresh.push_back(words[i]);
-      } else {
-        id = it->second;
-      }
-      postings_[id].push_back(static_cast<std::uint32_t>(i));
-    }
-    if (!fresh.empty()) {
+    const Span<std::string> fresh = IndexRows(col);
+    if (fresh.size() > 0) {
       const std::size_t dim = model.dim();
       std::vector<float> matrix(fresh.size() * dim);
       model.EmbedBatch(fresh, matrix.data());
       CRE_RETURN_NOT_OK(inner_->Add(matrix.data(), fresh.size(), dim));
     }
-    rows_ = words.size();
     return Status::OK();
   }
 
@@ -146,94 +141,63 @@ class DistinctExpandedIndex : public VectorIndex {
   std::size_t dim() const override { return inner_->dim(); }
   std::string name() const override { return inner_->name(); }
   std::size_t MemoryBytes() const override {
-    std::size_t bytes = inner_->MemoryBytes();
+    std::size_t bytes = inner_->MemoryBytes() + values_.MemoryBytes();
     for (const auto& p : postings_) {
       bytes += p.size() * sizeof(std::uint32_t);
     }
-    for (const auto& d : distinct_) bytes += d.size();
     return bytes;
   }
 
   std::unique_ptr<VectorIndex> Clone() const override {
     std::unique_ptr<VectorIndex> inner = inner_->Clone();
     if (inner == nullptr) return nullptr;
-    return std::make_unique<DistinctExpandedIndex>(std::move(inner), distinct_,
-                                                   postings_, rows_);
+    auto copy = std::make_unique<DistinctExpandedIndex>(std::move(inner));
+    copy->values_ = values_;
+    copy->postings_ = postings_;
+    copy->rows_ = rows_;
+    return copy;
   }
 
   Status Save(std::ostream& out) const override {
     CRE_RETURN_NOT_OK(vecio::WriteTag(out, kWrapperMagic, kWrapperVersion));
     CRE_RETURN_NOT_OK(vecio::WritePod<std::uint64_t>(out, rows_));
-    CRE_RETURN_NOT_OK(vecio::WritePod<std::uint64_t>(out, distinct_.size()));
-    for (const auto& d : distinct_) {
-      CRE_RETURN_NOT_OK(vecio::WriteString(out, d));
-    }
-    CRE_RETURN_NOT_OK(vecio::WritePod<std::uint64_t>(out, postings_.size()));
-    for (const auto& p : postings_) {
-      CRE_RETURN_NOT_OK(vecio::WriteVec(out, p));
-    }
     return inner_->Save(out);
   }
 
   /// Deserializes a wrapper image into `inner` (an unbuilt index of the
-  /// right family) and returns the reassembled managed index. Every
-  /// structural claim in the file is validated before it is trusted.
+  /// right family) over the live string column `col` the image was saved
+  /// from, and returns the reassembled managed index. The image must
+  /// cover exactly col's rows and hold one inner entry per distinct value.
   static Result<std::unique_ptr<DistinctExpandedIndex>> LoadManaged(
-      std::istream& in, std::unique_ptr<VectorIndex> inner) {
+      std::istream& in, std::unique_ptr<VectorIndex> inner,
+      const Column& col) {
     CRE_RETURN_NOT_OK(
         vecio::ExpectTag(in, kWrapperMagic, kWrapperVersion, "managed index"));
-    std::uint64_t rows = 0, distinct_count = 0, postings_count = 0;
+    std::uint64_t rows = 0;
     CRE_RETURN_NOT_OK(vecio::ReadPod(in, &rows));
-    CRE_RETURN_NOT_OK(vecio::ReadPod(in, &distinct_count));
-    if (distinct_count > rows) {
+    if (rows != col.size()) {
       return Status::InvalidArgument(
-          "managed index load: more distinct values than rows");
-    }
-    std::vector<std::string> distinct(
-        static_cast<std::size_t>(distinct_count));
-    for (auto& d : distinct) {
-      CRE_RETURN_NOT_OK(vecio::ReadString(in, &d));
-    }
-    CRE_RETURN_NOT_OK(vecio::ReadPod(in, &postings_count));
-    if (postings_count != distinct_count) {
-      return Status::InvalidArgument(
-          "managed index load: postings/distinct mismatch");
-    }
-    std::vector<std::vector<std::uint32_t>> postings(
-        static_cast<std::size_t>(postings_count));
-    std::uint64_t total = 0;
-    for (auto& p : postings) {
-      CRE_RETURN_NOT_OK(vecio::ReadVec(in, &p));
-      total += p.size();
-      for (const std::uint32_t row : p) {
-        if (row >= rows) {
-          return Status::InvalidArgument(
-              "managed index load: posting row out of range");
-        }
-      }
-    }
-    if (total != rows) {
-      return Status::InvalidArgument(
-          "managed index load: postings do not partition the rows");
+          "managed index load: row count does not match the column");
     }
     CRE_RETURN_NOT_OK(inner->Load(in));
-    if (inner->size() != distinct.size()) {
+    auto out = std::make_unique<DistinctExpandedIndex>(std::move(inner));
+    out->IndexRows(col);
+    if (out->inner_->size() != out->values_.size()) {
       return Status::InvalidArgument(
           "managed index load: inner size does not match distinct values");
     }
-    return std::make_unique<DistinctExpandedIndex>(
-        std::move(inner), std::move(distinct), std::move(postings),
-        static_cast<std::size_t>(rows));
+    return out;
   }
 
  private:
   static constexpr std::uint32_t kWrapperMagic = 0x43575250;  // "CWRP"
-  static constexpr std::uint32_t kWrapperVersion = 1;
+  /// Version 1 images also stored the distinct values and postings.
+  static constexpr std::uint32_t kWrapperVersion = 2;
 
   std::unique_ptr<VectorIndex> inner_;
-  std::vector<std::string> distinct_;
-  std::vector<std::vector<std::uint32_t>> postings_;
-  std::size_t rows_;
+  KeyTable values_;  ///< distinct values; id = inner index id
+  std::vector<std::vector<std::uint32_t>> postings_;  ///< per value id
+  std::size_t rows_ = 0;
 };
 
 // ---- persisted image header ----
@@ -332,27 +296,21 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
   }
   CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model, models_->Get(key.model));
 
-  const auto& words = col->strings();
-  if (content_hash != nullptr) *content_hash = ColumnContentHash(words);
+  if (content_hash != nullptr) *content_hash = ColumnContentHash(col->strings());
   const std::size_t dim = model->dim();
 
-  // Embed and index each distinct value once; remember which rows hold it.
-  std::vector<std::string> distinct;
-  std::vector<std::vector<std::uint32_t>> postings;
-  {
-    std::unordered_map<std::string_view, std::uint32_t> seen;
-    seen.reserve(words.size());
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      auto [it, inserted] = seen.emplace(
-          std::string_view(words[i]),
-          static_cast<std::uint32_t>(distinct.size()));
-      if (inserted) {
-        distinct.push_back(words[i]);
-        postings.emplace_back();
-      }
-      postings[it->second].push_back(static_cast<std::uint32_t>(i));
-    }
+  // Background builds execute on a pool worker; fanning construction out
+  // over the pool from there would make a worker block in Wait (deadlock
+  // on small pools), so they build serially inside their one task.
+  std::unique_ptr<VectorIndex> inner = MakeManagedIndex(
+      key.kind, options_, serial ? nullptr : options_.hnsw.build_pool);
+  if (inner == nullptr) {
+    return Status::InvalidArgument(
+        "brute force is not an index kind (nothing to cache)");
   }
+  // Embed and index each distinct value once; remember which rows hold it.
+  auto index = std::make_shared<DistinctExpandedIndex>(std::move(inner));
+  const Span<std::string> distinct = index->IndexRows(*col);
   // The transient embed matrix is the build's allocation spike; charge it
   // against the engine-wide governor before allocating. A breach fails
   // the build with kResourceExhausted and the semantic strategies fall
@@ -376,19 +334,8 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
   model->EmbedBatch(distinct, matrix.data());
 
   CRE_RETURN_IF_FAULT("index.build.construct");
-  // Background builds execute on a pool worker; fanning construction out
-  // over the pool from there would make a worker block in Wait (deadlock
-  // on small pools), so they build serially inside their one task.
-  std::unique_ptr<VectorIndex> index = MakeManagedIndex(
-      key.kind, options_, serial ? nullptr : options_.hnsw.build_pool);
-  if (index == nullptr) {
-    return Status::InvalidArgument(
-        "brute force is not an index kind (nothing to cache)");
-  }
   CRE_RETURN_NOT_OK(index->Build(matrix.data(), distinct.size(), dim));
-  return std::shared_ptr<const VectorIndex>(std::make_shared<
-      DistinctExpandedIndex>(std::move(index), std::move(distinct),
-                             std::move(postings), words.size()));
+  return std::shared_ptr<const VectorIndex>(std::move(index));
 }
 
 Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
@@ -415,7 +362,6 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
                              "' must be a string column");
   }
   CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model, models_->Get(key.model));
-  const auto& words = col->strings();
 
   // Copy-on-write: queries holding the old shared_ptr keep probing an
   // untouched immutable graph; all mutation goes into the clone.
@@ -425,9 +371,11 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
     return Status::Internal("managed index family does not support cloning");
   }
   CRE_RETURN_IF_FAULT("index.refresh.append");
-  CRE_RETURN_NOT_OK(wrapper->AppendRows(words, chain.prefix_rows, *model));
+  CRE_RETURN_NOT_OK(wrapper->AppendRows(*col, *model));
   *new_version = chain.to_version;
-  if (content_hash != nullptr) *content_hash = ColumnContentHash(words);
+  if (content_hash != nullptr) {
+    *content_hash = ColumnContentHash(col->strings());
+  }
   return std::shared_ptr<const VectorIndex>(std::move(cloned));
 }
 
@@ -693,11 +641,11 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::LoadFromDisk(
   if (inner == nullptr) {
     return Status::InvalidArgument("persisted image of non-index family");
   }
-  CRE_ASSIGN_OR_RETURN(std::unique_ptr<DistinctExpandedIndex> wrapper,
-                       DistinctExpandedIndex::LoadManaged(in, std::move(inner)));
-  if (wrapper->size() != words.size()) {
-    return Status::InvalidArgument("persisted image row count mismatch");
-  }
+  // The content hash has validated the column the wrapper derives its
+  // distinct values and postings from.
+  CRE_ASSIGN_OR_RETURN(
+      std::unique_ptr<DistinctExpandedIndex> wrapper,
+      DistinctExpandedIndex::LoadManaged(in, std::move(inner), *col));
   *table_version = vt.version;
   if (content_hash != nullptr) *content_hash = saved_hash;
   return std::shared_ptr<const VectorIndex>(std::move(wrapper));

@@ -1,38 +1,31 @@
 #include "semantic/semantic_select.h"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
 
+#include "storage/key_table.h"
 #include "vecsim/kernels.h"
 
 namespace cre {
 
 namespace {
 
-/// Ascending ids of the rows of `words` whose embedding scores >=
-/// threshold against ANY row of the row-major [nq x dim] `queries`. Each
-/// distinct string is embedded (and scored) once, with one EmbedBatch
-/// call: on Zipfian corpora this collapses most of the embedding work,
-/// and one call per morsel-sized batch lets batched backends (and the LRU
-/// cache's batched path) amortize. A string stops scoring at its first
-/// matching query.
-std::vector<std::uint32_t> MatchRows(Span<std::string> words,
+/// Ascending ids of the rows of the string column `words` whose embedding
+/// scores >= threshold against ANY row of the row-major [nq x dim]
+/// `queries`. Each distinct string is embedded (and scored) once, with
+/// one EmbedBatch call: on Zipfian corpora this collapses most of the
+/// embedding work, and one call per morsel-sized batch lets batched
+/// backends (and the LRU cache's batched path) amortize. A string stops
+/// scoring at its first matching query.
+std::vector<std::uint32_t> MatchRows(const Column& words,
                                      const std::vector<float>& queries,
                                      const EmbeddingModel& model,
                                      float threshold) {
   const std::size_t dim = model.dim();
   const std::size_t num_queries = queries.size() / dim;
-  std::vector<std::string> unique;
-  std::vector<std::uint32_t> row_to_unique(words.size());
-  std::unordered_map<std::string_view, std::uint32_t> index;
-  index.reserve(words.size());
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    auto [it, inserted] = index.emplace(
-        std::string_view(words[i]), static_cast<std::uint32_t>(unique.size()));
-    if (inserted) unique.push_back(words[i]);
-    row_to_unique[i] = it->second;
-  }
+  KeyTable values({DataType::kString});
+  std::vector<std::uint32_t> row_to_unique;
+  values.FindOrAddRows(words, &row_to_unique);
+  const Span<std::string> unique = values.keys()[0].strings();
   std::vector<float> matrix(unique.size() * dim);
   model.EmbedBatch(unique, matrix.data());
 
@@ -48,7 +41,7 @@ std::vector<std::uint32_t> MatchRows(Span<std::string> words,
     }
   }
   std::vector<std::uint32_t> rows;
-  for (std::size_t i = 0; i < words.size(); ++i) {
+  for (std::size_t i = 0; i < row_to_unique.size(); ++i) {
     if (match[row_to_unique[i]]) rows.push_back(static_cast<std::uint32_t>(i));
   }
   return rows;
@@ -97,7 +90,7 @@ Result<TablePtr> SemanticSelectOperator::Next() {
     if (batch == nullptr) return TablePtr(nullptr);
     CRE_ASSIGN_OR_RETURN(const Column* col, batch->ColumnByName(column_));
     const std::vector<std::uint32_t> keep =
-        MatchRows(col->strings(), *queries_, *model_, threshold_);
+        MatchRows(*col, *queries_, *model_, threshold_);
     if (keep.empty()) continue;
     if (keep.size() == batch->num_rows()) return batch;
     return batch->Take(keep);
@@ -152,10 +145,7 @@ Status SemanticIndexSelectOperator::Open() {
     // Re-score candidates with the scanning select's own match routine.
     // Approximate index scores (quantized ADC distances, graph walks)
     // then only prefilter; they can't keep a row the fallback would drop.
-    std::vector<std::string> words;
-    words.reserve(matches_.size());
-    const auto& strings = col->strings();
-    for (std::uint32_t id : matches_) words.push_back(strings[id]);
+    const Column words = col->Take(matches_);
     std::size_t kept = 0;
     for (std::uint32_t i : MatchRows(words, query_vec, *model_, threshold_)) {
       matches_[kept++] = matches_[i];

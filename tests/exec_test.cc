@@ -166,6 +166,86 @@ TEST(HashJoinTest, UnsupportedBuildKeyTypeFails) {
   EXPECT_TRUE(r.status().IsTypeError());
 }
 
+/// A one-column table "k" of `type` holding `keys` in order.
+TablePtr OneColumn(DataType type, const std::vector<Value>& keys) {
+  auto t = Table::Make(Schema({{"k", type, 0}}));
+  for (const Value& v : keys) t->AppendRow({v}).Check();
+  return t;
+}
+
+struct ProbePairs {
+  std::vector<std::uint32_t> probe;
+  std::vector<std::uint32_t> build;
+};
+
+Result<ProbePairs> ProbeAll(const TablePtr& build, const TablePtr& probe) {
+  CRE_ASSIGN_OR_RETURN(std::shared_ptr<HashJoinTable> table,
+                       HashJoinTable::Build(build, "k"));
+  ProbePairs out;
+  CRE_RETURN_NOT_OK(table->Probe(probe->column(0), &out.probe, &out.build));
+  return out;
+}
+
+TEST(HashJoinTest, DuplicateBuildKeysMatchInAscendingBuildRowOrder) {
+  // Int key 5 sits at build rows {0, 2, 3, 6}.
+  auto ints = ProbeAll(
+      OneColumn(DataType::kInt64, {Value(5), Value(1), Value(5), Value(5),
+                                   Value(2), Value(7), Value(5)}),
+      OneColumn(DataType::kInt64, {Value(5), Value(9), Value(1), Value(5)}));
+  ASSERT_TRUE(ints.ok()) << ints.status().ToString();
+  EXPECT_EQ(ints.ValueOrDie().probe,
+            (std::vector<std::uint32_t>{0, 0, 0, 0, 2, 3, 3, 3, 3}));
+  EXPECT_EQ(ints.ValueOrDie().build,
+            (std::vector<std::uint32_t>{0, 2, 3, 6, 1, 0, 2, 3, 6}));
+
+  // String key "a" sits at build rows {0, 2, 3}.
+  auto strings = ProbeAll(
+      OneColumn(DataType::kString,
+                {Value("a"), Value("b"), Value("a"), Value("a")}),
+      OneColumn(DataType::kString, {Value("a"), Value("c"), Value("b")}));
+  ASSERT_TRUE(strings.ok()) << strings.status().ToString();
+  EXPECT_EQ(strings.ValueOrDie().probe,
+            (std::vector<std::uint32_t>{0, 0, 0, 2}));
+  EXPECT_EQ(strings.ValueOrDie().build,
+            (std::vector<std::uint32_t>{0, 2, 3, 1}));
+}
+
+TEST(HashJoinTest, Int64ProbeJoinsDateBuild) {
+  auto pairs = ProbeAll(
+      OneColumn(DataType::kDate,
+                {Value::Date(19000), Value::Date(19001), Value::Date(19000)}),
+      OneColumn(DataType::kInt64, {Value(19001), Value(19000), Value(3)}));
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  EXPECT_EQ(pairs.ValueOrDie().probe, (std::vector<std::uint32_t>{0, 1, 1}));
+  EXPECT_EQ(pairs.ValueOrDie().build, (std::vector<std::uint32_t>{1, 0, 2}));
+}
+
+TEST(HashJoinTest, StringAgainstInt64IsTypeError) {
+  const TablePtr ints = OneColumn(DataType::kInt64, {Value(1), Value(2)});
+  const TablePtr strings = OneColumn(DataType::kString, {Value("1")});
+  auto string_probe = ProbeAll(ints, strings);
+  ASSERT_FALSE(string_probe.ok());
+  EXPECT_TRUE(string_probe.status().IsTypeError());
+  auto int_probe = ProbeAll(strings, ints);
+  ASSERT_FALSE(int_probe.ok());
+  EXPECT_TRUE(int_probe.status().IsTypeError());
+}
+
+TEST(HashJoinTest, EmptyBuildSideMatchesNothing) {
+  for (const DataType type : {DataType::kInt64, DataType::kString}) {
+    auto pairs = ProbeAll(OneColumn(type, {}),
+                          OneColumn(type, {type == DataType::kInt64
+                                               ? Value(1)
+                                               : Value("a")}));
+    ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+    EXPECT_TRUE(pairs.ValueOrDie().probe.empty());
+    EXPECT_TRUE(pairs.ValueOrDie().build.empty());
+  }
+  auto join = MakeJoin(Sales(), OneColumn(DataType::kInt64, {}), "pid", "k");
+  auto out = ExecuteToTable(join.get()).ValueOrDie();
+  EXPECT_EQ(out->num_rows(), 0u);
+}
+
 /// Runs `batches` through one aggregation state, as the driver's
 /// single-state form does.
 Result<TablePtr> AggregateBatches(const std::vector<TablePtr>& batches,

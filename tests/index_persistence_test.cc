@@ -11,10 +11,12 @@
 //    follows refresh growth; TSan-clean under concurrent queries; async
 //    refreshes run on the background runner.
 //  - Persistence: a fresh manager over the same persist_dir warm-starts
-//    from disk with zero builds; truncated/corrupt images and
-//    content-mismatched (stale) images are rejected and fall back to a
-//    clean rebuild — a stale index is never served; eviction degrades a
-//    key to on-disk, not absent.
+//    from disk with zero builds; truncated/corrupt images, version-1
+//    wrapper images, images whose inner index does not hold one entry
+//    per distinct value and content-mismatched (stale) images are
+//    rejected and fall back to a clean rebuild — a stale index is never
+//    served; an appended-to image loads like a cold build of the same
+//    column; eviction degrades a key to on-disk, not absent.
 //  - Lookup parity: every lifecycle step (build, hit, refresh, rebuild,
 //    image reclaim, refresh fault, disk load) counts and answers alike
 //    through GetOrBuild and GetOrBuildAsync; concurrent blocking lookups
@@ -27,9 +29,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -919,6 +923,194 @@ TEST(IndexPersistenceTest, RefreshedImageWarmStartsAtTheNewVersion) {
   EXPECT_EQ(loaded.ValueOrDie()->size(), 570u);
   EXPECT_EQ(second.stats().builds, 0u);
   EXPECT_EQ(second.stats().disk_loads, 1u);
+}
+
+/// Hits sorted by id, for comparing indexes whose graphs differ.
+std::vector<std::pair<std::uint32_t, float>> ById(
+    const std::vector<ScoredId>& hits) {
+  std::vector<std::pair<std::uint32_t, float>> out;
+  for (const ScoredId& h : hits) out.emplace_back(h.id, h.score);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void ExpectSameHits(const std::vector<ScoredId>& a,
+                    const std::vector<ScoredId>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << what << " hit " << i;
+    EXPECT_EQ(a[i].score, b[i].score) << what << " hit " << i;
+  }
+}
+
+TEST(IndexPersistenceTest, AppendedImageLoadsLikeAColdBuild) {
+  // A load derives the distinct values and postings from the live column
+  // in first-seen order, so it is right only if build + appends keep the
+  // inner ids in that order too. The column has fewer distinct values
+  // than the HNSW beam, so every search is exact and a cold build over
+  // the same column must give the same hits.
+  const DirGuard dir(FreshTempDir("appended"));
+  Fixture f;
+  std::vector<std::string> words = Words(240, "w_", 60);
+  f.catalog.Put("t", MakeStringTable(words));
+  std::vector<std::string> appended = Words(50, "x_", 12);
+  appended.push_back("w_7");  // a known value in the appended rows
+  appended.push_back("w_59");
+  words.insert(words.end(), appended.begin(), appended.end());
+  IndexManagerOptions options;
+  options.persist_dir = dir.path;
+  IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+
+  std::shared_ptr<const VectorIndex> refreshed;
+  {
+    IndexManager first = f.MakeManager(options);
+    ASSERT_TRUE(first.GetOrBuild(key).ok());
+    ASSERT_TRUE(f.catalog.Append("t", *MakeStringTable(appended)).ok());
+    auto r = first.GetOrBuild(key);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    refreshed = r.ValueOrDie();
+    EXPECT_EQ(first.stats().refreshes, 1u);
+  }
+  IndexManager second = f.MakeManager(options);
+  auto loaded = second.GetOrBuild(key);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(second.stats().disk_loads, 1u);
+  EXPECT_EQ(second.stats().builds, 0u);
+
+  Catalog cold_catalog;
+  cold_catalog.Put("t", MakeStringTable(words));
+  IndexManager cold_manager(&cold_catalog, &f.models, IndexManagerOptions{});
+  auto cold = cold_manager.GetOrBuild(key);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  auto model = f.models.Get("m").ValueOrDie();
+  std::vector<float> query(model->dim());
+  for (const char* text : {"w_7", "w_59", "x_3", "x_11", "w_2x"}) {
+    model->Embed(text, query.data());
+    for (const float threshold : {0.3f, 0.6f, 0.9f}) {
+      std::vector<ScoredId> from_disk, from_refresh, from_cold;
+      loaded.ValueOrDie()->RangeSearch(query.data(), threshold, &from_disk);
+      refreshed->RangeSearch(query.data(), threshold, &from_refresh);
+      cold.ValueOrDie()->RangeSearch(query.data(), threshold, &from_cold);
+      const std::string what = std::string(text) + " @" +
+                               std::to_string(threshold);
+      ExpectSameHits(from_disk, from_refresh, "range " + what);
+      EXPECT_EQ(ById(from_disk), ById(from_cold)) << "range " + what;
+    }
+    const auto top_disk = loaded.ValueOrDie()->TopK(query.data(), 8);
+    ExpectSameHits(top_disk, refreshed->TopK(query.data(), 8),
+                   std::string("top-k ") + text);
+    ExpectSameHits(top_disk, cold.ValueOrDie()->TopK(query.data(), 8),
+                   std::string("top-k ") + text);
+  }
+  // "w_7" sits at base rows 7, 67, 127, 187 and appended row 290.
+  model->Embed("w_7", query.data());
+  std::vector<ScoredId> exact;
+  loaded.ValueOrDie()->RangeSearch(query.data(), 0.999f, &exact);
+  std::vector<std::uint32_t> rows;
+  for (const ScoredId& h : exact) rows.push_back(h.id);
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<std::uint32_t>{7, 67, 127, 187, 290}));
+}
+
+/// The one image file in `dir` and the offset of its wrapper payload
+/// (the bytes after the manager header).
+std::pair<std::string, std::streamoff> ImageAndPayload(
+    const std::string& dir) {
+  std::string path;
+  for (const auto& de : std::filesystem::directory_iterator(dir)) {
+    if (de.path().extension() == ".idx") path = de.path().string();
+  }
+  std::ifstream in(path, std::ios::binary);
+  IndexKey key;
+  std::uint64_t stamp = 0, hash = 0, rows = 0;
+  EXPECT_TRUE(ReadImageHeader(in, &key, &stamp, &hash, &rows).ok()) << path;
+  return {path, static_cast<std::streamoff>(in.tellg())};
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(IndexPersistenceTest, VersionOneWrapperImageIsRejectedAndRebuilt) {
+  const DirGuard dir(FreshTempDir("wrapper_v1"));
+  Fixture f;
+  f.catalog.Put("t", MakeStringTable(Words(400, "w_", 100)));
+  IndexManagerOptions options;
+  options.persist_dir = dir.path;
+  IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+  {
+    IndexManager first = f.MakeManager(options);
+    ASSERT_TRUE(first.GetOrBuild(key).ok());
+  }
+  // The wrapper payload opens with its magic and format version; version
+  // 1 images also carried the distinct values and postings.
+  const auto [path, payload] = ImageAndPayload(dir.path);
+  {
+    std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+    io.seekp(payload + static_cast<std::streamoff>(sizeof(std::uint32_t)));
+    const std::uint32_t version = 1;
+    io.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+
+  IndexManager second = f.MakeManager(options);
+  EXPECT_EQ(second.Residency(key), IndexResidency::kOnDisk);
+  auto rebuilt = second.GetOrBuild(key);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(rebuilt.ValueOrDie()->size(), 400u);
+  const auto stats = second.stats();
+  EXPECT_EQ(stats.disk_rejects, 1u);
+  EXPECT_EQ(stats.disk_loads, 0u);
+  EXPECT_EQ(stats.builds, 1u);
+}
+
+TEST(IndexPersistenceTest, InnerSizeOtherThanDistinctCountIsRejected) {
+  // Two images over columns of equal length: 150 and 200 distinct values.
+  // Splicing the 150-entry inner index behind the 200-value column's
+  // header and wrapper leaves an image whose identity, content hash and
+  // row count all match the live column, but whose inner index does not
+  // hold one entry per distinct value.
+  const DirGuard small_dir(FreshTempDir("inner_small"));
+  const DirGuard live_dir(FreshTempDir("inner_live"));
+  ModelRegistry models;
+  models.Put("m", MakeModel());
+  IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+  Catalog small_catalog;
+  small_catalog.Put("t", MakeStringTable(Words(600, "w_", 150)));
+  Catalog live_catalog;
+  live_catalog.Put("t", MakeStringTable(Words(600, "w_", 200)));
+  IndexManagerOptions small_options;
+  small_options.persist_dir = small_dir.path;
+  IndexManagerOptions live_options;
+  live_options.persist_dir = live_dir.path;
+  {
+    IndexManager small(&small_catalog, &models, small_options);
+    ASSERT_TRUE(small.GetOrBuild(key).ok());
+    IndexManager live(&live_catalog, &models, live_options);
+    ASSERT_TRUE(live.GetOrBuild(key).ok());
+  }
+  // Wrapper payload = magic + version + row count.
+  const std::streamoff wrapper_bytes = 2 * sizeof(std::uint32_t) +
+                                       sizeof(std::uint64_t);
+  const auto [small_path, small_payload] = ImageAndPayload(small_dir.path);
+  const auto [live_path, live_payload] = ImageAndPayload(live_dir.path);
+  const std::string spliced =
+      ReadBytes(live_path).substr(0, live_payload + wrapper_bytes) +
+      ReadBytes(small_path).substr(small_payload + wrapper_bytes);
+  {
+    std::ofstream out(live_path, std::ios::binary | std::ios::trunc);
+    out << spliced;
+  }
+
+  IndexManager restarted(&live_catalog, &models, live_options);
+  EXPECT_EQ(restarted.Residency(key), IndexResidency::kOnDisk);
+  auto rebuilt = restarted.GetOrBuild(key);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  const auto stats = restarted.stats();
+  EXPECT_EQ(stats.disk_rejects, 1u);
+  EXPECT_EQ(stats.disk_loads, 0u);
+  EXPECT_EQ(stats.builds, 1u);
 }
 
 // ---- blocking vs non-blocking lookup parity ----

@@ -10,6 +10,12 @@
 //   rebuild      - ...a cold manager forced to reconstruct the appended
 //                  table from scratch (what every mutation cost before
 //                  incremental maintenance)
+//   per value    - build, refresh and rebuild again by managers without
+//                  persistence, serial and with HNSW construction and
+//                  inserts over a 2-thread pool: the refresh's
+//                  milliseconds per new distinct value and that cost in
+//                  bulk-build values (what the refresh/rebuild crossover's
+//                  kRefreshCostPerRow stands for)
 //   disk load    - a "process restart": a fresh manager over the same
 //                  persist_dir adopts the persisted image (deserialize +
 //                  content-hash validation, no embedding, no build)
@@ -42,6 +48,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/thread_pool.h"
 #include "core/timer.h"
 #include "embed/hash_embedding_model.h"
 #include "engine/engine.h"
@@ -90,6 +97,32 @@ double MedianAppendSeconds(std::size_t rows, std::size_t distinct,
   return seconds[kAppends / 2];
 }
 
+/// One append-refresh lifecycle against a manager with `options`: the
+/// cold build of `base`, the refresh after appending `batch`, and a cold
+/// rebuild of the appended table by a second manager with the same
+/// options.
+struct RefreshTimes {
+  double build_s = 0;
+  double refresh_s = 0;
+  double rebuild_s = 0;
+};
+
+RefreshTimes TimeRefresh(const TablePtr& base, const TablePtr& batch,
+                         const ModelRegistry& models,
+                         const IndexManagerOptions& options,
+                         const IndexKey& key) {
+  Catalog catalog;
+  catalog.Put(key.table, base);
+  IndexManager manager(&catalog, &models, options);
+  RefreshTimes t;
+  t.build_s = TimeOnce([&] { manager.GetOrBuild(key).status().Check(); });
+  catalog.Append(key.table, *batch).status().Check();
+  t.refresh_s = TimeOnce([&] { manager.GetOrBuild(key).status().Check(); });
+  IndexManager cold(&catalog, &models, options);
+  t.rebuild_s = TimeOnce([&] { cold.GetOrBuild(key).status().Check(); });
+  return t;
+}
+
 /// Prints a failed lifecycle check to stderr; returns whether it held.
 bool Expect(bool held, const char* what) {
   if (!held) std::fprintf(stderr, "fig_index_persistence: %s\n", what);
@@ -135,12 +168,10 @@ bool Run(bench::JsonReport* json) {
   // Append-style mutation: ~1/10th of the appended rows introduce new
   // distinct values (the rest repeat known ones) — the Zipfian-ish shape
   // managed corpora actually have.
-  catalog.Append("products",
-                 *MakeWordTable(append_rows, std::max<std::size_t>(
-                                                 1, distinct / 10),
-                                "fresh_"))
-      .status()
-      .Check();
+  const std::size_t new_values = std::max<std::size_t>(
+      1, std::min(append_rows, distinct / 10));
+  const TablePtr batch = MakeWordTable(append_rows, new_values, "fresh_");
+  catalog.Append("products", *batch).status().Check();
   const double refresh_s =
       TimeOnce([&] { manager.GetOrBuild(key).status().Check(); });
 
@@ -163,6 +194,26 @@ bool Run(bench::JsonReport* json) {
   const double append_4x_s =
       MedianAppendSeconds(4 * rows, distinct, append_batch);
 
+  // The refresh's cost per new value, serial and over a 2-thread pool,
+  // without the write-through the live manager's refresh row includes.
+  // In bulk-build values it is the ratio of the refresh's per-value time
+  // to the rebuild's.
+  const TablePtr base = MakeWordTable(rows, distinct, "item_");
+  const RefreshTimes serial =
+      TimeRefresh(base, batch, models, IndexManagerOptions{}, key);
+  ThreadPool pool(2);
+  IndexManagerOptions pooled_options;
+  pooled_options.hnsw.build_pool = &pool;
+  const RefreshTimes pooled =
+      TimeRefresh(base, batch, models, pooled_options, key);
+  const std::size_t rebuilt_values = std::min(rows, distinct) + new_values;
+  const double refresh_ms_per_value = 1e3 * serial.refresh_s / new_values;
+  const double pooled_ms_per_value = 1e3 * pooled.refresh_s / new_values;
+  const double cost_per_value =
+      (serial.refresh_s / new_values) / (serial.rebuild_s / rebuilt_values);
+  const double pooled_cost_per_value =
+      (pooled.refresh_s / new_values) / (pooled.rebuild_s / rebuilt_values);
+
   const IndexManager::Stats live = manager.stats();
   const IndexManager::Stats warm_start = restarted.stats();
   std::printf("\n%-34s %12s\n", "lifecycle step", "seconds");
@@ -173,6 +224,12 @@ bool Run(bench::JsonReport* json) {
   std::printf("%-34s %12.4f\n", "full rebuild of appended table",
               rebuild_s);
   std::printf("%-34s %12.4f\n", "disk load (restart warm start)", load_s);
+  std::printf("%-34s %12.4f\n", "refresh, no persistence", serial.refresh_s);
+  std::printf("%-34s %12.4f\n", "rebuild, no persistence", serial.rebuild_s);
+  std::printf("%-34s %12.4f\n", "cold build, 2-thread pool",
+              pooled.build_s);
+  std::printf("%-34s %12.4f\n", "refresh, 2-thread pool", pooled.refresh_s);
+  std::printf("%-34s %12.4f\n", "rebuild, 2-thread pool", pooled.rebuild_s);
   std::printf("%-34s %12.6f\n",
               ("catalog append, " + std::to_string(rows) + " rows").c_str(),
               append_base_s);
@@ -184,7 +241,13 @@ bool Run(bench::JsonReport* json) {
              "live manager must build once and refresh once");
   counts_hold &= Expect(warm_start.builds == 0 && warm_start.disk_loads == 1,
                         "restarted manager must load once and build nothing");
-  std::printf("\nrefresh speedup vs rebuild: %.1fx\n", rebuild_s / refresh_s);
+  std::printf("\nrefresh speedup vs rebuild: %.1fx (2-thread pool: %.1fx)\n",
+              rebuild_s / refresh_s, pooled.rebuild_s / pooled.refresh_s);
+  std::printf(
+      "refresh per new value (%zu new): serial %.3f ms = %.1f bulk-build "
+      "values, 2-thread pool %.3f ms = %.1f bulk-build values\n",
+      new_values, refresh_ms_per_value, cost_per_value, pooled_ms_per_value,
+      pooled_cost_per_value);
   std::printf("disk-load speedup vs rebuild: %.1fx\n", rebuild_s / load_s);
   std::printf(
       "manager: builds=%llu refreshes=%llu disk_writes=%llu | restarted "
@@ -201,6 +264,16 @@ bool Run(bench::JsonReport* json) {
              {"refresh_s", refresh_s},
              {"rebuild_s", rebuild_s},
              {"disk_load_s", load_s},
+             {"new_values", static_cast<double>(new_values)},
+             {"serial_refresh_s", serial.refresh_s},
+             {"serial_rebuild_s", serial.rebuild_s},
+             {"refresh_ms_per_new_value", refresh_ms_per_value},
+             {"refresh_cost_per_value", cost_per_value},
+             {"pooled_build_s", pooled.build_s},
+             {"pooled_refresh_s", pooled.refresh_s},
+             {"pooled_rebuild_s", pooled.rebuild_s},
+             {"pooled_refresh_ms_per_new_value", pooled_ms_per_value},
+             {"pooled_refresh_cost_per_value", pooled_cost_per_value},
              {"refresh_speedup", rebuild_s / refresh_s},
              {"disk_load_speedup", rebuild_s / load_s},
              {"append_base_s", append_base_s},

@@ -32,6 +32,34 @@ std::uint64_t ColumnContentHash(Span<std::string> words) {
   return h;
 }
 
+/// Holds a charge for a transient allocation against the engine-wide
+/// governor (when one is wired) and releases it at scope exit. A refused
+/// charge fails with kResourceExhausted before anything is allocated, so
+/// the semantic strategies fall back to brute force — never
+/// std::bad_alloc.
+class GovernorCharge {
+ public:
+  GovernorCharge() = default;
+  GovernorCharge(const GovernorCharge&) = delete;
+  GovernorCharge& operator=(const GovernorCharge&) = delete;
+  ~GovernorCharge() {
+    if (governor_ != nullptr) governor_->Release(bytes_);
+  }
+
+  Status Acquire(ResourceGovernor* governor, std::size_t bytes,
+                 const char* what) {
+    if (governor == nullptr) return Status::OK();
+    CRE_RETURN_NOT_OK(governor->Charge(bytes, what));
+    governor_ = governor;
+    bytes_ = bytes;
+    return Status::OK();
+  }
+
+ private:
+  ResourceGovernor* governor_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
 /// An unbuilt index of a managed family. options.hnsw.build_pool is the
 /// manager's build pool for every family, so only `pool` decides whether
 /// this index uses it (nullptr builds serially). Managed indexes outlive
@@ -92,17 +120,25 @@ class DistinctExpandedIndex : public VectorIndex {
   }
 
   /// Incremental append of base rows [size(), col.size()): known values
-  /// extend their postings list, new values embed once and insert into
-  /// the inner index. Deterministic given (current state, appended rows).
-  Status AppendRows(const Column& col, const EmbeddingModel& model) {
+  /// extend their postings list, new values embed once (their matrix
+  /// charged to `governor`) and insert into the inner index over `pool`
+  /// (nullptr: serially). Deterministic given (current state, appended
+  /// rows), whatever the pool.
+  Status AppendRows(const Column& col, const EmbeddingModel& model,
+                    TaskRunner* pool, ResourceGovernor* governor) {
     if (col.size() < rows_) {
       return Status::Internal("append prefix does not line up with index");
     }
     const Span<std::string> fresh = IndexRows(col);
     if (fresh.size() > 0) {
       const std::size_t dim = model.dim();
+      GovernorCharge charge;
+      CRE_RETURN_NOT_OK(charge.Acquire(governor,
+                                       fresh.size() * dim * sizeof(float),
+                                       "index refresh embed matrix"));
       std::vector<float> matrix(fresh.size() * dim);
       model.EmbedBatch(fresh, matrix.data());
+      inner_->SetBuildPool(pool);
       CRE_RETURN_NOT_OK(inner_->Add(matrix.data(), fresh.size(), dim));
     }
     return Status::OK();
@@ -210,13 +246,18 @@ constexpr std::uint32_t kImageMagic = 0x43524D47;  // "CRMG"
 constexpr std::uint32_t kImageVersion = 1;
 
 /// Refresh-vs-rebuild crossover. Refreshing touches only the appended
-/// rows, but each incrementally inserted row costs about this many
-/// bulk-build rows (HNSW: a full beam search against the grown graph with
-/// none of the batched build's sharing; plus the clone). So a stale entry
-/// refreshes while appended * kRefreshCostPerRow <= total rows, i.e. up
-/// to 25% appended, and rebuilds past that — the rebuild also re-trains
-/// IVF centroids and re-balances the graph instead of grinding through
-/// an insert-dominated refresh.
+/// rows, but each new value it inserts may cost more than its share of a
+/// bulk build: the clone copies the whole index, and an insert re-selects
+/// the links of its reverse-edge targets. bench_fig_index_persistence
+/// prints that cost in bulk-build values per new value: 1.0-1.1 serial
+/// and 0.8-0.9 over a 2-thread pool with HNSW's batched Add (1.1-1.7 and
+/// 1.5-2.0 with the sequential Add before it), so on time alone a
+/// refresh wins past half the table appended, and by a wider margin than
+/// before. The constant is a quality margin instead: IVF's Add never
+/// retrains its centroids and a graph grown mostly by Adds is never
+/// re-balanced, so a stale entry refreshes while
+/// appended * kRefreshCostPerRow <= total rows, i.e. up to 25% appended,
+/// and rebuilds past that.
 constexpr double kRefreshCostPerRow = 4.0;
 
 }  // namespace
@@ -312,23 +353,11 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
   auto index = std::make_shared<DistinctExpandedIndex>(std::move(inner));
   const Span<std::string> distinct = index->IndexRows(*col);
   // The transient embed matrix is the build's allocation spike; charge it
-  // against the engine-wide governor before allocating. A breach fails
-  // the build with kResourceExhausted and the semantic strategies fall
-  // back to brute force — never std::bad_alloc.
-  const std::size_t matrix_bytes = distinct.size() * dim * sizeof(float);
-  struct GovernorGuard {
-    ResourceGovernor* governor = nullptr;
-    std::size_t bytes = 0;
-    ~GovernorGuard() {
-      if (governor != nullptr) governor->Release(bytes);
-    }
-  } guard;
-  if (options_.governor != nullptr) {
-    CRE_RETURN_NOT_OK(
-        options_.governor->Charge(matrix_bytes, "index build embed matrix"));
-    guard.governor = options_.governor;
-    guard.bytes = matrix_bytes;
-  }
+  // against the engine-wide governor before allocating.
+  GovernorCharge charge;
+  CRE_RETURN_NOT_OK(charge.Acquire(options_.governor,
+                                   distinct.size() * dim * sizeof(float),
+                                   "index build embed matrix"));
   CRE_RETURN_IF_FAULT("index.build.embed");
   std::vector<float> matrix(distinct.size() * dim);
   model->EmbedBatch(distinct, matrix.data());
@@ -341,7 +370,7 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
 Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
     const IndexKey& key, const std::shared_ptr<const VectorIndex>& old_index,
     std::uint64_t old_version, std::uint64_t* new_version,
-    std::uint64_t* content_hash) const {
+    std::uint64_t* content_hash, bool serial) const {
   // Re-fetch the chain under the catalog lock: the table, its head
   // stamp, and the proof that everything since old_version was
   // append-style arrive as one consistent unit, so the refreshed entry
@@ -371,7 +400,9 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
     return Status::Internal("managed index family does not support cloning");
   }
   CRE_RETURN_IF_FAULT("index.refresh.append");
-  CRE_RETURN_NOT_OK(wrapper->AppendRows(*col, *model));
+  CRE_RETURN_NOT_OK(wrapper->AppendRows(
+      *col, *model, serial ? nullptr : options_.hnsw.build_pool,
+      options_.governor));
   *new_version = chain.to_version;
   if (content_hash != nullptr) {
     *content_hash = ColumnContentHash(col->strings());
@@ -790,7 +821,7 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::RunJob(
       Status::Internal("index job never attempted"));
   if (source == InstallSource::kRefresh) {
     made = RefreshIndex(key, job.old_index, job.old_version, &version,
-                        hash_out);
+                        hash_out, /*serial=*/job.deferred);
   } else if (job.try_disk) {
     made = LoadFromDisk(key, &version, &hash);
     if (made.ok()) {

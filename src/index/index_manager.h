@@ -93,8 +93,9 @@ struct IndexManagerOptions {
   int persist_retry_attempts = 3;
   double persist_retry_backoff_ms = 1.0;
   /// Build parameters for the index families the manager constructs.
-  /// hnsw.build_pool is the pool foreground builds of every family fan out
-  /// over (IVF and HNSW use it); background builds run serially.
+  /// hnsw.build_pool is the pool foreground builds and refreshes of every
+  /// family fan out over (IVF builds and HNSW builds and inserts use it);
+  /// background builds and refreshes run serially.
   IvfOptions ivf;
   HnswOptions hnsw;
   IvfPqOptions ivfpq;
@@ -324,15 +325,21 @@ class IndexManager {
       std::uint64_t* content_hash, bool serial = false) const;
 
   /// Incremental renewal of a stale-by-append entry (no locks): clones
-  /// `old_index`, embeds the rows appended since `old_version`, inserts
-  /// them, and returns the refreshed instance stamped with the append
-  /// chain's head version. Fails (caller then rebuilds) when the chain
-  /// broke or the clone does not line up with the prefix.
+  /// `old_index`, embeds the new values of the rows appended since
+  /// `old_version` (charging the embed matrix to the governor, like a
+  /// build), inserts them, and returns the refreshed instance stamped
+  /// with the append chain's head version. The pool is chosen here, per
+  /// job, never inherited from the clone: a synchronous refresh inserts
+  /// over the manager's build pool; a `serial` (deferred) one runs as a
+  /// background task — in the engine, a task of that pool's own group —
+  /// and inserts without it, for the reason BuildIndex gives. Fails
+  /// (caller then rebuilds) when the chain broke, the clone does not line
+  /// up with the prefix, or the governor refuses the embed matrix.
   Result<std::shared_ptr<const VectorIndex>> RefreshIndex(
       const IndexKey& key,
       const std::shared_ptr<const VectorIndex>& old_index,
       std::uint64_t old_version, std::uint64_t* new_version,
-      std::uint64_t* content_hash) const;
+      std::uint64_t* content_hash, bool serial) const;
 
   /// Deserializes the persisted image for `key` and validates it against
   /// the *live* table (identity, row count, content hash) — a mismatch

@@ -1,7 +1,9 @@
 #include "vecsim/hnsw_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
 
 #include "core/hash.h"
 #include "core/rng.h"
@@ -29,9 +31,9 @@ struct ScoreGreater {
   }
 };
 
-/// Poll cadence for cooperative cancellation inside sequential insert
-/// loops (bootstrap and Add): cheap enough to be noise, frequent enough
-/// that cancel latency is a handful of inserts.
+/// Poll cadence for cooperative cancellation inside the sequential
+/// bootstrap insert loop: cheap enough to be noise, frequent enough that
+/// cancel latency is a handful of inserts.
 constexpr std::uint32_t kCancelPollStride = 32;
 
 bool Cancelled(const CancelFlag* cancel) {
@@ -45,6 +47,37 @@ bool Cancelled(const CancelFlag* cancel) {
 /// depends on how many probes straddle the edge.
 constexpr std::size_t kRangeSeedBeam = 16;
 
+/// Runs fn(begin, end) over [0, n) in pieces of `grain` items that the
+/// pool's workers and the calling thread pull from one shared counter,
+/// then waits for the workers. The caller would otherwise sit idle in
+/// ParallelFor's Wait, and pulling balances uneven items. Results may
+/// depend only on the items, never on which thread ran them.
+void FanOut(TaskRunner* pool, std::size_t n, std::size_t grain,
+            const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t pieces = (n + grain - 1) / grain;
+  if (pool == nullptr || pool->num_threads() <= 1 || pieces <= 1) {
+    fn(0, n);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    for (;;) {
+      const std::size_t begin = next.fetch_add(grain);
+      if (begin >= n) return;
+      fn(begin, std::min(n, begin + grain));
+    }
+  };
+  const std::size_t helpers = std::min(pool->num_threads(), pieces - 1);
+  for (std::size_t t = 0; t < helpers; ++t) pool->Submit(drain);
+  drain();
+  pool->Wait();
+}
+
+/// Neighbor selection scores a candidate against this many kept
+/// neighbors per gather-batch call. Scoring all of them at once would
+/// waste work: most candidates are pruned by one of their first checks.
+constexpr std::size_t kSelectChunk = 8;
+
 }  // namespace
 
 /// hnswlib's VisitedListPool idiom with one list per thread: a node is
@@ -52,7 +85,9 @@ constexpr std::size_t kRangeSeedBeam = 16;
 /// increment, not an O(n) clear. One thread's scratch serves every index
 /// it searches (stale stamps from another graph are older epochs), so
 /// the marks only grow to the largest graph seen. The heaps and batch
-/// buffers keep their capacity across calls.
+/// buffers keep their capacity across calls, and so do construction's
+/// buffers: ApplyBatch re-selects links on pool workers, so they are per
+/// thread too.
 struct HnswIndex::SearchScratch {
   std::vector<std::uint32_t> marks;
   std::uint32_t epoch = 0;
@@ -65,6 +100,16 @@ struct HnswIndex::SearchScratch {
   std::vector<std::uint32_t> frontier;
   /// Decode buffer for the exact fp32 rescore of quantized rows.
   std::vector<float> decoded;
+  /// Construction: decode buffers for the inserted node (PlanInsert,
+  /// Insert), the node whose links are re-selected, and the candidate a
+  /// selection checks; a plan's scored batch peers; AddLinks' scored
+  /// links; and the selection's pruned list.
+  std::vector<float> node_vec;
+  std::vector<float> shrink_vec;
+  std::vector<float> cand_vec;
+  std::vector<ScoredId> peers;
+  std::vector<ScoredId> scored_links;
+  std::vector<std::uint32_t> pruned;
 
   /// Starts an empty visited set over node ids [0, n).
   void NewVisit(std::size_t n) {
@@ -132,6 +177,10 @@ Status HnswIndex::Build(const float* data, std::size_t n, std::size_t dim) {
     links_[i].assign(static_cast<std::size_t>(level) + 1, {});
   }
 
+  return InsertFrom(0);
+}
+
+Status HnswIndex::InsertFrom(std::uint32_t first) {
   // Canonical batched construction. The first build_bootstrap nodes
   // insert one-at-a-time (each sees all of its predecessors). After
   // that, nodes insert in id-ordered batches: every batch member plans
@@ -140,22 +189,24 @@ Status HnswIndex::Build(const float* data, std::size_t n, std::size_t dim) {
   // candidate a sequential insert would have seen goes missing — then
   // the plans apply in canonical order (phase B). The batch schedule,
   // the frozen-snapshot searches, and the canonical application make the
-  // graph a pure function of (data, options) — identical with or without
-  // a pool — while phase A, where nearly all distance computations
-  // happen, scales with cores. Batch size grows with the graph (cur / 4,
-  // capped) so members search a structure several times their batch, and
-  // the cap keeps the exact intra-batch scoring linear overall.
-  const std::uint32_t bootstrap = static_cast<std::uint32_t>(
-      std::min<std::size_t>(n, std::max<std::size_t>(1,
-                                                     options_.build_bootstrap)));
-  for (std::uint32_t i = 0; i < bootstrap; ++i) {
-    if (i % kCancelPollStride == 0 && Cancelled(options_.cancel)) {
+  // graph a pure function of (prior graph, inserted data, options) —
+  // identical with or without a pool — while phase A's searches and
+  // phase B's per-target link re-selection scale with cores. Batch size
+  // grows with the graph (cur / 4, capped) so members search a structure
+  // several times their batch, and the cap keeps the exact intra-batch
+  // scoring linear overall. An Add of a few nodes to a large graph is
+  // one batch.
+  const std::uint32_t n = static_cast<std::uint32_t>(n_);
+  const std::uint32_t bootstrap = std::max(
+      first, static_cast<std::uint32_t>(std::min<std::size_t>(
+                 n, std::max<std::size_t>(1, options_.build_bootstrap))));
+  for (std::uint32_t i = first; i < bootstrap; ++i) {
+    if ((i - first) % kCancelPollStride == 0 && Cancelled(options_.cancel)) {
       return Status::Cancelled("hnsw build cancelled");
     }
     Insert(i, levels_[i]);
   }
 
-  TaskRunner* pool = options_.build_pool;
   std::vector<InsertPlan> plans;
   for (std::uint32_t cur = bootstrap; cur < n;) {
     // Batch-level cancellation check: a flipped flag aborts construction
@@ -166,24 +217,14 @@ Status HnswIndex::Build(const float* data, std::size_t n, std::size_t dim) {
     const std::size_t batch = std::min<std::size_t>(
         {n - cur, std::max<std::size_t>(128, cur / 4), std::size_t{1024}});
     plans.assign(batch, {});
-    if (pool != nullptr && pool->num_threads() > 1 && batch > 1) {
-      pool->ParallelFor(
-          batch,
-          [&](std::size_t begin, std::size_t end) {
-            SearchScratch& scratch = ThreadScratch();
-            for (std::size_t j = begin; j < end; ++j) {
-              const std::uint32_t id = cur + static_cast<std::uint32_t>(j);
-              plans[j] = PlanInsert(id, levels_[id], cur, &scratch);
-            }
-          },
-          /*min_chunk=*/1);
-    } else {
+    auto plan_range = [&](std::size_t begin, std::size_t end) {
       SearchScratch& scratch = ThreadScratch();
-      for (std::size_t j = 0; j < batch; ++j) {
+      for (std::size_t j = begin; j < end; ++j) {
         const std::uint32_t id = cur + static_cast<std::uint32_t>(j);
         plans[j] = PlanInsert(id, levels_[id], cur, &scratch);
       }
-    }
+    };
+    FanOut(options_.build_pool, batch, /*grain=*/1, plan_range);
     ApplyBatch(cur, batch, &plans);
     cur += static_cast<std::uint32_t>(batch);
   }
@@ -198,8 +239,7 @@ HnswIndex::InsertPlan HnswIndex::PlanInsert(std::uint32_t id, int level,
   // the Malkov-Yashunin neighbor selection. No writes.
   InsertPlan plan;
   plan.links.assign(static_cast<std::size_t>(level) + 1, {});
-  std::vector<float> qbuf;
-  const float* q = NodeVec(id, &qbuf);
+  const float* q = NodeVec(id, &scratch->node_vec);
   const float pre = store_.QueryPrecompute(q);
   std::uint32_t ep = entry_;
   for (int layer = max_level_; layer > level; --layer) {
@@ -209,12 +249,14 @@ HnswIndex::InsertPlan HnswIndex::PlanInsert(std::uint32_t id, int level,
   // score them exactly once (one contiguous batch-kernel call) and merge
   // them into every layer's candidate set below — the same neighbors a
   // sequential insert would have reached through the graph.
-  std::vector<ScoredId> peers;
+  // The peers are copied out of `scores` before SearchLayer reuses it.
+  std::vector<ScoredId>& peers = scratch->peers;
+  peers.clear();
   if (id > batch_first) {
     const std::size_t peer_count = id - batch_first;
-    std::vector<float> peer_scores(peer_count);
+    std::vector<float>& peer_scores = scratch->scores;
+    peer_scores.resize(peer_count);
     store_.ScoreRange(q, pre, batch_first, peer_count, peer_scores.data());
-    peers.reserve(peer_count);
     for (std::size_t i = 0; i < peer_count; ++i) {
       peers.push_back(
           {batch_first + static_cast<std::uint32_t>(i), peer_scores[i]});
@@ -229,7 +271,7 @@ HnswIndex::InsertPlan HnswIndex::PlanInsert(std::uint32_t id, int level,
       if (levels_[peer.id] >= layer) found.push_back(peer);
     }
     if (!peers.empty()) std::sort(found.begin(), found.end(), ScoreGreater{});
-    plan.links[layer] = SelectNeighbors(found, MaxDegree(layer));
+    SelectNeighbors(found, MaxDegree(layer), scratch, &plan.links[layer]);
   }
   return plan;
 }
@@ -249,9 +291,10 @@ void HnswIndex::ApplyBatch(std::uint32_t first, std::size_t count,
   }
 
   // Reverse edges, grouped by (target, layer) in canonical order: each
-  // group appends its new ids (ascending) and re-selects the target's
-  // links once. Distinct groups touch disjoint adjacency lists, so the
-  // groups can fan out over the pool without changing the result.
+  // group adds its new ids (ascending) to the target's links, re-selecting
+  // them once when they overflow. Distinct groups touch disjoint adjacency
+  // lists, so the groups can fan out over the pool without changing the
+  // result.
   struct Edge {
     std::uint32_t target;
     int layer;
@@ -271,8 +314,10 @@ void HnswIndex::ApplyBatch(std::uint32_t first, std::size_t count,
            (a.target == b.target &&
             (a.layer < b.layer || (a.layer == b.layer && a.id < b.id)));
   });
+  std::vector<std::uint32_t> edge_ids(edges.size());
   std::vector<std::size_t> group_starts;
   for (std::size_t i = 0; i < edges.size(); ++i) {
+    edge_ids[i] = edges[i].id;
     if (i == 0 || edges[i].target != edges[i - 1].target ||
         edges[i].layer != edges[i - 1].layer) {
       group_starts.push_back(i);
@@ -281,23 +326,16 @@ void HnswIndex::ApplyBatch(std::uint32_t first, std::size_t count,
   group_starts.push_back(edges.size());
 
   auto apply_groups = [&](std::size_t begin, std::size_t end) {
+    SearchScratch& scratch = ThreadScratch();
     for (std::size_t g = begin; g < end; ++g) {
       const std::size_t lo = group_starts[g];
       const std::size_t hi = group_starts[g + 1];
-      const std::uint32_t target = edges[lo].target;
-      const int layer = edges[lo].layer;
-      auto& nbrs = links_[target][layer];
-      for (std::size_t i = lo; i < hi; ++i) nbrs.push_back(edges[i].id);
-      ShrinkLinks(target, layer);
+      AddLinks(edges[lo].target, edges[lo].layer, edge_ids.data() + lo,
+               hi - lo, &scratch);
     }
   };
-  const std::size_t groups = group_starts.size() - 1;
-  TaskRunner* pool = options_.build_pool;
-  if (pool != nullptr && pool->num_threads() > 1 && groups > 1) {
-    pool->ParallelFor(groups, apply_groups, /*min_chunk=*/8);
-  } else {
-    apply_groups(0, groups);
-  }
+  FanOut(options_.build_pool, group_starts.size() - 1, /*grain=*/16,
+         apply_groups);
 
   // Entry-point handover in id order, exactly as sequential inserts
   // would have done it.
@@ -384,19 +422,27 @@ void HnswIndex::SearchLayer(const float* query, float query_pre,
   }
 }
 
-std::vector<std::uint32_t> HnswIndex::SelectNeighbors(
-    const std::vector<ScoredId>& candidates, std::size_t m) const {
-  std::vector<std::uint32_t> selected, pruned;
-  std::vector<float> cbuf;
+void HnswIndex::SelectNeighbors(const std::vector<ScoredId>& candidates,
+                                std::size_t m, SearchScratch* scratch,
+                                std::vector<std::uint32_t>* out) const {
+  std::vector<std::uint32_t>& selected = *out;
+  std::vector<std::uint32_t>& pruned = scratch->pruned;
+  selected.clear();
+  pruned.clear();
+  float chunk_scores[kSelectChunk];
   for (const ScoredId& cand : candidates) {
     if (selected.size() >= m) break;
-    const float* cq = NodeVec(cand.id, &cbuf);
+    const float* cq = NodeVec(cand.id, &scratch->cand_vec);
     const float cpre = store_.QueryPrecompute(cq);
     bool keep = true;
-    for (const std::uint32_t s : selected) {
-      if (store_.ScoreOne(cq, cpre, s) > cand.score) {
-        keep = false;
-        break;
+    for (std::size_t s = 0; keep && s < selected.size(); s += kSelectChunk) {
+      const std::size_t count = std::min(kSelectChunk, selected.size() - s);
+      store_.ScoreIds(cq, cpre, selected.data() + s, count, chunk_scores);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (chunk_scores[i] > cand.score) {
+          keep = false;
+          break;
+        }
       }
     }
     (keep ? selected : pruned).push_back(cand.id);
@@ -405,25 +451,35 @@ std::vector<std::uint32_t> HnswIndex::SelectNeighbors(
     if (selected.size() >= m) break;
     selected.push_back(id);
   }
-  return selected;
 }
 
-void HnswIndex::ShrinkLinks(std::uint32_t node, int layer) {
+void HnswIndex::AddLinks(std::uint32_t node, int layer,
+                         const std::uint32_t* ids, std::size_t count,
+                         SearchScratch* scratch) {
   auto& nbrs = links_[node][layer];
   const std::size_t cap = MaxDegree(layer);
-  if (nbrs.size() <= cap) return;
-  std::vector<float> vbuf;
-  const float* v = NodeVec(node, &vbuf);
+  const std::size_t old = nbrs.size();
+  if (old + count <= cap) {
+    nbrs.insert(nbrs.end(), ids, ids + count);
+    return;
+  }
+  // Re-select from the old links plus `ids` without appending them
+  // first: the list never grows past its capacity, so it is rewritten in
+  // place instead of reallocated.
+  const float* v = NodeVec(node, &scratch->shrink_vec);
   const float pre = store_.QueryPrecompute(v);
-  std::vector<ScoredId> scored;
-  scored.reserve(nbrs.size());
-  std::vector<float> scores(nbrs.size());
-  store_.ScoreIds(v, pre, nbrs.data(), nbrs.size(), scores.data());
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    scored.push_back({nbrs[i], scores[i]});
+  std::vector<float>& scores = scratch->scores;
+  scores.resize(old + count);
+  store_.ScoreIds(v, pre, nbrs.data(), old, scores.data());
+  store_.ScoreIds(v, pre, ids, count, scores.data() + old);
+  std::vector<ScoredId>& scored = scratch->scored_links;
+  scored.clear();
+  for (std::size_t i = 0; i < old; ++i) scored.push_back({nbrs[i], scores[i]});
+  for (std::size_t i = 0; i < count; ++i) {
+    scored.push_back({ids[i], scores[old + i]});
   }
   std::sort(scored.begin(), scored.end(), ScoreGreater{});
-  nbrs = SelectNeighbors(scored, cap);
+  SelectNeighbors(scored, cap, scratch, &nbrs);
 }
 
 void HnswIndex::Insert(std::uint32_t id, int level) {
@@ -433,11 +489,10 @@ void HnswIndex::Insert(std::uint32_t id, int level) {
     return;
   }
 
-  std::vector<float> qbuf;
-  const float* q = NodeVec(id, &qbuf);
+  SearchScratch& scratch = ThreadScratch();
+  const float* q = NodeVec(id, &scratch.node_vec);
   const float pre = store_.QueryPrecompute(q);
   std::uint32_t ep = entry_;
-  SearchScratch& scratch = ThreadScratch();
   for (int layer = max_level_; layer > level; --layer) {
     ep = GreedyStep(q, pre, ep, layer, &scratch);
   }
@@ -447,11 +502,8 @@ void HnswIndex::Insert(std::uint32_t id, int level) {
     std::vector<ScoredId>& found = scratch.results;
     std::sort(found.begin(), found.end(), ScoreGreater{});
     auto& own = links_[id][layer];
-    own = SelectNeighbors(found, MaxDegree(layer));
-    for (const std::uint32_t nb : own) {
-      links_[nb][layer].push_back(id);
-      ShrinkLinks(nb, layer);
-    }
+    SelectNeighbors(found, MaxDegree(layer), &scratch, &own);
+    for (const std::uint32_t nb : own) AddLinks(nb, layer, &id, 1, &scratch);
     if (!found.empty()) ep = found.front().id;
   }
 
@@ -581,17 +633,7 @@ Status HnswIndex::Add(const float* data, std::size_t n, std::size_t dim) {
     levels_[i] = level;
     links_[i].assign(static_cast<std::size_t>(level) + 1, {});
   }
-  // Sequential canonical inserts — exactly the algorithm the batched
-  // build reproduces, applied to the appended suffix. Appends are small
-  // relative to the graph (large deltas are cheaper as rebuilds), so no
-  // batching machinery is warranted here.
-  for (std::size_t i = first; i < n_; ++i) {
-    if ((i - first) % kCancelPollStride == 0 && Cancelled(options_.cancel)) {
-      return Status::Cancelled("hnsw incremental insert cancelled");
-    }
-    Insert(static_cast<std::uint32_t>(i), levels_[i]);
-  }
-  return Status::OK();
+  return InsertFrom(first);
 }
 
 namespace {

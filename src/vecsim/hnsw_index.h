@@ -41,14 +41,17 @@ struct HnswOptions {
   /// half, of its nodes in this band hands off to the flood fill at its
   /// small width.
   float range_slack = 0.05f;
-  /// Worker pool for construction. Build always runs the *canonical
-  /// batched* insertion schedule — bootstrap incrementally, then insert
-  /// id-ordered batches whose candidate searches read a frozen graph
-  /// snapshot and whose link updates apply in canonical order — so the
-  /// resulting graph is a pure function of (data, options) and
-  /// byte-identical for any pool size, including none. The pool only
-  /// decides whether each batch's searches and per-node link updates run
-  /// concurrently.
+  /// Worker pool for construction. Build and Add both run the
+  /// *canonical batched* insertion schedule — bootstrap incrementally,
+  /// then insert id-ordered batches whose candidate searches read a
+  /// frozen graph snapshot and whose link updates apply in canonical
+  /// order — so the resulting graph is a pure function of (prior graph,
+  /// inserted data, options) and byte-identical for any pool size,
+  /// including none. The pool only decides whether each batch's searches
+  /// and per-node link updates run concurrently. It is never copied by
+  /// Clone: the IndexManager chooses it per job, and a deferred refresh
+  /// already runs as a task of the pool's group, so it inserts serially
+  /// (waiting on its own group would wait on itself).
   TaskRunner* build_pool = nullptr;
   /// Nodes inserted one-at-a-time before batching starts (a tiny frozen
   /// graph would give batch members too little structure to search, and
@@ -75,18 +78,24 @@ class HnswIndex : public VectorIndex {
 
   Status Build(const float* data, std::size_t n, std::size_t dim) override;
   /// True incremental insertion: appends `n` vectors to the built graph
-  /// with the exact sequential Malkov-Yashunin insert the batched build
-  /// canonicalizes, drawing each new node's level from the continuation
-  /// of the build's seeded RNG stream. Deterministic: (graph state,
-  /// appended data) fully determine the result, so concurrent refreshers
+  /// through the same batched schedule Build uses after its bootstrap
+  /// (frozen-graph plans with exact peer scoring, then canonical link
+  /// application), fanned out over build_pool when one is set. Each new
+  /// node's level comes from the continuation of the build's seeded RNG
+  /// stream. Deterministic: (graph state, appended data, options) fully
+  /// determine the result for any pool size, so concurrent refreshers
   /// starting from the same snapshot produce identical graphs. The
   /// IndexManager's append-refresh path clones the resident graph and
   /// Adds into the clone (copy-on-write) — far cheaper than a rebuild
   /// because the existing nodes' beam searches are not repeated.
   Status Add(const float* data, std::size_t n, std::size_t dim) override;
+  /// The clone inserts serially until SetBuildPool gives it a pool.
   std::unique_ptr<VectorIndex> Clone() const override {
-    return std::make_unique<HnswIndex>(*this);
+    auto copy = std::make_unique<HnswIndex>(*this);
+    copy->options_.build_pool = nullptr;
+    return copy;
   }
+  void SetBuildPool(TaskRunner* pool) override { options_.build_pool = pool; }
   Status Save(std::ostream& out) const override;
   Status Load(std::istream& in) override;
   void RangeSearch(const float* query, float threshold,
@@ -118,6 +127,13 @@ class HnswIndex : public VectorIndex {
   /// The calling thread's scratch, shared by every index it searches.
   static SearchScratch& ThreadScratch();
 
+  /// Inserts nodes [first, n_), whose levels and empty link lists are
+  /// already in place, on the canonical schedule: ids below
+  /// build_bootstrap one at a time, then id-ordered batches of
+  /// PlanInsert (phase A, fanned out over build_pool) and ApplyBatch
+  /// (phase B). Build runs it from 0, Add from the old size.
+  Status InsertFrom(std::uint32_t first);
+
   /// Computes `id`'s insertion plan against the current (frozen) graph.
   /// Earlier batch members ([batch_first, id), invisible in the frozen
   /// snapshot) join the candidate set by exact scoring, so the plan sees
@@ -128,7 +144,7 @@ class HnswIndex : public VectorIndex {
                         SearchScratch* scratch) const;
 
   /// Applies a batch's plans: assigns own links, then groups the reverse
-  /// edges by target node and appends+shrinks each target once, in
+  /// edges by target node and adds them to each target once, in
   /// canonical (target, layer, id) order — deterministic regardless of
   /// how the per-target work is scheduled, because distinct targets touch
   /// disjoint adjacency lists.
@@ -154,13 +170,20 @@ class HnswIndex : public VectorIndex {
   /// `candidates` (scored against the base point, sorted descending),
   /// keeps a candidate only if it is closer to the base than to every
   /// neighbor kept so far, then backfills remaining slots from the pruned
-  /// list. The pruning preserves "bridge" edges between clusters that
-  /// plain top-M would discard — without it the graph fragments into
-  /// per-cluster islands and recall collapses on clustered data.
-  std::vector<std::uint32_t> SelectNeighbors(
-      const std::vector<ScoredId>& candidates, std::size_t m) const;
-  /// Re-selects the links of `node` at `layer` when they exceed capacity.
-  void ShrinkLinks(std::uint32_t node, int layer);
+  /// list, writing the result to *out. The pruning preserves "bridge"
+  /// edges between clusters that plain top-M would discard — without it
+  /// the graph fragments into per-cluster islands and recall collapses on
+  /// clustered data. A candidate is scored against the kept neighbors in
+  /// small gather-batch chunks, stopping at the first chunk that prunes
+  /// it: most candidates fall to their first few checks.
+  void SelectNeighbors(const std::vector<ScoredId>& candidates, std::size_t m,
+                       SearchScratch* scratch,
+                       std::vector<std::uint32_t>* out) const;
+  /// Adds the reverse links `ids` to `node`'s list at `layer`; when the
+  /// list would exceed its capacity, re-selects it from the old links
+  /// plus `ids` instead.
+  void AddLinks(std::uint32_t node, int layer, const std::uint32_t* ids,
+                std::size_t count, SearchScratch* scratch);
 
   /// fp32 view of node `id`: a direct pointer for the fp32 codec, a
   /// decode into *scratch otherwise. Construction uses this for the

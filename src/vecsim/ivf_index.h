@@ -49,6 +49,7 @@ class IvfIndex : public VectorIndex {
     copy->build_pool_ = nullptr;
     return copy;
   }
+  void SetBuildPool(TaskRunner* pool) override { build_pool_ = pool; }
   Status Save(std::ostream& out) const override;
   Status Load(std::istream& in) override;
   void RangeSearch(const float* query, float threshold,

@@ -13,6 +13,8 @@
 
 namespace cre {
 
+class TaskRunner;
+
 /// Shared interface for approximate/exact similarity indexes over a fixed
 /// base set of unit-normalized vectors. Scores are cosine similarities
 /// (== dot products on unit vectors). Physical operator selection between
@@ -38,6 +40,11 @@ class VectorIndex {
     (void)dim;
     return Status::NotImplemented(name() + " does not support incremental Add");
   }
+
+  /// Worker pool later Build/Add calls may fan out over (nullptr runs
+  /// them serially). The pool never changes the result, only how fast it
+  /// arrives. Families that construct serially ignore it.
+  virtual void SetBuildPool(TaskRunner* pool) { (void)pool; }
 
   /// Deep copy (nullptr when the family does not support cloning). Used by
   /// the copy-on-write refresh path: queries keep probing the old immutable

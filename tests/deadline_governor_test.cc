@@ -387,6 +387,62 @@ TEST(GovernorTest, IndexBuildBreachDegradesToScanningFallback) {
   EXPECT_GE(engine.index_manager()->stats().build_failures, 1u);
 }
 
+TEST(GovernorTest, IndexRefreshBreachDegradesToScanningFallback) {
+  // The build's embed matrix (50 distinct values * 64 * 4 bytes) fits the
+  // ceiling; the refresh's (400 new values) does not. The refresh fails
+  // with kResourceExhausted before embedding, the rebuild it falls back
+  // to breaches too, and the select degrades to the scanning fallback
+  // with the answer of an unlimited engine over the appended table.
+  auto model = std::make_shared<HashEmbeddingModel>(
+      HashEmbeddingModel::Options{64});
+  TablePtr table = MakeWordTable(2000, "w_", 50);
+  TablePtr batch = MakeWordTable(400, "v_");
+  auto select = [](Engine* engine, const std::string& word) {
+    QueryBuilder qb(engine);
+    qb.Scan("t").SemanticSelect("word", word, "m", 0.8f);
+    PlanPtr plan = qb.plan();
+    plan->strategy = SemanticJoinStrategy::kHnsw;
+    plan->strategy_pinned = true;
+    return engine->Execute(plan, QueryOptions{});
+  };
+
+  EngineOptions base;
+  base.num_threads = 2;
+  base.index.enabled = false;
+  Engine baseline(base);
+  baseline.models().Put("m", model);
+  baseline.catalog().Put("t", table);
+  ASSERT_TRUE(baseline.catalog().Append("t", *batch).ok());
+
+  EngineOptions eo;
+  eo.num_threads = 2;
+  eo.index.enabled = true;
+  eo.index.async_builds = false;
+  eo.governor.engine_memory_bytes = 32 * 1024;
+  Engine engine(eo);
+  engine.models().Put("m", model);
+  engine.catalog().Put("t", table);
+  ASSERT_TRUE(select(&engine, "w_7").ok());
+  ASSERT_EQ(engine.index_manager()->stats().builds, 1u);
+  ASSERT_TRUE(engine.catalog().Append("t", *batch).ok());
+
+  for (const std::string word : {"v_17", "w_7"}) {
+    auto expect = select(&baseline, word);
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    auto result = select(&engine, word);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.ValueOrDie()->num_rows(),
+              expect.ValueOrDie()->num_rows())
+        << word;
+  }
+  const IndexManager::Stats stats = engine.index_manager()->stats();
+  EXPECT_EQ(stats.refreshes, 0u);
+  EXPECT_GE(stats.invalidations, 1u) << "the failed refresh drops its entry";
+  EXPECT_GE(stats.build_failures, 1u);
+  EXPECT_GE(engine.governor()->breaches(), 2u);
+  EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+}
+
 // ---- bounded admission ----
 
 TEST(AdmissionTest, ShedPolicyByClass) {

@@ -35,6 +35,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -45,9 +46,12 @@
 #include "core/cancel.h"
 #include "core/fault_injection.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "core/timer.h"
+#include "datagen/vocabulary.h"
 #include "embed/hash_embedding_model.h"
 #include "engine/engine.h"
+#include "engine/scheduler.h"
 #include "exec/scan.h"
 #include "index/index_manager.h"
 #include "semantic/semantic_join.h"
@@ -364,6 +368,132 @@ TEST(HnswIncrementalTest, SaveLoadThenAddMatchesUninterruptedGrowth) {
   EXPECT_EQ(reloaded.GraphChecksum(), uninterrupted.GraphChecksum());
 }
 
+TEST(HnswIncrementalTest, AddIsPoolIndependent) {
+  // Add runs Build's batched schedule, and the pool only decides how the
+  // batch's searches and link re-selections are scheduled: the grown
+  // graph is the same with no pool and with any pool size. Two Adds
+  // cover a multi-batch append (256 > the first batch) and a small one.
+  const std::size_t n = 900, extra = 300, more = 40, dim = 24;
+  const auto base = RandomUnitVectors(n, dim, 41);
+  const auto appended = RandomUnitVectors(extra + more, dim, 42);
+  auto grow = [&](TaskRunner* pool) {
+    HnswOptions o;
+    o.build_bootstrap = 128;
+    o.build_pool = pool;
+    HnswIndex index(o);
+    index.Build(base.data(), n, dim).Check();
+    index.Add(appended.data(), extra, dim).Check();
+    index.Add(appended.data() + extra * dim, more, dim).Check();
+    EXPECT_EQ(index.size(), n + extra + more);
+    return index.GraphChecksum();
+  };
+  const std::uint64_t serial = grow(nullptr);
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(grow(&pool), serial) << threads << " threads";
+  }
+}
+
+TEST(HnswIncrementalTest, RepeatedAddsKeepRangeRecall) {
+  // The refresh shape: a vocabulary graph grown by many small Adds of
+  // unseen words (misspellings that land inside existing neighborhoods
+  // and fresh words that do not), probed by range searches. Each Add is
+  // one batch planned against a frozen graph, so repeated Adds must not
+  // erode the graph's reachability: recall stays at the build's level
+  // and every hit is exact.
+  VocabularyOptions vo;
+  vo.num_groups = 250;
+  vo.num_singletons = 2200;
+  vo.seed = 17;
+  const std::vector<std::string> all = AllWords(GenerateVocabulary(vo));
+  std::set<std::string> seen(all.begin(), all.end());
+  std::vector<std::string> words(seen.begin(), seen.end());
+  ASSERT_GE(words.size(), 3000u);
+  const std::size_t base_count = words.size();
+
+  constexpr std::size_t kAdds = 16, kPerAdd = 30;
+  Rng rng(23);
+  while (words.size() < base_count + kAdds * kPerAdd) {
+    std::string w = words.size() % 2 == 0
+                        ? Misspell(words[rng.Uniform(base_count)], rng)
+                        : RandomWord(rng, 11, 14);
+    if (seen.insert(w).second) words.push_back(std::move(w));
+  }
+  const HashEmbeddingModel model;
+  const std::size_t dim = model.dim();
+  std::vector<float> data(words.size() * dim);
+  model.EmbedBatch(words, data.data());
+
+  std::vector<std::string> queries;
+  for (std::size_t q = 0; q < 240; ++q) {
+    std::string w = words[rng.Uniform(words.size())];
+    if (q % 4 == 0) w = Misspell(w, rng);
+    queries.push_back(std::move(w));
+  }
+  std::vector<float> qvecs(queries.size() * dim);
+  model.EmbedBatch(queries, qvecs.data());
+
+  // truth[t][q]: the exact fp32 hits of query q at thresholds[t].
+  const float thresholds[] = {0.5f, 0.75f};
+  FlatIndex exact;
+  ASSERT_TRUE(exact.Build(data.data(), words.size(), dim).ok());
+  std::vector<std::vector<ScoredId>> truth[2];
+  for (int t = 0; t < 2; ++t) {
+    truth[t].resize(queries.size());
+    std::size_t total = 0;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      exact.RangeSearch(qvecs.data() + q * dim, thresholds[t], &truth[t][q]);
+      total += truth[t][q].size();
+    }
+    ASSERT_GT(total, queries.size() / 2) << thresholds[t];
+  }
+
+  ThreadPool pool(2);
+  std::vector<float> decoded(dim);
+  for (const VectorCodecKind codec :
+       {VectorCodecKind::kFp32, VectorCodecKind::kInt8}) {
+    VectorStore stored;
+    stored.Reset(codec, dim);
+    stored.Append(data.data(), words.size());
+    HnswOptions o;
+    o.quant.codec = codec;
+    o.build_pool = &pool;
+    HnswIndex hnsw(o);
+    ASSERT_TRUE(hnsw.Build(data.data(), base_count, dim).ok());
+    for (std::size_t a = 0; a < kAdds; ++a) {
+      const std::size_t first = base_count + a * kPerAdd;
+      ASSERT_TRUE(hnsw.Add(data.data() + first * dim, kPerAdd, dim).ok());
+    }
+    ASSERT_EQ(hnsw.size(), words.size());
+
+    std::vector<ScoredId> hits;
+    for (int t = 0; t < 2; ++t) {
+      const float threshold = thresholds[t];
+      std::size_t truth_total = 0, found = 0;
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const float* query = qvecs.data() + q * dim;
+        hits.clear();
+        hnsw.RangeSearch(query, threshold, &hits);
+        std::set<std::uint32_t> ids;
+        for (const ScoredId& h : hits) {
+          ids.insert(h.id);
+          // A hit is false when its exact fp32 score over the row the
+          // index stores (for int8, the decoded row) is below threshold.
+          EXPECT_GE(stored.RescoreOne(query, h.id, decoded.data()),
+                    threshold - 1e-5f)
+              << VectorCodecName(codec) << " false positive " << words[h.id]
+              << " for " << queries[q];
+        }
+        truth_total += truth[t][q].size();
+        for (const ScoredId& h : truth[t][q]) found += ids.count(h.id);
+      }
+      EXPECT_GE(static_cast<double>(found) / truth_total, 0.99)
+          << VectorCodecName(codec) << " @ " << threshold << ": " << found
+          << " of " << truth_total;
+    }
+  }
+}
+
 // ---- cooperative cancellation ----
 
 TEST(CancelLatencyTest, HnswBuildCancelsWithBoundedLatency) {
@@ -665,6 +795,97 @@ TEST(IncrementalRefreshTest, AsyncRefreshRunsOnBackgroundRunner) {
   ASSERT_TRUE(ready.ok());
   ASSERT_NE(ready.ValueOrDie().index, nullptr);
   EXPECT_EQ(ready.ValueOrDie().index->size(), 680u);
+}
+
+TEST(IncrementalRefreshTest, DeferredRefreshOfPooledIndexFinishes) {
+  // The engine's wiring: foreground builds and refreshes fan out over the
+  // background group, and deferred jobs run as tasks of that same group.
+  // A deferred refresh must insert without the pool: waiting on the group
+  // from inside one of its tasks counts the waiter as outstanding and
+  // never returns. The foreground build leaves a pooled graph behind, so
+  // this also checks the refresh does not inherit the pool from it.
+  const IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+  const TablePtr base = MakeStringTable(Words(1200, "a_", 600));
+  const TablePtr batch = MakeStringTable(Words(200, "b_"));
+  IndexManagerOptions options;
+  options.hnsw.build_bootstrap = 128;
+
+  auto pool = std::make_unique<ThreadPool>(2);
+  auto scheduler = std::make_unique<QueryScheduler>(pool.get());
+  auto group = std::make_unique<std::shared_ptr<QueryScheduler::Group>>(
+      scheduler->Admit(QueryPriority::kBackground));
+  Fixture deferred;
+  deferred.catalog.Put("t", base);
+  IndexManagerOptions async_options = options;
+  async_options.async_builds = true;
+  async_options.hnsw.build_pool = group->get();
+  auto manager = std::make_unique<IndexManager>(
+      &deferred.catalog, &deferred.models, async_options);
+  manager->EnableAsyncBuilds(group->get());
+  ASSERT_TRUE(manager->GetOrBuild(key).ok());
+  ASSERT_TRUE(deferred.catalog.Append("t", *batch).ok());
+  auto async = manager->GetOrBuildAsync(key);
+  ASSERT_TRUE(async.ok());
+  EXPECT_TRUE(async.ValueOrDie().build_in_flight);
+
+  std::shared_ptr<const VectorIndex> refreshed;
+  Timer waited;
+  while (refreshed == nullptr && waited.Seconds() < 60.0) {
+    auto lookup = manager->GetOrBuildAsync(key);
+    ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+    refreshed = lookup.ValueOrDie().index;
+    if (refreshed == nullptr) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  if (refreshed == nullptr) {
+    // The refresh is stuck on its own group: leak the manager, group,
+    // scheduler and pool so the test reports instead of hanging in their
+    // destructors.
+    (void)manager.release();
+    (void)group.release();
+    (void)scheduler.release();
+    (void)pool.release();
+    FAIL() << "deferred refresh did not finish within 60 s";
+  }
+  EXPECT_EQ(manager->stats().refreshes, 1u);
+  EXPECT_EQ(manager->stats().builds, 1u);
+
+  // A synchronous refresh over a pool of its own grows the same graph.
+  ThreadPool sync_pool(2);
+  Fixture sync;
+  sync.catalog.Put("t", base);
+  IndexManagerOptions sync_options = options;
+  sync_options.hnsw.build_pool = &sync_pool;
+  IndexManager sync_manager(&sync.catalog, &sync.models, sync_options);
+  ASSERT_TRUE(sync_manager.GetOrBuild(key).ok());
+  ASSERT_TRUE(sync.catalog.Append("t", *batch).ok());
+  auto expected = sync_manager.GetOrBuild(key);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(sync_manager.stats().refreshes, 1u);
+  ASSERT_EQ(refreshed->size(), 1400u);
+
+  auto model = MakeModel();
+  const std::vector<std::string> probes = {"a_7", "a_523", "b_42", "b_199"};
+  std::vector<float> q(model->dim());
+  for (const std::string& probe : probes) {
+    model->Embed(probe, q.data());
+    std::vector<ScoredId> got, want;
+    refreshed->RangeSearch(q.data(), 0.6f, &got);
+    expected.ValueOrDie()->RangeSearch(q.data(), 0.6f, &want);
+    ASSERT_FALSE(want.empty()) << probe;
+    ASSERT_EQ(got.size(), want.size()) << probe;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << probe;
+      EXPECT_EQ(got[i].score, want[i].score) << probe;
+    }
+    const auto top_got = refreshed->TopK(q.data(), 10);
+    const auto top_want = expected.ValueOrDie()->TopK(q.data(), 10);
+    ASSERT_EQ(top_got.size(), top_want.size()) << probe;
+    for (std::size_t i = 0; i < top_got.size(); ++i) {
+      EXPECT_EQ(top_got[i].id, top_want[i].id) << probe;
+    }
+  }
 }
 
 // ---- on-disk persistence ----

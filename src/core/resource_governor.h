@@ -125,6 +125,18 @@ class ScopedCharge {
   ScopedCharge& operator=(const ScopedCharge&) = delete;
   ~ScopedCharge() { Reset(); }
 
+  /// Charges `bytes` to `budget` and holds them (a null budget charges
+  /// nothing). On a breach returns kResourceExhausted naming `what`, with
+  /// nothing charged or held.
+  Status Acquire(QueryBudgetPtr budget, std::size_t bytes, const char* what) {
+    Reset();
+    if (budget == nullptr) return Status::OK();
+    CRE_RETURN_NOT_OK(budget->Charge(bytes, what));
+    budget_ = std::move(budget);
+    bytes_ = bytes;
+    return Status::OK();
+  }
+
   void Reset() {
     if (budget_ != nullptr && bytes_ != 0) budget_->Release(bytes_);
     budget_.reset();

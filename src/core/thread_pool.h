@@ -19,11 +19,14 @@ namespace cre {
 /// admitted queries over one shared pool with fair dispatch. Operators
 /// take a TaskRunner* so the same code serves both worlds.
 ///
-/// Contract: Wait() blocks until every task submitted *through this
-/// runner* has finished — never tasks submitted through a different
-/// runner sharing the same threads. Tasks must not call Wait() themselves
-/// (all scheduling happens on the driver thread; workers never block on
-/// the pool), which keeps fixed-size pools deadlock-free.
+/// Contract: Wait() returns once every task submitted *through this
+/// runner* has finished — never waiting on tasks submitted through a
+/// different runner sharing the same threads. A waiter may run its own
+/// runner's queued tasks on the calling thread instead of sleeping
+/// (QueryScheduler::Group does), so a task can run on the thread that
+/// submitted it. Tasks must not call Wait() themselves (all scheduling
+/// happens on the driver thread; workers never block on the pool), which
+/// keeps fixed-size pools deadlock-free.
 class TaskRunner {
  public:
   virtual ~TaskRunner() = default;
@@ -38,12 +41,17 @@ class TaskRunner {
   /// "run serially instead" signal).
   virtual std::size_t num_threads() const = 0;
 
-  /// Convenience: splits [0, n) into contiguous chunks and runs
-  /// fn(begin, end) on the runner, blocking until done. Falls back to a
-  /// direct call when n is small or only one thread backs the runner.
+  /// The one fan-out primitive: runs fn(begin, end) once for every piece
+  /// [i * grain, min(n, (i + 1) * grain)) of [0, n), blocking until all
+  /// have finished. The runner's workers and the calling thread pull
+  /// pieces from one shared counter in ascending order, so the caller
+  /// works instead of idling and uneven pieces balance. Which thread runs
+  /// a piece, and when, is unspecified: results must depend only on the
+  /// items, never on the thread or the completion order. With one thread
+  /// behind the runner every piece runs on the caller, in order.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn,
-                   std::size_t min_chunk = 1024);
+                   std::size_t grain = 1024);
 };
 
 /// Fixed-size worker pool used by the morsel-driven parallel executor.

@@ -414,7 +414,8 @@ Result<OperatorPtr> Engine::TryLowerIndexSelect(QueryContext* ctx,
     span.Annotate("outcome", "index");
     return OperatorPtr(std::make_unique<SemanticIndexSelectOperator>(
         std::move(vt.table), node.column, node.query, std::move(model),
-        node.threshold, std::move(ready.index), min_row_id, exact_verify));
+        node.threshold, std::move(ready.index), min_row_id, exact_verify,
+        ctx->budget_handle()));
   }
   // Build in flight (the background task will serve future queries), or
   // the ready index was built against a different version than this
@@ -461,6 +462,7 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
       // Cancellation reaches the operator's probe loops and local index
       // builds, not just the driver's morsel/segment polls.
       options.cancel = ctx->cancel_flag();
+      options.budget = ctx->budget_handle();
       if (options_.index.enabled &&
           node.strategy != SemanticJoinStrategy::kBruteForce) {
         if (const PlanNode* scan = node.IndexableBuildScan()) {
@@ -515,11 +517,12 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
 }
 
 Result<OperatorPtr> Engine::LowerSemanticSelectOver(
-    const PlanNode& node, OperatorPtr child, SharedQueryMatrix queries) {
+    QueryContext* ctx, const PlanNode& node, OperatorPtr child,
+    SharedQueryMatrix queries) {
   CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model, models_.Get(node.model_name));
   return OperatorPtr(std::make_unique<SemanticSelectOperator>(
       std::move(child), node.column, std::move(model), node.threshold,
-      std::move(queries)));
+      std::move(queries), ctx->budget_handle()));
 }
 
 Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {

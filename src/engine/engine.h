@@ -209,8 +209,10 @@ class Engine {
   /// Lowers a scanning kSemanticSelect over `child` with its pre-embedded
   /// query matrix. The parallel driver embeds each select node's query
   /// constant(s) once per query and passes the shared matrix to every
-  /// per-morsel instance.
-  Result<OperatorPtr> LowerSemanticSelectOver(const PlanNode& node,
+  /// per-morsel instance; each instance charges its embed matrices to
+  /// ctx's budget.
+  Result<OperatorPtr> LowerSemanticSelectOver(QueryContext* ctx,
+                                              const PlanNode& node,
                                               OperatorPtr child,
                                               SharedQueryMatrix queries);
 

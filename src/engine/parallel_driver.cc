@@ -202,8 +202,9 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
       cur = std::make_unique<HashJoinOperator>(
           std::move(cur), joins.at(op), op->left_key, op->right_key);
     } else if (op->kind == PlanKind::kSemanticSelect) {
-      CRE_ASSIGN_OR_RETURN(cur, engine_->LowerSemanticSelectOver(
-                                    *op, std::move(cur), selects.at(op)));
+      CRE_ASSIGN_OR_RETURN(
+          cur, engine_->LowerSemanticSelectOver(ctx_, *op, std::move(cur),
+                                                selects.at(op)));
     } else {
       std::vector<OperatorPtr> children;
       children.push_back(std::move(cur));
@@ -490,9 +491,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     const std::size_t per_chunk_bytes = engine_->footprints()->EstimateBytes(
         FootprintSite::kAggState, est_groups, est_groups * 64);
     const std::size_t state_bytes = per_chunk_bytes * num_chunks;
-    CRE_RETURN_NOT_OK(
-        ctx_->budget()->Charge(state_bytes, "aggregation state"));
-    agg_charge = ScopedCharge(ctx_->budget_handle(), state_bytes);
+    CRE_RETURN_NOT_OK(agg_charge.Acquire(ctx_->budget_handle(), state_bytes,
+                                         "aggregation state"));
   }
 
   if (!parallel) {
@@ -553,18 +553,18 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     Timer accumulate_timer;
     std::vector<GroupedAggregationState> partials(num_chunks);
     std::vector<Status> statuses(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      runner_->Submit([&, c] {
-        GroupedAggregationState& local = partials[c];
-        statuses[c] = [&]() -> Status {
-          CRE_RETURN_NOT_OK(
-              local.Init(input_schema, agg.group_keys, agg.aggs));
-          return run_chunk(
-              c, [&](const Table& batch) { return local.Consume(batch); });
-        }();
-      });
-    }
-    runner_->Wait();
+    runner_->ParallelFor(
+        num_chunks,
+        [&](std::size_t c, std::size_t) {
+          GroupedAggregationState& local = partials[c];
+          statuses[c] = [&]() -> Status {
+            CRE_RETURN_NOT_OK(
+                local.Init(input_schema, agg.group_keys, agg.aggs));
+            return run_chunk(
+                c, [&](const Table& batch) { return local.Consume(batch); });
+          }();
+        },
+        /*grain=*/1);
     for (const Status& status : statuses) CRE_RETURN_NOT_OK(status);
     accumulate_seconds = accumulate_timer.Seconds();
 
@@ -595,18 +595,18 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     Timer accumulate_timer;
     std::vector<RadixAggregationState> partials(num_chunks);
     std::vector<Status> statuses(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      runner_->Submit([&, c] {
-        RadixAggregationState& local = partials[c];
-        statuses[c] = [&]() -> Status {
-          CRE_RETURN_NOT_OK(local.Init(input_schema, agg.group_keys,
-                                       agg.aggs, num_partitions));
-          return run_chunk(
-              c, [&](const Table& batch) { return local.Consume(batch); });
-        }();
-      });
-    }
-    runner_->Wait();
+    runner_->ParallelFor(
+        num_chunks,
+        [&](std::size_t c, std::size_t) {
+          RadixAggregationState& local = partials[c];
+          statuses[c] = [&]() -> Status {
+            CRE_RETURN_NOT_OK(local.Init(input_schema, agg.group_keys,
+                                         agg.aggs, num_partitions));
+            return run_chunk(
+                c, [&](const Table& batch) { return local.Consume(batch); });
+          }();
+        },
+        /*grain=*/1);
     for (const Status& status : statuses) CRE_RETURN_NOT_OK(status);
     accumulate_seconds = accumulate_timer.Seconds();
     partitions_used = partials.front().num_partitions();
@@ -643,7 +643,7 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
             merged[p] = acc.Finalize();
           }
         },
-        /*min_chunk=*/1);
+        /*grain=*/1);
     for (auto& part : merged) {
       if (!part.ok()) return part.status();
       TablePtr table = std::move(part).ValueUnsafe();

@@ -52,7 +52,10 @@ struct QueryScheduler::GroupState {
 QueryScheduler::QueryScheduler(ThreadPool* pool, AdmissionOptions admission)
     : pool_(pool), admission_(admission) {}
 
-QueryScheduler::~QueryScheduler() = default;
+QueryScheduler::~QueryScheduler() {
+  MutexLock lock(mu_);
+  while (pumps_in_flight_ != 0) pumps_done_cv_.Wait(lock);
+}
 
 std::shared_ptr<QueryScheduler::Group> QueryScheduler::MakeGroup(
     QueryPriority priority, bool counts_as_query) {
@@ -124,46 +127,63 @@ bool QueryScheduler::PopNextLocked(std::function<void()>* task,
                                    std::shared_ptr<GroupState>* state,
                                    Clock::time_point* enqueued) {
   for (auto& ring : ready_) {
-    if (ring.empty()) continue;
-    std::shared_ptr<GroupState> group = ring.front();
-    ring.pop_front();
-    GroupState::PendingTask pending = std::move(group->queue.front());
-    group->queue.pop_front();
-    --pending_tasks_;
-    if (group->queue.empty()) {
-      group->in_ready_ring = false;
-    } else {
-      // One task per turn: back of the ring, so siblings in this class
-      // get their slice before this group runs again.
-      ring.push_back(group);
+    while (!ring.empty()) {
+      std::shared_ptr<GroupState> group = std::move(ring.front());
+      ring.pop_front();
+      if (group->queue.empty()) {
+        // Its driver ran the queued tasks itself (Group::Wait).
+        group->in_ready_ring = false;
+        continue;
+      }
+      GroupState::PendingTask pending = std::move(group->queue.front());
+      group->queue.pop_front();
+      --pending_tasks_;
+      if (group->queue.empty()) {
+        group->in_ready_ring = false;
+      } else {
+        // One task per turn: back of the ring, so siblings in this class
+        // get their slice before this group runs again.
+        ring.push_back(group);
+      }
+      *task = std::move(pending.fn);
+      *state = std::move(group);
+      *enqueued = pending.enqueued;
+      return true;
     }
-    *task = std::move(pending.fn);
-    *state = std::move(group);
-    *enqueued = pending.enqueued;
-    return true;
   }
   return false;
+}
+
+void QueryScheduler::CountDispatchLocked(GroupState* state,
+                                         Clock::time_point enqueued) {
+  state->counters.queue_wait_seconds += SecondsSince(enqueued);
+  if (state->counters.tasks_dispatched == 0) {
+    state->counters.admission_seconds = SecondsSince(state->admitted);
+  }
+  ++state->counters.tasks_dispatched;
+}
+
+void QueryScheduler::FinishTaskLocked(GroupState* state) {
+  if (--state->outstanding == 0) state->done_cv.NotifyAll();
 }
 
 void QueryScheduler::Pump() {
   std::function<void()> task;
   std::shared_ptr<GroupState> state;
   Clock::time_point enqueued;
-  {
-    MutexLock lock(mu_);
-    if (!PopNextLocked(&task, &state, &enqueued)) return;
-    const double wait = SecondsSince(enqueued);
-    state->counters.queue_wait_seconds += wait;
-    if (state->counters.tasks_dispatched == 0) {
-      state->counters.admission_seconds = SecondsSince(state->admitted);
-    }
-    ++state->counters.tasks_dispatched;
+  MutexLock lock(mu_);
+  --pumps_queued_;
+  if (PopNextLocked(&task, &state, &enqueued)) {
+    CountDispatchLocked(state.get(), enqueued);
+    lock.Unlock();
+    task();
+    task = nullptr;
+    lock.Lock();
+    FinishTaskLocked(state.get());
   }
-  task();
-  {
-    MutexLock lock(mu_);
-    if (--state->outstanding == 0) state->done_cv.NotifyAll();
-  }
+  // The last touch of the scheduler: ~QueryScheduler may run as soon as
+  // the count reaches zero and the lock is released.
+  if (--pumps_in_flight_ == 0) pumps_done_cv_.NotifyAll();
 }
 
 QueryScheduler::Group::~Group() {
@@ -176,27 +196,49 @@ QueryScheduler::Group::~Group() {
 }
 
 void QueryScheduler::Group::Submit(std::function<void()> task) {
+  QueryScheduler* scheduler = scheduler_;
   {
-    MutexLock lock(scheduler_->mu_);
+    MutexLock lock(scheduler->mu_);
     state_->queue.push_back({std::move(task), Clock::now()});
     ++state_->outstanding;
     ++state_->counters.tasks_submitted;
-    ++scheduler_->pending_tasks_;
+    ++scheduler->pending_tasks_;
     if (!state_->in_ready_ring) {
       state_->in_ready_ring = true;
-      scheduler_->ready_[static_cast<std::size_t>(state_->priority)]
+      scheduler->ready_[static_cast<std::size_t>(state_->priority)]
           .push_back(state_);
     }
+    // Queued pumps >= pending tasks, so every task is eventually executed
+    // no matter which pump picks it up. A pump left queued by a task its
+    // driver ran serves this task instead of a new one.
+    if (scheduler->pumps_queued_ >= scheduler->pending_tasks_) return;
+    ++scheduler->pumps_queued_;
+    ++scheduler->pumps_in_flight_;
   }
-  // One pump per task keeps pumps == pending tasks, so every task is
-  // eventually executed no matter which pump picks it up.
-  QueryScheduler* scheduler = scheduler_;
-  scheduler_->pool_->Submit([scheduler] { scheduler->Pump(); });
+  scheduler->pool_->Submit([scheduler] { scheduler->Pump(); });
 }
 
 void QueryScheduler::Group::Wait() {
-  MutexLock lock(scheduler_->mu_);
-  while (state_->outstanding != 0) state_->done_cv.Wait(lock);
+  QueryScheduler* scheduler = scheduler_;
+  MutexLock lock(scheduler->mu_);
+  while (state_->outstanding != 0) {
+    if (state_->queue.empty()) {
+      // Every unfinished task is running on another thread.
+      state_->done_cv.Wait(lock);
+      continue;
+    }
+    // Run the next own task here instead of sleeping while it queues.
+    // The group's ring entry stays; PopNextLocked drops it once empty.
+    GroupState::PendingTask pending = std::move(state_->queue.front());
+    state_->queue.pop_front();
+    --scheduler->pending_tasks_;
+    scheduler->CountDispatchLocked(state_.get(), pending.enqueued);
+    lock.Unlock();
+    pending.fn();
+    pending.fn = nullptr;
+    lock.Lock();
+    scheduler->FinishTaskLocked(state_.get());
+  }
 }
 
 std::size_t QueryScheduler::Group::num_threads() const {

@@ -74,14 +74,29 @@ struct AdmissionStats {
 /// first or how many tasks each has pending, and background work (index
 /// builds) only runs when no query task is waiting.
 ///
-/// Deadlock-freedom: pumps never block (a pump runs exactly one task and
+/// Helping waits: a driver blocked in its group's Wait() pops and runs
+/// its own group's queued tasks on the calling thread, and sleeps only
+/// once its queue is empty (tasks other threads are still running). It
+/// never runs another group's task, so the priority classes and the
+/// round-robin between groups hold for every task a pump dispatches. A
+/// task the driver ran itself leaves its pump queued in the pool; Submit
+/// posts a new pump only while queued pumps are fewer than pending
+/// tasks, so that pump serves the next task submitted by any group, or
+/// runs nothing. So pumps may outlive their task, and the scheduler
+/// counts pumps in flight and outlives them (~QueryScheduler waits).
+///
+/// Deadlock-freedom: pumps never block (a pump runs at most one task and
 /// returns) and the TaskRunner contract forbids tasks from calling
-/// Wait(); only driver threads wait, on their own group's counter.
+/// Wait(); only driver threads wait, on their own group's counter, and a
+/// waiting driver only sleeps while every one of its unfinished tasks is
+/// already running on some other thread.
 class QueryScheduler {
  public:
   class Group;
 
   explicit QueryScheduler(ThreadPool* pool, AdmissionOptions admission = {});
+  /// Waits until every pump posted to the pool has run (pumps capture the
+  /// scheduler), so the pool must still be running its workers.
   ~QueryScheduler();
 
   QueryScheduler(const QueryScheduler&) = delete;
@@ -114,16 +129,25 @@ class QueryScheduler {
  private:
   struct GroupState;
 
-  /// Runs on a pool worker: dequeues and executes exactly one task
+  /// Runs on a pool worker: dequeues and executes at most one task
   /// according to the fairness policy above.
   void Pump();
-  /// Pops the next task to run (strict priority, round-robin in class).
-  /// Returns false when every queue is empty (a stale pump racing a
-  /// faster sibling).
+  /// Pops the next task to run (strict priority, round-robin in class),
+  /// dropping ring entries whose queue their driver has drained. Returns
+  /// false when every queue is empty (a pump whose task its driver ran,
+  /// or a stale pump racing a faster sibling).
   bool PopNextLocked(std::function<void()>* task,
                      std::shared_ptr<GroupState>* state,
                      std::chrono::steady_clock::time_point* enqueued)
       CRE_REQUIRES(mu_);
+
+  /// Books one of `state`'s tasks, queued at `enqueued`, as dispatched
+  /// now; pumps and helping waits both count here.
+  void CountDispatchLocked(GroupState* state,
+                           std::chrono::steady_clock::time_point enqueued)
+      CRE_REQUIRES(mu_);
+  /// Marks one of `state`'s tasks finished, waking its waiters at zero.
+  void FinishTaskLocked(GroupState* state) CRE_REQUIRES(mu_);
 
   std::shared_ptr<Group> MakeGroup(QueryPriority priority,
                                    bool counts_as_query);
@@ -138,6 +162,11 @@ class QueryScheduler {
       CRE_GUARDED_BY(mu_);
   std::size_t active_groups_ CRE_GUARDED_BY(mu_) = 0;
   std::size_t pending_tasks_ CRE_GUARDED_BY(mu_) = 0;
+  /// Pumps posted to the pool and not yet started; kept >= pending_tasks_.
+  std::size_t pumps_queued_ CRE_GUARDED_BY(mu_) = 0;
+  /// Pumps posted to the pool and not yet returned.
+  std::size_t pumps_in_flight_ CRE_GUARDED_BY(mu_) = 0;
+  CondVar pumps_done_cv_;
   /// Admission accounting (TryAdmit'd query groups only).
   std::size_t active_admitted_ CRE_GUARDED_BY(mu_) = 0;
   std::array<std::uint64_t, 3> admitted_total_ CRE_GUARDED_BY(mu_){{0, 0, 0}};
@@ -153,7 +182,8 @@ class QueryScheduler::Group : public TaskRunner {
 
   void Submit(std::function<void()> task) override;
   /// Waits for this group's tasks only — concurrent queries' tasks and
-  /// background builds do not extend the wait.
+  /// background builds do not extend the wait. Runs this group's queued
+  /// tasks on the calling thread while any remain.
   void Wait() override;
   std::size_t num_threads() const override;
 

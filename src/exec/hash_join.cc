@@ -40,9 +40,8 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
       bytes = calibrator->EstimateBytes(FootprintSite::kHashJoinBuild, rows,
                                         bytes);
     }
-    Status st = budget->Charge(bytes, "hash-join build side");
-    if (!st.ok()) return st;
-    out->charge_ = ScopedCharge(budget, bytes);
+    CRE_RETURN_NOT_OK(
+        out->charge_.Acquire(budget, bytes, "hash-join build side"));
   }
   out->keys_ = KeyTable({col.type()});
   out->keys_.Reserve(rows);

@@ -41,7 +41,7 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
           }();
         }
       },
-      /*min_chunk=*/1);
+      /*grain=*/1);
 
   // Concatenate in morsel order; propagate the first error.
   TablePtr out;
@@ -119,7 +119,6 @@ Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
   // completed morsels from index 0 and their total output rows (guarded
   // by mu). `cutoff` is the first morsel index proven unnecessary: it is
   // set exactly once, when the completed prefix alone covers the limit.
-  std::atomic<std::size_t> next_morsel{0};
   std::atomic<std::size_t> cutoff{num_morsels};
   std::atomic<std::size_t> budget_claimed_floor{0};
   std::mutex mu;
@@ -128,61 +127,53 @@ Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
   bool cut = false;
   std::size_t skipped = 0;
 
-  const std::size_t workers =
-      std::min(options.pool->num_threads(), num_morsels);
-  for (std::size_t w = 0; w < workers; ++w) {
-    options.pool->Submit([&] {
-      for (;;) {
-        const std::size_t m =
-            next_morsel.fetch_add(1, std::memory_order_relaxed);
-        if (m >= num_morsels) return;
-        if (m >= cutoff.load(std::memory_order_acquire)) {
-          std::lock_guard<std::mutex> lock(mu);
-          ++skipped;
-          continue;
-        }
-        // Rows of the completed prefix at claim time precede everything
-        // this morsel emits, so its useful output is capped by the
-        // remaining budget (a monotone floor keeps it race-safe).
-        const std::size_t floor =
-            budget_claimed_floor.load(std::memory_order_relaxed);
-        const std::size_t cap = limit - std::min(limit, floor);
-        if (cap == 0) {
-          // A completed prefix already covers the limit (the cutoff store
-          // may simply not be visible yet); this morsel cannot contribute.
-          std::lock_guard<std::mutex> lock(mu);
-          ++skipped;
-          continue;
-        }
-        if (options.cancel != nullptr && options.cancel->cancelled()) {
-          results[m] = Status::Cancelled("query cancelled mid-morsel-map");
-        } else {
-          results[m] = [&]() -> Result<TablePtr> {
-            CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline,
-                                 build(m, table->Slice(m * morsel, morsel)));
-            return RunPipelineCapped(pipeline.get(), cap);
-          }();
-        }
-        const std::size_t produced =
-            results[m].ok() ? results[m].ValueUnsafe()->num_rows() : 0;
+  // ParallelFor claims one-morsel pieces in ascending order, which the
+  // prefix-complete cutoff relies on.
+  options.pool->ParallelFor(num_morsels, [&](std::size_t m, std::size_t) {
+    if (m >= cutoff.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++skipped;
+      return;
+    }
+    // Rows of the completed prefix at claim time precede everything
+    // this morsel emits, so its useful output is capped by the
+    // remaining budget (a monotone floor keeps it race-safe).
+    const std::size_t floor =
+        budget_claimed_floor.load(std::memory_order_relaxed);
+    const std::size_t cap = limit - std::min(limit, floor);
+    if (cap == 0) {
+      // A completed prefix already covers the limit (the cutoff store
+      // may simply not be visible yet); this morsel cannot contribute.
+      std::lock_guard<std::mutex> lock(mu);
+      ++skipped;
+      return;
+    }
+    if (options.cancel != nullptr && options.cancel->cancelled()) {
+      results[m] = Status::Cancelled("query cancelled mid-morsel-map");
+    } else {
+      results[m] = [&]() -> Result<TablePtr> {
+        CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline,
+                             build(m, table->Slice(m * morsel, morsel)));
+        return RunPipelineCapped(pipeline.get(), cap);
+      }();
+    }
+    const std::size_t produced =
+        results[m].ok() ? results[m].ValueUnsafe()->num_rows() : 0;
 
-        std::lock_guard<std::mutex> lock(mu);
-        completed[m] = 1;
-        rows_of[m] = produced;  // errors count as 0; surfaced at the end
-        while (prefix < num_morsels && completed[prefix]) {
-          prefix_rows += rows_of[prefix];
-          ++prefix;
-        }
-        budget_claimed_floor.store(std::min(limit, prefix_rows),
-                                   std::memory_order_relaxed);
-        if (!cut && prefix_rows >= limit) {
-          cut = true;
-          cutoff.store(prefix, std::memory_order_release);
-        }
-      }
-    });
-  }
-  options.pool->Wait();
+    std::lock_guard<std::mutex> lock(mu);
+    completed[m] = 1;
+    rows_of[m] = produced;  // errors count as 0; surfaced at the end
+    while (prefix < num_morsels && completed[prefix]) {
+      prefix_rows += rows_of[prefix];
+      ++prefix;
+    }
+    budget_claimed_floor.store(std::min(limit, prefix_rows),
+                               std::memory_order_relaxed);
+    if (!cut && prefix_rows >= limit) {
+      cut = true;
+      cutoff.store(prefix, std::memory_order_release);
+    }
+  }, /*grain=*/1);
 
   // Morsels below the cutoff are all complete; later ones are unneeded.
   const std::size_t end = std::min(cutoff.load(), num_morsels);

@@ -126,7 +126,7 @@ TablePtr TakeParallel(const TablePtr& input,
           out->column(c) = input->column(c).Take(order);
         }
       },
-      /*min_chunk=*/1);
+      /*grain=*/1);
   return out;
 }
 
@@ -195,7 +195,7 @@ Result<TablePtr> SortTyped(const TablePtr& input, Span<T> keys,
           }
         }
       },
-      /*min_chunk=*/1);
+      /*grain=*/1);
   const double local_seconds = local_timer.Seconds();
 
   // ---- phase 2: k-way merge of the sorted runs ----
@@ -297,7 +297,7 @@ Result<TablePtr> SortTyped(const TablePtr& input, Span<T> keys,
             }
           }
         },
-        /*min_chunk=*/1);
+        /*grain=*/1);
     if (timings != nullptr) {
       timings->local_sort_seconds = local_seconds;
       timings->merge_seconds = merge_timer.Seconds();

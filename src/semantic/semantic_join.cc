@@ -141,6 +141,9 @@ Status SemanticJoinOperator::BuildRightSide() {
     return Status::OK();
   }
 
+  CRE_RETURN_NOT_OK(right_charge_.Acquire(
+      options_.budget, words.size() * dim * sizeof(float),
+      "semantic join right embed matrix"));
   right_matrix_.resize(words.size() * dim);
   model_->EmbedBatch(words, right_matrix_.data());
 
@@ -169,6 +172,10 @@ Result<TablePtr> SemanticJoinOperator::Next() {
       return Status::TypeError("semantic join left key must be string");
     }
     const auto& words = key->strings();
+    ScopedCharge left_charge;
+    CRE_RETURN_NOT_OK(left_charge.Acquire(options_.budget,
+                                          words.size() * dim * sizeof(float),
+                                          "semantic join left embed matrix"));
     std::vector<float> left_matrix(words.size() * dim);
     model_->EmbedBatch(words, left_matrix.data());
 
@@ -257,6 +264,10 @@ Result<std::vector<MatchPair>> SemanticStringJoin(
     const std::vector<std::string>& right, const EmbeddingModel& model,
     const SemanticJoinOptions& options) {
   const std::size_t dim = model.dim();
+  ScopedCharge charge;
+  CRE_RETURN_NOT_OK(charge.Acquire(
+      options.budget, (left.size() + right.size()) * dim * sizeof(float),
+      "semantic join embed matrices"));
   std::vector<float> lm(left.size() * dim), rm(right.size() * dim);
   model.EmbedBatch(left, lm.data());
   model.EmbedBatch(right, rm.data());

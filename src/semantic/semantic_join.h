@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/cancel.h"
+#include "core/resource_governor.h"
 #include "core/thread_pool.h"
 #include "embed/model_registry.h"
 #include "exec/operator.h"
@@ -109,6 +110,9 @@ struct SemanticJoinOptions {
   /// similar right rows that also clear `threshold` (set threshold to a
   /// very low value for pure k-NN). 0 = plain threshold range join.
   std::size_t top_k = 0;
+  /// The query's memory budget, charged for the embed matrices before
+  /// they are allocated (null charges nothing).
+  QueryBudgetPtr budget;
 };
 
 /// The paper's Semantic Join operator extension (Sec. IV): joins two
@@ -144,6 +148,7 @@ class SemanticJoinOperator : public PhysicalOperator {
   Schema schema_;
   TablePtr build_;
   std::vector<float> right_matrix_;
+  ScopedCharge right_charge_;
   /// Owned (locally built) or shared (IndexManager-served) index.
   std::shared_ptr<const VectorIndex> index_;
   bool opened_ = false;

@@ -15,17 +15,23 @@ namespace {
 /// one EmbedBatch call: on Zipfian corpora this collapses most of the
 /// embedding work, and one call per morsel-sized batch lets batched
 /// backends (and the LRU cache's batched path) amortize. A string stops
-/// scoring at its first matching query.
-std::vector<std::uint32_t> MatchRows(const Column& words,
-                                     const std::vector<float>& queries,
-                                     const EmbeddingModel& model,
-                                     float threshold) {
+/// scoring at its first matching query. The embed matrix is charged to
+/// `budget` while it lives; a breach returns kResourceExhausted.
+Result<std::vector<std::uint32_t>> MatchRows(const Column& words,
+                                             const std::vector<float>& queries,
+                                             const EmbeddingModel& model,
+                                             float threshold,
+                                             const QueryBudgetPtr& budget) {
   const std::size_t dim = model.dim();
   const std::size_t num_queries = queries.size() / dim;
   KeyTable values({DataType::kString});
   std::vector<std::uint32_t> row_to_unique;
   values.FindOrAddRows(words, &row_to_unique);
   const Span<std::string> unique = values.keys()[0].strings();
+  ScopedCharge charge;
+  CRE_RETURN_NOT_OK(charge.Acquire(budget,
+                                   unique.size() * dim * sizeof(float),
+                                   "semantic select embed matrix"));
   std::vector<float> matrix(unique.size() * dim);
   model.EmbedBatch(unique, matrix.data());
 
@@ -61,12 +67,14 @@ SemanticSelectOperator::SemanticSelectOperator(OperatorPtr child,
                                                std::string column,
                                                EmbeddingModelPtr model,
                                                float threshold,
-                                               SharedQueryMatrix queries)
+                                               SharedQueryMatrix queries,
+                                               QueryBudgetPtr budget)
     : child_(std::move(child)),
       column_(std::move(column)),
       model_(std::move(model)),
       threshold_(threshold),
-      queries_(std::move(queries)) {}
+      queries_(std::move(queries)),
+      budget_(std::move(budget)) {}
 
 Status SemanticSelectOperator::Open() {
   CRE_RETURN_NOT_OK(child_->Open());
@@ -89,8 +97,9 @@ Result<TablePtr> SemanticSelectOperator::Next() {
     CRE_ASSIGN_OR_RETURN(TablePtr batch, child_->Next());
     if (batch == nullptr) return TablePtr(nullptr);
     CRE_ASSIGN_OR_RETURN(const Column* col, batch->ColumnByName(column_));
-    const std::vector<std::uint32_t> keep =
-        MatchRows(*col, *queries_, *model_, threshold_);
+    CRE_ASSIGN_OR_RETURN(
+        const std::vector<std::uint32_t> keep,
+        MatchRows(*col, *queries_, *model_, threshold_, budget_));
     if (keep.empty()) continue;
     if (keep.size() == batch->num_rows()) return batch;
     return batch->Take(keep);
@@ -101,7 +110,7 @@ SemanticIndexSelectOperator::SemanticIndexSelectOperator(
     TablePtr table, std::string column, std::string query,
     EmbeddingModelPtr model, float threshold,
     std::shared_ptr<const VectorIndex> index, std::size_t min_row_id,
-    bool exact_verify)
+    bool exact_verify, QueryBudgetPtr budget)
     : table_(std::move(table)),
       column_(std::move(column)),
       query_(std::move(query)),
@@ -109,7 +118,8 @@ SemanticIndexSelectOperator::SemanticIndexSelectOperator(
       threshold_(threshold),
       index_(std::move(index)),
       min_row_id_(min_row_id),
-      exact_verify_(exact_verify) {}
+      exact_verify_(exact_verify),
+      budget_(std::move(budget)) {}
 
 Status SemanticIndexSelectOperator::Open() {
   matches_.clear();
@@ -146,8 +156,11 @@ Status SemanticIndexSelectOperator::Open() {
     // Approximate index scores (quantized ADC distances, graph walks)
     // then only prefilter; they can't keep a row the fallback would drop.
     const Column words = col->Take(matches_);
+    CRE_ASSIGN_OR_RETURN(
+        const std::vector<std::uint32_t> verified,
+        MatchRows(words, query_vec, *model_, threshold_, budget_));
     std::size_t kept = 0;
-    for (std::uint32_t i : MatchRows(words, query_vec, *model_, threshold_)) {
+    for (std::uint32_t i : verified) {
       matches_[kept++] = matches_[i];
     }
     matches_.resize(kept);

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/resource_governor.h"
 #include "embed/model_registry.h"
 #include "exec/operator.h"
 #include "vecsim/vector_index.h"
@@ -31,12 +32,14 @@ SharedQueryMatrix EmbedQueries(const EmbeddingModel& model,
 /// `col ~ 'query'`; several are the executable form of a data-induced
 /// predicate (paper Sec. IV, [23]), whose query set the optimizer derives
 /// from the data of a small join side and pushes below expensive
-/// downstream work.
+/// downstream work. Each batch's embed matrix is charged to `budget`
+/// (null charges nothing) before it is allocated.
 class SemanticSelectOperator : public PhysicalOperator {
  public:
   SemanticSelectOperator(OperatorPtr child, std::string column,
                          EmbeddingModelPtr model, float threshold,
-                         SharedQueryMatrix queries);
+                         SharedQueryMatrix queries,
+                         QueryBudgetPtr budget = nullptr);
 
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -54,6 +57,7 @@ class SemanticSelectOperator : public PhysicalOperator {
   EmbeddingModelPtr model_;
   float threshold_;
   SharedQueryMatrix queries_;
+  QueryBudgetPtr budget_;
 };
 
 /// Index-backed semantic select: instead of embedding and scoring every
@@ -72,7 +76,8 @@ class SemanticSelectOperator : public PhysicalOperator {
 /// index candidate with the exact brute-force dot (embedding the row
 /// strings like the scanning operator does) so approximate probe scores
 /// (e.g. IVF-PQ's quantized distances) can only *narrow* the candidate
-/// set, never admit a row the scanning fallback would have rejected.
+/// set, never admit a row the scanning fallback would have rejected; its
+/// embed matrix is charged to `budget` like the scanning select's.
 class SemanticIndexSelectOperator : public PhysicalOperator {
  public:
   SemanticIndexSelectOperator(TablePtr table, std::string column,
@@ -80,7 +85,8 @@ class SemanticIndexSelectOperator : public PhysicalOperator {
                               float threshold,
                               std::shared_ptr<const VectorIndex> index,
                               std::size_t min_row_id = 0,
-                              bool exact_verify = false);
+                              bool exact_verify = false,
+                              QueryBudgetPtr budget = nullptr);
 
   const Schema& output_schema() const override { return table_->schema(); }
   Status Open() override;
@@ -100,6 +106,7 @@ class SemanticIndexSelectOperator : public PhysicalOperator {
   std::shared_ptr<const VectorIndex> index_;
   std::size_t min_row_id_;
   bool exact_verify_;
+  QueryBudgetPtr budget_;
   /// Matching row ids in ascending order (same order a scan would emit).
   std::vector<std::uint32_t> matches_;
   std::size_t next_ = 0;

@@ -63,7 +63,7 @@ std::vector<MatchPair> SimilarityJoinBrute(const float* left,
         std::lock_guard<std::mutex> lock(merge_mu);
         matches.insert(matches.end(), local.begin(), local.end());
       },
-      /*min_chunk=*/64);
+      /*grain=*/64);
   return matches;
 }
 

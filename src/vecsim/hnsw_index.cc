@@ -1,7 +1,6 @@
 #include "vecsim/hnsw_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 
@@ -46,32 +45,6 @@ bool Cancelled(const CancelFlag* cancel) {
 /// other probe pays for this beam and a full ef_search one, so the saving
 /// depends on how many probes straddle the edge.
 constexpr std::size_t kRangeSeedBeam = 16;
-
-/// Runs fn(begin, end) over [0, n) in pieces of `grain` items that the
-/// pool's workers and the calling thread pull from one shared counter,
-/// then waits for the workers. The caller would otherwise sit idle in
-/// ParallelFor's Wait, and pulling balances uneven items. Results may
-/// depend only on the items, never on which thread ran them.
-void FanOut(TaskRunner* pool, std::size_t n, std::size_t grain,
-            const std::function<void(std::size_t, std::size_t)>& fn) {
-  const std::size_t pieces = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->num_threads() <= 1 || pieces <= 1) {
-    fn(0, n);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(grain);
-      if (begin >= n) return;
-      fn(begin, std::min(n, begin + grain));
-    }
-  };
-  const std::size_t helpers = std::min(pool->num_threads(), pieces - 1);
-  for (std::size_t t = 0; t < helpers; ++t) pool->Submit(drain);
-  drain();
-  pool->Wait();
-}
 
 /// Neighbor selection scores a candidate against this many kept
 /// neighbors per gather-batch call. Scoring all of them at once would
@@ -224,7 +197,11 @@ Status HnswIndex::InsertFrom(std::uint32_t first) {
         plans[j] = PlanInsert(id, levels_[id], cur, &scratch);
       }
     };
-    FanOut(options_.build_pool, batch, /*grain=*/1, plan_range);
+    if (options_.build_pool != nullptr) {
+      options_.build_pool->ParallelFor(batch, plan_range, /*grain=*/1);
+    } else {
+      plan_range(0, batch);
+    }
     ApplyBatch(cur, batch, &plans);
     cur += static_cast<std::uint32_t>(batch);
   }
@@ -334,8 +311,12 @@ void HnswIndex::ApplyBatch(std::uint32_t first, std::size_t count,
                hi - lo, &scratch);
     }
   };
-  FanOut(options_.build_pool, group_starts.size() - 1, /*grain=*/16,
-         apply_groups);
+  const std::size_t groups = group_starts.size() - 1;
+  if (options_.build_pool != nullptr) {
+    options_.build_pool->ParallelFor(groups, apply_groups, /*grain=*/16);
+  } else {
+    apply_groups(0, groups);
+  }
 
   // Entry-point handover in id order, exactly as sequential inserts
   // would have done it.

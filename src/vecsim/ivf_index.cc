@@ -84,7 +84,7 @@ Status IvfIndex::Build(const float* data, std::size_t n, std::size_t dim) {
       }
     };
     if (build_pool_ != nullptr && build_pool_->num_threads() > 1) {
-      build_pool_->ParallelFor(count, range, /*min_chunk=*/256);
+      build_pool_->ParallelFor(count, range, /*grain=*/256);
     } else {
       range(0, count);
     }

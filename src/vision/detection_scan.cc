@@ -7,6 +7,12 @@
 
 namespace cre {
 
+namespace {
+/// Images per fan-out piece: small enough that a third thread shortens
+/// a batch, large enough to amortize one counter claim.
+constexpr std::size_t kImagesPerTask = 8;
+}  // namespace
+
 DetectionScanOperator::DetectionScanOperator(const ImageStore* store,
                                              const ObjectDetector* detector,
                                              ExprPtr predicate,
@@ -58,44 +64,34 @@ Result<TablePtr> DetectionScanOperator::Next() {
     if (offset_ >= qualifying_.size()) return TablePtr(nullptr);
     const std::size_t end =
         std::min(qualifying_.size(), offset_ + images_per_batch_);
-    auto out = Table::Make(schema_);
+    // Inference fans out in small pieces the workers and this thread
+    // pull; pieces concatenate in image order, so the output matches the
+    // serial scan row for row.
     const std::size_t count = end - offset_;
-    if (pool_ != nullptr && pool_->num_threads() > 1 && count >= 8) {
-      // Fan inference out over the workers; shards concatenate in image
-      // order so the output matches the serial scan row for row.
-      const std::size_t shards = std::min(count, pool_->num_threads() * 2);
-      const std::size_t per = (count + shards - 1) / shards;
-      std::vector<TablePtr> parts((count + per - 1) / per);
-      for (std::size_t p = 0; p < parts.size(); ++p) {
-        const std::size_t begin = offset_ + p * per;
-        const std::size_t stop = std::min(end, begin + per);
-        pool_->Submit([this, p, begin, stop, &parts] {
-          auto shard = Table::Make(schema_);
-          for (std::size_t i = begin; i < stop; ++i) {
-            // Inference dominates per-image cost, so stop between images
-            // rather than waiting out the shard; partial shards are
-            // discarded with the cancelled status below.
-            if (cancel_ != nullptr && cancel_->cancelled()) break;
-            detector_->DetectInto(store_->image(qualifying_[i]),
-                                  shard.get());
-          }
-          parts[p] = std::move(shard);
-        });
+    std::vector<TablePtr> parts((count + kImagesPerTask - 1) /
+                                kImagesPerTask);
+    auto detect = [&](std::size_t begin, std::size_t stop) {
+      auto part = Table::Make(schema_);
+      for (std::size_t i = begin; i < stop; ++i) {
+        // Inference dominates per-image cost, so stop between images;
+        // partial pieces are discarded with the cancelled status below.
+        if (cancel_ != nullptr && cancel_->cancelled()) break;
+        detector_->DetectInto(store_->image(qualifying_[offset_ + i]),
+                              part.get());
       }
-      pool_->Wait();
-      if (cancel_ != nullptr && cancel_->cancelled()) {
-        return Status::Cancelled("detect scan cancelled");
-      }
-      for (const auto& part : parts) {
-        CRE_RETURN_NOT_OK(out->AppendTable(*part));
-      }
+      parts[begin / kImagesPerTask] = std::move(part);
+    };
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(count, detect, kImagesPerTask);
     } else {
-      for (std::size_t i = offset_; i < end; ++i) {
-        if (cancel_ != nullptr && cancel_->cancelled()) {
-          return Status::Cancelled("detect scan cancelled");
-        }
-        detector_->DetectInto(store_->image(qualifying_[i]), out.get());
-      }
+      detect(0, count);
+    }
+    if (cancel_ != nullptr && cancel_->cancelled()) {
+      return Status::Cancelled("detect scan cancelled");
+    }
+    auto out = Table::Make(schema_);
+    for (const auto& part : parts) {
+      if (part != nullptr) CRE_RETURN_NOT_OK(out->AppendTable(*part));
     }
     offset_ = end;
     if (post_predicate_ != nullptr) {

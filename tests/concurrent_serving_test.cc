@@ -4,9 +4,13 @@
 // table inside one query even while a writer replaces it mid-flight
 // (QueryContext snapshot pinning), (4) serve cold semantic queries
 // through the brute-force fallback while the managed index builds in the
-// background, and (5) unwind cooperatively when cancelled. All of this
-// runs under TSan in CI like the other parallel tests.
+// background, and (5) unwind cooperatively when cancelled. The scheduler
+// tests below also pin (6) helping waits: a waiting driver runs only its
+// own group's queued tasks, and the scheduler outlives the pumps those
+// tasks leave behind; and (7) ParallelFor's exactly-once coverage. All of
+// this runs under TSan in CI like the other parallel tests.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -16,6 +20,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -509,6 +514,140 @@ TEST_F(ConcurrentServingTest, SchedulerPriorityAndFairness) {
   // while other groups still have queued work.
   auto idle = scheduler.Admit(QueryPriority::kNormal);
   idle->Wait();  // must not hang
+}
+
+/// A one-shot gate: tasks block in Pass() until Open().
+class Latch {
+ public:
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Occupies the pool's one worker until `latch` opens; returns once the
+/// worker is inside the task.
+void HoldWorker(TaskRunner* runner, Latch* started, Latch* latch) {
+  runner->Submit([started, latch] {
+    started->Open();
+    latch->Pass();
+  });
+  started->Pass();
+}
+
+TEST(HelpingWaitTest, WaiterRunsOnlyItsOwnGroupsTasks) {
+  ThreadPool pool(1);
+  QueryScheduler scheduler(&pool);
+  auto holder = scheduler.Admit(QueryPriority::kNormal);
+  auto a = scheduler.Admit(QueryPriority::kNormal);
+  auto b = scheduler.Admit(QueryPriority::kNormal);
+  Latch started, latch;
+  HoldWorker(holder.get(), &started, &latch);
+
+  std::atomic<int> b_ran{0};
+  b->Submit([&] { b_ran.fetch_add(1); });
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 8; ++i) {
+    a->Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+  }
+  // The only worker is held, so A's tasks can finish only on this thread,
+  // and B's task, though queued ahead of them, must not run here.
+  a->Wait();
+  ASSERT_EQ(ran_on.size(), 8u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(a->counters().tasks_dispatched, 8u);
+  EXPECT_EQ(b->counters().tasks_dispatched, 0u);
+  EXPECT_EQ(b_ran.load(), 0);
+  EXPECT_EQ(scheduler.pending_tasks(), 1u);
+
+  // Once the worker is free, a leftover pump runs B's task.
+  latch.Open();
+  holder->Wait();
+  b->Wait();
+  EXPECT_EQ(b_ran.load(), 1);
+  EXPECT_EQ(b->counters().tasks_dispatched, 1u);
+  EXPECT_EQ(scheduler.pending_tasks(), 0u);
+}
+
+TEST(HelpingWaitTest, SchedulerOutlivesPumpsOfTasksItsDriverRan) {
+  auto pool = std::make_unique<ThreadPool>(1);
+  auto scheduler = std::make_unique<QueryScheduler>(pool.get());
+  Latch started, latch;
+  HoldWorker(pool.get(), &started, &latch);
+  {
+    auto group = scheduler->Admit(QueryPriority::kNormal);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 8; ++i) group->Submit([&] { ran.fetch_add(1); });
+    group->Wait();
+    EXPECT_EQ(ran.load(), 8);
+    EXPECT_EQ(group->counters().tasks_dispatched, 8u);
+  }
+  // The driver ran all 8 tasks; their 8 pumps still queue behind the held
+  // worker and capture the scheduler. ~QueryScheduler must wait for them
+  // (under ASan a scheduler freed first is a heap-use-after-free here).
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    latch.Open();
+  });
+  scheduler.reset();
+  opener.join();
+  pool.reset();
+}
+
+TEST(ParallelForTest, CoversEveryItemOnceInGrainAlignedPieces) {
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    QueryScheduler scheduler(&pool);
+    auto group = scheduler.Admit(QueryPriority::kNormal);
+    for (TaskRunner* runner : {static_cast<TaskRunner*>(&pool),
+                               static_cast<TaskRunner*>(group.get())}) {
+      const std::vector<std::pair<std::size_t, std::size_t>> cases = {
+          {0, 4}, {1, 4}, {3, 4}, {4, 4}, {5, 4},
+          {10, 1024}, {1000, 1}, {1000, 7}};
+      for (const auto& [n, grain] : cases) {
+        std::vector<std::atomic<int>> hits(n);
+        for (auto& h : hits) h.store(0);
+        std::atomic<std::size_t> calls{0};
+        std::atomic<std::size_t> misaligned{0};
+        runner->ParallelFor(
+            n,
+            [&](std::size_t begin, std::size_t end) {
+              calls.fetch_add(1);
+              if (begin % grain != 0 || end != std::min(n, begin + grain)) {
+                misaligned.fetch_add(1);
+              }
+              for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+            },
+            grain);
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " n=" + std::to_string(n) +
+                                  " grain=" + std::to_string(grain);
+        EXPECT_EQ(calls.load(), (n + grain - 1) / grain) << where;
+        EXPECT_EQ(misaligned.load(), 0u) << where;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << where << " item " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -366,12 +366,15 @@ TEST(GovernorTest, IndexBuildBreachDegradesToScanningFallback) {
 
   // Governed engine whose ceiling the build's embed matrix (500 * 64 * 4
   // bytes) cannot fit: the managed build fails with kResourceExhausted
-  // and the select silently degrades to the scanning fallback.
+  // and the select silently degrades to the scanning fallback. The
+  // fallback's per-morsel embed matrices are charged too; 32-row morsels
+  // keep each at 32 * 64 * 4 bytes, so the three threads' fit.
   EngineOptions eo;
   eo.num_threads = 2;
+  eo.morsel_rows = 32;
   eo.index.enabled = true;
   eo.index.async_builds = false;
-  eo.governor.engine_memory_bytes = 16 * 1024;
+  eo.governor.engine_memory_bytes = 64 * 1024;
   Engine engine(eo);
   engine.models().Put("m", model);
   engine.catalog().Put("t", table);
@@ -418,6 +421,9 @@ TEST(GovernorTest, IndexRefreshBreachDegradesToScanningFallback) {
   eo.num_threads = 2;
   eo.index.enabled = true;
   eo.index.async_builds = false;
+  // The scanning fallback's per-morsel embed matrices (32 * 64 * 4 bytes
+  // each, one per thread) fit under the ceiling.
+  eo.morsel_rows = 32;
   eo.governor.engine_memory_bytes = 32 * 1024;
   Engine engine(eo);
   engine.models().Put("m", model);
@@ -441,6 +447,49 @@ TEST(GovernorTest, IndexRefreshBreachDegradesToScanningFallback) {
   EXPECT_GE(stats.build_failures, 1u);
   EXPECT_GE(engine.governor()->breaches(), 2u);
   EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+}
+
+TEST(GovernorTest, SemanticEmbedMatricesChargeTheQueryBudget) {
+  // The semantic join's build-side matrix (300 * 64 * 4 bytes), its
+  // per-batch probe matrix (200 * 64 * 4) and the scanning select's
+  // per-batch matrix (200 * 64 * 4) are charged before they are
+  // allocated: a budget that fits none of them (but does fit the 256-byte
+  // query embed matrix) fails the query with kResourceExhausted, and the
+  // breach leaves nothing charged.
+  auto model = std::make_shared<HashEmbeddingModel>(
+      HashEmbeddingModel::Options{64});
+  EngineOptions eo;
+  eo.num_threads = 2;
+  eo.index.enabled = false;
+  Engine engine(eo);
+  engine.models().Put("m", model);
+  engine.catalog().Put("l", MakeWordTable(200, "w_"));
+  engine.catalog().Put("r", MakeWordTable(300, "w_"));
+
+  QueryBuilder right(&engine);
+  right.Scan("r");
+  QueryBuilder join(&engine);
+  join.Scan("l").SemanticJoinWith(right, "word", "word", "m", 0.9f);
+  QueryBuilder select(&engine);
+  select.Scan("l").SemanticSelect("word", "w_7", "m", 0.8f);
+
+  QueryOptions tight;
+  tight.memory_budget_bytes = 16 * 1024;
+  for (const PlanPtr& plan : {join.plan(), select.plan()}) {
+    auto result = engine.Execute(plan, tight);
+    ASSERT_FALSE(result.ok()) << PlanKindName(plan->kind);
+    EXPECT_TRUE(result.status().IsResourceExhausted())
+        << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("embed matrix"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+
+    auto full = engine.Execute(plan, QueryOptions{});
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    EXPECT_GT(full.ValueOrDie()->num_rows(), 0u);
+    EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+  }
 }
 
 // ---- bounded admission ----

@@ -32,6 +32,13 @@ they span files or encode project policy:
                    (std::make_* never spells `new`, so any surviving `new`
                    is either wrapped in place or a leak waiting to happen).
 
+  fan-out          no `Submit(` outside src/core/, src/engine/scheduler.*
+                   and src/index/index_manager.cc (the index manager's
+                   background jobs). Parallel work goes through
+                   TaskRunner::ParallelFor, where the calling thread pulls
+                   pieces too; a hand-written Submit loop + Wait leaves it
+                   idle.
+
 Waivers: a finding of rule R at line L is waived when a comment
 
     // cre-lint: allow(R): <reason>
@@ -77,6 +84,12 @@ SMART_WRAP_RE = re.compile(
     r"(?:std::(?:unique_ptr|shared_ptr)\s*<[^;]*>\s*\w*\s*\(\s*new"
     r"|\.reset\s*\(\s*new\b)"
 )
+
+# Files that may enqueue tasks directly: the runners themselves and the
+# index manager's background build / persist jobs.
+SUBMIT_RE = re.compile(r"\bSubmit\s*\(")
+SUBMIT_OWNERS = ("src/core/", "src/engine/scheduler.h",
+                 "src/engine/scheduler.cc", "src/index/index_manager.cc")
 
 LINE_COMMENT_RE = re.compile(r"//(?!\s*cre-lint:).*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -231,8 +244,27 @@ def check_ownership(root):
     return findings
 
 
+def check_fan_out(root):
+    findings = []
+    for rel in source_files(root, "src"):
+        norm = rel.replace(os.sep, "/")
+        if norm.startswith(SUBMIT_OWNERS):
+            continue
+        lines = read_lines(root, rel)
+        waivers = file_waivers(lines)
+        for i, raw in enumerate(lines, start=1):
+            if SUBMIT_RE.search(strip_noise(raw)) and not waived(
+                    waivers, "fan-out", i):
+                findings.append(Finding(
+                    "fan-out", rel, i,
+                    "Submit( outside the task runners — fan out with "
+                    "TaskRunner::ParallelFor, or waive with a reason"))
+    return findings
+
+
 CHECKS = {
     "chaos-coverage": check_chaos_coverage,
+    "fan-out": check_fan_out,
     "cancel-poll": check_cancel_poll,
     "metric-name": check_metric_names,
     "ownership": check_ownership,  # raw-thread + naked-new

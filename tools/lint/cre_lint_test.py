@@ -168,6 +168,26 @@ class OwnershipTest(LintFixture):
         self.assertEqual(self.run_lint("ownership"), 0)
 
 
+class FanOutTest(LintFixture):
+    def test_parallel_for_and_runner_files_pass(self):
+        self.seed_minimal_repo()
+        self.write("src/exec/clean.cc",
+                   "pool->ParallelFor(n, fn, /*grain=*/1);\n"
+                   "// Submit(task) in prose is fine\n")
+        self.write("src/core/thread_pool.cc", "Submit(drain);\n")
+        self.write("src/engine/scheduler.cc", "pool_->Submit(pump);\n")
+        self.write("src/index/index_manager.cc",
+                   "background_runner_->Submit(job);\n")
+        self.assertEqual(self.run_lint("fan-out"), 0)
+
+    def test_submit_loop_outside_runners_fails(self):
+        self.seed_minimal_repo()
+        self.write("src/vision/bad.cc",
+                   "for (auto& s : shards) pool_->Submit(s);\n"
+                   "pool_->Wait();\n")
+        self.assertEqual(self.run_lint("fan-out"), 1)
+
+
 class RealRepoTest(unittest.TestCase):
     """The linter must be clean on the repo it ships in."""
 

@@ -27,11 +27,11 @@
 #include "baseline/interpreted_join.h"
 #include "bench/bench_util.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "core/timer.h"
 #include "datagen/corpus.h"
 #include "datagen/vocabulary.h"
 #include "embed/structured_model.h"
+#include "engine/scheduler.h"
 #include "vecsim/brute_force.h"
 
 namespace cre {
@@ -188,7 +188,8 @@ void RunFigure4() {
               100.0 * left_pass.size() / n, 100.0 * right_pass.size() / n);
 
   std::vector<RungResult> rungs;
-  ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  QueryScheduler scheduler(std::max(1u, std::thread::hardware_concurrency()));
+  auto pool = scheduler.Admit();
 
   // ---- rung A: interpreted, eager ----
   {
@@ -255,12 +256,12 @@ void RunFigure4() {
   struct CompiledRung {
     const char* name;
     KernelVariant variant;
-    ThreadPool* pool;
+    TaskRunner* pool;
   };
   const CompiledRung compiled[] = {
       {"D + compiled (C++ scalar)", KernelVariant::kScalar, nullptr},
       {"E + SIMD (AVX2)", KernelVariant::kAvx2, nullptr},
-      {"F + parallel (all cores)", KernelVariant::kAvx2, &pool},
+      {"F + parallel (all cores)", KernelVariant::kAvx2, pool.get()},
   };
   for (const auto& c : compiled) {
     RungResult r;

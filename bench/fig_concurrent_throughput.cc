@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "fig_concurrent_throughput: QPS + latency vs concurrent clients\n"
       "engine dop=" +
-      std::to_string(engine.pool()->num_threads()) + ", rows=" +
+      std::to_string(engine.scheduler()->num_threads()) + ", rows=" +
       std::to_string(rows) + ", queries/client=" + std::to_string(queries));
 
   std::printf("%-10s %8s %10s %10s %12s %12s\n", "workload", "clients",

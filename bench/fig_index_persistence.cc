@@ -48,10 +48,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/thread_pool.h"
 #include "core/timer.h"
 #include "embed/hash_embedding_model.h"
 #include "engine/engine.h"
+#include "engine/scheduler.h"
 #include "index/index_manager.h"
 #include "plan/plan_node.h"
 #include "storage/catalog.h"
@@ -201,9 +201,10 @@ bool Run(bench::JsonReport* json) {
   const TablePtr base = MakeWordTable(rows, distinct, "item_");
   const RefreshTimes serial =
       TimeRefresh(base, batch, models, IndexManagerOptions{}, key);
-  ThreadPool pool(2);
+  QueryScheduler scheduler(2);
+  auto pool = scheduler.Admit();
   IndexManagerOptions pooled_options;
-  pooled_options.hnsw.build_pool = &pool;
+  pooled_options.hnsw.build_pool = pool.get();
   const RefreshTimes pooled =
       TimeRefresh(base, batch, models, pooled_options, key);
   const std::size_t rebuilt_values = std::min(rows, distinct) + new_values;

@@ -35,10 +35,10 @@
 
 #include "bench/bench_util.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "core/timer.h"
 #include "embed/hash_embedding_model.h"
 #include "engine/engine.h"
+#include "engine/scheduler.h"
 #include "exec/aggregate.h"
 #include "optimizer/cost_model.h"
 #include "plan/plan_node.h"
@@ -179,9 +179,10 @@ bool RunParallelTails(bench::JsonReport* json) {
     workloads[2].seconds.push_back(TimeExecute(&engine, agg_plan));
     workloads[3].seconds.push_back(TimeExecute(&engine, topk_plan));
 
-    ThreadPool pool(threads);
+    QueryScheduler scheduler(threads);
+    auto pool = scheduler.Admit();
     HnswOptions ho;
-    if (threads > 1) ho.build_pool = &pool;
+    if (threads > 1) ho.build_pool = pool.get();
     double best = 1e300;
     for (int rep = 0; rep < 2; ++rep) {
       auto index = std::make_unique<HnswIndex>(ho);

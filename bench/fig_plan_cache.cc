@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "fig_plan_cache: planning overhead + cached vs uncached serving\n"
       "engine dop=" +
-      std::to_string(cached->pool()->num_threads()) + ", rows=" +
+      std::to_string(cached->scheduler()->num_threads()) + ", rows=" +
       std::to_string(rows) + ", queries/client=" + std::to_string(queries));
 
   // --- cached vs uncached serving at 1/2/4/8 clients -------------------

@@ -26,9 +26,7 @@ Engine::Engine(EngineOptions options) : options_(options) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  pool_ = std::make_unique<ThreadPool>(threads);
-  scheduler_ =
-      std::make_unique<QueryScheduler>(pool_.get(), options_.admission);
+  scheduler_ = std::make_unique<QueryScheduler>(threads, options_.admission);
   background_group_ = scheduler_->Admit(QueryPriority::kBackground);
   governor_ = std::make_unique<ResourceGovernor>(options_.governor);
   reaper_ = std::make_unique<DeadlineReaper>();
@@ -39,10 +37,10 @@ Engine::Engine(EngineOptions options) : options_(options) {
   // Cold managed HNSW builds requested synchronously (GetOrBuild from a
   // driver thread) fan their canonical batched construction out through
   // the background group: group-scoped Wait keeps concurrent queries'
-  // barriers independent (a raw pool Wait would couple every admitted
-  // query), and background priority keeps build tasks behind query
-  // morsels. Asynchronous background builds override this to a serial
-  // build inside their single task (see IndexManager::BuildIndex).
+  // barriers independent, and background priority keeps build tasks
+  // behind query morsels. Asynchronous background builds override this
+  // to a serial build inside their single task (see
+  // IndexManager::BuildIndex).
   if (options_.index.hnsw.build_pool == nullptr && threads > 1) {
     options_.index.hnsw.build_pool = background_group_.get();
   }
@@ -61,10 +59,10 @@ void Engine::RegisterCollectors() {
   // cre_* namespace: the subsystems keep their internal structs; the
   // registry reads them at snapshot time.
   metrics_->AddCollector([this](MetricsRegistry::Emitter* e) {
-    // Serving layer. The engine's permanent background group is not a
-    // query.
+    // Serving layer.
+    const AdmissionStats adm = scheduler_->admission_stats();
     e->Gauge("cre_scheduler_active_queries", {},
-             static_cast<double>(scheduler_->active_queries() - 1));
+             static_cast<double>(adm.active_admitted));
     e->Gauge("cre_scheduler_pending_tasks", {},
              static_cast<double>(scheduler_->pending_tasks()));
 
@@ -91,7 +89,6 @@ void Engine::RegisterCollectors() {
     e->Counter("cre_index_adoptions_total", {}, index_adoptions());
 
     // Admission control.
-    const AdmissionStats adm = scheduler_->admission_stats();
     for (int c = 0; c < 3; ++c) {
       const char* cls = QueryPriorityName(static_cast<QueryPriority>(c));
       e->Counter("cre_admission_admitted_total", {{"class", cls}},
@@ -191,10 +188,10 @@ void Engine::RegisterCollectors() {
 }
 
 Engine::~Engine() {
-  // Drain the pool before any member it feeds is destroyed: queued
-  // scheduler pumps and background index builds touch scheduler_,
-  // index_manager_, catalog_, and models_.
-  pool_.reset();
+  // Finish background index builds and refreshes before any member they
+  // touch (index_manager_, governor_, catalog_, models_) is destroyed;
+  // the members are then destroyed with nothing queued.
+  background_group_->Wait();
 }
 
 Result<QueryContext> Engine::MakeContext(const QueryOptions& query,
@@ -242,7 +239,7 @@ Result<QueryContext> Engine::MakeContext(const QueryOptions& query,
 OptimizerOptions Engine::EffectiveOptimizerOptions() const {
   OptimizerOptions options = options_.optimizer;
   if (options.degree_of_parallelism == 0) {
-    options.degree_of_parallelism = pool_->num_threads();
+    options.degree_of_parallelism = scheduler_->num_threads();
   }
   if (options_.index.async_builds &&
       options.background_build_discount >= 1.0) {
@@ -675,14 +672,13 @@ Result<std::string> Engine::Explain(const PlanPtr& plan) {
   // Append the parallel driver's routing (per-pipeline degree of
   // parallelism and scheduling mode) plus the serving-layer state the
   // query would be admitted into.
-  const std::size_t dop = pool_->num_threads();
+  const std::size_t dop = scheduler_->num_threads();
   const IndexManager::Stats index_stats = index_manager_->stats();
   std::string out =
       optimized->ToString() + "plan: " + plan_origin + "\n\n" +
       DescribePipelines(*optimized, dop,
                         options_.optimizer.radix_agg_min_groups);
-  // The engine's own permanent background group is not a query.
-  const std::size_t active = scheduler_->active_queries() - 1;
+  const std::size_t active = scheduler_->admission_stats().active_admitted;
   out += "serving: scheduler dop=" + std::to_string(dop) +
          ", active queries=" + std::to_string(active) +
          ", pending tasks=" + std::to_string(scheduler_->pending_tasks()) +
@@ -774,7 +770,7 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
       RunTracked(&ctx, plan, /*optimize=*/true, "explain_analyze", &run));
   const std::size_t rows = table->num_rows();
 
-  const std::size_t dop = pool_->num_threads();
+  const std::size_t dop = scheduler_->num_threads();
   std::string out;
   char head[96];
   std::snprintf(head, sizeof(head),

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/resource_governor.h"
-#include "core/thread_pool.h"
 #include "embed/model_registry.h"
 #include "engine/query_context.h"
 #include "engine/scheduler.h"
@@ -101,8 +100,8 @@ struct EngineOptions {
 /// thread-safe. Each call admits a QueryContext — a pinned catalog
 /// snapshot plus a QueryScheduler group — then optimizes, lowers, and
 /// drives the plan entirely against that context. Concurrent queries
-/// interleave their morsel tasks fairly on the shared pool (round-robin
-/// within a priority class, strict across classes) and produce
+/// interleave their morsel tasks fairly on the scheduler's workers
+/// (round-robin within a priority class, strict across classes) and produce
 /// byte-identical results to running them serially; background index
 /// builds run at the lowest priority and never block a query.
 class Engine {
@@ -118,8 +117,8 @@ class Engine {
   DetectorRegistry& detectors() { return detectors_; }
   const DetectorRegistry& detectors() const { return detectors_; }
 
-  ThreadPool* pool() { return pool_.get(); }
-  /// The fair multi-query task scheduler all admitted queries run on.
+  /// The fair multi-query task scheduler and worker pool every admitted
+  /// query and background index job runs on.
   QueryScheduler* scheduler() { return scheduler_.get(); }
   /// The engine's persistent vector-index subsystem (never null; its use
   /// is gated by options().index.enabled).
@@ -167,11 +166,11 @@ class Engine {
   }
 
   /// Optimizes and executes a logical plan through the morsel-driven
-  /// driver at the pool's degree of parallelism (at dop 1 every pipeline
-  /// runs on the calling thread). `query` carries the per-call admission
-  /// knobs: priority class, deadline, memory budget and an optional
-  /// cooperative cancellation handle. Safe to call from many threads at
-  /// once; each call is admitted as an independent query.
+  /// driver at the scheduler's degree of parallelism (at dop 1 every
+  /// pipeline runs on the calling thread). `query` carries the per-call
+  /// admission knobs: priority class, deadline, memory budget and an
+  /// optional cooperative cancellation handle. Safe to call from many
+  /// threads at once; each call is admitted as an independent query.
   Result<TablePtr> Execute(const PlanPtr& plan, const QueryOptions& query = {});
 
   /// Executes the plan exactly as written (the "analyst's hand-rolled
@@ -297,22 +296,22 @@ class Engine {
   PlanCache::AbsentProbe PlanCacheAbsentProbe() const;
   /// Per-query optimizer over ctx's pinned snapshot.
   Optimizer MakeOptimizerFor(QueryContext* ctx) const;
-  /// Engine-level optimizer options with the pool's dop and the async
-  /// build discount filled in (shared by MakeOptimizer/MakeOptimizerFor
+  /// Engine-level optimizer options with the scheduler's dop and the
+  /// async build discount filled in (shared by MakeOptimizer/MakeOptimizerFor
   /// so EXPLAIN and Execute agree on plans).
   OptimizerOptions EffectiveOptimizerOptions() const;
   /// Executes a (possibly optimized) plan through the morsel-driven
-  /// parallel driver at the pool's degree of parallelism.
+  /// parallel driver at the scheduler's degree of parallelism.
   Result<TablePtr> RunPhysical(QueryContext* ctx, const PlanPtr& plan);
 
   EngineOptions options_;
   Catalog catalog_;
   ModelRegistry models_;
   DetectorRegistry detectors_;
-  /// Destruction order matters: ~Engine drains pool_ first, so scheduler
-  /// pumps and background index builds finish while everything they
-  /// touch (scheduler_, index_manager_, catalog_, models_) is alive.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Destruction order matters: ~Engine waits on background_group_, so
+  /// background index jobs finish while everything they touch is alive;
+  /// index_manager_, then the group, then the scheduler (which joins its
+  /// workers) are destroyed after it with nothing queued.
   std::unique_ptr<QueryScheduler> scheduler_;
   /// Long-lived background-priority group for IndexManager builds.
   std::shared_ptr<QueryScheduler::Group> background_group_;
@@ -320,8 +319,8 @@ class Engine {
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<TraceRing> traces_;
   /// Engine-wide memory accounting; IndexManager and per-query budgets
-  /// charge against it (safe at destruction: ~Engine drains pool_ first,
-  /// so no build task outlives the governor).
+  /// charge against it (safe at destruction: ~Engine waits on
+  /// background_group_ first, so no build task outlives the governor).
   std::unique_ptr<ResourceGovernor> governor_;
   std::unique_ptr<DeadlineReaper> reaper_;
   std::unique_ptr<PlanCache> plan_cache_;

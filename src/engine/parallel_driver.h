@@ -5,7 +5,7 @@
 #include <map>
 #include <memory>
 
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "engine/engine.h"
 #include "engine/query_context.h"
 #include "exec/hash_join.h"

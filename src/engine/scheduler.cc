@@ -1,5 +1,6 @@
 #include "engine/scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace cre {
@@ -49,12 +50,23 @@ struct QueryScheduler::GroupState {
   SchedulingCounters counters;
 };
 
-QueryScheduler::QueryScheduler(ThreadPool* pool, AdmissionOptions admission)
-    : pool_(pool), admission_(admission) {}
+QueryScheduler::QueryScheduler(std::size_t num_threads,
+                               AdmissionOptions admission)
+    : admission_(admission) {
+  num_threads = std::max<std::size_t>(1, num_threads);
+  workers_.reserve(num_threads);
+  for (std::size_t i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+}
 
 QueryScheduler::~QueryScheduler() {
-  MutexLock lock(mu_);
-  while (pumps_in_flight_ != 0) pumps_done_cv_.Wait(lock);
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.NotifyAll();
+  for (auto& worker : workers_) worker.join();
 }
 
 std::shared_ptr<QueryScheduler::Group> QueryScheduler::MakeGroup(
@@ -68,10 +80,6 @@ std::shared_ptr<QueryScheduler::Group> QueryScheduler::MakeGroup(
 
 std::shared_ptr<QueryScheduler::Group> QueryScheduler::Admit(
     QueryPriority priority) {
-  {
-    MutexLock lock(mu_);
-    ++active_groups_;
-  }
   return MakeGroup(priority, /*counts_as_query=*/false);
 }
 
@@ -97,7 +105,6 @@ Result<std::shared_ptr<QueryScheduler::Group>> QueryScheduler::TryAdmit(
             std::to_string(class_limit));
       }
     }
-    ++active_groups_;
     ++active_admitted_;
     ++admitted_total_[cls];
   }
@@ -111,11 +118,6 @@ AdmissionStats QueryScheduler::admission_stats() const {
   stats.shed = shed_total_;
   stats.active_admitted = active_admitted_;
   return stats;
-}
-
-std::size_t QueryScheduler::active_queries() const {
-  MutexLock lock(mu_);
-  return active_groups_;
 }
 
 std::size_t QueryScheduler::pending_tasks() const {
@@ -167,13 +169,17 @@ void QueryScheduler::FinishTaskLocked(GroupState* state) {
   if (--state->outstanding == 0) state->done_cv.NotifyAll();
 }
 
-void QueryScheduler::Pump() {
-  std::function<void()> task;
-  std::shared_ptr<GroupState> state;
-  Clock::time_point enqueued;
+void QueryScheduler::WorkerLoop() {
   MutexLock lock(mu_);
-  --pumps_queued_;
-  if (PopNextLocked(&task, &state, &enqueued)) {
+  for (;;) {
+    std::function<void()> task;
+    std::shared_ptr<GroupState> state;
+    Clock::time_point enqueued;
+    if (!PopNextLocked(&task, &state, &enqueued)) {
+      if (stop_) return;
+      work_cv_.Wait(lock);
+      continue;
+    }
     CountDispatchLocked(state.get(), enqueued);
     lock.Unlock();
     task();
@@ -181,9 +187,6 @@ void QueryScheduler::Pump() {
     lock.Lock();
     FinishTaskLocked(state.get());
   }
-  // The last touch of the scheduler: ~QueryScheduler may run as soon as
-  // the count reaches zero and the lock is released.
-  if (--pumps_in_flight_ == 0) pumps_done_cv_.NotifyAll();
 }
 
 QueryScheduler::Group::~Group() {
@@ -191,7 +194,6 @@ QueryScheduler::Group::~Group() {
   // but never let queued tasks outlive their query's stack frames.
   Wait();
   MutexLock lock(scheduler_->mu_);
-  --scheduler_->active_groups_;
   if (state_->counts_as_query) --scheduler_->active_admitted_;
 }
 
@@ -208,14 +210,8 @@ void QueryScheduler::Group::Submit(std::function<void()> task) {
       scheduler->ready_[static_cast<std::size_t>(state_->priority)]
           .push_back(state_);
     }
-    // Queued pumps >= pending tasks, so every task is eventually executed
-    // no matter which pump picks it up. A pump left queued by a task its
-    // driver ran serves this task instead of a new one.
-    if (scheduler->pumps_queued_ >= scheduler->pending_tasks_) return;
-    ++scheduler->pumps_queued_;
-    ++scheduler->pumps_in_flight_;
   }
-  scheduler->pool_->Submit([scheduler] { scheduler->Pump(); });
+  scheduler->work_cv_.NotifyOne();
 }
 
 void QueryScheduler::Group::Wait() {
@@ -242,7 +238,7 @@ void QueryScheduler::Group::Wait() {
 }
 
 std::size_t QueryScheduler::Group::num_threads() const {
-  return scheduler_->pool_->num_threads();
+  return scheduler_->num_threads();
 }
 
 QueryPriority QueryScheduler::Group::priority() const {

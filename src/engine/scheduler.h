@@ -14,7 +14,7 @@
 #include "core/cancel.h"
 #include "core/mutex.h"
 #include "core/result.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 
 namespace cre {
 
@@ -58,45 +58,42 @@ struct AdmissionStats {
   std::size_t active_admitted = 0;
 };
 
-/// Fair multi-query task scheduler over one shared ThreadPool — the
-/// serving-layer analogue of the morsel scheduler's intra-query dispatch
-/// (Leis et al.'s multi-query scheduling model). Each admitted query gets
-/// a Group: a TaskRunner whose Submit/Wait are scoped to that query, so
-/// N concurrent ParallelPlanDrivers (and the parallel operators beneath
-/// them) share the pool without waiting on each other's barriers — the
-/// coupling ThreadPool's global Wait() would impose.
+/// Fair multi-query task scheduler, and the engine's one worker pool: it
+/// owns a fixed set of worker threads that run every morsel, index build
+/// and refresh task. It follows the dispatcher of morsel-driven
+/// parallelism (Leis et al., SIGMOD 2014), applied across queries. Each
+/// admitted query gets a Group: a TaskRunner whose Submit/Wait are scoped
+/// to that query, so N concurrent ParallelPlanDrivers (and the parallel
+/// operators beneath them) share the workers without waiting on each
+/// other's barriers.
 ///
-/// Dispatch discipline: every Submit enqueues the task on its group's
-/// private queue and posts one generic "pump" to the pool; a pump pops
-/// the next task by (1) strict priority class, then (2) round-robin over
-/// the groups of that class, one task per turn. So two normal-priority
-/// queries interleave their morsels 1:1 regardless of who submitted
-/// first or how many tasks each has pending, and background work (index
-/// builds) only runs when no query task is waiting.
+/// Dispatch discipline: Submit enqueues the task on its group's private
+/// queue and wakes one worker. An idle worker pops the next task by (1)
+/// strict priority class, then (2) round-robin over the groups of that
+/// class, one task per turn. So two normal-priority queries interleave
+/// their morsels 1:1 regardless of who submitted first or how many tasks
+/// each has pending, and background work (index builds) only runs when no
+/// query task is waiting.
 ///
 /// Helping waits: a driver blocked in its group's Wait() pops and runs
 /// its own group's queued tasks on the calling thread, and sleeps only
 /// once its queue is empty (tasks other threads are still running). It
 /// never runs another group's task, so the priority classes and the
-/// round-robin between groups hold for every task a pump dispatches. A
-/// task the driver ran itself leaves its pump queued in the pool; Submit
-/// posts a new pump only while queued pumps are fewer than pending
-/// tasks, so that pump serves the next task submitted by any group, or
-/// runs nothing. So pumps may outlive their task, and the scheduler
-/// counts pumps in flight and outlives them (~QueryScheduler waits).
+/// round-robin between groups hold for every task a worker dispatches.
 ///
-/// Deadlock-freedom: pumps never block (a pump runs at most one task and
-/// returns) and the TaskRunner contract forbids tasks from calling
-/// Wait(); only driver threads wait, on their own group's counter, and a
-/// waiting driver only sleeps while every one of its unfinished tasks is
-/// already running on some other thread.
+/// Deadlock-freedom: the TaskRunner contract forbids tasks from calling
+/// Wait(), so a worker never blocks inside a task on the scheduler; only
+/// driver threads wait, on their own group's counter, and a waiting
+/// driver only sleeps while every one of its unfinished tasks is already
+/// running on some other thread.
 class QueryScheduler {
  public:
   class Group;
 
-  explicit QueryScheduler(ThreadPool* pool, AdmissionOptions admission = {});
-  /// Waits until every pump posted to the pool has run (pumps capture the
-  /// scheduler), so the pool must still be running its workers.
+  /// Starts `num_threads` workers (at least one).
+  explicit QueryScheduler(std::size_t num_threads,
+                          AdmissionOptions admission = {});
+  /// Lets the workers run every task still queued, then joins them.
   ~QueryScheduler();
 
   QueryScheduler(const QueryScheduler&) = delete;
@@ -115,34 +112,32 @@ class QueryScheduler {
   Result<std::shared_ptr<Group>> TryAdmit(
       QueryPriority priority = QueryPriority::kNormal);
 
+  /// Admission outcomes; `active_admitted` is the serving load signal
+  /// (TryAdmit'd query groups not yet destroyed) shown by EXPLAIN.
   AdmissionStats admission_stats() const;
   const AdmissionOptions& admission_options() const { return admission_; }
 
-  /// Groups admitted and not yet destroyed (the serving load signal shown
-  /// by EXPLAIN).
-  std::size_t active_queries() const;
   /// Tasks enqueued across all groups and not yet dispatched.
   std::size_t pending_tasks() const;
 
-  ThreadPool* pool() const { return pool_; }
+  std::size_t num_threads() const { return workers_.size(); }
 
  private:
   struct GroupState;
 
-  /// Runs on a pool worker: dequeues and executes at most one task
-  /// according to the fairness policy above.
-  void Pump();
+  /// A worker's life: sleep until a ready ring has a task, run it, repeat;
+  /// return once stop_ is set and every queue is empty.
+  void WorkerLoop();
   /// Pops the next task to run (strict priority, round-robin in class),
   /// dropping ring entries whose queue their driver has drained. Returns
-  /// false when every queue is empty (a pump whose task its driver ran,
-  /// or a stale pump racing a faster sibling).
+  /// false when every queue is empty.
   bool PopNextLocked(std::function<void()>* task,
                      std::shared_ptr<GroupState>* state,
                      std::chrono::steady_clock::time_point* enqueued)
       CRE_REQUIRES(mu_);
 
   /// Books one of `state`'s tasks, queued at `enqueued`, as dispatched
-  /// now; pumps and helping waits both count here.
+  /// now; workers and helping waits both count here.
   void CountDispatchLocked(GroupState* state,
                            std::chrono::steady_clock::time_point enqueued)
       CRE_REQUIRES(mu_);
@@ -152,30 +147,31 @@ class QueryScheduler {
   std::shared_ptr<Group> MakeGroup(QueryPriority priority,
                                    bool counts_as_query);
 
-  ThreadPool* pool_;
   AdmissionOptions admission_;
   mutable Mutex mu_;
   /// Ready rings, one per priority class: groups with pending tasks, each
-  /// present at most once; pumps pop the front group, run one of its
+  /// present at most once; workers pop the front group, run one of its
   /// tasks, and re-append it while tasks remain.
   std::array<std::deque<std::shared_ptr<GroupState>>, 3> ready_
       CRE_GUARDED_BY(mu_);
-  std::size_t active_groups_ CRE_GUARDED_BY(mu_) = 0;
   std::size_t pending_tasks_ CRE_GUARDED_BY(mu_) = 0;
-  /// Pumps posted to the pool and not yet started; kept >= pending_tasks_.
-  std::size_t pumps_queued_ CRE_GUARDED_BY(mu_) = 0;
-  /// Pumps posted to the pool and not yet returned.
-  std::size_t pumps_in_flight_ CRE_GUARDED_BY(mu_) = 0;
-  CondVar pumps_done_cv_;
+  /// Signalled by Submit (one worker) and by shutdown (all workers).
+  CondVar work_cv_;
+  bool stop_ CRE_GUARDED_BY(mu_) = false;
   /// Admission accounting (TryAdmit'd query groups only).
   std::size_t active_admitted_ CRE_GUARDED_BY(mu_) = 0;
   std::array<std::uint64_t, 3> admitted_total_ CRE_GUARDED_BY(mu_){{0, 0, 0}};
   std::array<std::uint64_t, 3> shed_total_ CRE_GUARDED_BY(mu_){{0, 0, 0}};
+  /// Started last in the constructor and joined in the destructor; the
+  /// size never changes in between.
+  // cre-lint: allow(raw-thread): the scheduler is the engine's one worker
+  // pool, so it owns the workers that run every task.
+  std::vector<std::thread> workers_;
 };
 
 /// One admitted query's task surface. Thread-safe; typically driven by
 /// one driver thread submitting morsel tasks and waiting at pipeline
-/// barriers, while pool workers execute the tasks.
+/// barriers, while the scheduler's workers execute the tasks.
 class QueryScheduler::Group : public TaskRunner {
  public:
   ~Group() override;

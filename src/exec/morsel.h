@@ -5,7 +5,7 @@
 
 #include "core/cancel.h"
 #include "core/result.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "exec/operator.h"
 
 namespace cre {

@@ -5,7 +5,7 @@
 
 #include "core/resource_governor.h"
 #include "core/result.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "exec/footprint.h"
 #include "storage/table.h"
 

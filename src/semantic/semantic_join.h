@@ -8,7 +8,7 @@
 
 #include "core/cancel.h"
 #include "core/resource_governor.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "embed/model_registry.h"
 #include "exec/operator.h"
 #include "vecsim/brute_force.h"

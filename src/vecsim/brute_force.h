@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/cancel.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "vecsim/codec.h"
 #include "vecsim/kernels.h"
 #include "vecsim/top_k.h"

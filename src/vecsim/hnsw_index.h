@@ -6,7 +6,7 @@
 
 #include "core/cancel.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "vecsim/codec.h"
 #include "vecsim/kernels.h"
 #include "vecsim/vector_index.h"

@@ -7,7 +7,7 @@
 
 #include "core/cancel.h"
 #include "core/result.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "exec/operator.h"
 #include "expr/expr.h"
 #include "vision/image_store.h"

@@ -5,10 +5,12 @@
 // (QueryContext snapshot pinning), (4) serve cold semantic queries
 // through the brute-force fallback while the managed index builds in the
 // background, and (5) unwind cooperatively when cancelled. The scheduler
-// tests below also pin (6) helping waits: a waiting driver runs only its
-// own group's queued tasks, and the scheduler outlives the pumps those
-// tasks leave behind; and (7) ParallelFor's exactly-once coverage. All of
-// this runs under TSan in CI like the other parallel tests.
+// tests below also pin (6) the scheduler's own worker pool: priority
+// classes and per-group waits, helping waits in which a waiting driver
+// runs only its own group's queued tasks, and a shutdown that joins a
+// worker still finishing a task; and (7) ParallelFor's exactly-once
+// coverage. All of this runs under TSan in CI like the other parallel
+// tests, and the scheduler tests also run there repeatedly.
 
 #include <algorithm>
 #include <atomic>
@@ -487,33 +489,38 @@ TEST_F(ConcurrentServingTest, SchedulingCountersSurfaceInExplainAnalyze) {
 }
 
 // Priority classes: background group tasks only dispatch when no
-// normal-priority tasks are pending; both eventually run.
+// normal-priority tasks are pending; every task runs exactly once.
 TEST_F(ConcurrentServingTest, SchedulerPriorityAndFairness) {
-  ThreadPool pool(2);
-  QueryScheduler scheduler(&pool);
-  auto normal_a = scheduler.Admit(QueryPriority::kNormal);
-  auto normal_b = scheduler.Admit(QueryPriority::kNormal);
-  auto background = scheduler.Admit(QueryPriority::kBackground);
+  for (const auto& [threads, per_group] :
+       std::vector<std::pair<std::size_t, int>>{{2, 16}, {4, 100}}) {
+    QueryScheduler scheduler(threads);
+    EXPECT_EQ(scheduler.num_threads(), threads);
+    // Waiting on a group that never submitted returns at once.
+    auto idle = scheduler.Admit(QueryPriority::kNormal);
+    idle->Wait();  // must not hang
+    auto normal_a = scheduler.Admit(QueryPriority::kNormal);
+    auto normal_b = scheduler.Admit(QueryPriority::kNormal);
+    auto background = scheduler.Admit(QueryPriority::kBackground);
 
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    normal_a->Submit([&] { done.fetch_add(1); });
-    normal_b->Submit([&] { done.fetch_add(1); });
-    background->Submit([&] { done.fetch_add(1); });
+    std::atomic<int> done{0};
+    for (int i = 0; i < per_group; ++i) {
+      normal_a->Submit([&] { done.fetch_add(1); });
+      normal_b->Submit([&] { done.fetch_add(1); });
+      background->Submit([&] { done.fetch_add(1); });
+    }
+    normal_a->Wait();
+    normal_b->Wait();
+    background->Wait();
+    EXPECT_EQ(done.load(), 3 * per_group);
+
+    const SchedulingCounters a = normal_a->counters();
+    EXPECT_EQ(a.tasks_submitted, static_cast<std::uint64_t>(per_group));
+    EXPECT_EQ(a.tasks_dispatched, static_cast<std::uint64_t>(per_group));
+    EXPECT_EQ(scheduler.pending_tasks(), 0u);
+    // Per-group Wait() is scoped: waiting on an idle group returns even
+    // while other groups still have queued work.
+    idle->Wait();  // must not hang
   }
-  normal_a->Wait();
-  normal_b->Wait();
-  background->Wait();
-  EXPECT_EQ(done.load(), 48);
-
-  const SchedulingCounters a = normal_a->counters();
-  EXPECT_EQ(a.tasks_submitted, 16u);
-  EXPECT_EQ(a.tasks_dispatched, 16u);
-  EXPECT_EQ(scheduler.pending_tasks(), 0u);
-  // Per-group Wait() is scoped: waiting on an idle group returns even
-  // while other groups still have queued work.
-  auto idle = scheduler.Admit(QueryPriority::kNormal);
-  idle->Wait();  // must not hang
 }
 
 /// A one-shot gate: tasks block in Pass() until Open().
@@ -537,8 +544,8 @@ class Latch {
   bool open_ = false;
 };
 
-/// Occupies the pool's one worker until `latch` opens; returns once the
-/// worker is inside the task.
+/// Occupies the scheduler's one worker until `latch` opens; returns once
+/// the worker is inside the task.
 void HoldWorker(TaskRunner* runner, Latch* started, Latch* latch) {
   runner->Submit([started, latch] {
     started->Open();
@@ -548,8 +555,7 @@ void HoldWorker(TaskRunner* runner, Latch* started, Latch* latch) {
 }
 
 TEST(HelpingWaitTest, WaiterRunsOnlyItsOwnGroupsTasks) {
-  ThreadPool pool(1);
-  QueryScheduler scheduler(&pool);
+  QueryScheduler scheduler(1);
   auto holder = scheduler.Admit(QueryPriority::kNormal);
   auto a = scheduler.Admit(QueryPriority::kNormal);
   auto b = scheduler.Admit(QueryPriority::kNormal);
@@ -578,7 +584,7 @@ TEST(HelpingWaitTest, WaiterRunsOnlyItsOwnGroupsTasks) {
   EXPECT_EQ(b_ran.load(), 0);
   EXPECT_EQ(scheduler.pending_tasks(), 1u);
 
-  // Once the worker is free, a leftover pump runs B's task.
+  // Once the worker is free, it runs B's task.
   latch.Open();
   holder->Wait();
   b->Wait();
@@ -587,11 +593,11 @@ TEST(HelpingWaitTest, WaiterRunsOnlyItsOwnGroupsTasks) {
   EXPECT_EQ(scheduler.pending_tasks(), 0u);
 }
 
-TEST(HelpingWaitTest, SchedulerOutlivesPumpsOfTasksItsDriverRan) {
-  auto pool = std::make_unique<ThreadPool>(1);
-  auto scheduler = std::make_unique<QueryScheduler>(pool.get());
+TEST(HelpingWaitTest, ShutdownJoinsWorkerAfterItsDriverHelped) {
+  auto scheduler = std::make_unique<QueryScheduler>(1);
+  auto holder = scheduler->Admit(QueryPriority::kNormal);
   Latch started, latch;
-  HoldWorker(pool.get(), &started, &latch);
+  HoldWorker(holder.get(), &started, &latch);
   {
     auto group = scheduler->Admit(QueryPriority::kNormal);
     std::atomic<int> ran{0};
@@ -600,53 +606,89 @@ TEST(HelpingWaitTest, SchedulerOutlivesPumpsOfTasksItsDriverRan) {
     EXPECT_EQ(ran.load(), 8);
     EXPECT_EQ(group->counters().tasks_dispatched, 8u);
   }
-  // The driver ran all 8 tasks; their 8 pumps still queue behind the held
-  // worker and capture the scheduler. ~QueryScheduler must wait for them
-  // (under ASan a scheduler freed first is a heap-use-after-free here).
+  // The driver ran all 8 tasks while the worker was held. Destroy the
+  // holder's group and the scheduler while the worker finishes the held
+  // task: ~Group waits for the task, and ~QueryScheduler must join the
+  // worker before its state goes (under ASan a scheduler freed first is a
+  // heap-use-after-free here).
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     latch.Open();
   });
+  holder.reset();
   scheduler.reset();
   opener.join();
-  pool.reset();
+}
+
+// Teardown with a background build in flight: ~Engine waits on its
+// background group, so the build finishes while the index manager,
+// governor and catalog it touches are alive, and only then are they, the
+// group and the scheduler destroyed (ASan pins this order).
+TEST_F(ConcurrentServingTest, EngineTeardownFinishesQueuedBackgroundBuild) {
+  auto engine = MakeEngine(2, /*async_builds=*/true);
+  // Hold both workers so the build is still queued when the query ends;
+  // the query's own tasks run on its driver (helping waits).
+  auto holder = engine->scheduler()->Admit(QueryPriority::kHigh);
+  Latch started_a, started_b, latch;
+  HoldWorker(holder.get(), &started_a, &latch);
+  HoldWorker(holder.get(), &started_b, &latch);
+
+  PlanPtr plan = PlanNode::SemanticSelect(PlanNode::Scan("big"), "word",
+                                          words_[3], "m", 0.85f);
+  plan->strategy = SemanticJoinStrategy::kHnsw;
+  plan->strategy_pinned = true;
+  auto cold = engine->ExecuteUnoptimized(plan);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const IndexManager::Stats queued = engine->index_manager()->stats();
+  EXPECT_EQ(queued.background_builds, 1u);
+  EXPECT_EQ(queued.builds, 0u);
+
+  latch.Open();
+  holder.reset();
+  engine.reset();
 }
 
 TEST(ParallelForTest, CoversEveryItemOnceInGrainAlignedPieces) {
   for (const std::size_t threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    QueryScheduler scheduler(&pool);
+    QueryScheduler scheduler(threads);
     auto group = scheduler.Admit(QueryPriority::kNormal);
-    for (TaskRunner* runner : {static_cast<TaskRunner*>(&pool),
-                               static_cast<TaskRunner*>(group.get())}) {
-      const std::vector<std::pair<std::size_t, std::size_t>> cases = {
-          {0, 4}, {1, 4}, {3, 4}, {4, 4}, {5, 4},
-          {10, 1024}, {1000, 1}, {1000, 7}};
-      for (const auto& [n, grain] : cases) {
-        std::vector<std::atomic<int>> hits(n);
-        for (auto& h : hits) h.store(0);
-        std::atomic<std::size_t> calls{0};
-        std::atomic<std::size_t> misaligned{0};
-        runner->ParallelFor(
-            n,
-            [&](std::size_t begin, std::size_t end) {
-              calls.fetch_add(1);
-              if (begin % grain != 0 || end != std::min(n, begin + grain)) {
-                misaligned.fetch_add(1);
-              }
-              for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-            },
-            grain);
-        const std::string where = "threads=" + std::to_string(threads) +
-                                  " n=" + std::to_string(n) +
-                                  " grain=" + std::to_string(grain);
-        EXPECT_EQ(calls.load(), (n + grain - 1) / grain) << where;
-        EXPECT_EQ(misaligned.load(), 0u) << where;
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(hits[i].load(), 1) << where << " item " << i;
-        }
+    const std::vector<std::pair<std::size_t, std::size_t>> cases = {
+        {0, 4},     {1, 4},    {3, 4},    {4, 4},      {5, 4},
+        {10, 1024}, {1000, 1}, {1000, 7}, {10000, 128}};
+    for (const auto& [n, grain] : cases) {
+      std::vector<std::atomic<int>> hits(n);
+      for (auto& h : hits) h.store(0);
+      std::atomic<std::size_t> calls{0};
+      std::atomic<std::size_t> misaligned{0};
+      group->ParallelFor(
+          n,
+          [&](std::size_t begin, std::size_t end) {
+            calls.fetch_add(1);
+            if (begin % grain != 0 || end != std::min(n, begin + grain)) {
+              misaligned.fetch_add(1);
+            }
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          },
+          grain);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " n=" + std::to_string(n) +
+                                " grain=" + std::to_string(grain);
+      EXPECT_EQ(calls.load(), (n + grain - 1) / grain) << where;
+      EXPECT_EQ(misaligned.load(), 0u) << where;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << where << " item " << i;
       }
     }
+    // A range within the default grain is one piece, run on the caller.
+    const std::thread::id caller = std::this_thread::get_id();
+    int calls = 0;
+    group->ParallelFor(10, [&](std::size_t begin, std::size_t end) {
+      ++calls;
+      EXPECT_EQ(begin, 0u);
+      EXPECT_EQ(end, 10u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+    EXPECT_EQ(calls, 1) << "threads=" << threads;
   }
 }
 

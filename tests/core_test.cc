@@ -1,6 +1,6 @@
-#include <atomic>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "core/result.h"
 #include "core/rng.h"
 #include "core/status.h"
-#include "core/thread_pool.h"
 
 namespace cre {
 namespace {
@@ -156,45 +155,6 @@ TEST(HashTest, MixHashAvalanche) {
     total_flips += __builtin_popcountll(a ^ b);
   }
   EXPECT_GT(total_flips / 64, 20);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(10000);
-  pool.ParallelFor(
-      10000,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      },
-      128);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForSmallRangeInline) {
-  ThreadPool pool(4);
-  int calls = 0;
-  pool.ParallelFor(10, [&](std::size_t b, std::size_t e) {
-    ++calls;
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 10u);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
 }
 
 TEST(AlignedBufferTest, Alignment) {

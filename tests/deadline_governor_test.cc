@@ -29,7 +29,6 @@
 
 #include "core/cancel.h"
 #include "core/resource_governor.h"
-#include "core/thread_pool.h"
 #include "core/timer.h"
 #include "datagen/shop.h"
 #include "embed/hash_embedding_model.h"
@@ -495,8 +494,7 @@ TEST(GovernorTest, SemanticEmbedMatricesChargeTheQueryBudget) {
 // ---- bounded admission ----
 
 TEST(AdmissionTest, ShedPolicyByClass) {
-  ThreadPool pool(2);
-  QueryScheduler scheduler(&pool, AdmissionOptions{2});
+  QueryScheduler scheduler(2, AdmissionOptions{2});
 
   auto n1 = scheduler.TryAdmit(QueryPriority::kNormal);
   auto n2 = scheduler.TryAdmit(QueryPriority::kNormal);
@@ -536,8 +534,7 @@ TEST(AdmissionTest, ShedPolicyByClass) {
 }
 
 TEST(AdmissionTest, UnlimitedByDefault) {
-  ThreadPool pool(2);
-  QueryScheduler scheduler(&pool);
+  QueryScheduler scheduler(2);
   std::vector<std::shared_ptr<QueryScheduler::Group>> groups;
   for (int i = 0; i < 32; ++i) {
     auto g = scheduler.TryAdmit(QueryPriority::kBackground);

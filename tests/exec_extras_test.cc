@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thread_pool.h"
 #include "datagen/shop.h"
+#include "engine/scheduler.h"
 #include "exec/filter.h"
 #include "exec/morsel.h"
 #include "exec/project.h"
@@ -56,9 +56,11 @@ TEST(MorselTest, SerialAndParallelAgree) {
   MorselOptions serial;
   auto a = MorselParallelMap(table, builder, serial).ValueOrDie();
 
-  ThreadPool pool(4);
+  QueryScheduler scheduler(4);
+
+  auto pool = scheduler.Admit();
   MorselOptions parallel;
-  parallel.pool = &pool;
+  parallel.pool = pool.get();
   parallel.morsel_rows = 4096;
   auto b = MorselParallelMap(table, builder, parallel).ValueOrDie();
 
@@ -71,9 +73,10 @@ TEST(MorselTest, SerialAndParallelAgree) {
 
 TEST(MorselTest, ParallelFilterKeepsOnlyMatches) {
   auto table = Numbers(10000);
-  ThreadPool pool(4);
+  QueryScheduler scheduler(4);
+  auto pool = scheduler.Admit();
   MorselOptions options;
-  options.pool = &pool;
+  options.pool = pool.get();
   options.morsel_rows = 1000;
   auto result =
       MorselParallelMap(
@@ -90,9 +93,10 @@ TEST(MorselTest, ParallelFilterKeepsOnlyMatches) {
 
 TEST(MorselTest, BuilderSeesMorselIndexInOrder) {
   auto table = Numbers(10000);
-  ThreadPool pool(4);
+  QueryScheduler scheduler(4);
+  auto pool = scheduler.Admit();
   MorselOptions options;
-  options.pool = &pool;
+  options.pool = pool.get();
   options.morsel_rows = 1000;
   std::mutex mu;
   std::set<std::size_t> seen;
@@ -115,9 +119,10 @@ TEST(MorselTest, BuilderSeesMorselIndexInOrder) {
 
 TEST(MorselTest, EmptyInput) {
   auto table = Numbers(0);
-  ThreadPool pool(2);
+  QueryScheduler scheduler(2);
+  auto pool = scheduler.Admit();
   MorselOptions options;
-  options.pool = &pool;
+  options.pool = pool.get();
   auto result =
       MorselParallelMap(
           table,
@@ -131,9 +136,10 @@ TEST(MorselTest, EmptyInput) {
 
 TEST(MorselTest, ErrorPropagates) {
   auto table = Numbers(10000);
-  ThreadPool pool(2);
+  QueryScheduler scheduler(2);
+  auto pool = scheduler.Admit();
   MorselOptions options;
-  options.pool = &pool;
+  options.pool = pool.get();
   options.morsel_rows = 1000;
   auto result = MorselParallelMap(
       table,

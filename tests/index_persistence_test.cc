@@ -46,7 +46,7 @@
 #include "core/cancel.h"
 #include "core/fault_injection.h"
 #include "core/rng.h"
-#include "core/thread_pool.h"
+#include "core/task_runner.h"
 #include "core/timer.h"
 #include "datagen/vocabulary.h"
 #include "embed/hash_embedding_model.h"
@@ -389,8 +389,9 @@ TEST(HnswIncrementalTest, AddIsPoolIndependent) {
   };
   const std::uint64_t serial = grow(nullptr);
   for (const std::size_t threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(grow(&pool), serial) << threads << " threads";
+    QueryScheduler scheduler(threads);
+    auto pool = scheduler.Admit();
+    EXPECT_EQ(grow(pool.get()), serial) << threads << " threads";
   }
 }
 
@@ -448,7 +449,8 @@ TEST(HnswIncrementalTest, RepeatedAddsKeepRangeRecall) {
     ASSERT_GT(total, queries.size() / 2) << thresholds[t];
   }
 
-  ThreadPool pool(2);
+  QueryScheduler scheduler(2);
+  auto pool = scheduler.Admit();
   std::vector<float> decoded(dim);
   for (const VectorCodecKind codec :
        {VectorCodecKind::kFp32, VectorCodecKind::kInt8}) {
@@ -457,7 +459,7 @@ TEST(HnswIncrementalTest, RepeatedAddsKeepRangeRecall) {
     stored.Append(data.data(), words.size());
     HnswOptions o;
     o.quant.codec = codec;
-    o.build_pool = &pool;
+    o.build_pool = pool.get();
     HnswIndex hnsw(o);
     ASSERT_TRUE(hnsw.Build(data.data(), base_count, dim).ok());
     for (std::size_t a = 0; a < kAdds; ++a) {
@@ -771,11 +773,12 @@ TEST(IncrementalRefreshTest, ConcurrentQueriesDuringAppendsAreClean) {
 TEST(IncrementalRefreshTest, AsyncRefreshRunsOnBackgroundRunner) {
   Fixture f;
   f.catalog.Put("t", MakeStringTable(Words(600, "a_")));
-  ThreadPool pool(2);
+  QueryScheduler scheduler(2);
+  auto pool = scheduler.Admit();
   IndexManagerOptions options;
   options.async_builds = true;
   IndexManager manager = f.MakeManager(options);
-  manager.EnableAsyncBuilds(&pool);
+  manager.EnableAsyncBuilds(pool.get());
 
   IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
   ASSERT_TRUE(manager.GetOrBuild(key).ok());
@@ -810,8 +813,7 @@ TEST(IncrementalRefreshTest, DeferredRefreshOfPooledIndexFinishes) {
   IndexManagerOptions options;
   options.hnsw.build_bootstrap = 128;
 
-  auto pool = std::make_unique<ThreadPool>(2);
-  auto scheduler = std::make_unique<QueryScheduler>(pool.get());
+  auto scheduler = std::make_unique<QueryScheduler>(2);
   auto group = std::make_unique<std::shared_ptr<QueryScheduler::Group>>(
       scheduler->Admit(QueryPriority::kBackground));
   Fixture deferred;
@@ -839,24 +841,24 @@ TEST(IncrementalRefreshTest, DeferredRefreshOfPooledIndexFinishes) {
     }
   }
   if (refreshed == nullptr) {
-    // The refresh is stuck on its own group: leak the manager, group,
-    // scheduler and pool so the test reports instead of hanging in their
+    // The refresh is stuck on its own group: leak the manager, group and
+    // scheduler so the test reports instead of hanging in their
     // destructors.
     (void)manager.release();
     (void)group.release();
     (void)scheduler.release();
-    (void)pool.release();
     FAIL() << "deferred refresh did not finish within 60 s";
   }
   EXPECT_EQ(manager->stats().refreshes, 1u);
   EXPECT_EQ(manager->stats().builds, 1u);
 
   // A synchronous refresh over a pool of its own grows the same graph.
-  ThreadPool sync_pool(2);
+  QueryScheduler sync_scheduler(2);
+  auto sync_pool = sync_scheduler.Admit();
   Fixture sync;
   sync.catalog.Put("t", base);
   IndexManagerOptions sync_options = options;
-  sync_options.hnsw.build_pool = &sync_pool;
+  sync_options.hnsw.build_pool = sync_pool.get();
   IndexManager sync_manager(&sync.catalog, &sync.models, sync_options);
   ASSERT_TRUE(sync_manager.GetOrBuild(key).ok());
   ASSERT_TRUE(sync.catalog.Append("t", *batch).ok());
@@ -1068,12 +1070,13 @@ TEST(IndexPersistenceTest, AsyncLookupWithImplausibleImageStaysNonBlocking) {
   // background build instead of falling into a blocking load-then-
   // rebuild on the query thread.
   f.catalog.Put("t", MakeStringTable(Words(300, "z_")));
-  ThreadPool pool(2);
+  QueryScheduler scheduler(2);
+  auto pool = scheduler.Admit();
   IndexManagerOptions async_options;
   async_options.persist_dir = dir.path;
   async_options.async_builds = true;
   IndexManager second = f.MakeManager(async_options);
-  second.EnableAsyncBuilds(&pool);
+  second.EnableAsyncBuilds(pool.get());
   auto r = second.GetOrBuildAsync(key);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.ValueOrDie().build_in_flight)
@@ -1348,13 +1351,13 @@ struct FaultReset {
   ~FaultReset() { FaultInjector::Global().Reset(); }
 };
 
-/// One manager driven in one lookup mode. The pool is declared first so
-/// it outlives the manager's background jobs.
+/// One manager driven in one lookup mode. The scheduler and its group are
+/// declared first so they outlive the manager's background jobs.
 struct ParityManager {
   ParityManager(Fixture* f, LookupMode mode, const std::string& persist_dir)
       : mode(mode),
         manager(&f->catalog, &f->models, MakeOptions(mode, persist_dir)) {
-    if (mode == LookupMode::kAsync) manager.EnableAsyncBuilds(&pool);
+    if (mode == LookupMode::kAsync) manager.EnableAsyncBuilds(pool.get());
   }
   ~ParityManager() { manager.WaitForBuilds(); }
 
@@ -1379,7 +1382,8 @@ struct ParityManager {
   }
 
   LookupMode mode;
-  ThreadPool pool{2};
+  QueryScheduler scheduler{2};
+  std::shared_ptr<QueryScheduler::Group> pool = scheduler.Admit();
   IndexManager manager;
 };
 

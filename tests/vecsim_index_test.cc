@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "datagen/vocabulary.h"
 #include "embed/hash_embedding_model.h"
+#include "engine/scheduler.h"
 #include "vecsim/brute_force.h"
 #include "vecsim/hnsw_index.h"
 #include "vecsim/ivf_index.h"
@@ -109,9 +109,10 @@ TEST(BruteForceJoinTest, ParallelMatchesSerial) {
   const std::size_t n = 128;
   auto serial = SimilarityJoinBrute(left.data(), n, right.data(), n, dim,
                                     0.7f, {});
-  ThreadPool pool(4);
+  QueryScheduler scheduler(4);
+  auto pool = scheduler.Admit();
   BruteForceOptions par;
-  par.pool = &pool;
+  par.pool = pool.get();
   auto parallel =
       SimilarityJoinBrute(left.data(), n, right.data(), n, dim, 0.7f, par);
   auto key = [](const MatchPair& m) {
@@ -274,8 +275,10 @@ TEST(IvfIndexTest, LargeBaseTrainsOnASampleAndAssignsEveryRow) {
     EXPECT_EQ(top[0].id, i);
   }
 
-  ThreadPool pool(3);
-  IvfIndex pooled(o, &pool);
+  QueryScheduler scheduler(3);
+
+  auto pool = scheduler.Admit();
+  IvfIndex pooled(o, pool.get());
   ASSERT_TRUE(pooled.Build(data.data(), n, dim).ok());
   std::ostringstream serial_image, pooled_image;
   ASSERT_TRUE(serial.Save(serial_image).ok());
@@ -478,9 +481,10 @@ TEST(HnswIndexTest, ParallelBuildIdenticalToSerial) {
   ASSERT_TRUE(serial.Build(data.data(), n, dim).ok());
 
   for (const std::size_t threads : {2ul, 4ul}) {
-    ThreadPool pool(threads);
+    QueryScheduler scheduler(threads);
+    auto pool = scheduler.Admit();
     HnswOptions o;
-    o.build_pool = &pool;
+    o.build_pool = pool.get();
     HnswIndex parallel(o);
     ASSERT_TRUE(parallel.Build(data.data(), n, dim).ok());
     EXPECT_EQ(serial.GraphChecksum(), parallel.GraphChecksum())
@@ -607,7 +611,9 @@ TEST(HnswIndexTest, RangeSearchMatchesFlatOnHashEmbeddings) {
     ASSERT_GT(total, queries.size() / 2) << thresholds[t];
   }
 
-  ThreadPool pool(4);
+  QueryScheduler scheduler(4);
+
+  auto pool = scheduler.Admit();
   std::vector<float> decoded(dim);
   for (const VectorCodecKind codec :
        {VectorCodecKind::kFp32, VectorCodecKind::kInt8}) {
@@ -618,7 +624,7 @@ TEST(HnswIndexTest, RangeSearchMatchesFlatOnHashEmbeddings) {
     stored.Append(data.data(), words.size());
     HnswOptions o;
     o.quant.codec = codec;
-    o.build_pool = &pool;
+    o.build_pool = pool.get();
     HnswIndex hnsw(o);
     ASSERT_TRUE(hnsw.Build(data.data(), words.size(), dim).ok());
     std::vector<ScoredId> hits;

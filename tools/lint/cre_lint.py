@@ -23,9 +23,10 @@ they span files or encode project policy:
                    another corrupts the exported series).
 
   raw-thread       no `std::thread` use outside src/core/ — long-lived
-                   threads belong to ThreadPool so shutdown and fairness
-                   stay centralized. (`std::thread::hardware_concurrency`
-                   and `std::this_thread` are fine.)
+                   worker threads belong to QueryScheduler so shutdown
+                   and fairness stay centralized.
+                   (`std::thread::hardware_concurrency` and
+                   `std::this_thread` are fine.)
 
   naked-new        no unmanaged `new` outside src/core/ — allocations must
                    be wrapped in a smart pointer on the same statement line
@@ -233,8 +234,8 @@ def check_ownership(root):
                 if not waived(waivers, "raw-thread", i):
                     findings.append(Finding(
                         "raw-thread", rel, i,
-                        "std::thread outside src/core/ — use ThreadPool, or "
-                        "waive with a reason"))
+                        "std::thread outside src/core/ — run tasks on the "
+                        "QueryScheduler, or waive with a reason"))
             if NAKED_NEW_RE.search(line) and not SMART_WRAP_RE.search(line):
                 if not waived(waivers, "naked-new", i):
                     findings.append(Finding(

@@ -122,7 +122,7 @@ class OwnershipTest(LintFixture):
 
     def test_core_is_exempt(self):
         self.seed_minimal_repo()
-        self.write("src/core/thread_pool.cc",
+        self.write("src/core/task_runner.cc",
                    "workers_.emplace_back(std::thread([] {}));\n"
                    "int* raw = new int[64];\n")
         self.assertEqual(self.run_lint("ownership"), 0)
@@ -174,8 +174,9 @@ class FanOutTest(LintFixture):
         self.write("src/exec/clean.cc",
                    "pool->ParallelFor(n, fn, /*grain=*/1);\n"
                    "// Submit(task) in prose is fine\n")
-        self.write("src/core/thread_pool.cc", "Submit(drain);\n")
-        self.write("src/engine/scheduler.cc", "pool_->Submit(pump);\n")
+        self.write("src/core/task_runner.cc", "Submit(drain);\n")
+        self.write("src/engine/scheduler.cc",
+                   "void QueryScheduler::Group::Submit(Task task) {}\n")
         self.write("src/index/index_manager.cc",
                    "background_runner_->Submit(job);\n")
         self.assertEqual(self.run_lint("fan-out"), 0)

@@ -6,11 +6,14 @@
 // figure's takeaway.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "core/rng.h"
+#include "core/timer.h"
 #include "hw/device.h"
-#include "hw/dispatch.h"
 #include "hw/placement.h"
+#include "vecsim/kernels.h"
 
 namespace cre {
 namespace {
@@ -47,15 +50,31 @@ void RunPlacement() {
                 placed.device.name.c_str());
   }
 
-  std::printf("\n-- JIT-lite kernel late binding on the host CPU --\n");
-  AdaptiveKernelDispatcher dispatcher(100);
-  dispatcher.Resolve();
-  const double* m = dispatcher.measurements();
-  std::printf("calibrated ns/dot(dim=100): scalar=%.1f unrolled=%.1f "
-              "avx2=%s  -> bound variant: %s\n",
-              m[0], m[1],
-              m[2] < 0 ? "n/a" : std::to_string(m[2]).c_str(),
-              KernelVariantName(dispatcher.chosen_variant()));
+  std::printf("\n-- kernel binding on the host CPU --\n");
+  const std::size_t dim = 100, rows = 64, reps = 20000;
+  Rng rng(123);
+  std::vector<float> a(dim), b(dim * rows);
+  for (auto& x : a) x = rng.NextFloat() - 0.5f;
+  for (auto& x : b) x = rng.NextFloat() - 0.5f;
+  volatile float sink = 0;
+  std::printf("ns/dot(dim=100):");
+  for (const KernelVariant v :
+       {KernelVariant::kScalar, KernelVariant::kUnrolled, KernelVariant::kAvx2,
+        KernelVariant::kAvx512}) {
+    if ((v == KernelVariant::kAvx2 && !CpuSupportsAvx2()) ||
+        (v == KernelVariant::kAvx512 && !CpuSupportsAvx512())) {
+      continue;
+    }
+    const DotFn fn = GetDotKernel(v);
+    Timer t;
+    for (std::size_t i = 0; i < reps; ++i) {
+      sink = sink + fn(a.data(), b.data() + (i % rows) * dim, dim);
+    }
+    std::printf(" %s=%.1f", KernelVariantName(v),
+                t.Seconds() * 1e9 / static_cast<double>(reps));
+  }
+  std::printf("  -> bound by CPUID: %s\n",
+              KernelVariantName(BestKernelVariant()));
 
   std::printf(
       "\nexpected shape: small batches stay on the CPU (startup+transfer\n"

@@ -2,8 +2,7 @@
 // hardware-conscious claims), four tables:
 //
 //   dispatch - what the runtime CPUID dispatch found on this host and
-//              which variant the adaptive calibration bound for the
-//              single-pair and batch shapes
+//              the variant it binds for every shape
 //   kernels  - ns/op for every float kernel variant in the single-pair,
 //              batch (one-to-many), and batch-gather shapes, plus the
 //              fp16 asymmetric kernel: the batch columns show what load
@@ -13,7 +12,8 @@
 //              exact-rescore search
 //   ivfpq    - IVF-Flat vs IVF-PQ footprint / latency / recall@10: the
 //              product-quantized family holds ~an order of magnitude less
-//              resident data
+//              resident data (the IVF-PQ row is skipped when pq_m does
+//              not divide the dim)
 //
 // `--json <path>` additionally writes every measurement machine-readably
 // (one row per table line) for the perf-trajectory artifacts.
@@ -31,7 +31,6 @@
 #include "bench/bench_util.h"
 #include "core/rng.h"
 #include "core/timer.h"
-#include "hw/dispatch.h"
 #include "vecsim/brute_force.h"
 #include "vecsim/codec.h"
 #include "vecsim/fp16.h"
@@ -176,26 +175,17 @@ int main(int argc, char** argv) {
   auto data = ClusteredRows(n, dim, 5);
   auto queries = QueriesFrom(data, n, dim, std::max<std::size_t>(nq, 8));
 
-  // ---- dispatch: what runtime detection found and what won ----
+  // ---- dispatch: what runtime detection found and binds ----
   bench::PrintHeader("runtime kernel dispatch (dim=" + std::to_string(dim) +
                      ")");
   std::printf("cpu: avx2=%s avx512f=%s -> BestKernelVariant=%s\n",
               CpuSupportsAvx2() ? "yes" : "no",
               CpuSupportsAvx512() ? "yes" : "no",
               KernelVariantName(BestKernelVariant()));
-  AdaptiveKernelDispatcher dispatcher(dim);
-  dispatcher.Resolve();
-  dispatcher.ResolveBatch();
-  std::printf("adaptive choice: single=%s batch=%s\n",
-              KernelVariantName(dispatcher.chosen_variant()),
-              KernelVariantName(dispatcher.chosen_batch_variant()));
   json.Add("dispatch",
            {{"avx2", CpuSupportsAvx2() ? 1.0 : 0.0},
             {"avx512", CpuSupportsAvx512() ? 1.0 : 0.0},
-            {"chosen_single",
-             static_cast<double>(dispatcher.chosen_variant())},
-            {"chosen_batch",
-             static_cast<double>(dispatcher.chosen_batch_variant())}});
+            {"bound", static_cast<double>(BestKernelVariant())}});
 
   // ---- kernels: single vs batch vs gather per variant ----
   bench::PrintHeader("kernel shapes, ns/op (n=" + std::to_string(n) +
@@ -303,11 +293,14 @@ int main(int argc, char** argv) {
                      {"topk_us", us},
                      {"recall_at_10", recall}});
   }
-  {
-    IvfPqOptions pq;
-    pq.num_centroids = num_centroids;
-    pq.nprobe = nprobe;
-    pq.pq_m = std::min<std::size_t>(dim / 2, 32);
+  IvfPqOptions pq;
+  pq.num_centroids = num_centroids;
+  pq.nprobe = nprobe;
+  pq.pq_m = std::min<std::size_t>(dim / 2, 32);
+  if (!IvfPqIndex::AcceptsDim(dim, pq.pq_m)) {
+    std::printf("%-8s skipped: pq_m=%zu does not divide dim=%zu\n", "ivfpq",
+                pq.pq_m, dim);
+  } else {
     IvfPqIndex index(pq);
     index.Build(data.data(), n, dim).Check();
     const double us = TopKMicros(index, queries, dim);

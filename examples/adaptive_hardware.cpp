@@ -1,14 +1,13 @@
 // Hardware-conscious execution (paper Sec. VI): the same logical
-// similarity-join workload is (a) late-bound to the fastest CPU kernel
-// variant by runtime calibration, and (b) placed onto the best simulated
-// device by the transfer-cost-aware placement optimizer.
+// similarity-join workload is (a) bound to the widest CPU kernel variant
+// the host supports, detected by CPUID, and (b) placed onto the best
+// simulated device by the transfer-cost-aware placement optimizer.
 
 #include <cstdio>
 
 #include "core/rng.h"
 #include "core/timer.h"
 #include "hw/device.h"
-#include "hw/dispatch.h"
 #include "hw/placement.h"
 #include "vecsim/brute_force.h"
 
@@ -17,18 +16,6 @@ using namespace cre;
 int main() {
   const std::size_t dim = 100;
 
-  // --- JIT-lite kernel late binding ---
-  AdaptiveKernelDispatcher dispatcher(dim);
-  DotFn kernel = dispatcher.Resolve();
-  const double* measured = dispatcher.measurements();
-  std::printf("kernel calibration (ns per dim-%zu dot):\n", dim);
-  std::printf("  scalar   %7.1f\n  unrolled %7.1f\n", measured[0],
-              measured[1]);
-  if (measured[2] >= 0) std::printf("  avx2     %7.1f\n", measured[2]);
-  std::printf("bound variant: %s\n\n",
-              KernelVariantName(dispatcher.chosen_variant()));
-
-  // Use the bound kernel for a real scan.
   Rng rng(1);
   const std::size_t n = 2000;
   std::vector<float> base(n * dim), query(dim);
@@ -36,6 +23,30 @@ int main() {
   for (auto& x : query) x = rng.NextFloat() - 0.5f;
   for (std::size_t i = 0; i < n; ++i) NormalizeInPlace(base.data() + i * dim, dim);
   NormalizeInPlace(query.data(), dim);
+
+  // --- kernel binding by CPUID, with every variant's speed beside it ---
+  std::printf("kernel variants (ns per dim-%zu dot):\n", dim);
+  volatile float sink = 0;
+  for (const KernelVariant v :
+       {KernelVariant::kScalar, KernelVariant::kUnrolled, KernelVariant::kAvx2,
+        KernelVariant::kAvx512}) {
+    if ((v == KernelVariant::kAvx2 && !CpuSupportsAvx2()) ||
+        (v == KernelVariant::kAvx512 && !CpuSupportsAvx512())) {
+      continue;
+    }
+    const DotFn fn = GetDotKernel(v);
+    Timer timer;
+    for (std::size_t i = 0; i < n; ++i) {
+      sink = sink + fn(query.data(), base.data() + i * dim, dim);
+    }
+    std::printf("  %-8s %7.1f\n", KernelVariantName(v),
+                timer.Seconds() * 1e9 / static_cast<double>(n));
+  }
+  std::printf("bound variant (CPUID): %s\n\n",
+              KernelVariantName(BestKernelVariant()));
+
+  // Use the bound kernel for a real scan.
+  const DotFn kernel = GetDotKernel(BestKernelVariant());
   Timer t;
   float best = -2.f;
   for (std::size_t i = 0; i < n; ++i) {

@@ -9,7 +9,6 @@
 #include "core/timer.h"
 #include "embed/embedding_cache.h"
 #include "engine/parallel_driver.h"
-#include "hw/dispatch.h"
 #include "exec/filter.h"
 #include "exec/pipeline.h"
 #include "exec/project.h"
@@ -110,13 +109,6 @@ void Engine::RegisterCollectors() {
     e->Gauge("cre_governor_peak_bytes", {},
              static_cast<double>(governor_->peak_bytes()));
     e->Counter("cre_governor_breaches_total", {}, governor_->breaches());
-    // Calibrated charge estimates the governor uses at the big
-    // allocation sites (0 until the site has been observed).
-    for (int site = 0; site < kNumFootprintSites; ++site) {
-      e->Gauge("cre_governor_bytes_per_row",
-               {{"site", FootprintSiteName(static_cast<FootprintSite>(site))}},
-               footprints_.bytes_per_row(static_cast<FootprintSite>(site)));
-    }
 
     // Plan cache.
     const PlanCache::Stats pc = plan_cache_->stats();
@@ -153,37 +145,6 @@ void Engine::RegisterCollectors() {
                static_cast<double>(cache->size()));
     }
 
-    // Kernel dispatch: the last adaptive calibration's decisions. The
-    // counter is always present (0 = never calibrated); the chosen/
-    // measured series only exist once a calibration has run.
-    const KernelCalibrationRecord cal = LastKernelCalibration();
-    e->Counter("cre_kernel_calibrations_total", {}, cal.calibrations);
-    if (cal.valid) {
-      e->Gauge("cre_kernel_dispatch_chosen",
-               {{"shape", "single"}, {"variant", KernelVariantName(cal.chosen)}},
-               1);
-      e->Gauge("cre_kernel_dispatch_chosen",
-               {{"shape", "batch"},
-                {"variant", KernelVariantName(cal.chosen_batch)}},
-               1);
-      const KernelVariant variants[kNumFloatKernelVariants] = {
-          KernelVariant::kScalar, KernelVariant::kUnrolled,
-          KernelVariant::kAvx2, KernelVariant::kAvx512};
-      for (int v = 0; v < kNumFloatKernelVariants; ++v) {
-        if (cal.measured_ns[v] >= 0) {
-          e->Gauge("cre_kernel_dispatch_ns",
-                   {{"shape", "single"},
-                    {"variant", KernelVariantName(variants[v])}},
-                   cal.measured_ns[v]);
-        }
-        if (cal.batch_measured_ns[v] >= 0) {
-          e->Gauge("cre_kernel_dispatch_ns",
-                   {{"shape", "batch"},
-                    {"variant", KernelVariantName(variants[v])}},
-                   cal.batch_measured_ns[v]);
-        }
-      }
-    }
   });
 }
 
@@ -258,19 +219,9 @@ Optimizer Engine::MakeOptimizer() const {
   SubplanExecutor executor = [self](const PlanPtr& subplan) {
     return self->ExecuteUnoptimized(subplan);
   };
-  OptimizerOptions options = EffectiveOptimizerOptions();
-  IndexResidencyProbe residency = nullptr;
-  if (options_.index.enabled) {
-    IndexManager* manager = index_manager_.get();
-    residency = [manager](const std::string& table, const std::string& column,
-                          const std::string& model,
-                          SemanticJoinStrategy kind) {
-      return manager->Residency({table, column, model, kind});
-    };
-  }
-  return Optimizer(&catalog_, &models_, &detectors_, options,
-                   std::move(executor), std::move(residency),
-                   options_.index.ivfpq.pq_m);
+  return Optimizer(&catalog_, &models_, &detectors_,
+                   EffectiveOptimizerOptions(), std::move(executor),
+                   ResidencyProbe(), options_.index.ivfpq.pq_m);
 }
 
 Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
@@ -280,22 +231,21 @@ Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
   SubplanExecutor executor = [self, ctx](const PlanPtr& subplan) {
     return self->RunPhysical(ctx, subplan);
   };
-  OptimizerOptions options = EffectiveOptimizerOptions();
-  IndexResidencyProbe residency = nullptr;
-  if (options_.index.enabled) {
-    IndexManager* manager = index_manager_.get();
-    residency = [manager](const std::string& table, const std::string& column,
-                          const std::string& model,
-                          SemanticJoinStrategy kind) {
-      return manager->Residency({table, column, model, kind});
-    };
-  }
   // Cardinality estimation and schema-dependent rules resolve names
   // against the query's pinned snapshot, so planning and execution see
   // the same tables even under concurrent catalog writes.
-  return Optimizer(&ctx->snapshot(), &models_, &detectors_, options,
-                   std::move(executor), std::move(residency),
-                   options_.index.ivfpq.pq_m);
+  return Optimizer(&ctx->snapshot(), &models_, &detectors_,
+                   EffectiveOptimizerOptions(), std::move(executor),
+                   ResidencyProbe(), options_.index.ivfpq.pq_m);
+}
+
+IndexResidencyProbe Engine::ResidencyProbe() const {
+  if (!options_.index.enabled) return nullptr;
+  IndexManager* manager = index_manager_.get();
+  return [manager](const std::string& table, const std::string& column,
+                   const std::string& model, SemanticJoinStrategy kind) {
+    return manager->Residency({table, column, model, kind});
+  };
 }
 
 std::string Engine::KnobSignature() const {
@@ -330,9 +280,8 @@ PlanCache::AbsentProbe Engine::PlanCacheAbsentProbe() const {
     // can never flip, so residency never invalidates.
     return [](const PlanCache::IndexCandidate&) { return true; };
   }
-  IndexManager* manager = index_manager_.get();
-  return [manager](const PlanCache::IndexCandidate& c) {
-    return manager->Residency({c.table, c.column, c.model, c.strategy}) ==
+  return [residency = ResidencyProbe()](const PlanCache::IndexCandidate& c) {
+    return residency(c.table, c.column, c.model, c.strategy) ==
            IndexResidency::kAbsent;
   };
 }

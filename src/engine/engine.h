@@ -12,7 +12,6 @@
 #include "embed/model_registry.h"
 #include "engine/query_context.h"
 #include "engine/scheduler.h"
-#include "exec/footprint.h"
 #include "exec/operator.h"
 #include "exec/stats.h"
 #include "index/index_manager.h"
@@ -135,8 +134,8 @@ class Engine {
 
   /// The engine-wide metrics registry (never null). Snapshot() exports
   /// the unified namespace — engine-owned latency histograms and query
-  /// counters plus collector-pulled scheduler / index-manager /
-  /// embed-cache / kernel-dispatch state — as JSON or Prometheus text.
+  /// counters plus collector-pulled scheduler / index-manager / governor
+  /// / plan-cache / embed-cache state — as JSON or Prometheus text.
   MetricsRegistry* metrics() { return metrics_.get(); }
   const MetricsRegistry* metrics() const { return metrics_.get(); }
   /// Ring of recently finished query traces (sampled per ObsOptions).
@@ -146,10 +145,6 @@ class Engine {
   /// options().plan_cache.enabled).
   PlanCache* plan_cache() { return plan_cache_.get(); }
   const PlanCache* plan_cache() const { return plan_cache_.get(); }
-  /// Bytes/row calibrations for the governor charge sites, fed by the
-  /// operators (hash-join build, sort runs, aggregation state).
-  FootprintCalibrator* footprints() { return &footprints_; }
-  const FootprintCalibrator* footprints() const { return &footprints_; }
 
   /// Mid-query index adoptions: fallback scans that swapped their
   /// remaining morsels onto a freshly completed background index build.
@@ -251,7 +246,7 @@ class Engine {
   Result<QueryContext> MakeContext(const QueryOptions& query,
                                    StatsCollector* stats);
   /// Registers the pull-style metric collectors (scheduler, index
-  /// manager, embed caches, kernel dispatch) on metrics_.
+  /// manager, governor, plan cache, embed caches) on metrics_.
   void RegisterCollectors();
   /// Allocates the query id and, when this query is sampled or analyzed
   /// (ctx carries a StatsCollector), its trace. Wires both into `ctx`.
@@ -296,6 +291,9 @@ class Engine {
   PlanCache::AbsentProbe PlanCacheAbsentProbe() const;
   /// Per-query optimizer over ctx's pinned snapshot.
   Optimizer MakeOptimizerFor(QueryContext* ctx) const;
+  /// Managed-index residency as the optimizers and the plan cache see
+  /// it: the IndexManager's, or null while the manager is off.
+  IndexResidencyProbe ResidencyProbe() const;
   /// Engine-level optimizer options with the scheduler's dop and the
   /// async build discount filled in (shared by MakeOptimizer/MakeOptimizerFor
   /// so EXPLAIN and Execute agree on plans).
@@ -324,7 +322,6 @@ class Engine {
   std::unique_ptr<ResourceGovernor> governor_;
   std::unique_ptr<DeadlineReaper> reaper_;
   std::unique_ptr<PlanCache> plan_cache_;
-  FootprintCalibrator footprints_;
   std::atomic<std::uint64_t> index_adoptions_{0};
   std::atomic<std::uint64_t> next_query_id_{0};
 };

@@ -144,8 +144,7 @@ Result<ParallelPlanDriver::JoinStates> ParallelPlanDriver::BuildJoinStates(
     CRE_ASSIGN_OR_RETURN(
         std::shared_ptr<HashJoinTable> table,
         HashJoinTable::Build(std::move(build), op->right_key,
-                             ctx_->budget_handle(),
-                             engine_->footprints()));
+                             ctx_->budget_handle()));
     joins.emplace(op, std::move(table));
   }
   return joins;
@@ -165,14 +164,14 @@ Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
     span.Annotate("model", op->model_name);
     span.Annotate("queries", std::to_string(queries.size()));
     CRE_RETURN_NOT_OK(CRE_INJECT_FAULT("embed.query"));
-    // The shared matrix outlives this scope (every per-morsel operator
-    // instance holds it), so charge without a scoped release; the query
-    // budget returns the remainder when the query finishes.
-    if (ctx_->budget() != nullptr) {
-      CRE_RETURN_NOT_OK(ctx_->budget()->Charge(
-          queries.size() * model->dim() * sizeof(float), "query embed matrix"));
-    }
-    selects.emplace(op, EmbedQueries(*model, queries));
+    // The charge lives beside the matrix: the segment's per-morsel
+    // operators share the matrix only while the segment runs.
+    SelectState state;
+    CRE_RETURN_NOT_OK(state.charge.Acquire(
+        ctx_->budget_handle(), queries.size() * model->dim() * sizeof(float),
+        "query embed matrix"));
+    state.queries = EmbedQueries(*model, queries);
+    selects.emplace(op, std::move(state));
   }
   return selects;
 }
@@ -204,7 +203,7 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
     } else if (op->kind == PlanKind::kSemanticSelect) {
       CRE_ASSIGN_OR_RETURN(
           cur, engine_->LowerSemanticSelectOver(ctx_, *op, std::move(cur),
-                                                selects.at(op)));
+                                                selects.at(op).queries));
     } else {
       std::vector<OperatorPtr> children;
       children.push_back(std::move(cur));
@@ -358,8 +357,7 @@ Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,
   CRE_ASSIGN_OR_RETURN(
       TablePtr out,
       SortTable(input, sort.sort_key, sort.sort_ascending, runner_,
-                limit_hint, &timings, ctx_->budget(),
-                engine_->footprints()));
+                limit_hint, &timings, ctx_->budget_handle()));
   span.Annotate("rows", std::to_string(out->num_rows()));
   span.Annotate("runs", std::to_string(timings.runs));
   span.Annotate("merge_partitions", std::to_string(timings.merge_partitions));
@@ -446,18 +444,10 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
   const bool parallel =
       num_morsels > 1 && runner_ != nullptr && runner_->num_threads() > 1;
-  // High estimated group cardinality flips accumulation to the two-phase
-  // radix scheme: the serial chunk-order merge of every partial's groups
-  // would otherwise dominate.
-  // Unoptimized plans carry no estimate (est_rows < 0); then a threshold
-  // of 0 explicitly forces the radix form for keyed aggregates.
-  const std::size_t radix_threshold =
-      engine_->options().optimizer.radix_agg_min_groups;
   const bool use_radix =
-      parallel && !agg.group_keys.empty() &&
-      (agg.est_rows >= 0
-           ? agg.est_rows >= static_cast<double>(radix_threshold)
-           : radix_threshold == 0);
+      parallel &&
+      UseRadixAggregation(agg, runner_->num_threads(),
+                          engine_->options().optimizer.radix_agg_min_groups);
 
   // Fixed chunk layout with per-chunk slots: workers race only on their
   // own slot, and the deterministic merge orders below (chunk index, or
@@ -478,26 +468,27 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     num_chunks = (num_morsels + per_chunk - 1) / per_chunk;
   }
 
-  // Charge the accumulation's private state: every chunk keeps its own
-  // hash (or radix-partitioned) aggregation state, sized by the group
-  // cardinality estimate; plans without an estimate fall back to the
-  // input row count (a keyed aggregate can never exceed it). The
-  // calibrator replaces the static 64 bytes/group prior with the
-  // observed bytes/group of past aggregations.
+  // Charge the accumulation's states before any is built, each at its
+  // layout's size for the estimated group count; plans without an
+  // estimate fall back to the input row count, and a global aggregate
+  // holds one group. The hash form keeps one partial per chunk plus the
+  // merged total, the radix form one partitioned partial per chunk.
+  GroupedAggregationState total;
+  CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
   ScopedCharge agg_charge;
   if (ctx_->budget() != nullptr) {
-    const std::size_t est_groups =
-        agg.est_rows >= 0 ? static_cast<std::size_t>(agg.est_rows) : n;
-    const std::size_t per_chunk_bytes = engine_->footprints()->EstimateBytes(
-        FootprintSite::kAggState, est_groups, est_groups * 64);
-    const std::size_t state_bytes = per_chunk_bytes * num_chunks;
-    CRE_RETURN_NOT_OK(agg_charge.Acquire(ctx_->budget_handle(), state_bytes,
+    const std::size_t groups =
+        agg.group_keys.empty()
+            ? 1
+            : agg.est_rows >= 0 ? static_cast<std::size_t>(agg.est_rows) : n;
+    const std::size_t states =
+        !parallel ? 1 : use_radix ? num_chunks : num_chunks + 1;
+    CRE_RETURN_NOT_OK(agg_charge.Acquire(ctx_->budget_handle(),
+                                         states * total.BytesFor(groups),
                                          "aggregation state"));
   }
 
   if (!parallel) {
-    GroupedAggregationState total;
-    CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
     CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
                          BuildChain(segment, base, joins, selects));
     CRE_RETURN_NOT_OK(chain->Open());
@@ -506,10 +497,6 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
       CRE_ASSIGN_OR_RETURN(TablePtr batch, chain->Next());
       if (batch == nullptr) break;
       CRE_RETURN_NOT_OK(total.Consume(*batch));
-    }
-    if (total.num_groups() > 0) {
-      engine_->footprints()->Observe(FootprintSite::kAggState,
-                                     total.num_groups(), total.MemoryBytes());
     }
     CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
     if (stats_ != nullptr) {
@@ -568,22 +555,7 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     for (const Status& status : statuses) CRE_RETURN_NOT_OK(status);
     accumulate_seconds = accumulate_timer.Seconds();
 
-    // Measure the accumulated state before the merge consumes it: the
-    // observed bytes/group calibrates future aggregation-state charges.
-    std::size_t state_groups = 0;
-    std::size_t state_bytes = 0;
-    for (const auto& partial : partials) {
-      state_groups += partial.num_groups();
-      state_bytes += partial.MemoryBytes();
-    }
-    if (state_groups > 0) {
-      engine_->footprints()->Observe(FootprintSite::kAggState, state_groups,
-                                     state_bytes);
-    }
-
     Timer merge_timer;
-    GroupedAggregationState total;
-    CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
     for (auto& partial : partials) total.Merge(std::move(partial));
     CRE_ASSIGN_OR_RETURN(out, total.Finalize());
     merge_seconds = merge_timer.Seconds();
@@ -610,19 +582,6 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     for (const Status& status : statuses) CRE_RETURN_NOT_OK(status);
     accumulate_seconds = accumulate_timer.Seconds();
     partitions_used = partials.front().num_partitions();
-
-    std::size_t state_groups = 0;
-    std::size_t state_bytes = 0;
-    for (auto& partial : partials) {
-      for (std::size_t p = 0; p < partial.num_partitions(); ++p) {
-        state_groups += partial.partition(p).num_groups();
-        state_bytes += partial.partition(p).MemoryBytes();
-      }
-    }
-    if (state_groups > 0) {
-      engine_->footprints()->Observe(FootprintSite::kAggState, state_groups,
-                                     state_bytes);
-    }
 
     // Phase 2: all occurrences of a group share a partition index, so
     // partitions merge and finalize independently — one task each, no

@@ -81,10 +81,14 @@ class ParallelPlanDriver {
   /// Shared build-side hash tables, one per kJoin node in a segment.
   using JoinStates =
       std::map<const PlanNode*, std::shared_ptr<HashJoinTable>>;
-  /// Pre-embedded query matrices, one per scanning kSemanticSelect node in
-  /// a segment: the query constant(s) embed once per query instead of
-  /// once per morsel-chain Open.
-  using SelectStates = std::map<const PlanNode*, SharedQueryMatrix>;
+  /// A scanning kSemanticSelect's pre-embedded query matrix — the query
+  /// constant(s) embed once per segment instead of once per morsel-chain
+  /// Open — and the budget charge that covers it.
+  struct SelectState {
+    SharedQueryMatrix queries;
+    ScopedCharge charge;
+  };
+  using SelectStates = std::map<const PlanNode*, SelectState>;
 
   Result<TablePtr> RunSegment(const PipelineSegment& segment);
   Result<TablePtr> MaterializeSource(const PlanNode& source);

@@ -139,7 +139,7 @@ void GroupedAggregationState::Merge(GroupedAggregationState&& other) {
       // A new group takes the partial's count and accumulators as they
       // are.
       counts_.push_back(other.counts_[og]);
-      acc_.insert(acc_.end(), from, from + num_aggs);
+      for (std::size_t a = 0; a < num_aggs; ++a) acc_.push_back(from[a]);
       continue;
     }
     counts_[g] += other.counts_[og];
@@ -194,6 +194,12 @@ void GroupedAggregationState::ResetGroups() {
 std::size_t GroupedAggregationState::MemoryBytes() const {
   return keys_.MemoryBytes() + counts_.capacity() * sizeof(std::int64_t) +
          acc_.capacity() * sizeof(double);
+}
+
+std::size_t GroupedAggregationState::BytesFor(std::size_t groups) const {
+  return keys_.BytesFor(groups, /*grown=*/true) +
+         VectorCapacity(groups) * sizeof(std::int64_t) +
+         VectorCapacity(groups * aggs_.size()) * sizeof(double);
 }
 
 Status RadixAggregationState::Init(const Schema& input,

@@ -61,9 +61,15 @@ class GroupedAggregationState {
   std::size_t num_groups() const { return counts_.size(); }
 
   /// Heap footprint of the accumulation state (hash slots, key columns,
-  /// accumulators). Call at barriers (finalize, governor re-charge), not
+  /// accumulators), without the per-batch scratch. Call at barriers, not
   /// per row.
   std::size_t MemoryBytes() const;
+
+  /// The MemoryBytes() this state reaches once it holds `groups` groups,
+  /// less the heap bytes of long string keys: every array grows one
+  /// group at a time, so each holds the next power of two. Valid after
+  /// Init; the governor charges it before accumulating.
+  std::size_t BytesFor(std::size_t groups) const;
 
  private:
   friend class RadixAggregationState;

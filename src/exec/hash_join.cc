@@ -16,8 +16,7 @@ bool IsIntKey(DataType type) {
 }  // namespace
 
 Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
-    TablePtr build, const std::string& key, QueryBudgetPtr budget,
-    FootprintCalibrator* calibrator) {
+    TablePtr build, const std::string& key, QueryBudgetPtr budget) {
   CRE_RETURN_IF_FAULT("hashjoin.build");
   auto out = std::make_shared<HashJoinTable>();
   out->build_ = std::move(build);
@@ -29,21 +28,17 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
                              std::string(DataTypeName(col.type())));
   }
   const std::size_t rows = col.size();
+  out->keys_ = KeyTable({col.type()});
   if (budget != nullptr) {
-    // Materialized side = the pinned table plus the index. A unique int64
-    // key costs about 32 bytes/row of index (key copy, hash, two to four
-    // slots, run offset, row id); a calibrator replaces the whole
-    // estimate with the observed bytes/row of past builds once enough of
-    // them have been seen.
-    std::size_t bytes = out->build_->MemoryBytes() + rows * 32;
-    if (calibrator != nullptr) {
-      bytes = calibrator->EstimateBytes(FootprintSite::kHashJoinBuild, rows,
-                                        bytes);
-    }
+    // The table, the key table reserved for `rows` keys (unique string
+    // keys copy at most the column's heap bytes), one row id per row and
+    // one run offset per key.
+    const std::size_t bytes =
+        out->build_->MemoryBytes() + out->keys_.BytesFor(rows, /*grown=*/false) +
+        col.HeapStringBytes() + (2 * rows + 1) * sizeof(std::uint32_t);
     CRE_RETURN_NOT_OK(
         out->charge_.Acquire(budget, bytes, "hash-join build side"));
   }
-  out->keys_ = KeyTable({col.type()});
   out->keys_.Reserve(rows);
   std::vector<std::uint32_t> ids;
   out->keys_.FindOrAddRows(col, &ids);
@@ -57,10 +52,6 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
   out->rows_.resize(rows);
   for (std::size_t r = 0; r < rows; ++r) {
     out->rows_[next[ids[r]]++] = static_cast<std::uint32_t>(r);
-  }
-  if (calibrator != nullptr && rows > 0) {
-    calibrator->Observe(FootprintSite::kHashJoinBuild, rows,
-                        out->build_->MemoryBytes() + out->MemoryBytes());
   }
   return out;
 }
@@ -94,7 +85,7 @@ Status HashJoinTable::Probe(const Column& key,
 }
 
 std::size_t HashJoinTable::MemoryBytes() const {
-  return keys_.MemoryBytes() +
+  return build_->MemoryBytes() + keys_.MemoryBytes() +
          (offsets_.capacity() + rows_.capacity()) * sizeof(std::uint32_t);
 }
 

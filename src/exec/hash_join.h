@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/resource_governor.h"
-#include "exec/footprint.h"
 #include "exec/operator.h"
 #include "storage/key_table.h"
 
@@ -23,16 +22,13 @@ class HashJoinTable {
  public:
   /// Materializes the index over `build`'s `key` column (int64, date or
   /// string; int64 and date keys join each other). With a non-null
-  /// `budget`, the estimated bytes of the materialized side (table plus
-  /// index) are charged before the index is built; a breach returns
-  /// kResourceExhausted and the charge is released when the table is
-  /// destroyed. With a non-null `calibrator`, the charge uses the
-  /// observed bytes/row of past builds instead of the static ~32
-  /// bytes/row prior, and this build's actual footprint (table plus
-  /// MemoryBytes()) is folded back in afterwards.
+  /// `budget`, the materialized side is charged before the index is
+  /// built, at the size of the index's own layout when every build row
+  /// holds a distinct key (the index reserves that much): the most
+  /// MemoryBytes() can reach. A breach returns kResourceExhausted; the
+  /// charge is released when the table is destroyed.
   static Result<std::shared_ptr<HashJoinTable>> Build(
-      TablePtr build, const std::string& key, QueryBudgetPtr budget = nullptr,
-      FootprintCalibrator* calibrator = nullptr);
+      TablePtr build, const std::string& key, QueryBudgetPtr budget = nullptr);
 
   const TablePtr& table() const { return build_; }
 
@@ -43,8 +39,8 @@ class HashJoinTable {
   Status Probe(const Column& key, std::vector<std::uint32_t>* probe_rows,
                std::vector<std::uint32_t>* build_rows) const;
 
-  /// Heap bytes of the index (key table and row runs), without the
-  /// materialized table.
+  /// Heap bytes of the materialized side: the table, the key table and
+  /// the row runs.
   std::size_t MemoryBytes() const;
 
  private:

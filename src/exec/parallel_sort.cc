@@ -319,41 +319,24 @@ Result<TablePtr> SortTyped(const TablePtr& input, Span<T> keys,
 
 }  // namespace
 
-namespace {
-
-/// Releases a raw-pointer budget charge when the sort call unwinds. The
-/// budget outlives the call (the driver's QueryContext holds it), so a
-/// raw pointer is safe for this function-scoped charge.
-struct SortChargeGuard {
-  QueryBudget* budget = nullptr;
-  std::size_t bytes = 0;
-  ~SortChargeGuard() {
-    if (budget != nullptr && bytes != 0) budget->Release(bytes);
-  }
-};
-
-}  // namespace
-
 Result<TablePtr> SortTable(const TablePtr& input, const std::string& key,
                            bool ascending, TaskRunner* pool,
                            std::size_t limit_hint, SortPhaseTimings* timings,
-                           QueryBudget* budget,
-                           FootprintCalibrator* calibrator) {
+                           QueryBudgetPtr budget) {
   CRE_ASSIGN_OR_RETURN(std::size_t key_idx, input->schema().RequireField(key));
-  const std::size_t rows = input->num_rows();
-  SortChargeGuard charge;
+  ScopedCharge charge;
   if (budget != nullptr) {
-    // Transient sort state: gathered output (~input bytes) plus two
-    // row-index arrays (runs + merged permutation). A calibrator swaps in
-    // the observed bytes/row of past sorts once it has seen enough.
-    std::size_t bytes =
-        input->MemoryBytes() + rows * 2 * sizeof(std::uint32_t);
-    if (calibrator != nullptr) {
-      bytes = calibrator->EstimateBytes(FootprintSite::kSortRuns, rows, bytes);
+    // The gathered output, laid out like the input (a top-k keeps
+    // limit_hint rows), plus two row-index arrays.
+    const std::size_t rows = input->num_rows();
+    const std::size_t out_rows =
+        limit_hint > 0 ? std::min(rows, limit_hint) : rows;
+    std::size_t bytes = rows * 2 * sizeof(std::uint32_t);
+    for (std::size_t c = 0; c < input->num_columns(); ++c) {
+      const Column& col = input->column(c);
+      bytes += out_rows * col.RowBytes() + col.HeapStringBytes();
     }
-    CRE_RETURN_NOT_OK(budget->Charge(bytes, "sort runs"));
-    charge.budget = budget;
-    charge.bytes = bytes;
+    CRE_RETURN_NOT_OK(charge.Acquire(std::move(budget), bytes, "sort runs"));
   }
   const Column& col = input->column(key_idx);
   Result<TablePtr> result = Status::TypeError("cannot sort on vector column");
@@ -377,13 +360,6 @@ Result<TablePtr> SortTable(const TablePtr& input, const std::string& key,
       break;
     default:
       return result.status();
-  }
-  if (result.ok() && calibrator != nullptr && rows > 0) {
-    // Actual transient footprint: the gathered output plus the row-index
-    // arrays the runs and merge used.
-    calibrator->Observe(FootprintSite::kSortRuns, rows,
-                        result.ValueUnsafe()->MemoryBytes() +
-                            rows * 2 * sizeof(std::uint32_t));
   }
   return result;
 }

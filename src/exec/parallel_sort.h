@@ -6,7 +6,6 @@
 #include "core/resource_governor.h"
 #include "core/result.h"
 #include "core/task_runner.h"
-#include "exec/footprint.h"
 #include "storage/table.h"
 
 namespace cre {
@@ -41,18 +40,15 @@ struct SortPhaseTimings {
 /// O(n log k) top-k work. The returned table then holds at most
 /// `limit_hint` rows.
 ///
-/// With a non-null `budget` the transient sort state (row-index runs plus
-/// the gathered output, ~input bytes + 2 indices/row) is charged for the
-/// duration of the call; a breach returns kResourceExhausted before any
-/// run is sorted. A non-null `calibrator` replaces that static estimate
-/// with the observed bytes/row of past sorts and folds this sort's actual
-/// footprint back in.
+/// With a non-null `budget` the transient sort state — the gathered
+/// output, one input-shaped row per output row, plus two row-index arrays
+/// (runs and merged permutation) — is charged for the duration of the
+/// call; a breach returns kResourceExhausted before any run is sorted.
 Result<TablePtr> SortTable(const TablePtr& input, const std::string& key,
                            bool ascending, TaskRunner* pool,
                            std::size_t limit_hint = 0,
                            SortPhaseTimings* timings = nullptr,
-                           QueryBudget* budget = nullptr,
-                           FootprintCalibrator* calibrator = nullptr);
+                           QueryBudgetPtr budget = nullptr);
 
 }  // namespace cre
 

@@ -39,6 +39,14 @@ PipelineSegment DecomposePipeline(const PlanNode& root) {
   return segment;
 }
 
+bool UseRadixAggregation(const PlanNode& agg, std::size_t dop,
+                         std::size_t radix_agg_min_groups) {
+  return dop > 1 && !agg.group_keys.empty() &&
+         (agg.est_rows >= 0
+              ? agg.est_rows >= static_cast<double>(radix_agg_min_groups)
+              : radix_agg_min_groups == 0);
+}
+
 namespace {
 
 /// Renders the parallel driver's routing decisions without executing
@@ -150,15 +158,10 @@ class PipelineDescriber {
         return;
       }
       case PlanKind::kAggregate: {
-        // Mirror the driver's form choice (see RunAggregate).
-        const bool radix =
-            !src.group_keys.empty() &&
-            (src.est_rows >= 0
-                 ? src.est_rows >= static_cast<double>(radix_min_groups_)
-                 : radix_min_groups_ == 0);
         EmitSegment(*src.children[0], target,
-                    radix ? "radix-partitioned parallel merge"
-                          : "per-worker partials, serial merge");
+                    UseRadixAggregation(src, dop_, radix_min_groups_)
+                        ? "radix-partitioned parallel merge"
+                        : "per-worker partials, serial merge");
         return;
       }
       case PlanKind::kSemanticJoin:

@@ -49,15 +49,23 @@ struct PipelineSegment {
 /// is the driver's job.
 PipelineSegment DecomposePipeline(const PlanNode& root);
 
+/// Whether the parallel driver accumulates aggregate `agg` in the
+/// two-phase radix-partitioned form at degree of parallelism `dop`: only
+/// a keyed aggregate with more than one worker, whose estimated group
+/// count reaches `radix_agg_min_groups` (an unoptimized plan carries no
+/// estimate; then a threshold of 0 forces the radix form). The serial
+/// chunk-order merge of every partial's groups would otherwise dominate.
+bool UseRadixAggregation(const PlanNode& agg, std::size_t dop,
+                         std::size_t radix_agg_min_groups);
+
 /// EXPLAIN rendering of the parallel driver's routing for `plan`: one
 /// line per pipeline, each annotated with its degree of parallelism and
 /// how it is scheduled — through the morsel scheduler (with a shared row
 /// budget for LIMIT subtrees), as a parallel sort / top-k sort, or
 /// through an internally parallel operator. At dop 1 the routes are the
 /// same, each run serially on the caller's thread.
-/// `radix_agg_min_groups` mirrors the driver's aggregate-form choice so
-/// the annotation matches what would execute. Appended to
-/// Engine::Explain output.
+/// The aggregate form comes from UseRadixAggregation, as in the driver.
+/// Appended to Engine::Explain output.
 std::string DescribePipelines(const PlanNode& plan, std::size_t dop,
                               std::size_t radix_agg_min_groups);
 

@@ -32,34 +32,6 @@ std::uint64_t ColumnContentHash(Span<std::string> words) {
   return h;
 }
 
-/// Holds a charge for a transient allocation against the engine-wide
-/// governor (when one is wired) and releases it at scope exit. A refused
-/// charge fails with kResourceExhausted before anything is allocated, so
-/// the semantic strategies fall back to brute force — never
-/// std::bad_alloc.
-class GovernorCharge {
- public:
-  GovernorCharge() = default;
-  GovernorCharge(const GovernorCharge&) = delete;
-  GovernorCharge& operator=(const GovernorCharge&) = delete;
-  ~GovernorCharge() {
-    if (governor_ != nullptr) governor_->Release(bytes_);
-  }
-
-  Status Acquire(ResourceGovernor* governor, std::size_t bytes,
-                 const char* what) {
-    if (governor == nullptr) return Status::OK();
-    CRE_RETURN_NOT_OK(governor->Charge(bytes, what));
-    governor_ = governor;
-    bytes_ = bytes;
-    return Status::OK();
-  }
-
- private:
-  ResourceGovernor* governor_ = nullptr;
-  std::size_t bytes_ = 0;
-};
-
 /// An unbuilt index of a managed family. options.hnsw.build_pool is the
 /// manager's build pool for every family, so only `pool` decides whether
 /// this index uses it (nullptr builds serially). Managed indexes outlive
@@ -121,19 +93,19 @@ class DistinctExpandedIndex : public VectorIndex {
 
   /// Incremental append of base rows [size(), col.size()): known values
   /// extend their postings list, new values embed once (their matrix
-  /// charged to `governor`) and insert into the inner index over `pool`
+  /// charged to `budget`) and insert into the inner index over `pool`
   /// (nullptr: serially). Deterministic given (current state, appended
   /// rows), whatever the pool.
   Status AppendRows(const Column& col, const EmbeddingModel& model,
-                    TaskRunner* pool, ResourceGovernor* governor) {
+                    TaskRunner* pool, const QueryBudgetPtr& budget) {
     if (col.size() < rows_) {
       return Status::Internal("append prefix does not line up with index");
     }
     const Span<std::string> fresh = IndexRows(col);
     if (fresh.size() > 0) {
       const std::size_t dim = model.dim();
-      GovernorCharge charge;
-      CRE_RETURN_NOT_OK(charge.Acquire(governor,
+      ScopedCharge charge;
+      CRE_RETURN_NOT_OK(charge.Acquire(budget,
                                        fresh.size() * dim * sizeof(float),
                                        "index refresh embed matrix"));
       std::vector<float> matrix(fresh.size() * dim);
@@ -317,7 +289,12 @@ std::size_t IndexKeyHash::operator()(const IndexKey& k) const {
 
 IndexManager::IndexManager(const Catalog* catalog, const ModelRegistry* models,
                            IndexManagerOptions options)
-    : catalog_(catalog), models_(models), options_(std::move(options)) {
+    : catalog_(catalog),
+      models_(models),
+      options_(std::move(options)),
+      budget_(options_.governor == nullptr
+                  ? nullptr
+                  : std::make_shared<QueryBudget>(options_.governor, 0)) {
   ScanPersistDir();
 }
 
@@ -354,8 +331,8 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
   const Span<std::string> distinct = index->IndexRows(*col);
   // The transient embed matrix is the build's allocation spike; charge it
   // against the engine-wide governor before allocating.
-  GovernorCharge charge;
-  CRE_RETURN_NOT_OK(charge.Acquire(options_.governor,
+  ScopedCharge charge;
+  CRE_RETURN_NOT_OK(charge.Acquire(budget_,
                                    distinct.size() * dim * sizeof(float),
                                    "index build embed matrix"));
   CRE_RETURN_IF_FAULT("index.build.embed");
@@ -401,8 +378,7 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
   }
   CRE_RETURN_IF_FAULT("index.refresh.append");
   CRE_RETURN_NOT_OK(wrapper->AppendRows(
-      *col, *model, serial ? nullptr : options_.hnsw.build_pool,
-      options_.governor));
+      *col, *model, serial ? nullptr : options_.hnsw.build_pool, budget_));
   *new_version = chain.to_version;
   if (content_hash != nullptr) {
     *content_hash = ColumnContentHash(col->strings());

@@ -430,6 +430,9 @@ class IndexManager {
   const Catalog* catalog_;
   const ModelRegistry* models_;
   IndexManagerOptions options_;
+  /// Charges the builds' transient embed matrices to options_.governor
+  /// with no ceiling of its own (null without a governor).
+  QueryBudgetPtr budget_;
 
   mutable Mutex mu_;
   CondVar cv_;

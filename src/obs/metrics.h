@@ -141,8 +141,8 @@ struct MetricsSnapshot {
 };
 
 /// The engine-wide metrics registry: one coherent namespace over every
-/// subsystem's counters (scheduler, index manager, embedding caches,
-/// kernel dispatch) plus engine-owned latency histograms. Two kinds of
+/// subsystem's counters (scheduler, index manager, governor, plan cache,
+/// embedding caches) plus engine-owned latency histograms. Two kinds of
 /// instruments:
 ///
 ///  - owned Counter/Gauge/Histogram, registered by name+labels and

@@ -257,16 +257,37 @@ std::size_t Column::MemoryBytes() const {
       return SlotBytes(f64_);
     case DataType::kBool:
       return SlotBytes(bools_);
-    case DataType::kString: {
-      std::size_t bytes = SlotBytes(strings_);
-      for (const auto& s : strings_.view()) {
-        // SSO strings hold their payload inline in sizeof(std::string).
-        if (s.size() >= sizeof(std::string)) bytes += s.capacity();
-      }
-      return bytes;
-    }
+    case DataType::kString:
+      return SlotBytes(strings_) + HeapStringBytes();
     case DataType::kFloatVector:
       return SlotBytes(vec_);
+  }
+  return 0;
+}
+
+std::size_t Column::HeapStringBytes() const {
+  if (type_ != DataType::kString) return 0;
+  std::size_t bytes = 0;
+  for (const auto& s : strings_.view()) {
+    // SSO strings hold their payload inline in sizeof(std::string).
+    if (s.size() >= sizeof(std::string)) bytes += s.capacity();
+  }
+  return bytes;
+}
+
+std::size_t Column::RowBytes() const {
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      return sizeof(std::int64_t);
+    case DataType::kFloat64:
+      return sizeof(double);
+    case DataType::kBool:
+      return sizeof(std::uint8_t);
+    case DataType::kString:
+      return sizeof(std::string);
+    case DataType::kFloatVector:
+      return vec_dim_ * sizeof(float);
   }
   return 0;
 }

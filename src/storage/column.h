@@ -121,6 +121,13 @@ class Column {
   /// (which belongs to whichever version appends next).
   std::size_t MemoryBytes() const;
 
+  /// The part of MemoryBytes() held outside the row slots: the heap
+  /// bytes of strings too long for the inline buffer (0 for other types).
+  std::size_t HeapStringBytes() const;
+
+  /// Bytes of one row's slot (a string's inline slot, a vector's floats).
+  std::size_t RowBytes() const;
+
  private:
   DataType type_;
   std::size_t vec_dim_ = 0;                // kFloatVector

@@ -23,6 +23,12 @@ std::uint64_t FloatKeyBits(double x) {
 
 }  // namespace
 
+std::size_t VectorCapacity(std::size_t n) {
+  std::size_t capacity = n == 0 ? 0 : 1;
+  while (capacity < n) capacity *= 2;
+  return capacity;
+}
+
 KeyTable::KeyTable(const std::vector<DataType>& types)
     : slots_(kInitialSlots, kEmptySlot) {
   keys_.reserve(types.size());
@@ -83,6 +89,18 @@ void KeyTable::Reserve(std::size_t keys) {
   std::size_t slots = slots_.size();
   while (slots < 2 * keys) slots *= 2;
   if (slots > slots_.size()) Rehash(slots);
+  hashes_.reserve(keys);
+  for (Column& key : keys_) key.Reserve(keys);
+}
+
+std::size_t KeyTable::BytesFor(std::size_t keys, bool grown) const {
+  // Slots double once they pass half full, from kInitialSlots.
+  std::size_t slots = kInitialSlots;
+  while (slots < 2 * keys) slots *= 2;
+  const std::size_t held = grown ? VectorCapacity(keys) : keys;
+  std::size_t bytes = (slots + held) * sizeof(std::uint64_t);
+  for (const Column& key : keys_) bytes += held * key.RowBytes();
+  return bytes;
 }
 
 std::uint32_t KeyTable::Add(std::size_t slot, std::uint64_t h,

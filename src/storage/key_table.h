@@ -10,6 +10,10 @@
 
 namespace cre {
 
+/// The capacity a std::vector or a Column reaches after `n` appends of
+/// one element each: the next power of two (0 for none).
+std::size_t VectorCapacity(std::size_t n);
+
 /// Dense ids for the distinct keys of a set of rows: the one hash table
 /// behind GROUP BY, the hash join's build side and every distinct-value
 /// pass (semantic select, managed index builds and refreshes). A key is
@@ -59,8 +63,15 @@ class KeyTable {
   /// every row of `col`, in row order.
   void FindOrAddRows(const Column& col, std::vector<std::uint32_t>* ids);
 
-  /// Sizes the slots for `keys` keys, so adding that many rehashes none.
+  /// Sizes the slots, hashes and key columns for `keys` keys, so adding
+  /// that many reallocates nothing.
   void Reserve(std::size_t keys);
+
+  /// The MemoryBytes() of this table once it holds `keys` keys, less the
+  /// heap bytes of string keys (their inline slots count): after
+  /// Reserve(keys), or, when `grown`, after adding them one at a time,
+  /// which leaves the hashes and key columns at the next power of two.
+  std::size_t BytesFor(std::size_t keys, bool grown) const;
 
   /// Number of distinct keys.
   std::size_t size() const { return hashes_.size(); }

@@ -21,10 +21,6 @@ enum class KernelVariant {
   kAvx512,       ///< 16-lane FMA when the host CPU has AVX-512F
 };
 
-/// Number of variants a calibration sweep covers (scalar, unrolled, avx2,
-/// avx512).
-constexpr int kNumFloatKernelVariants = 4;
-
 const char* KernelVariantName(KernelVariant v);
 
 /// True when the host CPU supports AVX2+FMA+F16C at runtime (and the build

@@ -12,7 +12,8 @@
 //  - ResourceGovernor: hash-join and sort breaches return exactly
 //    kResourceExhausted with the engine healthy after; an index build
 //    breach degrades the semantic select to the scanning fallback with
-//    identical results.
+//    identical results; the hash-join, aggregation and sort charges cover
+//    what those structures hold, from a fresh engine's first query on.
 //  - Bounded admission: per-class shed policy (high never, normal at the
 //    limit, background at half), engine-level shedding under overload
 //    with high-priority queries never shed.
@@ -35,6 +36,9 @@
 #include "engine/engine.h"
 #include "engine/query_builder.h"
 #include "engine/scheduler.h"
+#include "exec/aggregate.h"
+#include "exec/hash_join.h"
+#include "exec/parallel_sort.h"
 #include "plan/plan_node.h"
 
 namespace cre {
@@ -341,6 +345,94 @@ TEST(GovernorTest, PerQuerySortBudgetBreach) {
   auto full = engine.Execute(qb.plan(), QueryOptions{});
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(full.ValueOrDie()->num_rows(), 20000u);
+}
+
+// On a fresh engine's first budgeted query, the hash-join build side, the
+// aggregation state and the sort are each charged from their own layouts
+// before they are built: at least the bytes the structure then holds and
+// at most twice them. Each query runs alone on its engine, so the
+// governor's peak is that one charge.
+TEST(GovernorTest, ChargesCoverStructureFootprint) {
+  constexpr std::size_t kRows = 20000;
+  QueryOptions budgeted;
+  budgeted.memory_budget_bytes = std::size_t{1} << 40;
+  auto make_table = [](DataType key_type, std::size_t distinct) {
+    auto t = Table::Make(Schema({{"id", DataType::kInt64, 0},
+                                 {"k", key_type, 0}}));
+    for (std::size_t i = 0; i < kRows; ++i) {
+      t->column(0).AppendInt64(static_cast<std::int64_t>(i));
+      const std::size_t key = (i * 7919) % distinct;
+      if (key_type == DataType::kString) {
+        t->column(1).AppendString("key_" + std::to_string(key));
+      } else {
+        t->column(1).AppendInt64(static_cast<std::int64_t>(key));
+      }
+    }
+    return t;
+  };
+  // Runs `plan` unoptimized (as written) as the first budgeted query of a
+  // fresh engine over table "t" (and a 10-row probe table "p"); returns
+  // the governor's peak charge and, in `scanned`, "t" as the driver
+  // materializes it.
+  auto first_query_charge = [&](std::size_t threads, const TablePtr& t,
+                                const PlanPtr& plan, TablePtr* scanned) {
+    EngineOptions eo;
+    eo.num_threads = threads;
+    Engine engine(eo);
+    engine.catalog().Put("t", t);
+    engine.catalog().Put("p", make_table(t->column(1).type(), 10));
+    auto result = engine.ExecuteUnoptimized(plan, budgeted);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    const std::size_t peak = engine.governor()->peak_bytes();
+    *scanned = engine.ExecuteUnoptimized(PlanNode::Scan("t")).ValueOrDie();
+    return peak;
+  };
+  auto expect_covers = [](std::size_t charge, std::size_t bytes,
+                          const std::string& what) {
+    EXPECT_GE(charge, bytes) << what;
+    EXPECT_LE(charge, 2 * bytes) << what;
+  };
+
+  for (const DataType type : {DataType::kInt64, DataType::kString}) {
+    for (const std::size_t distinct : {kRows, kRows / 100}) {
+      const std::string what = std::string("hash join, ") +
+                               DataTypeName(type) + " keys, " +
+                               std::to_string(distinct) + " distinct";
+      TablePtr scanned;
+      const std::size_t charge = first_query_charge(
+          2, make_table(type, distinct),
+          PlanNode::Join(PlanNode::Scan("p"), PlanNode::Scan("t"), "k", "k"),
+          &scanned);
+      auto join = HashJoinTable::Build(scanned, "k");
+      ASSERT_TRUE(join.ok()) << join.status().ToString();
+      expect_covers(charge, join.ValueOrDie()->MemoryBytes(), what);
+    }
+
+    // One group per row, charged for the input row count: an unoptimized
+    // plan carries no group estimate.
+    const std::string what =
+        std::string("aggregation, ") + DataTypeName(type) + " keys";
+    TablePtr scanned;
+    const std::size_t charge = first_query_charge(
+        1, make_table(type, kRows),
+        PlanNode::Aggregate(PlanNode::Scan("t"), {"k"},
+                            {{AggKind::kCount, "", "n"}}),
+        &scanned);
+    GroupedAggregationState state;
+    ASSERT_TRUE(
+        state.Init(scanned->schema(), {"k"}, {{AggKind::kCount, "", "n"}})
+            .ok());
+    ASSERT_TRUE(state.Consume(*scanned).ok());
+    expect_covers(charge, state.MemoryBytes(), what);
+  }
+
+  TablePtr scanned;
+  const std::size_t charge = first_query_charge(
+      2, make_table(DataType::kString, kRows),
+      PlanNode::Sort(PlanNode::Scan("t"), "id", false), &scanned);
+  auto sorted = SortTable(scanned, "id", false, /*pool=*/nullptr);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  expect_covers(charge, sorted.ValueOrDie()->MemoryBytes(), "sort");
 }
 
 TEST(GovernorTest, IndexBuildBreachDegradesToScanningFallback) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "hw/device.h"
-#include "hw/dispatch.h"
 #include "hw/placement.h"
 
 namespace cre {
@@ -104,29 +103,6 @@ TEST(PlacementTest, EstimateAllCoversRegistry) {
   PlacementOptimizer opt(DeviceRegistry::Default());
   auto all = opt.EstimateAll(SimilarityJoinProfile(1000, 1000, 100));
   EXPECT_EQ(all.size(), 3u);
-}
-
-TEST(DispatcherTest, CalibratesAndResolves) {
-  AdaptiveKernelDispatcher dispatcher(100);
-  EXPECT_FALSE(dispatcher.calibrated());
-  DotFn fn = dispatcher.Resolve();
-  ASSERT_NE(fn, nullptr);
-  EXPECT_TRUE(dispatcher.calibrated());
-  // The chosen kernel computes correct results.
-  const float a[4] = {1, 2, 3, 4};
-  const float b[4] = {1, 1, 1, 1};
-  AdaptiveKernelDispatcher small(4);
-  EXPECT_NEAR(small.Resolve()(a, b, 4), 10.f, 1e-5f);
-}
-
-TEST(DispatcherTest, ChoosesNoSlowerThanScalar) {
-  AdaptiveKernelDispatcher dispatcher(128);
-  dispatcher.Resolve();
-  const double* m = dispatcher.measurements();
-  const double chosen_ns =
-      m[static_cast<int>(dispatcher.chosen_variant())];
-  ASSERT_GT(m[0], 0.0);  // scalar was measured
-  EXPECT_LE(chosen_ns, m[0] * 1.10);  // within noise of scalar or better
 }
 
 }  // namespace

@@ -333,10 +333,11 @@ TEST_F(ObsEngineTest, QueryMetricsAccumulate) {
     }
   }
   EXPECT_TRUE(found_hist);
-  // The unified namespace carries all four collector-backed subsystems.
+  // The unified namespace carries the collector-backed subsystems.
   EXPECT_NE(json.find("cre_scheduler_active_queries"), std::string::npos);
   EXPECT_NE(json.find("cre_index_lookups_total"), std::string::npos);
-  EXPECT_NE(json.find("cre_kernel_"), std::string::npos);
+  EXPECT_NE(json.find("cre_governor_peak_bytes"), std::string::npos);
+  EXPECT_NE(json.find("cre_plan_cache_hits_total"), std::string::npos);
 }
 
 TEST_F(ObsEngineTest, EmbedCacheMetricsSurfaceForCachingModels) {

@@ -659,6 +659,40 @@ TEST(ParallelExecPlain, RadixAggregatePartitionsInExplainAnalyzeTrace) {
   EXPECT_GE(OneAttr(text, "agg_merge_ms"), 0.0);
 }
 
+// EXPLAIN names the aggregate form the driver runs: a high-cardinality
+// GROUP BY is radix-partitioned only with more than one worker; at dop 1
+// one state consumes everything and the trace carries no agg_mode.
+class ExplainAggregateRouteTest
+    : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Dop, ExplainAggregateRouteTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}));
+
+TEST_P(ExplainAggregateRouteTest, ExplainMatchesTheDriversForm) {
+  EngineOptions eo;
+  eo.num_threads = GetParam();
+  Engine engine(eo);
+  auto t = Table::Make(Schema({{"k", DataType::kInt64, 0}}));
+  for (std::size_t i = 0; i < 60000; ++i) {
+    t->column(0).AppendInt64(static_cast<std::int64_t>(i % 20000));
+  }
+  engine.catalog().Put("t", t);
+  PlanPtr plan = PlanNode::Aggregate(PlanNode::Scan("t"), {"k"},
+                                     {{AggKind::kCount, "", "n"}});
+  const std::string explain = engine.Explain(plan).ValueOrDie();
+  const std::string analyze = engine.ExplainAnalyze(plan).ValueOrDie();
+  const bool radix = explain.find("radix-partitioned") != std::string::npos;
+  if (GetParam() == 1) {
+    EXPECT_FALSE(radix) << explain;
+    EXPECT_TRUE(AttrValues(analyze, "agg_mode").empty()) << analyze;
+  } else {
+    EXPECT_TRUE(radix) << explain;
+    EXPECT_EQ(AttrValues(analyze, "agg_mode"),
+              std::vector<std::string>{"radix"})
+        << analyze;
+  }
+}
+
 TEST(ParallelExecPlain, LimitBudgetInExplainAnalyzeTrace) {
   auto engine = MakeBreakerEngine();
   // LIMIT over a sort is a top-k sort.

@@ -2,9 +2,9 @@
 // parameters by slot with byte-identical results, the cacheability rule,
 // stamp and index-residency invalidation, LRU bounds, single-flight
 // population),
-// mid-query index adoption (byte-identity against the all-fallback run),
-// and the governor's footprint calibrator. The concurrent storm test runs
-// under TSan in CI like the other parallel tests.
+// and mid-query index adoption (byte-identity against the all-fallback
+// run). The concurrent storm test runs under TSan in CI like the other
+// parallel tests.
 
 #include <atomic>
 #include <chrono>
@@ -21,7 +21,6 @@
 #include "embed/structured_model.h"
 #include "engine/engine.h"
 #include "engine/parallel_driver.h"
-#include "exec/footprint.h"
 #include "optimizer/plan_cache.h"
 
 namespace cre {
@@ -585,28 +584,6 @@ TEST_P(PlanCacheDopTest, MidQueryAdoptionIsByteIdenticalToFallback) {
   // The adoption counter exports through metrics.
   std::string prom = engine->metrics()->Snapshot().ToPrometheusText();
   EXPECT_NE(prom.find("cre_index_adoptions_total"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Governor footprint calibration
-// ---------------------------------------------------------------------------
-
-TEST_F(PlanCacheTest, FootprintCalibratorWarmsAfterMinSamples) {
-  FootprintCalibrator cal(/*ewma_alpha=*/1.0, /*min_samples=*/3);
-
-  // Until warm, the caller's static estimate passes through.
-  EXPECT_EQ(cal.EstimateBytes(FootprintSite::kAggState, 100, 6400), 6400u);
-  cal.Observe(FootprintSite::kAggState, 100, 12800);  // 128 bytes/row
-  cal.Observe(FootprintSite::kAggState, 100, 12800);
-  EXPECT_EQ(cal.EstimateBytes(FootprintSite::kAggState, 100, 6400), 6400u);
-
-  // Third observation crosses min_samples: calibrated estimates serve.
-  cal.Observe(FootprintSite::kAggState, 100, 12800);
-  EXPECT_EQ(cal.samples(FootprintSite::kAggState), 3u);
-  EXPECT_DOUBLE_EQ(cal.bytes_per_row(FootprintSite::kAggState), 128.0);
-  EXPECT_EQ(cal.EstimateBytes(FootprintSite::kAggState, 100, 6400), 12800u);
-  // Sites are independent: sort stays on its static estimate.
-  EXPECT_EQ(cal.EstimateBytes(FootprintSite::kSortRuns, 100, 800), 800u);
 }
 
 // ---------------------------------------------------------------------------

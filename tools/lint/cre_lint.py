@@ -40,6 +40,11 @@ they span files or encode project policy:
                    pieces too; a hand-written Submit loop + Wait leaves it
                    idle.
 
+  charge-scope     no `Charge(` call outside src/core/resource_governor.* —
+                   a governor charge is held by a ScopedCharge, which
+                   releases it with the structure it covers; a bare
+                   Charge is released by hand or not at all.
+
 Waivers: a finding of rule R at line L is waived when a comment
 
     // cre-lint: allow(R): <reason>
@@ -91,6 +96,11 @@ SMART_WRAP_RE = re.compile(
 SUBMIT_RE = re.compile(r"\bSubmit\s*\(")
 SUBMIT_OWNERS = ("src/core/", "src/engine/scheduler.h",
                  "src/engine/scheduler.cc", "src/index/index_manager.cc")
+
+# Files that may call Charge( directly: the accountant and ScopedCharge.
+CHARGE_RE = re.compile(r"\bCharge\s*\(")
+CHARGE_OWNERS = ("src/core/resource_governor.h",
+                 "src/core/resource_governor.cc")
 
 LINE_COMMENT_RE = re.compile(r"//(?!\s*cre-lint:).*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -263,8 +273,26 @@ def check_fan_out(root):
     return findings
 
 
+def check_charge_scope(root):
+    findings = []
+    for rel in source_files(root, "src"):
+        if rel.replace(os.sep, "/") in CHARGE_OWNERS:
+            continue
+        lines = read_lines(root, rel)
+        waivers = file_waivers(lines)
+        for i, raw in enumerate(lines, start=1):
+            if CHARGE_RE.search(strip_noise(raw)) and not waived(
+                    waivers, "charge-scope", i):
+                findings.append(Finding(
+                    "charge-scope", rel, i,
+                    "Charge( outside src/core/resource_governor.* — hold "
+                    "the charge in a ScopedCharge, or waive with a reason"))
+    return findings
+
+
 CHECKS = {
     "chaos-coverage": check_chaos_coverage,
+    "charge-scope": check_charge_scope,
     "fan-out": check_fan_out,
     "cancel-poll": check_cancel_poll,
     "metric-name": check_metric_names,

@@ -189,6 +189,34 @@ class FanOutTest(LintFixture):
         self.assertEqual(self.run_lint("fan-out"), 1)
 
 
+class ChargeScopeTest(LintFixture):
+    def test_scoped_charge_and_governor_files_pass(self):
+        self.seed_minimal_repo()
+        self.write("src/exec/clean.cc",
+                   "ScopedCharge charge;\n"
+                   "CRE_RETURN_NOT_OK(charge.Acquire(budget, bytes, \"x\"));\n"
+                   "// budget->Charge(bytes) in prose is fine\n")
+        self.write("src/core/resource_governor.h",
+                   "Status Charge(std::size_t bytes, const char* what);\n")
+        self.write("src/core/resource_governor.cc",
+                   "CRE_RETURN_NOT_OK(budget->Charge(bytes, what));\n")
+        self.assertEqual(self.run_lint("charge-scope"), 0)
+
+    def test_bare_charge_outside_governor_fails(self):
+        self.seed_minimal_repo()
+        self.write("src/engine/bad.cc",
+                   "CRE_RETURN_NOT_OK(ctx->budget()->Charge(n, \"m\"));\n")
+        self.assertEqual(self.run_lint("charge-scope"), 1)
+
+    def test_waiver_with_reason_suppresses(self):
+        self.seed_minimal_repo()
+        self.write("src/engine/waived.cc",
+                   "// cre-lint: allow(charge-scope): released by the query "
+                   "budget.\n"
+                   "CRE_RETURN_NOT_OK(budget->Charge(n, \"m\"));\n")
+        self.assertEqual(self.run_lint("charge-scope"), 0)
+
+
 class RealRepoTest(unittest.TestCase):
     """The linter must be clean on the repo it ships in."""
 

@@ -451,7 +451,7 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
                            models_.Get(node.model_name));
       return OperatorPtr(std::make_unique<SemanticGroupByOperator>(
           std::move(children[0]), node.column, std::move(model),
-          node.threshold));
+          node.threshold, ctx->budget_handle()));
     }
     default:
       // Scan, Join, SemanticSelect, Aggregate, Sort and Limit are run by

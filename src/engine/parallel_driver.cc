@@ -135,25 +135,20 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
   }
 }
 
-Result<ParallelPlanDriver::JoinStates> ParallelPlanDriver::BuildJoinStates(
+Result<ParallelPlanDriver::SegmentInputs> ParallelPlanDriver::PrepareSegment(
     const PipelineSegment& segment) {
-  JoinStates joins;
+  SegmentInputs inputs;
+  CRE_ASSIGN_OR_RETURN(inputs.base, MaterializeSource(*segment.source));
   for (const PlanNode* op : segment.ops) {
-    if (op->kind != PlanKind::kJoin) continue;
-    CRE_ASSIGN_OR_RETURN(TablePtr build, Run(*op->children[1]));
-    CRE_ASSIGN_OR_RETURN(
-        std::shared_ptr<HashJoinTable> table,
-        HashJoinTable::Build(std::move(build), op->right_key,
-                             ctx_->budget_handle()));
-    joins.emplace(op, std::move(table));
-  }
-  return joins;
-}
-
-Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
-    const PipelineSegment& segment) {
-  SelectStates selects;
-  for (const PlanNode* op : segment.ops) {
+    if (op->kind == PlanKind::kJoin) {
+      CRE_ASSIGN_OR_RETURN(TablePtr build, Run(*op->children[1]));
+      CRE_ASSIGN_OR_RETURN(
+          std::shared_ptr<HashJoinTable> table,
+          HashJoinTable::Build(std::move(build), op->right_key,
+                               ctx_->budget_handle()));
+      inputs.joins.emplace(op, std::move(table));
+      continue;
+    }
     if (op->kind != PlanKind::kSemanticSelect) continue;
     CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model,
                          engine_->models().Get(op->model_name));
@@ -171,23 +166,31 @@ Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
         ctx_->budget_handle(), queries.size() * model->dim() * sizeof(float),
         "query embed matrix"));
     state.queries = EmbedQueries(*model, queries);
-    selects.emplace(op, std::move(state));
+    inputs.selects.emplace(op, std::move(state));
   }
-  return selects;
+  return inputs;
+}
+
+Result<TablePtr> ParallelPlanDriver::MapSegment(
+    const PipelineSegment& segment, const SegmentInputs& inputs,
+    const TablePtr& base, std::size_t limit, MorselBudgetStats* stats) {
+  MorselOptions options;
+  options.morsel_rows = morsel_rows_;
+  options.pool = runner_;
+  options.cancel = ctx_->cancel_flag();
+  return MorselParallelMap(
+      base,
+      [&](std::size_t, const TablePtr& slice) {
+        return BuildChain(segment, inputs, slice);
+      },
+      options, limit, stats);
 }
 
 Result<OperatorPtr> ParallelPlanDriver::BuildChain(
-    const PipelineSegment& segment, const TablePtr& slice,
-    const JoinStates& joins, const SelectStates& selects) {
+    const PipelineSegment& segment, const SegmentInputs& inputs,
+    const TablePtr& slice) {
   const PlanNode& source = *segment.source;
-  // A chain with no operators only hands its slice on, so it reads the
-  // slice as one batch instead of cutting it into batches first (at dop 1
-  // the slice is the whole input).
-  const bool filtered =
-      source.kind == PlanKind::kScan && source.predicate != nullptr;
-  const std::size_t batch_rows =
-      segment.ops.empty() && !filtered ? slice->num_rows() : morsel_rows_;
-  OperatorPtr cur = std::make_unique<TableScanOperator>(slice, batch_rows);
+  OperatorPtr cur = std::make_unique<TableScanOperator>(slice, morsel_rows_);
   if (source.kind == PlanKind::kScan) {
     // A pushed-down scan predicate shares the Scan's stats slot.
     if (source.predicate != nullptr) {
@@ -199,11 +202,11 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
   for (const PlanNode* op : segment.ops) {
     if (op->kind == PlanKind::kJoin) {
       cur = std::make_unique<HashJoinOperator>(
-          std::move(cur), joins.at(op), op->left_key, op->right_key);
+          std::move(cur), inputs.joins.at(op), op->left_key, op->right_key);
     } else if (op->kind == PlanKind::kSemanticSelect) {
-      CRE_ASSIGN_OR_RETURN(
-          cur, engine_->LowerSemanticSelectOver(ctx_, *op, std::move(cur),
-                                                selects.at(op).queries));
+      CRE_ASSIGN_OR_RETURN(cur, engine_->LowerSemanticSelectOver(
+                                    ctx_, *op, std::move(cur),
+                                    inputs.selects.at(op).queries));
     } else {
       std::vector<OperatorPtr> children;
       children.push_back(std::move(cur));
@@ -220,28 +223,16 @@ Result<TablePtr> ParallelPlanDriver::RunSegment(
   CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
   SpanScope span(this,
                  std::string("pipeline:") + PlanKindName(segment.source->kind));
-  CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
+  CRE_ASSIGN_OR_RETURN(SegmentInputs inputs, PrepareSegment(segment));
   // Breaker outputs are freshly materialized tables the caller may own
   // outright. A bare Scan must still flow through the morsel map: its
   // morsels are O(1) slices of the snapshot table, and the map's
   // concatenation copies them into a fresh result (the snapshot table
   // must not alias into query results); it also records Scan stats.
   if (segment.ops.empty() && segment.source->kind != PlanKind::kScan) {
-    return base;
+    return inputs.base;
   }
-
-  CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
-  CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
-  MorselOptions options;
-  options.morsel_rows = morsel_rows_;
-  options.pool = runner_;
-  options.cancel = ctx_->cancel_flag();
-  return MorselParallelMap(
-      base,
-      [&](std::size_t, const TablePtr& slice) {
-        return BuildChain(segment, slice, joins, selects);
-      },
-      options);
+  return MapSegment(segment, inputs, inputs.base);
 }
 
 Result<TablePtr> ParallelPlanDriver::RunFallbackWithAdoption(
@@ -253,16 +244,8 @@ Result<TablePtr> ParallelPlanDriver::RunFallbackWithAdoption(
 
   CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
   SpanScope span(this, "pipeline:adaptive-select");
-  CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*fallback.source));
-  const std::size_t n = base->num_rows();
-  const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
-  if (num_morsels <= 1) return RunSegment(fallback);
-
-  CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(fallback));
-  MorselOptions options;
-  options.morsel_rows = morsel_rows_;
-  options.pool = runner_;
-  options.cancel = ctx_->cancel_flag();
+  CRE_ASSIGN_OR_RETURN(SegmentInputs inputs, PrepareSegment(fallback));
+  const std::size_t n = inputs.base->num_rows();
 
   // Brute-force the input in waves of ~2 morsels per worker. Between
   // waves (pipeline-segment boundaries — no per-morsel pipeline is in
@@ -271,80 +254,50 @@ Result<TablePtr> ParallelPlanDriver::RunFallbackWithAdoption(
   // row ids past the already-scanned prefix. Exact re-verification inside
   // the index operator keeps the adopted tail byte-identical to the
   // brute-force result, and prefix-then-tail concatenation preserves the
-  // global row order.
-  const std::size_t workers =
-      runner_ != nullptr ? std::max<std::size_t>(1, runner_->num_threads())
-                         : 1;
-  const std::size_t wave_morsels = std::max<std::size_t>(1, workers * 2);
-  const JoinStates no_joins;
-  TablePtr out;
-  std::size_t adopted_at_row = 0;
-  bool adopted = false;
-  std::size_t m = 0;
-  while (m < num_morsels) {
+  // global row order. Once the build is gone (failed or evicted) there is
+  // nothing to poll for, and one last wave spans the rest.
+  const std::size_t wave_rows = runner_->num_threads() * 2 * morsel_rows_;
+  std::vector<TablePtr> parts;
+  bool polling = true;
+  std::size_t row = 0;
+  do {
     CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-    CallAdoptionHook(m);
-    if (m > 0) {
+    CallAdoptionHook(row / morsel_rows_);
+    if (row > 0) {
       // The first wave never polls: the probe above just reported the
       // build in flight.
-      bool still_building = false;
       CRE_ASSIGN_OR_RETURN(
           OperatorPtr op,
-          engine_->TryLowerIndexSelect(ctx_, source, &still_building,
-                                       /*min_row_id=*/m * morsel_rows_,
+          engine_->TryLowerIndexSelect(ctx_, source, &polling,
+                                       /*min_row_id=*/row,
                                        /*exact_verify=*/true));
       if (op != nullptr) {
         op = Instrument(&source, std::move(op));
         CRE_ASSIGN_OR_RETURN(TablePtr tail, ExecuteToTable(op.get()));
-        if (out == nullptr) out = Table::Make(tail->schema());
-        CRE_RETURN_NOT_OK(out->AppendTable(*tail));
-        adopted = true;
-        adopted_at_row = m * morsel_rows_;
+        parts.push_back(std::move(tail));
         engine_->RecordIndexAdoption();
         break;
       }
-      if (!still_building) {
-        // The build failed or was evicted; no point polling again. Run
-        // the rest as one plain brute-force map.
-        TablePtr rest = base->Slice(m * morsel_rows_, n - m * morsel_rows_);
-        CRE_ASSIGN_OR_RETURN(
-            TablePtr part,
-            MorselParallelMap(
-                rest,
-                [&](std::size_t, const TablePtr& slice) {
-                  return BuildChain(fallback, slice, no_joins, selects);
-                },
-                options));
-        if (out == nullptr) out = Table::Make(part->schema());
-        CRE_RETURN_NOT_OK(out->AppendTable(*part));
-        break;
-      }
     }
-    const std::size_t wave_end = std::min(num_morsels, m + wave_morsels);
-    TablePtr wave_base =
-        base->Slice(m * morsel_rows_, (wave_end - m) * morsel_rows_);
+    const std::size_t rows = polling ? wave_rows : n - row;
     CRE_ASSIGN_OR_RETURN(
         TablePtr part,
-        MorselParallelMap(
-            wave_base,
-            [&](std::size_t, const TablePtr& slice) {
-              return BuildChain(fallback, slice, no_joins, selects);
-            },
-            options));
-    if (out == nullptr) out = Table::Make(part->schema());
-    CRE_RETURN_NOT_OK(out->AppendTable(*part));
-    m = wave_end;
-  }
+        MapSegment(fallback, inputs, inputs.base->Slice(row, rows)));
+    parts.push_back(std::move(part));
+    row += rows;
+  } while (row < n);
+  // Only an adoption leaves the loop before the last row.
+  const bool adopted = row < n;
   span.Annotate("adopted", adopted ? "true" : "false");
   if (adopted) {
-    span.Annotate("adopted_at_row", std::to_string(adopted_at_row));
+    span.Annotate("adopted_at_row", std::to_string(row));
     if (trace_ != nullptr && span_parent_ != nullptr) {
       trace_->Annotate(span_parent_, "index_adoption",
-                       "row " + std::to_string(adopted_at_row) + "/" +
+                       "row " + std::to_string(row) + "/" +
                            std::to_string(n));
     }
   }
-  return out;
+  return Concatenate(parts.front()->schema(), parts);
 }
 
 Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,
@@ -395,25 +348,14 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
     return sorted;
   }
 
-  // The child's streamable segment runs through the morsel scheduler
-  // under a shared row budget; breakers beneath it materialize as usual.
-  PipelineSegment segment = DecomposePipeline(child);
-  CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
-  CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
-  CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
-  MorselOptions options;
-  options.morsel_rows = morsel_rows_;
-  options.pool = runner_;
-  options.cancel = ctx_->cancel_flag();
+  // The child's streamable segment runs through the morsel map under a
+  // shared row budget; breakers beneath it materialize as usual.
+  const PipelineSegment segment = DecomposePipeline(child);
+  CRE_ASSIGN_OR_RETURN(SegmentInputs inputs, PrepareSegment(segment));
   MorselBudgetStats budget;
   CRE_ASSIGN_OR_RETURN(
       TablePtr out,
-      MorselParallelMapLimited(
-          base,
-          [&](std::size_t, const TablePtr& slice) {
-            return BuildChain(segment, slice, joins, selects);
-          },
-          limit.limit, options, &budget));
+      MapSegment(segment, inputs, inputs.base, limit.limit, &budget));
   if (trace_ != nullptr && span_parent_ != nullptr) {
     trace_->Annotate(span_parent_, "morsels_run",
                      std::to_string(budget.morsels_run));
@@ -428,51 +370,48 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
 
 Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   Timer timer;
-  PipelineSegment segment = DecomposePipeline(*agg.children[0]);
-  CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
-  CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
-  CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
+  const PipelineSegment segment = DecomposePipeline(*agg.children[0]);
+  CRE_ASSIGN_OR_RETURN(SegmentInputs inputs, PrepareSegment(segment));
 
   // Learn the input schema of the aggregate from a zero-row prototype of
   // the child chain (also surfaces lowering errors before fan-out).
   CRE_ASSIGN_OR_RETURN(OperatorPtr prototype,
-                       BuildChain(segment, base->Slice(0, 0), joins, selects));
+                       BuildChain(segment, inputs, inputs.base->Slice(0, 0)));
   CRE_RETURN_NOT_OK(prototype->Open());
   const Schema input_schema = prototype->output_schema();
 
-  const std::size_t n = base->num_rows();
+  const std::size_t n = inputs.base->num_rows();
   const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
-  const bool parallel =
-      num_morsels > 1 && runner_ != nullptr && runner_->num_threads() > 1;
+  const std::size_t dop = runner_->num_threads();
   const bool use_radix =
-      parallel &&
-      UseRadixAggregation(agg, runner_->num_threads(),
+      num_morsels > 1 &&
+      UseRadixAggregation(agg, dop,
                           engine_->options().optimizer.radix_agg_min_groups);
 
-  // Fixed chunk layout with per-chunk slots: workers race only on their
-  // own slot, and the deterministic merge orders below (chunk index, or
-  // partition-then-chunk index for radix) make the final group map — and
-  // thus the output row order — deterministic run-to-run for a given
-  // thread count. The radix form uses exactly one chunk per worker:
-  // phase 2 merges every chunk's copy of every partition, so its work
-  // grows with chunks x groups, and per-row hash work is uniform enough
-  // that finer chunks buy no balance. The single-state form is one chunk.
-  std::size_t per_chunk = num_morsels;
+  // Fixed chunk layout of whole morsels with per-chunk states: workers
+  // race only on their own state, and the deterministic merge orders
+  // below (chunk index, or partition-then-chunk index for radix) make the
+  // final group map — and thus the output row order — deterministic
+  // run-to-run for a given thread count. The radix form uses exactly one
+  // chunk per worker: phase 2 merges every chunk's copy of every
+  // partition, so its work grows with chunks x groups, and per-row hash
+  // work is uniform enough that finer chunks buy no balance. At dop 1, or
+  // on one morsel, one chunk spans the input.
   std::size_t num_chunks = 1;
-  if (parallel) {
-    const std::size_t chunks = std::min<std::size_t>(
-        num_morsels,
-        std::max<std::size_t>(1, use_radix ? runner_->num_threads()
-                                           : runner_->num_threads() * 4));
-    per_chunk = (num_morsels + chunks - 1) / chunks;
+  std::size_t chunk_rows = n;
+  if (num_morsels > 1 && dop > 1) {
+    const std::size_t chunks =
+        std::min(num_morsels, use_radix ? dop : dop * 4);
+    const std::size_t per_chunk = (num_morsels + chunks - 1) / chunks;
     num_chunks = (num_morsels + per_chunk - 1) / per_chunk;
+    chunk_rows = per_chunk * morsel_rows_;
   }
 
   // Charge the accumulation's states before any is built, each at its
   // layout's size for the estimated group count; plans without an
   // estimate fall back to the input row count, and a global aggregate
-  // holds one group. The hash form keeps one partial per chunk plus the
-  // merged total, the radix form one partitioned partial per chunk.
+  // holds one group. Either form keeps one state per chunk (the hash
+  // form's first chunk accumulates into the merged total).
   GroupedAggregationState total;
   CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
   ScopedCharge agg_charge;
@@ -481,105 +420,71 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
         agg.group_keys.empty()
             ? 1
             : agg.est_rows >= 0 ? static_cast<std::size_t>(agg.est_rows) : n;
-    const std::size_t states =
-        !parallel ? 1 : use_radix ? num_chunks : num_chunks + 1;
     CRE_RETURN_NOT_OK(agg_charge.Acquire(ctx_->budget_handle(),
-                                         states * total.BytesFor(groups),
+                                         num_chunks * total.BytesFor(groups),
                                          "aggregation state"));
   }
 
-  if (!parallel) {
-    CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
-                         BuildChain(segment, base, joins, selects));
-    CRE_RETURN_NOT_OK(chain->Open());
-    for (;;) {
-      CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-      CRE_ASSIGN_OR_RETURN(TablePtr batch, chain->Next());
-      if (batch == nullptr) break;
-      CRE_RETURN_NOT_OK(total.Consume(*batch));
-    }
-    CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
-    if (stats_ != nullptr) {
-      stats_->SlotFor(&agg)->AddBatch(out->num_rows(), timer.Seconds());
-    }
-    return out;
-  }
-
-  // Drives chunk `c`'s morsel chains into `consume`, polling the
-  // cancellation flag between morsels; within the chunk, rows stream in
-  // order, one morsel at a time.
-  auto run_chunk = [&](std::size_t c,
-                       const std::function<Status(const Table&)>& consume)
-      -> Status {
-    const std::size_t begin_row = c * per_chunk * morsel_rows_;
-    const std::size_t end_row =
-        std::min(n, begin_row + per_chunk * morsel_rows_);
-    for (std::size_t r = begin_row; r < end_row; r += morsel_rows_) {
-      CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-      TablePtr slice = base->Slice(r, std::min(morsel_rows_, end_row - r));
-      CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
-                           BuildChain(segment, slice, joins, selects));
-      CRE_RETURN_NOT_OK(chain->Open());
-      for (;;) {
-        CRE_ASSIGN_OR_RETURN(TablePtr batch, chain->Next());
-        if (batch == nullptr) break;
-        CRE_RETURN_NOT_OK(consume(*batch));
-      }
-    }
-    return Status::OK();
-  };
-
-  TablePtr out;
-  double accumulate_seconds = 0;
-  double merge_seconds = 0;
-  std::size_t partitions_used = 0;
-  if (!use_radix) {
-    // Phase 1: one private hash state per chunk. Phase 2: serial
-    // chunk-order merge (the tail the radix form removes). Groups keep
-    // first-seen order, so the output rows come in the serial order.
-    Timer accumulate_timer;
-    std::vector<GroupedAggregationState> partials(num_chunks);
+  // Phase 1: chunk `c` streams its rows, in order, through one chain into
+  // `state(c)`; the cancellation flag is polled between batches.
+  auto accumulate = [&](const auto& state) -> Status {
     std::vector<Status> statuses(num_chunks);
     runner_->ParallelFor(
         num_chunks,
         [&](std::size_t c, std::size_t) {
-          GroupedAggregationState& local = partials[c];
           statuses[c] = [&]() -> Status {
-            CRE_RETURN_NOT_OK(
-                local.Init(input_schema, agg.group_keys, agg.aggs));
-            return run_chunk(
-                c, [&](const Table& batch) { return local.Consume(batch); });
+            CRE_ASSIGN_OR_RETURN(
+                OperatorPtr chain,
+                BuildChain(segment, inputs,
+                           inputs.base->Slice(c * chunk_rows, chunk_rows)));
+            CRE_RETURN_NOT_OK(chain->Open());
+            for (;;) {
+              CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
+              CRE_ASSIGN_OR_RETURN(TablePtr batch, chain->Next());
+              if (batch == nullptr) return Status::OK();
+              CRE_RETURN_NOT_OK(state(c)->Consume(*batch));
+            }
           }();
         },
         /*grain=*/1);
     for (const Status& status : statuses) CRE_RETURN_NOT_OK(status);
-    accumulate_seconds = accumulate_timer.Seconds();
+    return Status::OK();
+  };
 
+  TablePtr out;
+  Timer accumulate_timer;
+  double accumulate_seconds = 0;
+  double merge_seconds = 0;
+  std::size_t partitions_used = 0;
+  if (!use_radix) {
+    // One private hash state per chunk after the first, merged into the
+    // total in chunk order (the serial tail the radix form removes).
+    // Groups keep first-seen order, so the output rows come in the
+    // serial order.
+    std::vector<GroupedAggregationState> partials(num_chunks - 1);
+    for (auto& partial : partials) {
+      CRE_RETURN_NOT_OK(partial.Init(input_schema, agg.group_keys, agg.aggs));
+    }
+    CRE_RETURN_NOT_OK(accumulate([&](std::size_t c) {
+      return c == 0 ? &total : &partials[c - 1];
+    }));
+    accumulate_seconds = accumulate_timer.Seconds();
     Timer merge_timer;
     for (auto& partial : partials) total.Merge(std::move(partial));
     CRE_ASSIGN_OR_RETURN(out, total.Finalize());
     merge_seconds = merge_timer.Seconds();
   } else {
-    // Phase 1: every chunk partitions its rows by group-key hash radix
-    // into a private set of partition states.
-    const std::size_t num_partitions = std::min<std::size_t>(
-        64, std::max<std::size_t>(2, runner_->num_threads() * 4));
-    Timer accumulate_timer;
+    // Every chunk partitions its rows by group-key hash radix into a
+    // private set of partition states.
+    const std::size_t num_partitions =
+        std::min<std::size_t>(64, std::max<std::size_t>(2, dop * 4));
     std::vector<RadixAggregationState> partials(num_chunks);
-    std::vector<Status> statuses(num_chunks);
-    runner_->ParallelFor(
-        num_chunks,
-        [&](std::size_t c, std::size_t) {
-          RadixAggregationState& local = partials[c];
-          statuses[c] = [&]() -> Status {
-            CRE_RETURN_NOT_OK(local.Init(input_schema, agg.group_keys,
-                                         agg.aggs, num_partitions));
-            return run_chunk(
-                c, [&](const Table& batch) { return local.Consume(batch); });
-          }();
-        },
-        /*grain=*/1);
-    for (const Status& status : statuses) CRE_RETURN_NOT_OK(status);
+    for (auto& partial : partials) {
+      CRE_RETURN_NOT_OK(partial.Init(input_schema, agg.group_keys, agg.aggs,
+                                     num_partitions));
+    }
+    CRE_RETURN_NOT_OK(
+        accumulate([&](std::size_t c) { return &partials[c]; }));
     accumulate_seconds = accumulate_timer.Seconds();
     partitions_used = partials.front().num_partitions();
 
@@ -593,28 +498,24 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
         Result<TablePtr>(Status::Internal("partition not merged")));
     runner_->ParallelFor(
         partitions_used,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t p = begin; p < end; ++p) {
-            GroupedAggregationState& acc = partials[0].partition(p);
-            for (std::size_t c = 1; c < num_chunks; ++c) {
-              acc.Merge(std::move(partials[c].partition(p)));
-            }
-            merged[p] = acc.Finalize();
+        [&](std::size_t p, std::size_t) {
+          GroupedAggregationState& acc = partials[0].partition(p);
+          for (std::size_t c = 1; c < num_chunks; ++c) {
+            acc.Merge(std::move(partials[c].partition(p)));
           }
+          merged[p] = acc.Finalize();
         },
         /*grain=*/1);
+    std::vector<TablePtr> parts;
     for (auto& part : merged) {
       if (!part.ok()) return part.status();
-      TablePtr table = std::move(part).ValueUnsafe();
-      if (out == nullptr) {
-        out = Table::Make(table->schema());
-      }
-      CRE_RETURN_NOT_OK(out->AppendTable(*table));
+      parts.push_back(std::move(part).ValueUnsafe());
     }
+    CRE_ASSIGN_OR_RETURN(out, Concatenate(parts.front()->schema(), parts));
     merge_seconds = merge_timer.Seconds();
   }
 
-  if (trace_ != nullptr && span_parent_ != nullptr) {
+  if (num_chunks > 1 && trace_ != nullptr && span_parent_ != nullptr) {
     trace_->Annotate(span_parent_, "agg_mode", use_radix ? "radix" : "hash");
     if (use_radix) {
       trace_->Annotate(span_parent_, "agg_partitions",

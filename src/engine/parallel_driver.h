@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "engine/query_context.h"
 #include "exec/hash_join.h"
+#include "exec/morsel.h"
 #include "exec/pipeline.h"
 
 namespace cre {
@@ -23,17 +24,18 @@ namespace cre {
 /// QueryContext: tables resolve from the pinned catalog snapshot, tasks
 /// submit through the query's scheduler group (so concurrent queries
 /// interleave fairly and barriers never couple across queries), the
-/// cancellation flag is polled at every morsel boundary, and stats go to
-/// the per-query collector.
+/// cancellation flag is polled at every morsel boundary, and operator
+/// counters and trace spans go to the query's own collector and trace.
 ///
 /// Breakers around the segments:
 ///  - hash Join: the build side is executed (recursively, in parallel),
 ///    hashed once into a shared read-only HashJoinTable, and probed from
 ///    every morsel pipeline concurrently;
-///  - Aggregate: each worker chunk accumulates private state over its
-///    morsels. At low group cardinality that is one
-///    GroupedAggregationState per chunk whose partials merge at the
-///    barrier in chunk-index order; above
+///  - Aggregate: the input splits into chunks of whole morsels, each
+///    streamed through one chain into its own state (at dop 1 one chunk
+///    spans the input and accumulates straight into the result state).
+///    At low group cardinality each chunk keeps a GroupedAggregationState
+///    and the partials merge at the barrier in chunk-index order; above
 ///    OptimizerOptions::radix_agg_min_groups estimated groups the chunks
 ///    instead partition by group-key hash radix
 ///    (RadixAggregationState) and the merge fans out over the pool, one
@@ -45,10 +47,10 @@ namespace cre {
 ///    merge on the pool (exec/parallel_sort.h) — the output permutation
 ///    is the serial stable-sort order;
 ///  - Limit: the subtree's streamable segment runs through the morsel
-///    scheduler under a shared atomic row budget with an exact
-///    prefix-complete cutoff (MorselParallelMapLimited), so limit plans
-///    get both parallelism and early termination; Limit directly over
-///    Sort additionally turns into a parallel top-k sort;
+///    map under a shared atomic row budget with an exact prefix-complete
+///    cutoff (MorselParallelMap with a limit), so limit plans get both
+///    parallelism and early termination; Limit directly over Sort
+///    additionally turns into a parallel top-k sort;
 ///  - SemanticGroupBy / SemanticJoin / DetectScan: inputs are
 ///    materialized in parallel, the operator itself runs on the driver
 ///    thread (SemanticJoin and DetectScan parallelize internally over the
@@ -90,33 +92,49 @@ class ParallelPlanDriver {
   };
   using SelectStates = std::map<const PlanNode*, SelectState>;
 
+  /// A segment made ready to run: its source materialized, plus the
+  /// shared read-only states its per-morsel chains use.
+  struct SegmentInputs {
+    TablePtr base;
+    JoinStates joins;
+    SelectStates selects;
+  };
+
   Result<TablePtr> RunSegment(const PipelineSegment& segment);
   Result<TablePtr> MaterializeSource(const PlanNode& source);
+  /// The one segment setup: materializes the source, builds every join's
+  /// hash table and embeds every scanning select's queries.
+  Result<SegmentInputs> PrepareSegment(const PipelineSegment& segment);
+  /// Maps the segment's chain over the morsels of `base` (the prepared
+  /// base or a slice of it), keeping the first `limit` rows.
+  Result<TablePtr> MapSegment(const PipelineSegment& segment,
+                              const SegmentInputs& inputs,
+                              const TablePtr& base,
+                              std::size_t limit = kNoRowCap,
+                              MorselBudgetStats* stats = nullptr);
   /// Brute-force fallback for an index-backed semantic select whose
   /// background build is in flight: runs morsel waves, polling between
   /// waves whether the build completed; on completion the remaining rows
   /// swap onto the index operator (restricted to row ids past the
   /// brute-forced prefix, with exact re-verification so the output stays
-  /// byte-identical to an all-fallback run).
+  /// byte-identical to an all-fallback run). Once the build is gone, one
+  /// last wave spans the rest of the input.
   Result<TablePtr> RunFallbackWithAdoption(const PlanNode& source,
                                            bool build_in_flight);
   Result<TablePtr> RunAggregate(const PlanNode& agg);
   /// Materializes the sort input (in parallel) and sorts it on the pool;
   /// `limit_hint` > 0 = top-k for a Limit parent.
   Result<TablePtr> RunSort(const PlanNode& sort, std::size_t limit_hint);
-  /// Runs the limit's child segment through the morsel scheduler under a
+  /// Runs the limit's child segment through the morsel map under a
   /// shared row budget (or as a parallel top-k sort for Limit over Sort).
   Result<TablePtr> RunLimit(const PlanNode& limit);
-  Result<JoinStates> BuildJoinStates(const PipelineSegment& segment);
-  Result<SelectStates> BuildSelectStates(const PipelineSegment& segment);
 
   /// Instantiates the segment's operator chain over one morsel slice.
   /// Called concurrently from worker threads; everything it touches is
   /// read-only or freshly constructed.
   Result<OperatorPtr> BuildChain(const PipelineSegment& segment,
-                                 const TablePtr& slice,
-                                 const JoinStates& joins,
-                                 const SelectStates& selects);
+                                 const SegmentInputs& inputs,
+                                 const TablePtr& slice);
 
   /// Wraps `op` with a stats slot shared by all per-morsel instances of
   /// plan node `node` when instrumenting.

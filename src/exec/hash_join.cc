@@ -32,10 +32,12 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
   if (budget != nullptr) {
     // The table, the key table reserved for `rows` keys (unique string
     // keys copy at most the column's heap bytes), one row id per row and
-    // one run offset per key.
+    // one run offset per key; and, while building, FindOrAddRows's row
+    // hashes, one key id per row and one run cursor per key.
     const std::size_t bytes =
         out->build_->MemoryBytes() + out->keys_.BytesFor(rows, /*grown=*/false) +
-        col.HeapStringBytes() + (2 * rows + 1) * sizeof(std::uint32_t);
+        col.HeapStringBytes() + (2 * rows + 1) * sizeof(std::uint32_t) +
+        rows * (sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t));
     CRE_RETURN_NOT_OK(
         out->charge_.Acquire(budget, bytes, "hash-join build side"));
   }

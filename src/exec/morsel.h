@@ -33,41 +33,33 @@ struct MorselOptions {
 using MorselPipelineBuilder =
     std::function<Result<OperatorPtr>(std::size_t index, const TablePtr& slice)>;
 
-/// Runs `build(i, slice_i)` to completion for every morsel of `table` on
-/// `options.pool` and concatenates the results in morsel order. Falls back
-/// to a single serial pipeline over the whole table when the input fits in
-/// one morsel or no pool is available (also how a zero-row input learns
-/// its output schema). The first per-morsel error wins.
-Result<TablePtr> MorselParallelMap(const TablePtr& table,
-                                   const MorselPipelineBuilder& build,
-                                   const MorselOptions& options = {});
-
-/// Outcome counters of one budgeted (LIMIT) morsel map, for EXPLAIN
-/// ANALYZE and the scale-up benches: how much of the input the shared row
-/// budget let the scheduler skip.
+/// Morsel counts of one map, for EXPLAIN ANALYZE and the scale-up
+/// benches: how much of the input a LIMIT's row budget let it skip.
 struct MorselBudgetStats {
   std::size_t morsels_total = 0;
-  std::size_t morsels_run = 0;      ///< pipelines actually executed
-  std::size_t morsels_skipped = 0;  ///< cut off by the exhausted budget
+  std::size_t morsels_run = 0;  ///< pipelines actually executed
 };
 
-/// LIMIT-aware variant: runs morsel pipelines through the pool under a
-/// shared atomic row budget and returns the first `limit` rows of the
-/// morsel-order concatenation — byte-identical to running the full map
-/// and slicing, but with early termination. Workers claim morsel indices
-/// in increasing order; every completed morsel advances a contiguous
-/// "prefix done" row count, and once that prefix alone covers the limit
-/// all unclaimed morsels are skipped (rows from morsels beyond a
-/// completed prefix can never displace prefix rows, so the cutoff is
-/// exact, not heuristic). Each pipeline also stops pulling batches once
-/// its own output reaches the budget remaining at claim time, bounding
-/// work inside a morsel. With no pool (or one thread) one pipeline runs
-/// over the whole table and stops at `limit` rows.
-Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
-                                          const MorselPipelineBuilder& build,
-                                          std::size_t limit,
-                                          const MorselOptions& options = {},
-                                          MorselBudgetStats* stats = nullptr);
+/// The one morsel map. Runs `build(i, slice_i)` for the morsels of `table`
+/// on `options.pool` and returns the first `limit` rows (all rows by
+/// default) of the morsel-order concatenation of their outputs, so the
+/// result is the same at every thread count. Without a pool (or with one
+/// thread) one pipeline runs over the whole table; a zero-row input, or
+/// a zero limit, still learns the output schema from a zero-row pipeline.
+///
+/// Workers claim morsel indices in increasing order; every completed
+/// morsel advances a contiguous "prefix done" row count, and once that
+/// prefix alone covers `limit` all unclaimed morsels are skipped (rows of
+/// later morsels can never displace prefix rows, so the cutoff is exact).
+/// Each pipeline also stops pulling batches once its output reaches the
+/// budget left at claim time. Without a limit the cutoff never fires.
+/// Cancellation is polled before each morsel; the first per-morsel error
+/// (in morsel order) wins.
+Result<TablePtr> MorselParallelMap(const TablePtr& table,
+                                   const MorselPipelineBuilder& build,
+                                   const MorselOptions& options = {},
+                                   std::size_t limit = kNoRowCap,
+                                   MorselBudgetStats* stats = nullptr);
 
 }  // namespace cre
 

@@ -16,11 +16,13 @@ std::uint32_t OnlineClusterer::Assign(const float* vec) {
 
 SemanticGroupByOperator::SemanticGroupByOperator(
     OperatorPtr child, std::string column, EmbeddingModelPtr model,
-    float threshold, std::string cluster_column, std::string rep_column)
+    float threshold, QueryBudgetPtr budget, std::string cluster_column,
+    std::string rep_column)
     : child_(std::move(child)),
       column_(std::move(column)),
       model_(std::move(model)),
       threshold_(threshold),
+      budget_(std::move(budget)),
       cluster_column_(std::move(cluster_column)),
       rep_column_(std::move(rep_column)) {}
 
@@ -46,6 +48,9 @@ Result<TablePtr> SemanticGroupByOperator::Next() {
   const auto& words = col->strings();
   const std::size_t dim = model_->dim();
 
+  ScopedCharge charge;
+  CRE_RETURN_NOT_OK(charge.Acquire(budget_, words.size() * dim * sizeof(float),
+                                   "semantic group-by embed matrix"));
   std::vector<float> matrix(words.size() * dim);
   model_->EmbedBatch(words, matrix.data());
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/resource_governor.h"
 #include "embed/model_registry.h"
 #include "exec/operator.h"
 #include "vecsim/kernels.h"
@@ -35,11 +36,13 @@ class OnlineClusterer {
 /// The paper's Semantic GroupBy operator extension (Sec. IV): clusters
 /// rows by the latent-space similarity of a string column and appends a
 /// cluster id plus the cluster representative label. Aggregation over the
-/// cluster id can then use a regular Aggregate plan node.
+/// cluster id can then use a regular Aggregate plan node. Each batch's
+/// embed matrix is charged to `budget` (when set) before it is built.
 class SemanticGroupByOperator : public PhysicalOperator {
  public:
   SemanticGroupByOperator(OperatorPtr child, std::string column,
                           EmbeddingModelPtr model, float threshold,
+                          QueryBudgetPtr budget = nullptr,
                           std::string cluster_column = "cluster_id",
                           std::string rep_column = "cluster_rep");
 
@@ -56,6 +59,7 @@ class SemanticGroupByOperator : public PhysicalOperator {
   std::string column_;
   EmbeddingModelPtr model_;
   float threshold_;
+  QueryBudgetPtr budget_;
   std::string cluster_column_;
   std::string rep_column_;
   Schema schema_;

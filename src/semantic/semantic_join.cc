@@ -97,7 +97,6 @@ Status SemanticJoinOperator::Open() {
   if (opened_) return Status::OK();
   opened_ = true;
   CRE_RETURN_NOT_OK(left_->Open());
-  CRE_RETURN_NOT_OK(right_->Open());
   CRE_RETURN_NOT_OK(BuildRightSide());
 
   const Schema& ls = left_->output_schema();
@@ -120,7 +119,7 @@ Status SemanticJoinOperator::Open() {
 }
 
 Status SemanticJoinOperator::BuildRightSide() {
-  CRE_ASSIGN_OR_RETURN(build_, CollectAll(right_.get()));
+  CRE_ASSIGN_OR_RETURN(build_, ExecuteToTable(right_.get()));
   CRE_ASSIGN_OR_RETURN(const Column* key, build_->ColumnByName(right_key_));
   if (key->type() != DataType::kString) {
     return Status::TypeError("semantic join right key must be string");
@@ -206,7 +205,6 @@ Result<TablePtr> SemanticJoinOperator::Next() {
       }
     } else if (index_ == nullptr) {
       BruteForceOptions bf;
-      bf.variant = BestKernelVariant();
       bf.pool = options_.pool;
       bf.cancel = options_.cancel;
       matches = SimilarityJoinBrute(left_matrix.data(), words.size(),
@@ -277,7 +275,6 @@ Result<std::vector<MatchPair>> SemanticStringJoin(
                       options.ivfpq, options.pool, options.cancel);
   if (index == nullptr) {
     BruteForceOptions bf;
-    bf.variant = BestKernelVariant();
     bf.pool = options.pool;
     return SimilarityJoinBrute(lm.data(), left.size(), rm.data(),
                                right.size(), dim, options.threshold, bf);

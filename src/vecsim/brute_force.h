@@ -22,7 +22,7 @@ struct MatchPair {
 
 /// Options controlling the brute-force similarity join kernels.
 struct BruteForceOptions {
-  KernelVariant variant = KernelVariant::kUnrolled;
+  KernelVariant variant = BestKernelVariant();
   TaskRunner* pool = nullptr;  ///< parallel over left rows when set
   /// Cooperative cancellation, polled between left rows. A flipped flag
   /// makes the scan stop early and return a partial result — the caller

@@ -542,11 +542,12 @@ TEST(GovernorTest, IndexRefreshBreachDegradesToScanningFallback) {
 
 TEST(GovernorTest, SemanticEmbedMatricesChargeTheQueryBudget) {
   // The semantic join's build-side matrix (300 * 64 * 4 bytes), its
-  // per-batch probe matrix (200 * 64 * 4) and the scanning select's
-  // per-batch matrix (200 * 64 * 4) are charged before they are
-  // allocated: a budget that fits none of them (but does fit the 256-byte
-  // query embed matrix) fails the query with kResourceExhausted, and the
-  // breach leaves nothing charged.
+  // per-batch probe matrix (200 * 64 * 4), the scanning select's
+  // per-batch matrix (200 * 64 * 4) and the semantic group-by's per-batch
+  // matrix (200 * 64 * 4) are charged before they are allocated: a budget
+  // that fits none of them (but does fit the 256-byte query embed matrix)
+  // fails the query with kResourceExhausted, and the breach leaves
+  // nothing charged.
   auto model = std::make_shared<HashEmbeddingModel>(
       HashEmbeddingModel::Options{64});
   EngineOptions eo;
@@ -563,10 +564,12 @@ TEST(GovernorTest, SemanticEmbedMatricesChargeTheQueryBudget) {
   join.Scan("l").SemanticJoinWith(right, "word", "word", "m", 0.9f);
   QueryBuilder select(&engine);
   select.Scan("l").SemanticSelect("word", "w_7", "m", 0.8f);
+  QueryBuilder group(&engine);
+  group.Scan("l").SemanticGroupBy("word", "m", 0.9f);
 
   QueryOptions tight;
   tight.memory_budget_bytes = 16 * 1024;
-  for (const PlanPtr& plan : {join.plan(), select.plan()}) {
+  for (const PlanPtr& plan : {join.plan(), select.plan(), group.plan()}) {
     auto result = engine.Execute(plan, tight);
     ASSERT_FALSE(result.ok()) << PlanKindName(plan->kind);
     EXPECT_TRUE(result.status().IsResourceExhausted())

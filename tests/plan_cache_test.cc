@@ -586,6 +586,54 @@ TEST_P(PlanCacheDopTest, MidQueryAdoptionIsByteIdenticalToFallback) {
   EXPECT_NE(prom.find("cre_index_adoptions_total"), std::string::npos);
 }
 
+// When the build a cold select was waiting for is gone partway through
+// the waves, polling stops and one last wave brute-forces the rest. Here
+// the table changes under the query and the index is rebuilt for the new
+// version, so the poll after the first wave finds an index that cannot
+// serve this query's snapshot: the answer is the all-fallback one and
+// nothing is adopted.
+TEST_P(PlanCacheDopTest, FallbackFinishesInOneWaveOnceTheBuildIsGone) {
+  EngineOptions eo;
+  eo.num_threads = GetParam();
+  eo.morsel_rows = kMorselRows;
+  eo.index.async_builds = true;
+  auto engine = MakeEngine(eo);
+
+  auto make_plan = [&](SemanticJoinStrategy s) {
+    auto plan = PlanNode::SemanticSelect(PlanNode::Scan("big"), "word",
+                                         words_[0], "m", 0.85f);
+    plan->strategy = s;
+    plan->strategy_pinned = true;
+    return plan;
+  };
+  auto ref = engine->ExecuteUnoptimized(
+      make_plan(SemanticJoinStrategy::kBruteForce));
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  Rng rng(77);
+  const TablePtr replacement = RandomTable(rng, 1000);
+  std::vector<std::size_t> polls;
+  ParallelPlanDriver::SetAdoptionWaveHookForTesting(
+      [&](std::size_t first_morsel) {
+        polls.push_back(first_morsel);
+        if (first_morsel == 0) return;
+        engine->catalog().Put("big", replacement);
+        EXPECT_TRUE(engine->index_manager()
+                        ->GetOrBuild(IndexKey{"big", "word", "m",
+                                              SemanticJoinStrategy::kIvf})
+                        .ok());
+      });
+  auto got = engine->ExecuteUnoptimized(make_plan(SemanticJoinStrategy::kIvf));
+  ParallelPlanDriver::SetAdoptionWaveHookForTesting(nullptr);
+
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(engine->index_adoptions(), 0u);
+  EXPECT_EQ(OrderedRows(*ref.ValueUnsafe()), OrderedRows(*got.ValueUnsafe()));
+  // The first wave, then one poll that gives up: the 12 morsels span
+  // more than one wave of 2 morsels per worker at every dop here.
+  EXPECT_EQ(polls, (std::vector<std::size_t>{0, 2 * GetParam()}));
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: cache hits under a writer storm (TSan-checked in CI)
 // ---------------------------------------------------------------------------

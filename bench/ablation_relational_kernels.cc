@@ -3,14 +3,20 @@
 //
 // BM_GroupedAggregation: hash group-by accumulation
 // (GroupedAggregationState) by key shape (one int64 key, one string key,
-// an (int64, string) key pair) and group count (5, as in a
-// low-cardinality GROUP BY, and 15000, past the radix threshold); each
-// iteration accumulates COUNT(*) and SUM(v) and finalizes.
+// an (int64, string) key pair, one sparse int64 key) and group count (5,
+// as in a low-cardinality GROUP BY, and 15000, past the radix threshold);
+// each iteration accumulates COUNT(*) and SUM(v) and finalizes.
 //
 // BM_HashJoin: hash join build plus probe (HashJoinTable) by key type
-// (int64, string) and build-key multiplicity (1: 20000 unique keys, 4:
-// 5000 keys each on 4 of the 20000 build rows); every probe row matches.
-// Each iteration builds the table and probes every batch.
+// (int64, string, sparse int64) and build-key multiplicity (1: 20000
+// unique keys, 4: 5000 keys each on 4 of the 20000 build rows); every
+// probe row matches. Each iteration builds the table and probes every
+// batch.
+//
+// The int64 keys are dense (0, 1, 2, ...), so their KeyTable is
+// direct-addressed; a sparse int64 key is the dense key times a large
+// odd stride, whose span passes the direct form's limit, so it times the
+// hashed form on int64 keys.
 //
 // The ns_per_row counter reads in seconds per input (probe) row.
 //
@@ -32,14 +38,23 @@ namespace {
 constexpr std::size_t kRows = 150000;
 constexpr std::size_t kBatchRows = 8192;
 
-enum KeyShape { kInt64Key = 0, kStringKey = 1, kTwoKeys = 2 };
+enum KeyShape {
+  kInt64Key = 0,
+  kStringKey = 1,
+  kTwoKeys = 2,
+  kSparseInt64Key = 3
+};
+
+/// A sparse int64 key: the dense key times this.
+constexpr std::int64_t kSparseStride = 1000003;
 
 /// kRows rows with group g drawn uniformly from [0, groups): k = g,
-/// s = "product_<g>", v an integer-valued double.
+/// s = "product_<g>", v an integer-valued double, w = g * kSparseStride.
 TablePtr GroupTable(std::size_t groups) {
   auto t = Table::Make(Schema({{"k", DataType::kInt64, 0},
                                {"s", DataType::kString, 0},
-                               {"v", DataType::kFloat64, 0}}));
+                               {"v", DataType::kFloat64, 0},
+                               {"w", DataType::kInt64, 0}}));
   t->Reserve(kRows);
   Rng rng(17);
   for (std::size_t r = 0; r < kRows; ++r) {
@@ -47,6 +62,7 @@ TablePtr GroupTable(std::size_t groups) {
     t->column(0).AppendInt64(static_cast<std::int64_t>(g));
     t->column(1).AppendString("product_" + std::to_string(g));
     t->column(2).AppendFloat64(static_cast<double>(rng.Uniform(1000)));
+    t->column(3).AppendInt64(static_cast<std::int64_t>(g) * kSparseStride);
   }
   return t;
 }
@@ -61,9 +77,10 @@ void BM_GroupedAggregation(benchmark::State& state) {
     batches.push_back(table->Slice(r, kBatchRows));
   }
   const std::vector<std::string> keys =
-      shape == kInt64Key    ? std::vector<std::string>{"k"}
-      : shape == kStringKey ? std::vector<std::string>{"s"}
-                            : std::vector<std::string>{"k", "s"};
+      shape == kInt64Key         ? std::vector<std::string>{"k"}
+      : shape == kStringKey      ? std::vector<std::string>{"s"}
+      : shape == kSparseInt64Key ? std::vector<std::string>{"w"}
+                                 : std::vector<std::string>{"k", "s"};
   const std::vector<AggSpec> aggs = {{AggKind::kCount, "", "n"},
                                      {AggKind::kSum, "v", "total"}};
   for (auto _ : state) {
@@ -86,23 +103,26 @@ void BM_GroupedAggregation(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kRows));
 }
 BENCHMARK(BM_GroupedAggregation)
-    ->ArgsProduct({{kInt64Key, kStringKey, kTwoKeys}, {5, 15000}})
+    ->ArgsProduct({{kInt64Key, kStringKey, kTwoKeys, kSparseInt64Key},
+                   {5, 15000}})
     ->Unit(benchmark::kMillisecond);
 
 constexpr std::size_t kBuildRows = 20000;
 
-/// range(0): KeyShape (kInt64Key or kStringKey); range(1): how many build
-/// rows share each key.
+/// range(0): KeyShape (kInt64Key, kStringKey or kSparseInt64Key);
+/// range(1): how many build rows share each key.
 void BM_HashJoin(benchmark::State& state) {
-  const bool strings = state.range(0) == kStringKey;
+  const auto shape = static_cast<KeyShape>(state.range(0));
+  const bool strings = shape == kStringKey;
+  const std::int64_t stride = shape == kSparseInt64Key ? kSparseStride : 1;
   const std::size_t dup = static_cast<std::size_t>(state.range(1));
   const std::size_t keys = kBuildRows / dup;
   const DataType type = strings ? DataType::kString : DataType::kInt64;
-  auto append = [strings](Column* col, std::size_t key) {
+  auto append = [strings, stride](Column* col, std::size_t key) {
     if (strings) {
       col->AppendString("product_" + std::to_string(key));
     } else {
-      col->AppendInt64(static_cast<std::int64_t>(key));
+      col->AppendInt64(static_cast<std::int64_t>(key) * stride);
     }
   };
   auto build =
@@ -143,7 +163,7 @@ void BM_HashJoin(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kRows));
 }
 BENCHMARK(BM_HashJoin)
-    ->ArgsProduct({{kInt64Key, kStringKey}, {1, 4}})
+    ->ArgsProduct({{kInt64Key, kStringKey, kSparseInt64Key}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -408,10 +408,11 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   }
 
   // Charge the accumulation's states before any is built, each at its
-  // layout's size for the estimated group count; plans without an
-  // estimate fall back to the input row count, and a global aggregate
-  // holds one group. Either form keeps one state per chunk (the hash
-  // form's first chunk accumulates into the merged total).
+  // layout's size for the estimated group count and morsel-sized
+  // batches; plans without an estimate fall back to the input row count,
+  // and a global aggregate holds one group. Either form keeps one state
+  // per chunk (the hash form's first chunk accumulates into the merged
+  // total).
   GroupedAggregationState total;
   CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
   ScopedCharge agg_charge;
@@ -420,9 +421,10 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
         agg.group_keys.empty()
             ? 1
             : agg.est_rows >= 0 ? static_cast<std::size_t>(agg.est_rows) : n;
-    CRE_RETURN_NOT_OK(agg_charge.Acquire(ctx_->budget_handle(),
-                                         num_chunks * total.BytesFor(groups),
-                                         "aggregation state"));
+    CRE_RETURN_NOT_OK(agg_charge.Acquire(
+        ctx_->budget_handle(),
+        num_chunks * total.BytesFor(groups, morsel_rows_),
+        "aggregation state"));
   }
 
   // Phase 1: chunk `c` streams its rows, in order, through one chain into

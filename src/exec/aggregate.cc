@@ -31,15 +31,35 @@ void Fold(AggKind kind, double v, double* acc) {
   }
 }
 
-/// acc[groups[k] * stride] folds reader(rows[k]) for k in [0, n), in k
-/// order, so each group accumulates its rows in input order.
+/// acc[groups[k] * stride] folds reader(rows[k]) (reader(k) when `rows`
+/// is null) for k in [0, n), in k order, so each group accumulates its
+/// rows in input order.
 template <typename Reader>
 void Accumulate(AggKind kind, const Reader& reader,
                 const std::uint32_t* rows, const std::uint32_t* groups,
                 std::size_t n, double* acc, std::size_t stride) {
+  if (rows == nullptr) {
+    for (std::size_t k = 0; k < n; ++k) {
+      Fold(kind, reader(k), &acc[groups[k] * stride]);
+    }
+    return;
+  }
   for (std::size_t k = 0; k < n; ++k) {
     Fold(kind, reader(rows[k]), &acc[groups[k] * stride]);
   }
+}
+
+/// consume(slice) over `batch` in order, in slices of at most
+/// GroupedAggregationState::kMaxConsumeRows rows.
+template <typename ConsumeSlice>
+Status ConsumeInSlices(const Table& batch, const ConsumeSlice& consume) {
+  constexpr std::size_t kSlice = GroupedAggregationState::kMaxConsumeRows;
+  const std::size_t n = batch.num_rows();
+  if (n <= kSlice) return consume(batch);
+  for (std::size_t r = 0; r < n; r += kSlice) {
+    CRE_RETURN_NOT_OK(consume(*batch.Slice(r, std::min(kSlice, n - r))));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -77,7 +97,7 @@ Status GroupedAggregationState::Init(const Schema& input,
                                   : DataType::kFloat64;
     schema_.AddField({aggs_[a].output_name, out_type, 0});
   }
-  keys_ = KeyTable(key_types);
+  keys_ = KeyTable(key_types, /*allow_direct=*/!hashed_keys_);
   return Status::OK();
 }
 
@@ -94,10 +114,9 @@ void GroupedAggregationState::ConsumeRows(const Table& batch,
                                           const std::uint32_t* rows,
                                           std::size_t n) {
   const std::vector<const Column*> src = KeyColumns(batch);
+  group_of_.reserve(n);  // exactly n when it grows, as BytesFor charges
   group_of_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    group_of_[k] = keys_.FindOrAdd(hashes[rows[k]], src, rows[k]);
-  }
+  keys_.FindOrAddRows(src, hashes, rows, n, group_of_.data());
   // Groups first seen in this batch start at zero and the identities.
   for (std::size_t g = counts_.size(); g < keys_.size(); ++g) {
     counts_.push_back(0);
@@ -117,14 +136,16 @@ void GroupedAggregationState::ConsumeRows(const Table& batch,
 }
 
 Status GroupedAggregationState::Consume(const Table& batch) {
-  const std::size_t n = batch.num_rows();
-  KeyTable::HashRows(KeyColumns(batch), n, &hashes_);
-  // rows_ only ever holds 0, 1, 2, ...: the identity selection.
-  for (std::size_t r = rows_.size(); r < n; ++r) {
-    rows_.push_back(static_cast<std::uint32_t>(r));
-  }
-  ConsumeRows(batch, hashes_.data(), rows_.data(), n);
-  return Status::OK();
+  return ConsumeInSlices(batch, [this](const Table& slice) {
+    const std::size_t n = slice.num_rows();
+    const std::uint64_t* hashes = nullptr;
+    if (keys_.needs_hashes()) {
+      KeyTable::HashRows(KeyColumns(slice), n, &hashes_);
+      hashes = hashes_.data();
+    }
+    ConsumeRows(slice, hashes, /*rows=*/nullptr, n);
+    return Status::OK();
+  });
 }
 
 void GroupedAggregationState::Merge(GroupedAggregationState&& other) {
@@ -193,13 +214,17 @@ void GroupedAggregationState::ResetGroups() {
 
 std::size_t GroupedAggregationState::MemoryBytes() const {
   return keys_.MemoryBytes() + counts_.capacity() * sizeof(std::int64_t) +
-         acc_.capacity() * sizeof(double);
+         acc_.capacity() * sizeof(double) +
+         hashes_.capacity() * sizeof(std::uint64_t) +
+         group_of_.capacity() * sizeof(std::uint32_t);
 }
 
-std::size_t GroupedAggregationState::BytesFor(std::size_t groups) const {
+std::size_t GroupedAggregationState::BytesFor(std::size_t groups,
+                                              std::size_t batch_rows) const {
   return keys_.BytesFor(groups, /*grown=*/true) +
          VectorCapacity(groups) * sizeof(std::int64_t) +
-         VectorCapacity(groups * aggs_.size()) * sizeof(double);
+         VectorCapacity(groups * aggs_.size()) * sizeof(double) +
+         std::min(batch_rows, kMaxConsumeRows) * kScratchBytesPerRow;
 }
 
 Status RadixAggregationState::Init(const Schema& input,
@@ -217,24 +242,27 @@ Status RadixAggregationState::Init(const Schema& input,
   shift_ = 64 - bits;
   rows_.assign(p, {});
   for (auto& partition : partitions_) {
+    partition.hashed_keys_ = true;
     CRE_RETURN_NOT_OK(partition.Init(input, group_keys, aggs));
   }
   return Status::OK();
 }
 
 Status RadixAggregationState::Consume(const Table& batch) {
-  const std::size_t n = batch.num_rows();
-  KeyTable::HashRows(partitions_.front().KeyColumns(batch), n, &hashes_);
-  for (auto& rows : rows_) rows.clear();
-  for (std::size_t r = 0; r < n; ++r) {
-    rows_[hashes_[r] >> shift_].push_back(static_cast<std::uint32_t>(r));
-  }
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    if (rows_[p].empty()) continue;
-    partitions_[p].ConsumeRows(batch, hashes_.data(), rows_[p].data(),
-                               rows_[p].size());
-  }
-  return Status::OK();
+  return ConsumeInSlices(batch, [this](const Table& slice) {
+    const std::size_t n = slice.num_rows();
+    KeyTable::HashRows(partitions_.front().KeyColumns(slice), n, &hashes_);
+    for (auto& rows : rows_) rows.clear();
+    for (std::size_t r = 0; r < n; ++r) {
+      rows_[hashes_[r] >> shift_].push_back(static_cast<std::uint32_t>(r));
+    }
+    for (std::size_t p = 0; p < partitions_.size(); ++p) {
+      if (rows_[p].empty()) continue;
+      partitions_[p].ConsumeRows(slice, hashes_.data(), rows_[p].data(),
+                                 rows_[p].size());
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace cre

@@ -1,6 +1,8 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "core/fault_injection.h"
@@ -29,21 +31,33 @@ Result<std::shared_ptr<HashJoinTable>> HashJoinTable::Build(
   }
   const std::size_t rows = col.size();
   out->keys_ = KeyTable({col.type()});
+  // An int key's value range settles the key table's form, and so the
+  // charge, before anything is built.
+  std::optional<KeyRange> range;
+  if (IsIntKey(col.type()) && rows > 0) {
+    const auto [min, max] = std::minmax_element(col.i64().begin(),
+                                                col.i64().end());
+    range = KeyRange{*min, *max};
+  }
   if (budget != nullptr) {
-    // The table, the key table reserved for `rows` keys (unique string
-    // keys copy at most the column's heap bytes), one row id per row and
-    // one run offset per key; and, while building, FindOrAddRows's row
-    // hashes, one key id per row and one run cursor per key.
+    // The table, the key table reserved for `rows` keys in its form
+    // (unique string keys copy at most the column's heap bytes), one row
+    // id per row and one run offset per key; and, while building, at
+    // most FindOrAddRows's row hashes, one key id per row and one run
+    // cursor per key.
     const std::size_t bytes =
-        out->build_->MemoryBytes() + out->keys_.BytesFor(rows, /*grown=*/false) +
+        out->build_->MemoryBytes() +
+        out->keys_.BytesFor(rows, /*grown=*/false, range) +
         col.HeapStringBytes() + (2 * rows + 1) * sizeof(std::uint32_t) +
         rows * (sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t));
     CRE_RETURN_NOT_OK(
         out->charge_.Acquire(budget, bytes, "hash-join build side"));
   }
-  out->keys_.Reserve(rows);
+  out->keys_.Reserve(rows, range);
   std::vector<std::uint32_t> ids;
   out->keys_.FindOrAddRows(col, &ids);
+  // Unique keys: key id k is build row k, so no runs are needed.
+  if (out->keys_.size() == rows) return out;
   // Counting sort of the rows by key id: each key's rows form one run,
   // in ascending row order.
   std::vector<std::uint32_t>& offsets = out->offsets_;
@@ -73,10 +87,24 @@ Status HashJoinTable::Probe(const Column& key,
   }
   const Column* src[] = {&key};
   const Span<const Column*> cols(src, 1);
+  const std::size_t n = key.size();
   std::vector<std::uint64_t> hashes;
-  KeyTable::HashRows(cols, key.size(), &hashes);
-  for (std::size_t i = 0; i < hashes.size(); ++i) {
-    const std::uint32_t id = keys_.Find(hashes[i], cols, i);
+  if (keys_.needs_hashes()) KeyTable::HashRows(cols, n, &hashes);
+  std::vector<std::uint32_t> ids(n);
+  keys_.FindRows(cols, hashes.data(), n, ids.data());
+  if (offsets_.empty()) {
+    // Unique build keys: a probe row matches at most build row `id`.
+    probe_rows->reserve(probe_rows->size() + n);
+    build_rows->reserve(build_rows->size() + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ids[i] == KeyTable::kNoKey) continue;
+      probe_rows->push_back(static_cast<std::uint32_t>(i));
+      build_rows->push_back(ids[i]);
+    }
+    return Status::OK();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t id = ids[i];
     if (id == KeyTable::kNoKey) continue;
     for (std::uint32_t j = offsets_[id]; j < offsets_[id + 1]; ++j) {
       probe_rows->push_back(static_cast<std::uint32_t>(i));

@@ -13,19 +13,23 @@
 namespace cre {
 
 /// The shared build side of a hash join: a materialized table, a
-/// KeyTable over its key column (the group-by key semantics) and, per
-/// distinct key, the contiguous run of build rows holding it in ascending
-/// row order. Built once by the parallel driver before fan-out and then
-/// probed concurrently from any number of worker threads: Probe is const
-/// and nothing changes after Build.
+/// KeyTable over its key column (the group-by key semantics; an int64 or
+/// date key over a narrow range is direct-addressed, and its probes hash
+/// nothing) and, per distinct key, the contiguous run of build rows
+/// holding it in ascending row order. When every build row holds its own
+/// key there are no runs: key id k is build row k. Built once by the
+/// parallel driver before fan-out and then probed concurrently from any
+/// number of worker threads: Probe is const and nothing changes after
+/// Build.
 class HashJoinTable {
  public:
   /// Materializes the index over `build`'s `key` column (int64, date or
   /// string; int64 and date keys join each other). With a non-null
   /// `budget`, the materialized side is charged before the index is
   /// built, at the size of the index's own layout when every build row
-  /// holds a distinct key (the index reserves that much): the most
-  /// MemoryBytes() can reach. A breach returns kResourceExhausted; the
+  /// holds a distinct key (the index reserves that much), in the form the
+  /// key column's value range gives it: the most MemoryBytes() can
+  /// reach. A breach returns kResourceExhausted; the
   /// charge is released when the table is destroyed.
   static Result<std::shared_ptr<HashJoinTable>> Build(
       TablePtr build, const std::string& key, QueryBudgetPtr budget = nullptr);
@@ -47,6 +51,7 @@ class HashJoinTable {
   TablePtr build_;
   KeyTable keys_;  ///< the build key's distinct values
   /// Key id k's build rows, ascending: rows_[offsets_[k], offsets_[k+1]).
+  /// Both empty when the build keys are unique (key id k is build row k).
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> rows_;
   ScopedCharge charge_;  ///< governor charge for the materialized side
